@@ -34,7 +34,6 @@ from .lhv import (
     compile_factored,
     contradiction_instance,
     contradiction_settings,
-    substitute_factorized,
 )
 from .quantum import (
     BELL_ORDER,
@@ -96,7 +95,6 @@ __all__ = [
     "perfect_correlation_report",
     "rotate_photon",
     "sample_events",
-    "substitute_factorized",
     "verify_certificate",
     "zeta",
 ]

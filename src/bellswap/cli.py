@@ -28,6 +28,7 @@ import numpy as np
 
 from .correlations import (
     DEFAULT_ANGLE_TOL,
+    MAX_ANGLE_TOL,
     classify_zeta,
     perfect_correlation_report,
     rotated_vw_state,
@@ -76,6 +77,16 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+_TOL_HELP = "phase tolerance (rad), > 0 and < pi/4"
+
+
+def _phase_tol(text: str) -> float:
+    value = float(text)
+    if not 0 < value < MAX_ANGLE_TOL:
+        raise argparse.ArgumentTypeError(f"must be > 0 and < pi/4, got {text}")
     return value
 
 
@@ -198,6 +209,11 @@ def cmd_refute(args: argparse.Namespace) -> int:
     return 0 if (result.status is expected and verified) else 1
 
 
+#: What malformed input files raise while loading: unreadable files, bad JSON,
+#: and documents of the wrong shape (missing keys, nulls, lists for objects).
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
 def _load_settings_file(path: str, degrees: bool) -> list[AngleSettings]:
     with open(path, "r", encoding="utf-8") as fp:
         doc = json.load(fp)
@@ -216,7 +232,7 @@ def _load_settings_file(path: str, degrees: bool) -> list[AngleSettings]:
 def cmd_compile(args: argparse.Namespace) -> int:
     try:
         settings = _load_settings_file(args.settings, args.degrees)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _LOAD_ERRORS as exc:
         print(f"error: cannot read settings file: {exc}", file=sys.stderr)
         return 2
     context = HiddenContext(kappa=args.kappa, label=args.label)
@@ -239,7 +255,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fp:
             cs = load_constraint_set(fp)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _LOAD_ERRORS as exc:
         print(f"error: cannot read constraint file: {exc}", file=sys.stderr)
         return 2
     result = _METHODS[args.method](cs)
@@ -277,15 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="double Bell coefficients of the rotated state")
     _add_angle_flags(p)
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    p.add_argument("--tol", type=float, default=DEFAULT_ANGLE_TOL, help="phase tolerance (rad)")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output")
-    fmt.add_argument("--table", action="store_true", help="table output (default)")
+    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    p.add_argument("--json", action="store_true", help="JSON output instead of tables")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify-qm", help="check all exact predictions over a sweep")
     p.add_argument("--grid", type=_positive_int, default=4, help="random sweep size is grid**4")
-    p.add_argument("--tol", type=float, default=DEFAULT_ANGLE_TOL, help="phase tolerance (rad)")
+    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--seed", type=int, default=12345, help="sweep RNG seed")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_verify_qm)
@@ -295,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.add_argument("--events", type=_nonnegative_int, default=1000, help="number of events")
     p.add_argument("--seed", type=int, default=42, help="sampler seed")
-    p.add_argument("--tol", type=float, default=DEFAULT_ANGLE_TOL, help="phase tolerance (rad)")
+    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
 
@@ -324,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         " 2 = Bell analyzers on both pairs",
     )
     p.add_argument("--factorize", action="store_true", help="adjoin F = A*D constraints")
-    p.add_argument("--tol", type=float, default=DEFAULT_ANGLE_TOL, help="phase tolerance (rad)")
+    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--degrees", action="store_true", help="settings file is in degrees")
     p.add_argument("--label", default="", help="context label")
     p.add_argument("--out", required=True, help="output JSON path")

@@ -14,6 +14,13 @@ sector the relevant phase is zeta_kappa = (phi1 - phi2) + kappa*(phi3 - phi4);
 at zeta = 0 or +-pi the product a * F * d of the outer polarizations with the
 analyzer's polarization product F is +1 with certainty, and at zeta = +-pi/2
 it is -1 with certainty.
+
+Every prediction for a setting derives from one numeric decomposition: the
+rotated state is built once and brute-force projected onto the double Bell
+basis, giving the 4x4 coefficient matrix C.  The double Bell probabilities
+are |C|^2; row X of C, expanded in the Bell vectors, gives the (a, d)
+amplitudes of Bell outcome X and so the Bell/polarization distribution; the
+sector reports read both.
 """
 
 from __future__ import annotations
@@ -25,9 +32,11 @@ from enum import Enum
 import numpy as np
 
 from .quantum import (
+    BELL_INDEX,
     BELL_ORDER,
     BELL_VECTORS,
     AngleSettings,
+    BellBellAmplitudes,
     BellOutcome,
     FourPhotonState,
     Polarization,
@@ -38,6 +47,7 @@ from .quantum import (
 
 __all__ = [
     "DEFAULT_ANGLE_TOL",
+    "MAX_ANGLE_TOL",
     "CERTAINTY_TOL",
     "PhaseClass",
     "EventRecord",
@@ -57,6 +67,10 @@ __all__ = [
 
 #: Default tolerance (radians) for recognizing the special phase values.
 DEFAULT_ANGLE_TOL = 1e-9
+
+#: Exclusive upper bound on that tolerance: from pi/4 on, the zero-or-pi and
+#: half-pi windows overlap and a generic phase would get a false certainty.
+MAX_ANGLE_TOL = math.pi / 4
 
 #: Probability residual below which a correlation counts as certain.
 CERTAINTY_TOL = 1e-12
@@ -88,6 +102,13 @@ OUTCOME_ORDER: tuple[tuple[BellOutcome, Polarization, Polarization], ...] = tupl
     for pol_a in (Polarization.H, Polarization.V)
     for pol_d in (Polarization.H, Polarization.V)
 )
+
+#: Sector parity of each row of C, and the product a*F*d of each outcome
+#: shaped (bell, pol_a, pol_d) like the Bell/polarization probabilities.
+_ROW_KAPPA = np.array([_KAPPA[bell] for bell in BELL_ORDER])
+_OUTCOME_PRODUCT = np.array(
+    [_F_VALUE[bell] * pol_a.sign * pol_d.sign for bell, pol_a, pol_d in OUTCOME_ORDER]
+).reshape(4, 2, 2)
 
 
 def kappa_of(outcome: BellOutcome) -> int:
@@ -130,8 +151,8 @@ def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_
     Reduction modulo pi folds 0, +-pi onto 0 and +-pi/2 onto pi/2, so the
     comparison needs only two distances.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < MAX_ANGLE_TOL:
+        raise ValueError(f"tol must be > 0 and < pi/4, got {tol}")
     residue = zeta(angles, kappa) % math.pi
     if residue < tol or math.pi - residue < tol:
         return PhaseClass.ZERO_OR_PI
@@ -145,6 +166,18 @@ def rotated_vw_state(angles: AngleSettings) -> FourPhotonState:
     return apply_all_rotations(make_vw_state(), angles)
 
 
+def _decompose(angles: AngleSettings) -> BellBellAmplitudes:
+    """The numeric double Bell coefficients C of the rotated state."""
+    return bell_bell_amplitudes_numeric(rotated_vw_state(angles))
+
+
+def _outcome_probabilities(amplitudes: BellBellAmplitudes) -> np.ndarray:
+    """Bell/polarization probabilities from C, shaped (bell, pol_a, pol_d)
+    in OUTCOME_ORDER: row X of C expanded in the (a, d) Bell vectors."""
+    ket = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER])
+    return np.abs(np.einsum("xy,yad->xad", amplitudes.coeffs, ket)) ** 2
+
+
 def joint_bell_probabilities(angles: AngleSettings) -> np.ndarray:
     """4x4 joint outcome probabilities of the double Bell arrangement.
 
@@ -153,22 +186,15 @@ def joint_bell_probabilities(angles: AngleSettings) -> np.ndarray:
     closed form, so cross-sector entries vanish as a prediction rather
     than by construction.
     """
-    return bell_bell_amplitudes_numeric(rotated_vw_state(angles)).probabilities()
+    return _decompose(angles).probabilities()
 
 
 def bell_polarization_distribution(
     angles: AngleSettings,
 ) -> dict[tuple[BellOutcome, Polarization, Polarization], float]:
     """Joint probabilities of the Bell/polarization arrangement (16 entries)."""
-    tensor = rotated_vw_state(angles).as_tensor()
-    dist: dict[tuple[BellOutcome, Polarization, Polarization], float] = {}
-    for bell in BELL_ORDER:
-        amp_ad = np.einsum("bc,abcd->ad", BELL_VECTORS[bell].conj(), tensor)
-        for pol_a in (Polarization.H, Polarization.V):
-            for pol_d in (Polarization.H, Polarization.V):
-                prob = abs(amp_ad[pol_a.index, pol_d.index]) ** 2
-                dist[(bell, pol_a, pol_d)] = float(prob)
-    return dist
+    probs = _outcome_probabilities(_decompose(angles))
+    return dict(zip(OUTCOME_ORDER, probs.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -307,57 +333,34 @@ def perfect_correlation_report(
     probabilities that the sector's exact Bell-to-Bell pairing holds.
     Generic sectors carry no claim.
     """
-    dist = bell_polarization_distribution(angles)
-    bell_probs = joint_bell_probabilities(angles)
+    amplitudes = _decompose(angles)
+    dist = _outcome_probabilities(amplitudes)
+    bell_probs = amplitudes.probabilities()
     sectors = []
     for kappa in (+1, -1):
         phase_class = classify_zeta(angles, kappa, tol)
-        zeta_value = zeta(angles, kappa)
-        sector_prob = sum(
-            prob for (bell, _, _), prob in dist.items() if kappa_of(bell) == kappa
-        )
-        if phase_class is PhaseClass.GENERIC:
-            sectors.append(
-                SectorReport(
-                    kappa=kappa,
-                    zeta=zeta_value,
-                    phase_class=phase_class,
-                    predicted_product=None,
-                    sector_probability=sector_prob,
-                    violation_probability=None,
-                    product_certain=None,
-                    bell_pairing=None,
-                    pairing_violation_probability=None,
-                    pairing_certain=None,
-                )
-            )
-            continue
         predicted = phase_class.predicted_product
-        violation = sum(
-            prob
-            for (bell, pol_a, pol_d), prob in dist.items()
-            if kappa_of(bell) == kappa
-            and pol_a.sign * f_value_of(bell) * pol_d.sign != predicted
-        )
-        pairing = _sector_pairing(kappa, phase_class)
-        pairing_violation = 0.0
-        for bc, expected_ad in pairing.items():
-            row = BELL_ORDER.index(bc)
-            for col, ad in enumerate(BELL_ORDER):
-                if ad is not expected_ad:
-                    pairing_violation += float(bell_probs[row, col])
+        rows = _ROW_KAPPA == kappa
+        violation = pairing = pairing_violation = None
+        if predicted is not None:
+            violation = float(dist[rows][_OUTCOME_PRODUCT[rows] != predicted].sum())
+            pairing = _sector_pairing(kappa, phase_class)
+            unpaired = np.ones((4, 4), dtype=bool)
+            for bc, ad in pairing.items():
+                unpaired[BELL_INDEX[bc], BELL_INDEX[ad]] = False
+            pairing_violation = float(bell_probs[rows][unpaired[rows]].sum())
         sectors.append(
             SectorReport(
                 kappa=kappa,
-                zeta=zeta_value,
+                zeta=zeta(angles, kappa),
                 phase_class=phase_class,
                 predicted_product=predicted,
-                sector_probability=sector_prob,
+                sector_probability=float(dist[rows].sum()),
                 violation_probability=violation,
-                product_certain=violation < certainty_tol,
+                product_certain=None if violation is None else violation < certainty_tol,
                 bell_pairing=pairing,
                 pairing_violation_probability=pairing_violation,
-                pairing_certain=pairing_violation < certainty_tol,
+                pairing_certain=None if pairing is None else pairing_violation < certainty_tol,
             )
         )
     return PerfectCorrelationReport(angles=angles, sectors=tuple(sectors))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import pi
 
-from .correlations import DEFAULT_ANGLE_TOL, PhaseClass, classify_zeta, zeta
+from .correlations import DEFAULT_ANGLE_TOL, classify_zeta, zeta
 from .quantum import AngleSettings
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "compile_double_bell",
     "compile_factored",
     "apply_factorization",
-    "substitute_factorized",
     "contradiction_settings",
     "contradiction_instance",
 ]
@@ -187,8 +186,37 @@ class ConstraintSet:
         )
 
 
-def _required_sign(phase_class: PhaseClass) -> int | None:
-    return phase_class.predicted_product
+#: Unknowns of each compiled rule in registration order: a function tag and
+#: the positions in (phi1, phi2, phi3, phi4) of the angles it takes.
+_RULE_TERMS = {
+    RULE_BELL_POLARIZATION: ((FunctionTag.A, (0,)), (FunctionTag.F, (1, 2)), (FunctionTag.D, (3,))),
+    RULE_DOUBLE_BELL: ((FunctionTag.F, (1, 2)), (FunctionTag.G, (0, 3))),
+    RULE_FACTORED_PRODUCT: (
+        (FunctionTag.A, (0,)),
+        (FunctionTag.A, (1,)),
+        (FunctionTag.D, (2,)),
+        (FunctionTag.D, (3,)),
+    ),
+}
+
+
+def _compile(
+    rule: str, settings: list[AngleSettings], context: HiddenContext, tol: float
+) -> ConstraintSet:
+    """One constraint per setting whose sector phase is special: the product
+    of the rule's unknowns equals +1 at zeta in {0, +-pi} and -1 at
+    zeta = +-pi/2.  Generic settings emit nothing."""
+    cs = ConstraintSet(context=context)
+    for setting in settings:
+        sign = classify_zeta(setting, context.kappa, tol).predicted_product
+        if sign is None:
+            continue
+        angles = setting.as_tuple()
+        var_ids = tuple(
+            cs.variable_id(tag, tuple(angles[i] for i in slots)) for tag, slots in _RULE_TERMS[rule]
+        )
+        cs.add_constraint(var_ids, sign, Provenance(angles, zeta(setting, context.kappa), rule))
+    return cs
 
 
 def compile_bell_polarization(
@@ -199,26 +227,9 @@ def compile_bell_polarization(
     """Constraints A(phi1) * F(phi2, phi3) * D(phi4) = +-1 from the
     Bell/polarization arrangement.
 
-    Only settings whose sector phase is special emit anything; the sign is
-    +1 at zeta in {0, +-pi} and -1 at zeta = +-pi/2.  The analyzer pair
-    never sees phi1 or phi4, so G plays no role here.
+    The analyzer pair never sees phi1 or phi4, so G plays no role here.
     """
-    cs = ConstraintSet(context=context)
-    for setting in settings:
-        sign = _required_sign(classify_zeta(setting, context.kappa, tol))
-        if sign is None:
-            continue
-        var_ids = (
-            cs.variable_id(FunctionTag.A, (setting.phi1,)),
-            cs.variable_id(FunctionTag.F, (setting.phi2, setting.phi3)),
-            cs.variable_id(FunctionTag.D, (setting.phi4,)),
-        )
-        cs.add_constraint(
-            var_ids,
-            sign,
-            Provenance(setting.as_tuple(), zeta(setting, context.kappa), RULE_BELL_POLARIZATION),
-        )
-    return cs
+    return _compile(RULE_BELL_POLARIZATION, settings, context, tol)
 
 
 def compile_double_bell(
@@ -228,21 +239,7 @@ def compile_double_bell(
 ) -> ConstraintSet:
     """Constraints F(phi2, phi3) * G(phi1, phi4) = +-1 from the double Bell
     arrangement, same phase rule as compile_bell_polarization."""
-    cs = ConstraintSet(context=context)
-    for setting in settings:
-        sign = _required_sign(classify_zeta(setting, context.kappa, tol))
-        if sign is None:
-            continue
-        var_ids = (
-            cs.variable_id(FunctionTag.F, (setting.phi2, setting.phi3)),
-            cs.variable_id(FunctionTag.G, (setting.phi1, setting.phi4)),
-        )
-        cs.add_constraint(
-            var_ids,
-            sign,
-            Provenance(setting.as_tuple(), zeta(setting, context.kappa), RULE_DOUBLE_BELL),
-        )
-    return cs
+    return _compile(RULE_DOUBLE_BELL, settings, context, tol)
 
 
 def compile_factored(
@@ -252,23 +249,7 @@ def compile_factored(
 ) -> ConstraintSet:
     """Constraints A(phi1) * A(phi2) * D(phi3) * D(phi4) = +-1: the
     Bell/polarization rule with F already replaced by A * D."""
-    cs = ConstraintSet(context=context)
-    for setting in settings:
-        sign = _required_sign(classify_zeta(setting, context.kappa, tol))
-        if sign is None:
-            continue
-        var_ids = (
-            cs.variable_id(FunctionTag.A, (setting.phi1,)),
-            cs.variable_id(FunctionTag.A, (setting.phi2,)),
-            cs.variable_id(FunctionTag.D, (setting.phi3,)),
-            cs.variable_id(FunctionTag.D, (setting.phi4,)),
-        )
-        cs.add_constraint(
-            var_ids,
-            sign,
-            Provenance(setting.as_tuple(), zeta(setting, context.kappa), RULE_FACTORED_PRODUCT),
-        )
-    return cs
+    return _compile(RULE_FACTORED_PRODUCT, settings, context, tol)
 
 
 def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
@@ -290,36 +271,6 @@ def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
             out.variable_id(FunctionTag.D, (y,)),
         )
         out.add_constraint(var_ids, +1, Provenance((x, x, y, y), 0.0, RULE_FACTORIZATION))
-    return out
-
-
-def substitute_factorized(cs: ConstraintSet) -> ConstraintSet:
-    """Eliminate every F unknown that has a factorization constraint.
-
-    Occurrences of F(x, y) are replaced by A(x), D(y) and the defining
-    constraints dropped, leaving a pure A/D system equivalent to cs.
-    """
-    replacement: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-    for constraint in cs.constraints:
-        if constraint.provenance.equation != RULE_FACTORIZATION:
-            continue
-        f_id = constraint.var_ids[0]
-        x, y = cs.variables[f_id].angles
-        replacement[f_id] = ((x,), (y,))
-    out = ConstraintSet(context=cs.context)
-    for constraint in cs.constraints:
-        if constraint.provenance.equation == RULE_FACTORIZATION:
-            continue
-        var_ids = []
-        for vid in constraint.var_ids:
-            if vid in replacement:
-                x_angles, y_angles = replacement[vid]
-                var_ids.append(out.variable_id(FunctionTag.A, x_angles))
-                var_ids.append(out.variable_id(FunctionTag.D, y_angles))
-            else:
-                old = cs.variables[vid]
-                var_ids.append(out.variable_id(old.tag, old.angles))
-        out.add_constraint(tuple(var_ids), constraint.required_sign, constraint.provenance)
     return out
 
 

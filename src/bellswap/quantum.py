@@ -233,14 +233,13 @@ class BellBellAmplitudes:
 
 
 def bell_bell_amplitudes_numeric(state: FourPhotonState) -> BellBellAmplitudes:
-    """Brute-force basis change: project onto every |X_bc> x |Y_ad|."""
-    tensor = state.as_tensor()
-    coeffs = np.zeros((4, 4), dtype=complex)
-    for i, bc in enumerate(BELL_ORDER):
-        for j, ad in enumerate(BELL_ORDER):
-            basis = np.einsum("ad,bc->abcd", BELL_VECTORS[ad], BELL_VECTORS[bc])
-            coeffs[i, j] = np.vdot(basis, tensor)
-    return BellBellAmplitudes(coeffs)
+    """Brute-force basis change: project onto every |X_bc> x |Y_ad|.
+
+    BELL_VECTORS is read on every call, so this stays independent of the
+    closed form even when the vectors are replaced.
+    """
+    bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).conj()
+    return BellBellAmplitudes(np.einsum("xbc,yad,abcd->xy", bra, bra, state.as_tensor()))
 
 
 def bell_bell_amplitudes_closed_form(angles: AngleSettings) -> BellBellAmplitudes:

@@ -15,19 +15,12 @@ import numpy as np
 from .correlations import (
     CERTAINTY_TOL,
     DEFAULT_ANGLE_TOL,
-    bell_polarization_distribution,
-    joint_bell_probabilities,
+    _decompose,
+    _outcome_probabilities,
     kappa_of,
     perfect_correlation_report,
 )
-from .quantum import (
-    BELL_ORDER,
-    AngleSettings,
-    apply_all_rotations,
-    bell_bell_amplitudes_closed_form,
-    bell_bell_amplitudes_numeric,
-    make_vw_state,
-)
+from .quantum import BELL_ORDER, AngleSettings, bell_bell_amplitudes_closed_form
 
 __all__ = ["CLOSED_FORM_TOL", "special_family_settings", "run_qm_verification"]
 
@@ -57,13 +50,10 @@ def special_family_settings(
     return out
 
 
-def _kappa_mismatch_probability(probs: np.ndarray) -> float:
-    total = 0.0
-    for i, bc in enumerate(BELL_ORDER):
-        for j, ad in enumerate(BELL_ORDER):
-            if kappa_of(bc) != kappa_of(ad):
-                total += float(probs[i, j])
-    return total
+#: Double Bell outcomes (bc, ad) whose sector parities differ.
+_KAPPA_MISMATCH = np.array(
+    [[kappa_of(bc) != kappa_of(ad) for ad in BELL_ORDER] for bc in BELL_ORDER]
+)
 
 
 def run_qm_verification(
@@ -108,8 +98,7 @@ def run_qm_verification(
             )
 
     for angles in random_settings + [setting for _, setting in family_settings]:
-        state = apply_all_rotations(make_vw_state(), angles)
-        numeric = bell_bell_amplitudes_numeric(state)
+        numeric = _decompose(angles)
         closed = bell_bell_amplitudes_closed_form(angles)
         record(
             "closed_form_vs_numeric",
@@ -119,12 +108,12 @@ def run_qm_verification(
         record("double_bell_completeness", abs(numeric.total_weight() - 1.0), angles)
         record(
             "kappa_mismatch_probability",
-            _kappa_mismatch_probability(joint_bell_probabilities(angles)),
+            float(numeric.probabilities()[_KAPPA_MISMATCH].sum()),
             angles,
         )
         record(
             "distribution_normalization",
-            abs(sum(bell_polarization_distribution(angles).values()) - 1.0),
+            abs(float(_outcome_probabilities(numeric).sum()) - 1.0),
             angles,
         )
 

@@ -227,6 +227,32 @@ class TestCompileSolve:
         assert code == 2
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command,content",
+        [
+            ("compile", '{"settings": null}'),
+            ("compile", '{"settings": [null]}'),
+            ("solve", "[]"),
+            ("solve", '{"format_version": 1, "context": {"kappa": 1}, "variables": null}'),
+        ],
+        ids=["null-settings", "null-setting", "bare-list", "null-variables"],
+    )
+    def test_exit_2_with_one_line(self, capsys, tmp_path, command, content):
+        infile, out = tmp_path / "in.json", tmp_path / "out.json"
+        infile.write_text(content)
+        if command == "compile":
+            argv = ["compile", "--settings", str(infile), "--kappa", "1", "--out", str(out)]
+        else:
+            argv = ["solve", "--in", str(infile)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot read")
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -247,3 +273,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--phi1", "not-a-number"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "value", ["nan", "inf", "-inf", "-1", "0", "0.7853981633974483", "1.0"]
+    )
+    @pytest.mark.parametrize("command", ["decompose", "verify-qm", "simulate", "compile"])
+    def test_tol_outside_zero_to_quarter_pi(self, capsys, tmp_path, command, value):
+        settings, out = tmp_path / "settings.json", tmp_path / "out"
+        settings.write_text('{"settings": [[0, 0.5, 0, 0]]}')
+        extra = {
+            "decompose": [],
+            "verify-qm": ["--grid", "1", "--out", str(out)],
+            "simulate": ["--out", str(out)],
+            "compile": ["--settings", str(settings), "--kappa", "1", "--out", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--tol={value}", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.splitlines()[-1]
+        assert message.endswith(f"argument --tol: must be > 0 and < pi/4, got {value}")
+        assert not out.exists()

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from bellswap import quantum
 from bellswap.correlations import (
     OUTCOME_ORDER,
     PhaseClass,
@@ -15,7 +17,16 @@ from bellswap.correlations import (
     sample_events,
     zeta,
 )
-from bellswap.quantum import BELL_ORDER, AngleSettings, BellOutcome, Polarization
+from bellswap.quantum import (
+    BELL_ORDER,
+    BELL_VECTORS,
+    AngleSettings,
+    BellOutcome,
+    Polarization,
+    apply_all_rotations,
+    make_vw_state,
+)
+from bellswap.verification import run_qm_verification
 
 PI = math.pi
 ZEROS = AngleSettings(0, 0, 0, 0)
@@ -81,7 +92,29 @@ class TestJointBellProbabilities:
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def projected_distribution(angles):
+    """Reference: project the rotated state onto each (b, c) Bell vector."""
+    tensor = apply_all_rotations(make_vw_state(), angles).as_tensor()
+    dist = {}
+    for bell in BELL_ORDER:
+        amp_ad = np.einsum("bc,abcd->ad", BELL_VECTORS[bell].conj(), tensor)
+        for pol_a in (Polarization.H, Polarization.V):
+            for pol_d in (Polarization.H, Polarization.V):
+                dist[(bell, pol_a, pol_d)] = float(abs(amp_ad[pol_a.index, pol_d.index]) ** 2)
+    return dist
+
+
 class TestBellPolarizationDistribution:
+    def test_matches_per_pair_projection(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            angles = AngleSettings(*rng.uniform(0, 2 * PI, size=4))
+            dist = bell_polarization_distribution(angles)
+            reference = projected_distribution(angles)
+            assert list(dist) == list(OUTCOME_ORDER)
+            for key in OUTCOME_ORDER:
+                assert dist[key] == pytest.approx(reference[key], abs=1e-14)
+
     def test_has_16_entries_summing_to_one(self):
         dist = bell_polarization_distribution(ZEROS)
         assert len(dist) == 16
@@ -102,6 +135,34 @@ class TestBellPolarizationDistribution:
             and pol_a.sign * f_value_of(bell) * pol_d.sign == -1
         )
         assert bad < 1e-12
+
+
+@pytest.fixture
+def rotation_calls(monkeypatch):
+    """Count apply_all_rotations calls made through any bellswap module."""
+    calls = []
+    original = quantum.apply_all_rotations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bellswap") and getattr(module, "apply_all_rotations", None) is original:
+            monkeypatch.setattr(module, "apply_all_rotations", counting)
+    return calls
+
+
+class TestSinglePass:
+    def test_report_rotates_the_state_once(self, rotation_calls):
+        perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
+        assert len(rotation_calls) == 1
+
+    def test_verify_qm_rotates_once_per_setting_and_report(self, rotation_calls):
+        report = run_qm_verification(grid=1)
+        # sweep over 1 random + 100 family settings, then one report per family setting
+        assert (report["random_settings"], report["family_settings"]) == (1, 100)
+        assert len(rotation_calls) == 201
 
 
 class TestClassifyZeta:
@@ -127,8 +188,9 @@ class TestClassifyZeta:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             classify_zeta(ZEROS, 0)
-        with pytest.raises(ValueError):
-            classify_zeta(ZEROS, +1, tol=0.0)
+        for tol in (0.0, -1.0, PI / 4, 1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                classify_zeta(ZEROS, +1, tol=tol)
 
     def test_zeta_values(self):
         angles = AngleSettings(0.1, 0.5, 1.0, 0.25)
