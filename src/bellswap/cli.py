@@ -90,6 +90,16 @@ def _phase_tol(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number at all: same one-line message
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _angles_from_args(args: argparse.Namespace) -> AngleSettings:
     return AngleSettings(
         _to_radians(args.phi1, args.degrees),
@@ -210,8 +220,9 @@ def cmd_refute(args: argparse.Namespace) -> int:
 
 
 #: What malformed input files raise while loading: unreadable files, bad JSON,
-#: and documents of the wrong shape (missing keys, nulls, lists for objects).
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+#: documents of the wrong shape (missing keys, nulls, lists for objects), and
+#: infinite variable angles, which cannot be put on the angle grid.
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _load_settings_file(path: str, degrees: bool) -> list[AngleSettings]:
@@ -258,7 +269,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except _LOAD_ERRORS as exc:
         print(f"error: cannot read constraint file: {exc}", file=sys.stderr)
         return 2
-    result = _METHODS[args.method](cs)
+    try:
+        result = _METHODS[args.method](cs)
+    except ValueError as exc:  # the enumeration guard
+        print(f"error: {exc}; use --method gf2", file=sys.stderr)
+        return 2
     verified = verify_certificate(cs, result)
     doc = {
         "format_version": FORMAT_VERSION,
@@ -279,7 +294,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _add_angle_flags(parser: argparse.ArgumentParser) -> None:
     for name in ("phi1", "phi2", "phi3", "phi4"):
-        parser.add_argument(f"--{name}", type=float, default=0.0, help=f"rotation angle {name}")
+        parser.add_argument(
+            f"--{name}", type=_finite_float, default=0.0, help=f"rotation angle {name}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,8 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("refute", help="certify the two-setting contradiction")
-    p.add_argument("--alpha", type=float, default=0.0, help="base angle for photon a's side")
-    p.add_argument("--beta", type=float, default=0.0, help="base angle for photon d's side")
+    p.add_argument(
+        "--alpha", type=_finite_float, default=0.0, help="base angle for photon a's side"
+    )
+    p.add_argument(
+        "--beta", type=_finite_float, default=0.0, help="base angle for photon d's side"
+    )
     p.add_argument("--kappa", type=int, choices=(-1, 1), default=1, help="sector parity")
     p.add_argument("--method", choices=sorted(_METHODS), default="enumerate")
     p.add_argument("--degrees", action="store_true", help="angles are degrees")

@@ -6,9 +6,21 @@ Two independent procedures:
   failure, searches for the smallest constraint subset whose product reads
   "+1 = -1".  It is the trusted oracle.
 - gf2_solve maps each unknown v to a bit via v = (-1)^bit, turning every
-  constraint into a linear parity equation, and eliminates with full row
-  pedigree tracking; an inconsistent row's pedigree is the certificate.
-  It scales to thousands of unknowns.
+  constraint into a linear parity equation, and inserts the equations in id
+  order into an incremental elimination basis keyed by pivot variable, each
+  basis row carrying its pedigree (the constraints it was summed from).
+  Compiled constraints touch two to four unknowns, so a new row usually
+  needs only a handful of XORs.
+
+Both gf2_solve answers are canonical, independent of pivot choice:
+
+- certificate: the first constraint (in id order) that contradicts the ones
+  before it, plus the unique subset of earlier linearly independent
+  constraints that implies its negation;
+- model: free variables (the non-leading columns of the row-reduced system,
+  columns ordered by variable id) set to +1 and the rest solved for, which is
+  also the lowest satisfying assignment index, the model enumerate_solve
+  returns.
 
 A certificate is a list of constraint ids such that every variable occurs an
 even number of times across them while the required signs multiply to -1;
@@ -21,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -145,45 +158,69 @@ def enumerate_solve(cs: ConstraintSet, max_variables: int = ENUMERATION_GUARD) -
     return SolveResult(SolveStatus.UNSAT, certificate=tuple(certificate))
 
 
-def gf2_solve(cs: ConstraintSet) -> SolveResult:
-    """Gaussian elimination over the two-element field with pedigree rows.
+def _eliminate(
+    rows: list[tuple[int, int]], pivot_of: Callable[[int], int]
+) -> tuple[dict[int, tuple[int, int, int]], int | None]:
+    """Insert rows in id order into a basis {pivot variable: (mask, rhs,
+    pedigree)}, reducing each new row by the basis rows of its pivot_of
+    variable until that variable is free or the row is empty.
 
-    Columns are eliminated in variable-id order and the first eligible row
-    is always the pivot, so certificates are reproducible.  Free variables
-    are assigned +1.
+    Returns the basis and, if some row reduced to "0 = 1", that row's
+    pedigree (the bitmask of the constraints it sums); elimination stops there.
     """
-    n = cs.n_variables
-    rows = [[mask, rhs, 1 << i] for i, (mask, rhs) in enumerate(_parity_rows(cs))]
-    pivot_row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if (rows[r][0] >> col) & 1:
-                pivot = r
+    basis: dict[int, tuple[int, int, int]] = {}
+    for i, (mask, rhs) in enumerate(rows):
+        pedigree = 1 << i
+        while mask:
+            pivot = pivot_of(mask)
+            row = basis.get(pivot)
+            if row is None:
+                basis[pivot] = (mask, rhs, pedigree)
                 break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and ((rows[r][0] >> col) & 1):
-                rows[r][0] ^= rows[pivot_row][0]
-                rows[r][1] ^= rows[pivot_row][1]
-                rows[r][2] ^= rows[pivot_row][2]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    for mask, rhs, pedigree in rows:
-        if mask == 0 and rhs == 1:
-            certificate = tuple(i for i in range(len(cs.constraints)) if (pedigree >> i) & 1)
-            return SolveResult(SolveStatus.UNSAT, certificate=certificate)
+            mask ^= row[0]
+            rhs ^= row[1]
+            pedigree ^= row[2]
+        if mask == 0 and rhs:
+            return basis, pedigree
+    return basis, None
+
+
+def _highest_variable(mask: int) -> int:
+    return mask.bit_length() - 1
+
+
+def _lowest_variable(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def gf2_solve(cs: ConstraintSet) -> SolveResult:
+    """Incremental elimination over the two-element field, in two passes.
+
+    Pass 1 decides and certifies: each row pivots on its highest variable id,
+    which compilation usually makes a fresh unknown, so rows rarely need
+    reducing.  The first constraint that reduces to "0 = 1" ends the solve
+    and its pedigree is the certificate, the canonical one described in the
+    module docstring whatever the pivot choice.
+
+    Pass 2 (satisfiable systems only) rebuilds the basis pivoting on the
+    lowest variable id.  Its pivots are the leading columns of the
+    row-reduced system, so back-substituting from the highest pivot down,
+    with every free variable +1, gives the canonical model: the lowest
+    satisfying assignment index.
+    """
+    rows = _parity_rows(cs)
+    _, pedigree = _eliminate(rows, _highest_variable)
+    if pedigree is not None:
+        certificate = tuple(i for i in range(len(rows)) if (pedigree >> i) & 1)
+        return SolveResult(SolveStatus.UNSAT, certificate=certificate)
+    basis, _ = _eliminate(rows, _lowest_variable)
     assignment = 0
-    for mask, rhs, _ in rows:
-        if mask == 0:
-            continue
-        pivot_col = (mask & -mask).bit_length() - 1
-        if rhs:
-            assignment |= 1 << pivot_col
-    model = {i: (+1 if ((assignment >> i) & 1) == 0 else -1) for i in range(n)}
+    for pivot in sorted(basis, reverse=True):
+        mask, rhs, _ = basis[pivot]
+        # the pivot's own bit is still 0 in assignment, so this sums the rest
+        if rhs ^ ((mask & assignment).bit_count() & 1):
+            assignment |= 1 << pivot
+    model = {i: (+1 if ((assignment >> i) & 1) == 0 else -1) for i in range(cs.n_variables)}
     return SolveResult(SolveStatus.SAT, model=model)
 
 

@@ -235,8 +235,13 @@ class TestMalformedInput:
             ("compile", '{"settings": [null]}'),
             ("solve", "[]"),
             ("solve", '{"format_version": 1, "context": {"kappa": 1}, "variables": null}'),
+            (
+                "solve",
+                '{"format_version": 1, "context": {"kappa": 1},'
+                ' "variables": [{"id": 0, "tag": "A", "angles": [1e999]}], "constraints": []}',
+            ),
         ],
-        ids=["null-settings", "null-setting", "bare-list", "null-variables"],
+        ids=["null-settings", "null-setting", "bare-list", "null-variables", "infinite-angle"],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, command, content):
         infile, out = tmp_path / "in.json", tmp_path / "out.json"
@@ -251,6 +256,29 @@ class TestMalformedInput:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: cannot read")
         assert not out.exists()
+
+
+    def test_enumeration_guard_exits_2_with_one_line(self, capsys, tmp_path):
+        settings = tmp_path / "settings.json"
+        # two bases per side, three offsets per arm: 32 unknowns, over the guard
+        rows = [
+            [a, a + da, b + db, b]
+            for a in (0.3, 1.1)
+            for b in (1.7, 2.9)
+            for da in (0.0, PI / 4, PI / 2)
+            for db in (0.0, PI / 4, PI / 2)
+        ]
+        settings.write_text(json.dumps({"settings": rows}))
+        system = tmp_path / "system.json"
+        compile_argv = ["compile", "--settings", str(settings), "--kappa", "1"]
+        assert main([*compile_argv, "--factorize", "--out", str(system)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--in", str(system), "--method", "enumerate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: enumeration guard exceeded")
+        assert main(["solve", "--in", str(system), "--method", "gf2"]) == 0
 
 
 class TestUsageErrors:
@@ -269,10 +297,12 @@ class TestUsageErrors:
             main(["refute", "--kappa", "2"])
         assert exc.value.code == 2
 
-    def test_malformed_angle(self):
+    def test_malformed_angle(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--phi1", "not-a-number"])
         assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.endswith("argument --phi1: must be a finite number, got not-a-number")
 
     @pytest.mark.parametrize(
         "value", ["nan", "inf", "-inf", "-1", "0", "0.7853981633974483", "1.0"]
@@ -294,4 +324,28 @@ class TestUsageErrors:
         assert captured.out == ""
         message = captured.err.splitlines()[-1]
         assert message.endswith(f"argument --tol: must be > 0 and < pi/4, got {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("decompose", "--phi1"),
+            ("decompose", "--phi4"),
+            ("simulate", "--phi2"),
+            ("simulate", "--phi3"),
+            ("refute", "--alpha"),
+            ("refute", "--beta"),
+        ],
+    )
+    def test_non_finite_angle(self, capsys, tmp_path, command, flag, value):
+        out = tmp_path / "events.csv"
+        extra = ["--out", str(out)] if command == "simulate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.splitlines()[-1]
+        assert message.endswith(f"argument {flag}: must be a finite number, got {value}")
         assert not out.exists()

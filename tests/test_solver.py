@@ -9,6 +9,8 @@ from bellswap.lhv import (
     FunctionTag,
     HiddenContext,
     Provenance,
+    apply_factorization,
+    compile_bell_polarization,
     compile_double_bell,
     contradiction_instance,
 )
@@ -44,6 +46,79 @@ def triangle_set() -> ConstraintSet:
     cs.add_constraint((y, z), +1, PROV)
     cs.add_constraint((x, z), -1, PROV)
     return cs
+
+
+def grid_settings(bases: int, seed: int) -> list[AngleSettings]:
+    """Random base angles per side, and every base on the left with every
+    base on the right, each arm pair either equal or one arm offset by pi/4,
+    pi/2 or 3pi/4 either way round: (7 * bases)**2 settings."""
+
+    def arm_pairs(base: float) -> list[tuple[float, float]]:
+        out = [(base, base)]
+        for offset in (PI / 4, PI / 2, 3 * PI / 4):
+            out += [(base, base + offset), (base + offset, base)]
+        return out
+
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(0, 2 * PI, size=bases)
+    betas = rng.uniform(0, 2 * PI, size=bases)
+    return [
+        AngleSettings(*left, *right)
+        for alpha in alphas
+        for beta in betas
+        for left in arm_pairs(float(alpha))
+        for right in arm_pairs(float(beta))
+    ]
+
+
+def prefix(cs: ConstraintSet, k: int) -> ConstraintSet:
+    """Constraints 0..k-1 of cs over the same variables."""
+    return ConstraintSet(
+        context=cs.context, variables=list(cs.variables), constraints=cs.constraints[:k]
+    )
+
+
+def dense_gauss_jordan(cs: ConstraintSet) -> SolveResult:
+    """Reference: full Gauss-Jordan elimination, columns in variable-id order,
+    the first eligible row as pivot, every row carrying its pedigree."""
+    n = cs.n_variables
+    rows = []
+    for i, constraint in enumerate(cs.constraints):
+        mask = 0
+        for vid in constraint.var_ids:
+            mask ^= 1 << vid
+        rows.append([mask, 0 if constraint.required_sign == +1 else 1, 1 << i])
+    pivot_row = 0
+    for col in range(n):
+        pivot = None
+        for r in range(pivot_row, len(rows)):
+            if (rows[r][0] >> col) & 1:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        for r in range(len(rows)):
+            if r != pivot_row and ((rows[r][0] >> col) & 1):
+                rows[r][0] ^= rows[pivot_row][0]
+                rows[r][1] ^= rows[pivot_row][1]
+                rows[r][2] ^= rows[pivot_row][2]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    for mask, rhs, pedigree in rows:
+        if mask == 0 and rhs == 1:
+            certificate = tuple(i for i in range(len(cs.constraints)) if (pedigree >> i) & 1)
+            return SolveResult(SolveStatus.UNSAT, certificate=certificate)
+    assignment = 0
+    for mask, rhs, _ in rows:
+        if mask == 0:
+            continue
+        pivot_col = (mask & -mask).bit_length() - 1
+        if rhs:
+            assignment |= 1 << pivot_col
+    model = {i: (+1 if ((assignment >> i) & 1) == 0 else -1) for i in range(n)}
+    return SolveResult(SolveStatus.SAT, model=model)
 
 
 class TestEnumerateSolve:
@@ -142,6 +217,66 @@ class TestSolverAgreement:
         # the generator must exercise both answers
         assert statuses[SolveStatus.SAT] > 100
         assert statuses[SolveStatus.UNSAT] > 10
+
+
+class TestGf2Contracts:
+    """The canonical model and certificate that gf2_solve promises."""
+
+    def test_model_is_enumerations_lowest_assignment(self):
+        rng = np.random.default_rng(83)
+        checked = 0
+        for _ in range(300):
+            cs = random_compiled_instance(rng)
+            result = gf2_solve(cs)
+            if result.status is SolveStatus.SAT:
+                assert result.model == enumerate_solve(cs).model
+                checked += 1
+        assert checked > 200
+
+    def test_certificate_ends_at_first_unsat_prefix(self):
+        rng = np.random.default_rng(89)
+        checked = 0
+        while checked < 40:
+            cs = random_compiled_instance(rng)
+            result = gf2_solve(cs)
+            if result.status is SolveStatus.SAT:
+                continue
+            last = max(result.certificate)
+            assert enumerate_solve(prefix(cs, last + 1)).status is SolveStatus.UNSAT
+            assert enumerate_solve(prefix(cs, last)).status is SolveStatus.SAT
+            checked += 1
+
+    @pytest.mark.parametrize("fig", [1, 2])
+    def test_same_result_as_dense_gauss_jordan_on_grid(self, fig):
+        settings = grid_settings(bases=4, seed=97)
+        assert len(settings) == 784
+        if fig == 1:
+            cs = apply_factorization(compile_bell_polarization(settings, HiddenContext(kappa=+1)))
+            expected = SolveStatus.UNSAT
+        else:
+            cs = compile_double_bell(settings, HiddenContext(kappa=-1))
+            expected = SolveStatus.SAT
+        result = gf2_solve(cs)
+        assert result.status is expected
+        assert result == dense_gauss_jordan(cs)
+
+    def test_twenty_thousand_variable_chain(self):
+        signs = [int(s) for s in np.random.default_rng(101).choice([-1, 1], size=19_999)]
+        cs = chain_set(signs)
+        assert cs.n_variables == 20_000
+        result = gf2_solve(cs)
+        assert result.status is SolveStatus.SAT
+        assert result.model[0] == +1
+        assert verify_certificate(cs, result)
+
+    def test_large_factorized_grid_is_refuted(self):
+        cs = apply_factorization(
+            compile_bell_polarization(grid_settings(bases=18, seed=103), HiddenContext(kappa=+1))
+        )
+        assert cs.n_variables >= 4000
+        result = gf2_solve(cs)
+        assert result.status is SolveStatus.UNSAT
+        assert verify_certificate(cs, result)
 
 
 class TestVerifyCertificate:
