@@ -8,7 +8,6 @@ machine-checkable certificates.
 """
 
 from .correlations import (
-    EventRecord,
     PerfectCorrelationReport,
     PhaseClass,
     SectorReport,
@@ -19,6 +18,7 @@ from .correlations import (
     kappa_of,
     perfect_correlation_report,
     sample_events,
+    violating_outcomes,
     zeta,
 )
 from .lhv import (
@@ -61,7 +61,6 @@ __all__ = [
     "BELL_ORDER",
     "ConstraintSet",
     "CorrelationPhase",
-    "EventRecord",
     "FourPhotonState",
     "FunctionTag",
     "HiddenContext",
@@ -96,5 +95,6 @@ __all__ = [
     "rotate_photon",
     "sample_events",
     "verify_certificate",
+    "violating_outcomes",
     "zeta",
 ]

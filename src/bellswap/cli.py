@@ -14,7 +14,8 @@ Subcommands:
 - solve: decide a constraint-system JSON file and verify the answer.
 
 Exit codes: 0 = checks passed / expected result, 1 = violation or unexpected
-result, 2 = usage error.  Angles are radians unless --degrees is given.
+result, 2 = usage error, unreadable input or unwritable output.  Angles are
+radians unless --degrees is given.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import numpy as np
 from .correlations import (
     DEFAULT_ANGLE_TOL,
     MAX_ANGLE_TOL,
-    classify_zeta,
     perfect_correlation_report,
     rotated_vw_state,
     sample_events,
+    violating_outcomes,
 )
 from .lhv import (
     HiddenContext,
@@ -66,38 +67,32 @@ def _to_radians(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _checked(convert, allowed, description: str):
+    """An argparse type: ``convert`` the text, then require ``allowed``; any
+    failure exits 2 with one line saying what the flag accepts."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not allowed(value):
+            raise argparse.ArgumentTypeError(f"must be {description}, got {text}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_FINITE_FLOAT = _checked(float, math.isfinite, "a finite number")
+_PHASE_TOL = _checked(float, lambda v: 0 < v < MAX_ANGLE_TOL, "> 0 and < pi/4")
 _TOL_HELP = "phase tolerance (rad), > 0 and < pi/4"
 
 
-def _phase_tol(text: str) -> float:
-    value = float(text)
-    if not 0 < value < MAX_ANGLE_TOL:
-        raise argparse.ArgumentTypeError(f"must be > 0 and < pi/4, got {text}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # not a number at all: same one-line message
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 2
 
 
 def _angles_from_args(args: argparse.Namespace) -> AngleSettings:
@@ -167,26 +162,25 @@ def cmd_verify_qm(args: argparse.Namespace) -> int:
     report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fp:
+                fp.write(text + "\n")
+        except OSError as exc:
+            return _cannot_write(exc)
     print(text)
     return 0 if report["passed"] else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     angles = _angles_from_args(args)
-    events = sample_events(angles, args.events, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
-        write_events_csv(fp, events)
-    violations = 0
-    predicted = {
-        kappa: classify_zeta(angles, kappa, args.tol).predicted_product for kappa in (+1, -1)
-    }
-    for event in events:
-        expected = predicted[event.kappa]
-        if expected is not None and event.product != expected:
-            violations += 1
-    print(f"wrote {len(events)} events to {args.out}; sector-product violations: {violations}")
+    outcomes = sample_events(angles, args.events, args.seed)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fp:
+            write_events_csv(fp, angles, outcomes)
+    except OSError as exc:
+        return _cannot_write(exc)
+    violations = int(violating_outcomes(angles, args.tol)[outcomes].sum())
+    print(f"wrote {len(outcomes)} events to {args.out}; sector-product violations: {violations}")
     return 0 if violations == 0 else 1
 
 
@@ -253,8 +247,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
         cs = compile_double_bell(settings, context, tol=args.tol)
     if args.factorize:
         cs = apply_factorization(cs)
-    with open(args.out, "w", encoding="utf-8") as fp:
-        dump_constraint_set(cs, fp)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fp:
+            dump_constraint_set(cs, fp)
+    except OSError as exc:
+        return _cannot_write(exc)
     print(
         f"compiled {len(settings)} settings (fig {args.fig}, kappa {args.kappa:+d})"
         f" -> {cs.n_variables} variables, {len(cs.constraints)} constraints: {args.out}"
@@ -295,7 +292,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _add_angle_flags(parser: argparse.ArgumentParser) -> None:
     for name in ("phi1", "phi2", "phi3", "phi4"):
         parser.add_argument(
-            f"--{name}", type=_finite_float, default=0.0, help=f"rotation angle {name}"
+            f"--{name}", type=_FINITE_FLOAT, default=0.0, help=f"rotation angle {name}"
         )
 
 
@@ -310,32 +307,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="double Bell coefficients of the rotated state")
     _add_angle_flags(p)
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--json", action="store_true", help="JSON output instead of tables")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify-qm", help="check all exact predictions over a sweep")
-    p.add_argument("--grid", type=_positive_int, default=4, help="random sweep size is grid**4")
-    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
-    p.add_argument("--seed", type=int, default=12345, help="sweep RNG seed")
+    p.add_argument("--grid", type=_POSITIVE_INT, default=4, help="random sweep size is grid**4")
+    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=12345, help="sweep RNG seed")
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_verify_qm)
 
     p = sub.add_parser("simulate", help="sample Bell/polarization events to CSV")
     _add_angle_flags(p)
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    p.add_argument("--events", type=_nonnegative_int, default=1000, help="number of events")
-    p.add_argument("--seed", type=int, default=42, help="sampler seed")
-    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    p.add_argument("--events", type=_NONNEGATIVE_INT, default=1000, help="number of events")
+    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=42, help="sampler seed")
+    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("refute", help="certify the two-setting contradiction")
     p.add_argument(
-        "--alpha", type=_finite_float, default=0.0, help="base angle for photon a's side"
+        "--alpha", type=_FINITE_FLOAT, default=0.0, help="base angle for photon a's side"
     )
     p.add_argument(
-        "--beta", type=_finite_float, default=0.0, help="base angle for photon d's side"
+        "--beta", type=_FINITE_FLOAT, default=0.0, help="base angle for photon d's side"
     )
     p.add_argument("--kappa", type=int, choices=(-1, 1), default=1, help="sector parity")
     p.add_argument("--method", choices=sorted(_METHODS), default="enumerate")
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         " 2 = Bell analyzers on both pairs",
     )
     p.add_argument("--factorize", action="store_true", help="adjoin F = A*D constraints")
-    p.add_argument("--tol", type=_phase_tol, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--degrees", action="store_true", help="settings file is in degrees")
     p.add_argument("--label", default="", help="context label")
     p.add_argument("--out", required=True, help="output JSON path")

@@ -21,6 +21,9 @@ basis, giving the 4x4 coefficient matrix C.  The double Bell probabilities
 are |C|^2; row X of C, expanded in the Bell vectors, gives the (a, d)
 amplitudes of Bell outcome X and so the Bell/polarization distribution; the
 sector reports read both.
+
+A sampled event is an index into OUTCOME_ORDER: each of the 16 outcomes fixes
+the Bell state, both polarizations and so kappa, F, a, d and the product.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "MAX_ANGLE_TOL",
     "CERTAINTY_TOL",
     "PhaseClass",
-    "EventRecord",
     "SectorReport",
     "PerfectCorrelationReport",
     "OUTCOME_ORDER",
@@ -62,6 +64,7 @@ __all__ = [
     "joint_bell_probabilities",
     "bell_polarization_distribution",
     "perfect_correlation_report",
+    "violating_outcomes",
     "sample_events",
 ]
 
@@ -103,12 +106,13 @@ OUTCOME_ORDER: tuple[tuple[BellOutcome, Polarization, Polarization], ...] = tupl
     for pol_d in (Polarization.H, Polarization.V)
 )
 
-#: Sector parity of each row of C, and the product a*F*d of each outcome
-#: shaped (bell, pol_a, pol_d) like the Bell/polarization probabilities.
+#: Sector parity of each row of C; sector parity and product a*F*d of each
+#: outcome in OUTCOME_ORDER.
 _ROW_KAPPA = np.array([_KAPPA[bell] for bell in BELL_ORDER])
+_OUTCOME_KAPPA = np.array([_KAPPA[bell] for bell, _, _ in OUTCOME_ORDER])
 _OUTCOME_PRODUCT = np.array(
     [_F_VALUE[bell] * pol_a.sign * pol_d.sign for bell, pol_a, pol_d in OUTCOME_ORDER]
-).reshape(4, 2, 2)
+)
 
 
 def kappa_of(outcome: BellOutcome) -> int:
@@ -197,62 +201,31 @@ def bell_polarization_distribution(
     return dict(zip(OUTCOME_ORDER, probs.ravel().tolist()))
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One simulated coincidence with its derived correlation values."""
-
-    angles: AngleSettings
-    bc_outcome: BellOutcome
-    pol_a: Polarization
-    pol_d: Polarization
-    kappa: int
-    f_value: int
-    a_value: int
-    d_value: int
-    product: int
-
-    @classmethod
-    def build(
-        cls,
-        angles: AngleSettings,
-        bc_outcome: BellOutcome,
-        pol_a: Polarization,
-        pol_d: Polarization,
-    ) -> "EventRecord":
-        a_value = pol_a.sign
-        d_value = pol_d.sign
-        f_value = f_value_of(bc_outcome)
-        return cls(
-            angles=angles,
-            bc_outcome=bc_outcome,
-            pol_a=pol_a,
-            pol_d=pol_d,
-            kappa=kappa_of(bc_outcome),
-            f_value=f_value,
-            a_value=a_value,
-            d_value=d_value,
-            product=a_value * f_value * d_value,
-        )
+def violating_outcomes(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
+    """Mask over OUTCOME_ORDER of the outcomes whose product a*F*d contradicts
+    the certain value of their sector at this setting.  A generic sector
+    claims no value, so none of its outcomes violate."""
+    mask = np.zeros(len(OUTCOME_ORDER), dtype=bool)
+    for kappa in (+1, -1):
+        predicted = classify_zeta(angles, kappa, tol).predicted_product
+        if predicted is not None:
+            mask |= (_OUTCOME_KAPPA == kappa) & (_OUTCOME_PRODUCT != predicted)
+    return mask
 
 
-def sample_events(angles: AngleSettings, n: int, seed: int) -> list[EventRecord]:
+def sample_events(angles: AngleSettings, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. events from the Bell/polarization distribution.
 
-    Sampling is inverse-CDF over OUTCOME_ORDER with numpy's seeded
-    generator, so a given (angles, n, seed) always yields the same list.
+    Each event is an index into OUTCOME_ORDER.  Sampling is inverse-CDF over
+    that order with numpy's seeded generator, so a given (angles, n, seed)
+    always yields the same array.
     """
     if n < 0:
         raise ValueError("event count must be >= 0")
-    dist = bell_polarization_distribution(angles)
-    cdf = np.cumsum([dist[key] for key in OUTCOME_ORDER])
+    cdf = np.cumsum(_outcome_probabilities(_decompose(angles)))
     rng = np.random.default_rng(seed)
     draws = np.searchsorted(cdf, rng.random(n), side="right")
-    draws = np.minimum(draws, len(OUTCOME_ORDER) - 1)
-    events = []
-    for idx in draws:
-        bell, pol_a, pol_d = OUTCOME_ORDER[idx]
-        events.append(EventRecord.build(angles, bell, pol_a, pol_d))
-    return events
+    return np.minimum(draws, len(OUTCOME_ORDER) - 1)
 
 
 @dataclass(frozen=True)
@@ -320,22 +293,21 @@ def _sector_pairing(kappa: int, phase_class: PhaseClass) -> dict[BellOutcome, Be
 
 
 def perfect_correlation_report(
-    angles: AngleSettings,
-    tol: float = DEFAULT_ANGLE_TOL,
-    certainty_tol: float = CERTAINTY_TOL,
+    angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL
 ) -> PerfectCorrelationReport:
     """Check every certainty the state predicts at this setting.
 
     For each sector whose zeta classifies as zero-or-pi or half-pi the
     report verifies, from the Bell/polarization distribution, that the
     conditional product a*F*d equals the predicted sign up to a residual
-    probability below ``certainty_tol``, and from the double Bell
+    probability below CERTAINTY_TOL, and from the double Bell
     probabilities that the sector's exact Bell-to-Bell pairing holds.
     Generic sectors carry no claim.
     """
     amplitudes = _decompose(angles)
     dist = _outcome_probabilities(amplitudes)
     bell_probs = amplitudes.probabilities()
+    violating = violating_outcomes(angles, tol).reshape(dist.shape)
     sectors = []
     for kappa in (+1, -1):
         phase_class = classify_zeta(angles, kappa, tol)
@@ -343,7 +315,7 @@ def perfect_correlation_report(
         rows = _ROW_KAPPA == kappa
         violation = pairing = pairing_violation = None
         if predicted is not None:
-            violation = float(dist[rows][_OUTCOME_PRODUCT[rows] != predicted].sum())
+            violation = float(dist[rows][violating[rows]].sum())
             pairing = _sector_pairing(kappa, phase_class)
             unpaired = np.ones((4, 4), dtype=bool)
             for bc, ad in pairing.items():
@@ -357,10 +329,10 @@ def perfect_correlation_report(
                 predicted_product=predicted,
                 sector_probability=float(dist[rows].sum()),
                 violation_probability=violation,
-                product_certain=None if violation is None else violation < certainty_tol,
+                product_certain=None if violation is None else violation < CERTAINTY_TOL,
                 bell_pairing=pairing,
                 pairing_violation_probability=pairing_violation,
-                pairing_certain=None if pairing is None else pairing_violation < certainty_tol,
+                pairing_certain=None if pairing is None else pairing_violation < CERTAINTY_TOL,
             )
         )
     return PerfectCorrelationReport(angles=angles, sectors=tuple(sectors))

@@ -3,16 +3,17 @@
 All JSON documents carry a ``format_version`` field.  Floats are written
 with Python's shortest round-trip repr, so parse(serialize(x)) == x exactly.
 The CSV schema is versioned by its pinned header row; columns, value
-vocabulary, and LF line endings are fixed and golden-tested.
+vocabulary, and LF line endings are fixed and golden-tested.  Every column
+after the angles follows from the event's outcome, so an event row is its
+index plus one of 16 fixed suffixes.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from typing import IO, Iterable
+from typing import IO, Sequence
 
-from .correlations import EventRecord
+from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
 from .lhv import (
     ConstraintSet,
     FunctionTag,
@@ -22,6 +23,7 @@ from .lhv import (
     SignVariable,
     quantize_angle,
 )
+from .quantum import AngleSettings
 from .solver import SolveResult, SolveStatus
 
 __all__ = [
@@ -151,32 +153,21 @@ def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool)
     return doc
 
 
-def write_events_csv(fp: IO[str], events: Iterable[EventRecord]) -> int:
+def write_events_csv(fp: IO[str], angles: AngleSettings, outcomes: Sequence[int]) -> int:
     """Write the pinned event schema; returns the number of rows written.
 
+    ``outcomes`` are indices into OUTCOME_ORDER, as drawn by sample_events.
     Angles use shortest round-trip repr and rows get LF endings, so equal
-    event lists serialize to identical bytes.
+    inputs serialize to identical bytes.
     """
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(EVENT_CSV_COLUMNS)
-    count = 0
-    for event_id, event in enumerate(events):
-        writer.writerow(
-            (
-                event_id,
-                repr(event.angles.phi1),
-                repr(event.angles.phi2),
-                repr(event.angles.phi3),
-                repr(event.angles.phi4),
-                event.bc_outcome.value,
-                event.pol_a.value,
-                event.pol_d.value,
-                event.kappa,
-                event.f_value,
-                event.a_value,
-                event.d_value,
-                event.product,
-            )
+    phis = ",".join(repr(phi) for phi in angles.as_tuple())
+    suffixes = []
+    for bell, pol_a, pol_d in OUTCOME_ORDER:
+        f, a, d = f_value_of(bell), pol_a.sign, pol_d.sign
+        suffixes.append(
+            f"{phis},{bell.value},{pol_a.value},{pol_d.value},"
+            f"{kappa_of(bell)},{f},{a},{d},{a * f * d}\n"
         )
-        count += 1
-    return count
+    fp.write(",".join(EVENT_CSV_COLUMNS) + "\n")
+    fp.writelines(f"{i},{suffixes[k]}" for i, k in enumerate(outcomes))
+    return len(outcomes)

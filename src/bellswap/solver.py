@@ -141,12 +141,12 @@ def _deletion_certificate(rows: list[tuple[int, int]], n_variables: int) -> list
     return active
 
 
-def enumerate_solve(cs: ConstraintSet, max_variables: int = ENUMERATION_GUARD) -> SolveResult:
+def enumerate_solve(cs: ConstraintSet) -> SolveResult:
     """Exhaustive decision: lowest satisfying assignment, else a minimal
     certificate.  Raises ValueError beyond the variable guard."""
     n = cs.n_variables
-    if n > max_variables:
-        raise ValueError(f"enumeration guard exceeded: {n} variables > {max_variables}")
+    if n > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration guard exceeded: {n} variables > {ENUMERATION_GUARD}")
     rows = _parity_rows(cs)
     assignment = _scan_assignments(rows, n)
     if assignment is not None:

@@ -27,6 +27,9 @@ __all__ = ["CLOSED_FORM_TOL", "special_family_settings", "run_qm_verification"]
 #: Allowed closed-form vs numeric entry-wise deviation.
 CLOSED_FORM_TOL = 1e-10
 
+#: Random instantiations of each special-phase family in a sweep.
+_PER_FAMILY = 20
+
 #: (family name, builder) pairs; each builder maps random (alpha, beta) to a
 #: setting whose sector phases land on the named special values.
 _FAMILIES = (
@@ -60,7 +63,6 @@ def run_qm_verification(
     grid: int = 4,
     tol: float = DEFAULT_ANGLE_TOL,
     seed: int = 12345,
-    per_family: int = 20,
 ) -> dict:
     """Run every analytic check; returns a JSON-ready report.
 
@@ -73,7 +75,7 @@ def run_qm_verification(
     random_settings = [
         AngleSettings(*rng.uniform(0.0, 2.0 * math.pi, size=4)) for _ in range(grid**4)
     ]
-    family_settings = special_family_settings(rng, per_family)
+    family_settings = special_family_settings(rng, _PER_FAMILY)
 
     checks = {
         "closed_form_vs_numeric": {"max_value": 0.0, "threshold": CLOSED_FORM_TOL},

@@ -12,8 +12,10 @@ from instance_gen import random_compiled_instance
 
 from bellswap.cli import main
 from bellswap.correlations import (
+    OUTCOME_ORDER,
     PhaseClass,
     classify_zeta,
+    f_value_of,
     joint_bell_probabilities,
     kappa_of,
     perfect_correlation_report,
@@ -139,11 +141,14 @@ def test_criterion_3_perfect_correlations(capsys):
             predicted = {
                 kappa: classify_zeta(angles, kappa).predicted_product for kappa in (+1, -1)
             }
+            # kappa and a*F*d of each outcome index, from its Bell state and polarizations
+            kappa = [kappa_of(bell) for bell, _, _ in OUTCOME_ORDER]
+            product = [f_value_of(bell) * a.sign * d.sign for bell, a, d in OUTCOME_ORDER]
             events = sample_events(angles, 100_000, seed=42)
             violations = sum(
                 1
-                for event in events
-                if predicted[event.kappa] is not None and event.product != predicted[event.kappa]
+                for k in events
+                if predicted[kappa[k]] is not None and product[k] != predicted[kappa[k]]
             )
             assert violations == 0
 

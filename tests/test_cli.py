@@ -6,7 +6,8 @@ import pytest
 
 from bellswap import quantum
 from bellswap.cli import main
-from bellswap.quantum import BellOutcome
+from bellswap.correlations import classify_zeta
+from bellswap.quantum import AngleSettings, BellOutcome
 
 PI = math.pi
 
@@ -106,6 +107,23 @@ class TestSimulate:
         assert code == 0
         assert "sector-product violations: 0" in out
         assert len(out_csv.read_text().splitlines()) == 5001
+
+    def test_violation_count_matches_csv_rows(self, capsys, tmp_path):
+        # a wide tolerance claims certainties the state does not have
+        out_csv = tmp_path / "events.csv"
+        argv = ["--phi2", "0.1", "--phi3", "0.05", "--tol", "0.2", "--events", "20000"]
+        code, out = run(capsys, "simulate", *argv, "--seed", "3", "--out", str(out_csv))
+        angles = AngleSettings(0.0, 0.1, 0.05, 0.0)
+        predicted = {k: classify_zeta(angles, k, 0.2).predicted_product for k in (+1, -1)}
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        expected = sum(
+            1
+            for row in rows
+            if predicted[int(row[8])] is not None and int(row[12]) != predicted[int(row[8])]
+        )
+        assert len(rows) == 20000 and expected > 0
+        assert code == 1
+        assert out.rstrip().endswith(f"sector-product violations: {expected}")
 
 
 class TestRefute:
@@ -280,6 +298,21 @@ class TestMalformedInput:
         assert captured.err.startswith("error: enumeration guard exceeded")
         assert main(["solve", "--in", str(system), "--method", "gf2"]) == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "verify-qm", "compile"])
+    def test_unwritable_out_exits_2_with_one_line(self, capsys, tmp_path, command):
+        settings = tmp_path / "settings.json"
+        settings.write_text('{"settings": [[0, 0, 0, 0]]}')
+        extra = {
+            "simulate": [],
+            "verify-qm": ["--grid", "1"],
+            "compile": ["--settings", str(settings), "--kappa", "1"],
+        }[command]
+        assert main([command, *extra, "--out", str(tmp_path / "absent" / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write output:")
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self):
@@ -305,7 +338,7 @@ class TestUsageErrors:
         assert message.endswith("argument --phi1: must be a finite number, got not-a-number")
 
     @pytest.mark.parametrize(
-        "value", ["nan", "inf", "-inf", "-1", "0", "0.7853981633974483", "1.0"]
+        "value", ["nan", "inf", "-inf", "-1", "0", "0.7853981633974483", "1.0", "abc"]
     )
     @pytest.mark.parametrize("command", ["decompose", "verify-qm", "simulate", "compile"])
     def test_tol_outside_zero_to_quarter_pi(self, capsys, tmp_path, command, value):
@@ -326,7 +359,7 @@ class TestUsageErrors:
         assert message.endswith(f"argument --tol: must be > 0 and < pi/4, got {value}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "abc"])
     @pytest.mark.parametrize(
         "command,flag",
         [
@@ -348,4 +381,28 @@ class TestUsageErrors:
         assert captured.out == ""
         message = captured.err.splitlines()[-1]
         assert message.endswith(f"argument {flag}: must be a finite number, got {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("simulate", "--seed", "-1"),
+            ("verify-qm", "--seed", "-1"),
+            ("verify-qm", "--seed", "abc"),
+            ("simulate", "--events", "-1"),
+            ("simulate", "--events", "abc"),
+            ("verify-qm", "--grid", "0"),
+            ("verify-qm", "--grid", "1.5"),
+        ],
+    )
+    def test_bad_integer_flag(self, capsys, tmp_path, command, flag, value):
+        allowed = "an integer >= 1" if flag == "--grid" else "an integer >= 0"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.splitlines()[-1]
+        assert message.endswith(f"argument {flag}: must be {allowed}, got {value}")
         assert not out.exists()

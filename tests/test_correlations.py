@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 
@@ -26,6 +27,7 @@ from bellswap.quantum import (
     apply_all_rotations,
     make_vw_state,
 )
+from bellswap.serialize import write_events_csv
 from bellswap.verification import run_qm_verification
 
 PI = math.pi
@@ -247,7 +249,7 @@ class TestPerfectCorrelationReport:
 
 class TestSampler:
     def test_zero_count_gives_empty_list(self):
-        assert sample_events(ZEROS, 0, 1) == []
+        assert len(sample_events(ZEROS, 0, 1)) == 0
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -261,27 +263,39 @@ class TestSampler:
     def test_deterministic_for_fixed_seed(self):
         first = sample_events(ZEROS, 500, seed=42)
         second = sample_events(ZEROS, 500, seed=42)
-        assert first == second
+        assert np.array_equal(first, second)
         different = sample_events(ZEROS, 500, seed=43)
-        assert first != different
+        assert not np.array_equal(first, different)
 
     def test_derived_fields_are_consistent(self):
-        for event in sample_events(AngleSettings(0.3, 1.1, 0.2, 2.0), 200, seed=9):
-            assert event.kappa == kappa_of(event.bc_outcome)
-            assert event.f_value == f_value_of(event.bc_outcome)
-            assert event.a_value == event.pol_a.sign
-            assert event.d_value == event.pol_d.sign
-            assert event.product == event.a_value * event.f_value * event.d_value
+        # every column of a CSV row after the angles follows from its outcome
+        angles = AngleSettings(0.3, 1.1, 0.2, 2.0)
+        outcomes = sample_events(angles, 200, seed=9)
+        assert len(outcomes) == 200
+        assert all(0 <= k < len(OUTCOME_ORDER) for k in outcomes)
+        buffer = io.StringIO()
+        write_events_csv(buffer, angles, outcomes)
+        for row, k in zip(buffer.getvalue().splitlines()[1:], outcomes):
+            bell, pol_a, pol_d, *values = row.split(",")[5:]
+            bell, pol_a, pol_d = BellOutcome(bell), Polarization(pol_a), Polarization(pol_d)
+            kappa, f_value, a_value, d_value, product = map(int, values)
+            assert (bell, pol_a, pol_d) == OUTCOME_ORDER[k]
+            assert kappa == kappa_of(bell)
+            assert f_value == f_value_of(bell)
+            assert a_value == pol_a.sign
+            assert d_value == pol_d.sign
+            assert product == a_value * f_value * d_value
 
     def test_zero_angles_products_never_violate(self):
         events = sample_events(ZEROS, 20_000, seed=42)
-        assert all(event.product == +1 for event in events)
+        product = [f_value_of(bell) * a.sign * d.sign for bell, a, d in OUTCOME_ORDER]
+        assert all(product[k] == +1 for k in events)
 
     def test_bell_marginals_at_zero_angles(self):
         n = 100_000
         events = sample_events(ZEROS, n, seed=5)
         for bell in BELL_ORDER:
-            count = sum(1 for e in events if e.bc_outcome is bell)
+            count = sum(1 for k in events if OUTCOME_ORDER[k][0] is bell)
             # binomial: p = 1/4, five standard errors
             sigma = math.sqrt(0.25 * 0.75 * n)
             assert abs(count - 0.25 * n) < 5 * sigma
@@ -294,8 +308,8 @@ class TestSampler:
         dist = bell_polarization_distribution(angles)
         events = sample_events(angles, n, seed=77)
         counts = {key: 0 for key in OUTCOME_ORDER}
-        for event in events:
-            counts[(event.bc_outcome, event.pol_a, event.pol_d)] += 1
+        for k in events:
+            counts[OUTCOME_ORDER[k]] += 1
         for key, p in dist.items():
             if p < 1e-15:
                 assert counts[key] == 0

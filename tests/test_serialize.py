@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellswap.correlations import sample_events
+from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of, sample_events
 from bellswap.lhv import (
     HiddenContext,
     apply_factorization,
@@ -165,21 +165,35 @@ class TestEventCsv:
         )
 
     def test_golden_bytes(self):
-        events = sample_events(AngleSettings(0, 0, 0, 0), 5, seed=42)
+        angles = AngleSettings(0, 0, 0, 0)
+        events = sample_events(angles, 5, seed=42)
         buffer = io.StringIO()
-        assert write_events_csv(buffer, events) == 5
+        assert write_events_csv(buffer, angles, events) == 5
         assert buffer.getvalue() == GOLDEN_CSV
 
     def test_empty_event_list_writes_header_only(self):
         buffer = io.StringIO()
-        assert write_events_csv(buffer, []) == 0
+        assert write_events_csv(buffer, AngleSettings(0, 0, 0, 0), []) == 0
         assert buffer.getvalue() == ",".join(EVENT_CSV_COLUMNS) + "\n"
+
+    def test_every_outcome_row_follows_from_the_outcome(self):
+        angles = AngleSettings(0.1, PI / 4, -2.5, 1e-9)
+        buffer = io.StringIO()
+        assert write_events_csv(buffer, angles, range(16)) == 16
+        rows = buffer.getvalue().splitlines()[1:]
+        assert len(rows) == len(OUTCOME_ORDER) == 16
+        for k, (row, (bell, pol_a, pol_d)) in enumerate(zip(rows, OUTCOME_ORDER)):
+            kappa, f, a, d = kappa_of(bell), f_value_of(bell), pol_a.sign, pol_d.sign
+            assert row == (
+                f"{k},0.1,{PI / 4!r},-2.5,1e-09,{bell.value},{pol_a.value},{pol_d.value},"
+                f"{kappa},{f},{a},{d},{a * f * d}"
+            )
 
     def test_angles_round_trip_through_repr(self):
         angles = AngleSettings(0.1, PI / 4, -2.5, 1e-9)
         events = sample_events(angles, 3, seed=0)
         buffer = io.StringIO()
-        write_events_csv(buffer, events)
+        write_events_csv(buffer, angles, events)
         lines = buffer.getvalue().splitlines()
         _, phi1, phi2, phi3, phi4, *_ = lines[1].split(",")
         assert (float(phi1), float(phi2), float(phi3), float(phi4)) == angles.as_tuple()
