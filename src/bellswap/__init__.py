@@ -46,6 +46,8 @@ from .quantum import (
     apply_all_rotations,
     bell_bell_amplitudes_closed_form,
     bell_bell_amplitudes_numeric,
+    bell_bell_coefficients,
+    bell_bell_coefficients_closed_form,
     compute_phases,
     make_vw_state,
     rotate_photon,
@@ -77,6 +79,8 @@ __all__ = [
     "apply_factorization",
     "bell_bell_amplitudes_closed_form",
     "bell_bell_amplitudes_numeric",
+    "bell_bell_coefficients",
+    "bell_bell_coefficients_closed_form",
     "bell_polarization_distribution",
     "classify_zeta",
     "compile_bell_polarization",

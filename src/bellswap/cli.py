@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -159,23 +160,24 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_qm(args: argparse.Namespace) -> int:
-    report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fp:
+    # --out is opened before the sweep, so an unwritable path fails at once
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fp:
+            report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
+            text = json.dumps(report, indent=2)
+            if fp is not None:
                 fp.write(text + "\n")
-        except OSError as exc:
-            return _cannot_write(exc)
+    except OSError as exc:
+        return _cannot_write(exc)
     print(text)
     return 0 if report["passed"] else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     angles = _angles_from_args(args)
-    outcomes = sample_events(angles, args.events, args.seed)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
+            outcomes = sample_events(angles, args.events, args.seed)
             write_events_csv(fp, angles, outcomes)
     except OSError as exc:
         return _cannot_write(exc)
@@ -241,14 +243,12 @@ def cmd_compile(args: argparse.Namespace) -> int:
         print(f"error: cannot read settings file: {exc}", file=sys.stderr)
         return 2
     context = HiddenContext(kappa=args.kappa, label=args.label)
-    if args.fig == 1:
-        cs = compile_bell_polarization(settings, context, tol=args.tol)
-    else:
-        cs = compile_double_bell(settings, context, tol=args.tol)
-    if args.factorize:
-        cs = apply_factorization(cs)
+    compile_fig = compile_bell_polarization if args.fig == 1 else compile_double_bell
     try:
         with open(args.out, "w", encoding="utf-8") as fp:
+            cs = compile_fig(settings, context, tol=args.tol)
+            if args.factorize:
+                cs = apply_factorization(cs)
             dump_constraint_set(cs, fp)
     except OSError as exc:
         return _cannot_write(exc)

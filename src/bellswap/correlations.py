@@ -16,11 +16,13 @@ analyzer's polarization product F is +1 with certainty, and at zeta = +-pi/2
 it is -1 with certainty.
 
 Every prediction for a setting derives from one numeric decomposition: the
-rotated state is built once and brute-force projected onto the double Bell
-basis, giving the 4x4 coefficient matrix C.  The double Bell probabilities
-are |C|^2; row X of C, expanded in the Bell vectors, gives the (a, d)
-amplitudes of Bell outcome X and so the Bell/polarization distribution; the
-sector reports read both.
+rotated state is brute-force projected onto the double Bell basis, giving
+the 4x4 coefficient matrix C (quantum.bell_bell_coefficients, which does a
+whole batch of settings in one pass).  The double Bell probabilities are
+|C|^2; row X of C, expanded in the Bell vectors, gives the (a, d) amplitudes
+of Bell outcome X and so the Bell/polarization distribution; the sector
+reports read both, so a caller holding C for a setting (the verify-qm sweep)
+builds the report without decomposing again.
 
 A sampled event is an index into OUTCOME_ORDER: each of the 16 outcomes fixes
 the Bell state, both polarizations and so kappa, F, a, d and the product.
@@ -39,7 +41,6 @@ from .quantum import (
     BELL_ORDER,
     BELL_VECTORS,
     AngleSettings,
-    BellBellAmplitudes,
     BellOutcome,
     FourPhotonState,
     Polarization,
@@ -170,16 +171,18 @@ def rotated_vw_state(angles: AngleSettings) -> FourPhotonState:
     return apply_all_rotations(make_vw_state(), angles)
 
 
-def _decompose(angles: AngleSettings) -> BellBellAmplitudes:
-    """The numeric double Bell coefficients C of the rotated state."""
-    return bell_bell_amplitudes_numeric(rotated_vw_state(angles))
+def _decompose(angles: AngleSettings) -> np.ndarray:
+    """The numeric double Bell coefficients C of the rotated state, 4x4:
+    the one-setting case of quantum.bell_bell_coefficients."""
+    return bell_bell_amplitudes_numeric(rotated_vw_state(angles)).coeffs
 
 
-def _outcome_probabilities(amplitudes: BellBellAmplitudes) -> np.ndarray:
-    """Bell/polarization probabilities from C, shaped (bell, pol_a, pol_d)
-    in OUTCOME_ORDER: row X of C expanded in the (a, d) Bell vectors."""
+def _outcome_probabilities(coeffs: np.ndarray) -> np.ndarray:
+    """Bell/polarization probabilities from C (or a stack of them), shaped
+    (..., bell, pol_a, pol_d) in OUTCOME_ORDER: row X of C expanded in the
+    (a, d) Bell vectors."""
     ket = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER])
-    return np.abs(np.einsum("xy,yad->xad", amplitudes.coeffs, ket)) ** 2
+    return np.abs(np.einsum("...xy,yad->...xad", coeffs, ket)) ** 2
 
 
 def joint_bell_probabilities(angles: AngleSettings) -> np.ndarray:
@@ -190,7 +193,7 @@ def joint_bell_probabilities(angles: AngleSettings) -> np.ndarray:
     closed form, so cross-sector entries vanish as a prediction rather
     than by construction.
     """
-    return _decompose(angles).probabilities()
+    return np.abs(_decompose(angles)) ** 2
 
 
 def bell_polarization_distribution(
@@ -201,16 +204,24 @@ def bell_polarization_distribution(
     return dict(zip(OUTCOME_ORDER, probs.ravel().tolist()))
 
 
+def _classify_sectors(angles: AngleSettings, tol: float) -> dict[int, PhaseClass]:
+    return {kappa: classify_zeta(angles, kappa, tol) for kappa in (+1, -1)}
+
+
+def _violation_mask(classes: dict[int, PhaseClass]) -> np.ndarray:
+    mask = np.zeros(len(OUTCOME_ORDER), dtype=bool)
+    for kappa, phase_class in classes.items():
+        predicted = phase_class.predicted_product
+        if predicted is not None:
+            mask |= (_OUTCOME_KAPPA == kappa) & (_OUTCOME_PRODUCT != predicted)
+    return mask
+
+
 def violating_outcomes(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
     """Mask over OUTCOME_ORDER of the outcomes whose product a*F*d contradicts
     the certain value of their sector at this setting.  A generic sector
     claims no value, so none of its outcomes violate."""
-    mask = np.zeros(len(OUTCOME_ORDER), dtype=bool)
-    for kappa in (+1, -1):
-        predicted = classify_zeta(angles, kappa, tol).predicted_product
-        if predicted is not None:
-            mask |= (_OUTCOME_KAPPA == kappa) & (_OUTCOME_PRODUCT != predicted)
-    return mask
+    return _violation_mask(_classify_sectors(angles, tol))
 
 
 def sample_events(angles: AngleSettings, n: int, seed: int) -> np.ndarray:
@@ -304,13 +315,19 @@ def perfect_correlation_report(
     probabilities that the sector's exact Bell-to-Bell pairing holds.
     Generic sectors carry no claim.
     """
-    amplitudes = _decompose(angles)
-    dist = _outcome_probabilities(amplitudes)
-    bell_probs = amplitudes.probabilities()
-    violating = violating_outcomes(angles, tol).reshape(dist.shape)
+    return _correlation_report(angles, _decompose(angles), tol)
+
+
+def _correlation_report(
+    angles: AngleSettings, coeffs: np.ndarray, tol: float
+) -> PerfectCorrelationReport:
+    """perfect_correlation_report from the setting's numeric coefficients C."""
+    dist = _outcome_probabilities(coeffs)
+    bell_probs = np.abs(coeffs) ** 2
+    classes = _classify_sectors(angles, tol)
+    violating = _violation_mask(classes).reshape(dist.shape)
     sectors = []
-    for kappa in (+1, -1):
-        phase_class = classify_zeta(angles, kappa, tol)
+    for kappa, phase_class in classes.items():
         predicted = phase_class.predicted_product
         rows = _ROW_KAPPA == kappa
         violation = pairing = pairing_violation = None

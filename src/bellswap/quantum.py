@@ -15,6 +15,12 @@ Conventions
 - Everything is phase-deterministic: states and coefficient matrices are
   compared amplitude-wise, never "up to a global phase".
 
+The double Bell decomposition is batched: bell_bell_coefficients (numeric,
+brute force) and bell_bell_coefficients_closed_form map an (N, 4) array of
+settings to (N, 4, 4) coefficients, and the one-setting functions
+(apply_all_rotations, bell_bell_amplitudes_numeric and _closed_form) are
+their N = 1 case, giving the same floats as a row of any batch.
+
 All functions are pure; states are immutable once built.
 """
 
@@ -43,6 +49,8 @@ __all__ = [
     "compute_phases",
     "bell_bell_amplitudes_numeric",
     "bell_bell_amplitudes_closed_form",
+    "bell_bell_coefficients",
+    "bell_bell_coefficients_closed_form",
 ]
 
 
@@ -194,16 +202,85 @@ def rotate_photon(state: FourPhotonState, photon: int, phi: float) -> FourPhoton
     return FourPhotonState(rotated.reshape(16))
 
 
+def _angle_rows(angles) -> np.ndarray:
+    """The settings of a batch as an (N, 4) float array."""
+    rows = np.asarray(angles, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"angles must have shape (N, 4), got {rows.shape}")
+    return rows
+
+
+def _rotate_all(amplitudes: np.ndarray, angles) -> np.ndarray:
+    """The 16 amplitudes rotated by every setting of an (N, 4) batch: (N, 16).
+
+    The state is a 4x4 matrix over (ab, cd), so the rotation of a and b acts
+    from the left as the Kronecker product R(phi1) x R(phi2), and that of c
+    and d from the right as R(phi3) x R(phi4), transposed.
+    """
+    rows = _angle_rows(angles)
+    cos, sin = np.cos(rows), np.sin(rows)
+    rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 4, 2, 2)
+    left = np.einsum("nai,nbj->nabij", rot[:, 0], rot[:, 1]).reshape(-1, 4, 4)
+    right = np.einsum("nck,ndl->nklcd", rot[:, 2], rot[:, 3]).reshape(-1, 4, 4)
+    return (left @ amplitudes.reshape(4, 4) @ right).reshape(-1, 16)
+
+
+def _project(amplitudes: np.ndarray) -> np.ndarray:
+    """Brute-force basis change of (N, 16) amplitudes onto every
+    |X_bc> x |Y_ad>: the (N, 4, 4) double Bell coefficients.
+
+    BELL_VECTORS is read on every call, so this stays independent of the
+    closed form even when the vectors are replaced.
+    """
+    bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).conj()
+    projector = np.einsum("xbc,yad->xyabcd", bra, bra).reshape(16, 16)
+    # einsum, not matmul: BLAS sums a lone row in another order than a block
+    # of rows, and a setting's coefficients must not depend on its batch.
+    return np.einsum("nk,jk->nj", amplitudes, projector).reshape(-1, 4, 4)
+
+
+def bell_bell_coefficients(angles) -> np.ndarray:
+    """Numeric double Bell coefficients of the rotated two-singlet state for
+    an (N, 4) batch of settings: (N, 4, 4), rows (b, c), columns (a, d).
+
+    Builds the N rotations, applies them to the two-singlet amplitudes and
+    projects onto the Bell vectors; nothing is taken from the closed form.
+    """
+    return _project(_rotate_all(make_vw_state().amplitudes, angles))
+
+
+def bell_bell_coefficients_closed_form(angles) -> np.ndarray:
+    """Closed form of bell_bell_coefficients for an (N, 4) batch of settings.
+
+    Only eight entries are nonzero: the kappa = +1 block {phi+, psi-} is
+    governed by xi, the kappa = -1 block {phi-, psi+} by eta, each a 2x2
+    rotation-like pattern times 1/2.
+    """
+    rows = _angle_rows(angles)
+    left = rows[:, 0] - rows[:, 1]
+    right = rows[:, 2] - rows[:, 3]
+    cos_xi, sin_xi = np.cos(left + right) / 2, np.sin(left + right) / 2
+    cos_eta, sin_eta = np.cos(left - right) / 2, np.sin(left - right) / 2
+    pp, pm, sp, sm = (BELL_INDEX[bell] for bell in BELL_ORDER)
+    coeffs = np.zeros((len(rows), 4, 4))
+    coeffs[:, pp, pp] = -cos_xi
+    coeffs[:, pp, sm] = +sin_xi
+    coeffs[:, sm, sm] = -cos_xi
+    coeffs[:, sm, pp] = -sin_xi
+    coeffs[:, pm, pm] = +cos_eta
+    coeffs[:, pm, sp] = +sin_eta
+    coeffs[:, sp, sp] = +cos_eta
+    coeffs[:, sp, pm] = -sin_eta
+    return coeffs
+
+
 def apply_all_rotations(state: FourPhotonState, angles: AngleSettings) -> FourPhotonState:
     """Rotate a by phi1, b by phi2, c by phi3, d by phi4.
 
     The four rotations act on disjoint factors, so the application order
     is irrelevant.
     """
-    out = state
-    for photon, phi in enumerate(angles.as_tuple()):
-        out = rotate_photon(out, photon, phi)
-    return out
+    return FourPhotonState(_rotate_all(state.amplitudes, [angles.as_tuple()])[0])
 
 
 @dataclass(frozen=True)
@@ -233,33 +310,10 @@ class BellBellAmplitudes:
 
 
 def bell_bell_amplitudes_numeric(state: FourPhotonState) -> BellBellAmplitudes:
-    """Brute-force basis change: project onto every |X_bc> x |Y_ad|.
-
-    BELL_VECTORS is read on every call, so this stays independent of the
-    closed form even when the vectors are replaced.
-    """
-    bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).conj()
-    return BellBellAmplitudes(np.einsum("xbc,yad,abcd->xy", bra, bra, state.as_tensor()))
+    """Brute-force basis change: project onto every |X_bc> x |Y_ad>."""
+    return BellBellAmplitudes(_project(state.amplitudes[np.newaxis])[0])
 
 
 def bell_bell_amplitudes_closed_form(angles: AngleSettings) -> BellBellAmplitudes:
-    """Closed form of the rotated two-singlet state in the double Bell basis.
-
-    Only eight entries are nonzero: the kappa = +1 block {phi+, psi-} is
-    governed by xi, the kappa = -1 block {phi-, psi+} by eta, each a 2x2
-    rotation-like pattern times 1/2.
-    """
-    phases = compute_phases(angles)
-    cos_xi, sin_xi = math.cos(phases.xi), math.sin(phases.xi)
-    cos_eta, sin_eta = math.cos(phases.eta), math.sin(phases.eta)
-    idx = BELL_INDEX
-    coeffs = np.zeros((4, 4), dtype=complex)
-    coeffs[idx[BellOutcome.PHI_PLUS], idx[BellOutcome.PHI_PLUS]] = -cos_xi / 2
-    coeffs[idx[BellOutcome.PHI_PLUS], idx[BellOutcome.PSI_MINUS]] = +sin_xi / 2
-    coeffs[idx[BellOutcome.PSI_MINUS], idx[BellOutcome.PSI_MINUS]] = -cos_xi / 2
-    coeffs[idx[BellOutcome.PSI_MINUS], idx[BellOutcome.PHI_PLUS]] = -sin_xi / 2
-    coeffs[idx[BellOutcome.PHI_MINUS], idx[BellOutcome.PHI_MINUS]] = +cos_eta / 2
-    coeffs[idx[BellOutcome.PHI_MINUS], idx[BellOutcome.PSI_PLUS]] = +sin_eta / 2
-    coeffs[idx[BellOutcome.PSI_PLUS], idx[BellOutcome.PSI_PLUS]] = +cos_eta / 2
-    coeffs[idx[BellOutcome.PSI_PLUS], idx[BellOutcome.PHI_MINUS]] = -sin_eta / 2
-    return BellBellAmplitudes(coeffs)
+    """Closed form of the rotated two-singlet state in the double Bell basis."""
+    return BellBellAmplitudes(bell_bell_coefficients_closed_form([angles.as_tuple()])[0])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellswap import quantum
+from bellswap import cli, quantum
 from bellswap.cli import main
 from bellswap.correlations import classify_zeta
 from bellswap.quantum import AngleSettings, BellOutcome
@@ -299,14 +299,20 @@ class TestMalformedInput:
         assert main(["solve", "--in", str(system), "--method", "gf2"]) == 0
 
     @pytest.mark.parametrize("command", ["simulate", "verify-qm", "compile"])
-    def test_unwritable_out_exits_2_with_one_line(self, capsys, tmp_path, command):
+    def test_unwritable_out_exits_2_with_one_line(self, capsys, monkeypatch, tmp_path, command):
         settings = tmp_path / "settings.json"
         settings.write_text('{"settings": [[0, 0, 0, 0]]}')
-        extra = {
-            "simulate": [],
-            "verify-qm": ["--grid", "1"],
-            "compile": ["--settings", str(settings), "--kappa", "1"],
+        extra, work = {
+            "simulate": ([], "sample_events"),
+            "verify-qm": (["--grid", "1"], "run_qm_verification"),
+            "compile": (["--settings", str(settings), "--kappa", "1"], "compile_bell_polarization"),
         }[command]
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was opened")
+
+        # the path is checked before the work starts, not after it
+        monkeypatch.setattr(cli, work, must_not_run)
         assert main([command, *extra, "--out", str(tmp_path / "absent" / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

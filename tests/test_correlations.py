@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bellswap import quantum
+from bellswap import correlations, quantum
 from bellswap.correlations import (
     OUTCOME_ORDER,
     PhaseClass,
@@ -160,11 +160,32 @@ class TestSinglePass:
         perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
         assert len(rotation_calls) == 1
 
-    def test_verify_qm_rotates_once_per_setting_and_report(self, rotation_calls):
+    def test_verify_qm_decomposes_in_one_batched_pass(self, monkeypatch):
+        # every state build goes through quantum._rotate_all; the sweep rotates
+        # its 1 random + 100 family settings in one call, the reports none
+        batches = []
+        original = quantum._rotate_all
+
+        def counting(amplitudes, angles):
+            batches.append(len(angles))
+            return original(amplitudes, angles)
+
+        monkeypatch.setattr(quantum, "_rotate_all", counting)
         report = run_qm_verification(grid=1)
-        # sweep over 1 random + 100 family settings, then one report per family setting
         assert (report["random_settings"], report["family_settings"]) == (1, 100)
-        assert len(rotation_calls) == 201
+        assert batches == [101]
+
+    def test_report_classifies_each_sector_once(self, monkeypatch):
+        calls = []
+        original = correlations.classify_zeta
+
+        def counting(angles, kappa, tol):
+            calls.append(kappa)
+            return original(angles, kappa, tol)
+
+        monkeypatch.setattr(correlations, "classify_zeta", counting)
+        perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
+        assert calls == [+1, -1]
 
 
 class TestClassifyZeta:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_qm import reference_coefficients
 
 from bellswap.quantum import (
     BELL_ORDER,
@@ -12,11 +13,14 @@ from bellswap.quantum import (
     basis_index,
     bell_bell_amplitudes_closed_form,
     bell_bell_amplitudes_numeric,
+    bell_bell_coefficients,
+    bell_bell_coefficients_closed_form,
     compute_phases,
     make_vw_state,
     rotate_photon,
     rotation_matrix,
 )
+from bellswap.verification import _FAMILIES
 
 PI = math.pi
 
@@ -189,3 +193,39 @@ class TestDoubleBellDecomposition:
 
     def test_bell_order_is_pinned(self):
         assert [b.value for b in BELL_ORDER] == ["phi+", "phi-", "psi+", "psi-"]
+
+
+class TestBatchedKernel:
+    def settings(self):
+        rng = np.random.default_rng(41)
+        rows = [AngleSettings(*rng.uniform(-2 * PI, 2 * PI, size=4)) for _ in range(500)]
+        for _, build in _FAMILIES:
+            rows += [build(*rng.uniform(0, 2 * PI, size=2)) for _ in range(10)]
+        return rows
+
+    def test_matches_per_setting_reference(self):
+        settings = self.settings()
+        batch = np.array([angles.as_tuple() for angles in settings])
+        reference = np.array([reference_coefficients(angles) for angles in settings])
+        assert np.max(np.abs(bell_bell_coefficients(batch) - reference)) < 1e-14
+        assert np.max(np.abs(bell_bell_coefficients_closed_form(batch) - reference)) < 1e-14
+
+    def test_empty_batch(self):
+        empty = np.zeros((0, 4))
+        assert bell_bell_coefficients(empty).shape == (0, 4, 4)
+        assert bell_bell_coefficients_closed_form(empty).shape == (0, 4, 4)
+
+    def test_one_setting_functions_give_the_rows_of_a_batch(self):
+        settings = self.settings()[::7]
+        batch = np.array([angles.as_tuple() for angles in settings])
+        numeric, closed = bell_bell_coefficients(batch), bell_bell_coefficients_closed_form(batch)
+        for i, angles in enumerate(settings):
+            state = apply_all_rotations(make_vw_state(), angles)
+            assert np.array_equal(bell_bell_amplitudes_numeric(state).coeffs, numeric[i])
+            assert np.array_equal(bell_bell_amplitudes_closed_form(angles).coeffs, closed[i])
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 1)])
+    def test_rejects_other_shapes(self, shape):
+        for kernel in (bell_bell_coefficients, bell_bell_coefficients_closed_form):
+            with pytest.raises(ValueError):
+                kernel(np.zeros(shape))

@@ -1,0 +1,86 @@
+import math
+
+import numpy as np
+import pytest
+from reference_qm import reference_qm_verification
+
+from bellswap import quantum, verification
+from bellswap.quantum import BellOutcome
+from bellswap.verification import run_qm_verification
+
+
+def assert_same_report(report, reference, tol=1e-15):
+    """Same verdicts and violations (check, angles, detail, order); the
+    round-off floats may differ by ``tol``."""
+    assert report["passed"] == reference["passed"]
+    assert list(report["checks"]) == list(reference["checks"])
+    for name, entry in reference["checks"].items():
+        assert report["checks"][name]["passed"] == entry["passed"], name
+        assert report["checks"][name]["max_value"] == pytest.approx(entry["max_value"], abs=tol)
+    strip = lambda v: {key: v[key] for key in ("check", "angles", "detail")}  # noqa: E731
+    assert [strip(v) for v in report["violations"]] == [strip(v) for v in reference["violations"]]
+    for ours, theirs in zip(report["violations"], reference["violations"]):
+        assert ours["value"] == pytest.approx(theirs["value"], abs=tol)
+
+
+def corrupt_psi_minus(monkeypatch, how):
+    """Replace the psi- vector: ``flip`` its sign, or ``mix`` in phi- so the
+    basis is no longer orthonormal and every check can fail."""
+    vectors = quantum.BELL_VECTORS
+    if how == "flip":
+        vector = -vectors[BellOutcome.PSI_MINUS]
+    else:
+        vector = (vectors[BellOutcome.PSI_MINUS] + vectors[BellOutcome.PHI_MINUS]) / math.sqrt(2)
+    monkeypatch.setitem(vectors, BellOutcome.PSI_MINUS, vector)
+
+
+def xi_eta_swapped(angles):
+    """A wrong closed form: xi and eta trade places (phi3 and phi4 swapped)."""
+    return quantum.bell_bell_coefficients_closed_form(np.asarray(angles)[:, [0, 1, 3, 2]])
+
+
+class TestSweepMatchesPerSettingLoop:
+    @pytest.mark.parametrize("grid,seed", [(1, 12345), (2, 3), (3, 301)])
+    def test_intact_state(self, grid, seed):
+        report = run_qm_verification(grid=grid, seed=seed)
+        assert report["passed"] is True
+        assert_same_report(report, reference_qm_verification(grid, 1e-9, seed))
+
+    # the mixed vector makes values of order 1, whose round-off is a few ulps
+    @pytest.mark.parametrize("how,failing,tol", [("flip", 1, 1e-15), ("mix", 5, 4e-15)])
+    @pytest.mark.parametrize("grid,seed", [(1, 3), (2, 99), (3, 7)])
+    def test_corrupted_bell_vector(self, monkeypatch, how, failing, tol, grid, seed):
+        corrupt_psi_minus(monkeypatch, how)
+        report = run_qm_verification(grid=grid, seed=seed)
+        reference = reference_qm_verification(grid, 1e-9, seed)
+        assert len({v["check"] for v in reference["violations"]}) == failing
+        assert_same_report(report, reference, tol)
+
+    @pytest.mark.parametrize("grid,seed", [(1, 5), (3, 12345)])
+    def test_corrupted_closed_form(self, monkeypatch, grid, seed):
+        monkeypatch.setattr(verification, "bell_bell_coefficients_closed_form", xi_eta_swapped)
+        report = run_qm_verification(grid=grid, seed=seed)
+        reference = reference_qm_verification(
+            grid, 1e-9, seed, closed_form=lambda angles: xi_eta_swapped([angles.as_tuple()])[0]
+        )
+        checks = [v["check"] for v in reference["violations"]]
+        # settings with xi = eta (mod 2 pi) pass, the others fail
+        assert 0 < checks.count("closed_form_vs_numeric") < grid**4 + 100
+        assert_same_report(report, reference)
+
+    def test_random_settings_are_one_draw_of_the_same_stream(self):
+        per_setting = np.random.default_rng(8)
+        one_draw = np.random.default_rng(8)
+        rows = [per_setting.uniform(0.0, 2.0 * math.pi, size=4) for _ in range(81)]
+        assert np.array_equal(one_draw.uniform(0.0, 2.0 * math.pi, size=(81, 4)), rows)
+        assert per_setting.uniform() == one_draw.uniform()
+
+
+class TestChunking:
+    @pytest.mark.parametrize("how", [None, "flip", "mix"])
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, how):
+        if how is not None:
+            corrupt_psi_minus(monkeypatch, how)
+        default = run_qm_verification(grid=2, seed=11)
+        monkeypatch.setattr(verification, "_CHUNK", 7)
+        assert run_qm_verification(grid=2, seed=11) == default
