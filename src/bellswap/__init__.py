@@ -38,10 +38,7 @@ from .lhv import (
 from .quantum import (
     BELL_ORDER,
     AngleSettings,
-    BellBellAmplitudes,
     BellOutcome,
-    CorrelationPhase,
-    FourPhotonState,
     Polarization,
     apply_all_rotations,
     bell_bell_amplitudes_closed_form,
@@ -58,12 +55,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleSettings",
-    "BellBellAmplitudes",
     "BellOutcome",
     "BELL_ORDER",
     "ConstraintSet",
-    "CorrelationPhase",
-    "FourPhotonState",
     "FunctionTag",
     "HiddenContext",
     "ParityConstraint",

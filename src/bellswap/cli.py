@@ -31,10 +31,10 @@ import numpy as np
 from .correlations import (
     DEFAULT_ANGLE_TOL,
     MAX_ANGLE_TOL,
-    perfect_correlation_report,
-    rotated_vw_state,
+    _correlation_report,
     sample_events,
     violating_outcomes,
+    zeta,
 )
 from .lhv import (
     HiddenContext,
@@ -47,9 +47,8 @@ from .lhv import (
 from .quantum import (
     BELL_ORDER,
     AngleSettings,
-    bell_bell_amplitudes_closed_form,
-    bell_bell_amplitudes_numeric,
-    compute_phases,
+    bell_bell_coefficients,
+    bell_bell_coefficients_closed_form,
 )
 from .serialize import (
     FORMAT_VERSION,
@@ -119,34 +118,36 @@ def _print_bell_matrix(title: str, matrix: np.ndarray) -> None:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     angles = _angles_from_args(args)
-    phases = compute_phases(angles)
-    closed = bell_bell_amplitudes_closed_form(angles)
-    numeric = bell_bell_amplitudes_numeric(rotated_vw_state(angles))
-    deviation = float(np.max(np.abs(closed.coeffs - numeric.coeffs)))
-    correlations = perfect_correlation_report(angles, tol=args.tol)
+    setting = np.array([angles.as_tuple()])
+    numeric = bell_bell_coefficients(setting)[0]
+    closed = bell_bell_coefficients_closed_form(setting)[0]
+    deviation = float(np.max(np.abs(closed - numeric)))
+    probabilities = np.abs(numeric) ** 2
+    xi, eta = zeta(angles, +1), zeta(angles, -1)
+    correlations = _correlation_report(angles, numeric, args.tol)
     if args.json:
         _print_json(
             {
                 "format_version": FORMAT_VERSION,
                 "command": "decompose",
                 "angles": list(angles.as_tuple()),
-                "xi": phases.xi,
-                "eta": phases.eta,
-                "closed_form": closed.coeffs.real.tolist(),
-                "numeric": numeric.coeffs.real.tolist(),
+                "xi": xi,
+                "eta": eta,
+                "closed_form": closed.tolist(),
+                "numeric": numeric.real.tolist(),
                 "max_abs_deviation": deviation,
-                "joint_bell_probabilities": numeric.probabilities().tolist(),
+                "joint_bell_probabilities": probabilities.tolist(),
                 "perfect_correlations": correlations.to_dict(),
             }
         )
     else:
         print(f"angles (rad): {angles.as_tuple()}")
-        print(f"xi  = {phases.xi!r}")
-        print(f"eta = {phases.eta!r}")
-        _print_bell_matrix("closed-form coefficients (rows bc, cols ad):", closed.coeffs)
-        _print_bell_matrix("numeric coefficients:", numeric.coeffs)
+        print(f"xi  = {xi!r}")
+        print(f"eta = {eta!r}")
+        _print_bell_matrix("closed-form coefficients (rows bc, cols ad):", closed)
+        _print_bell_matrix("numeric coefficients:", numeric)
         print(f"max |closed - numeric| = {deviation:.3e}")
-        _print_bell_matrix("joint Bell probabilities:", numeric.probabilities().astype(complex))
+        _print_bell_matrix("joint Bell probabilities:", probabilities)
         for sector in correlations.sectors:
             if sector.predicted_product is None:
                 verdict = "no perfect correlation at this setting"
@@ -227,7 +228,10 @@ def _load_settings_file(path: str, degrees: bool) -> list[AngleSettings]:
     raw = doc["settings"] if isinstance(doc, dict) else doc
     settings = []
     for entry in raw:
-        values = [float(x) for x in entry]
+        # exact types: bool is an int subclass, and float() reads true as 1 rad
+        if not set(map(type, entry)) <= {int, float}:
+            raise ValueError(f"angles must be numbers, got {entry!r}")
+        values = list(map(float, entry))
         if len(values) != 4:
             raise ValueError(f"each setting needs 4 angles, got {entry!r}")
         if degrees:

@@ -42,10 +42,9 @@ from .quantum import (
     BELL_VECTORS,
     AngleSettings,
     BellOutcome,
-    FourPhotonState,
     Polarization,
     apply_all_rotations,
-    bell_bell_amplitudes_numeric,
+    bell_bell_coefficients,
     make_vw_state,
 )
 
@@ -166,15 +165,15 @@ def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_
     return PhaseClass.GENERIC
 
 
-def rotated_vw_state(angles: AngleSettings) -> FourPhotonState:
-    """The two-singlet source state after all four rotations."""
+def rotated_vw_state(angles: AngleSettings) -> np.ndarray:
+    """The 16 amplitudes of the two-singlet source after all four rotations."""
     return apply_all_rotations(make_vw_state(), angles)
 
 
 def _decompose(angles: AngleSettings) -> np.ndarray:
     """The numeric double Bell coefficients C of the rotated state, 4x4:
     the one-setting case of quantum.bell_bell_coefficients."""
-    return bell_bell_amplitudes_numeric(rotated_vw_state(angles)).coeffs
+    return bell_bell_coefficients([angles.as_tuple()])[0]
 
 
 def _outcome_probabilities(coeffs: np.ndarray) -> np.ndarray:

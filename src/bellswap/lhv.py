@@ -176,15 +176,6 @@ class ConstraintSet:
             constraints=list(self.constraints),
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConstraintSet):
-            return NotImplemented
-        return (
-            self.context == other.context
-            and self.variables == other.variables
-            and self.constraints == other.constraints
-        )
-
 
 #: Unknowns of each compiled rule in registration order: a function tag and
 #: the positions in (phi1, phi2, phi3, phi4) of the angles it takes.

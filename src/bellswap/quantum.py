@@ -2,9 +2,9 @@
 
 Conventions
 -----------
-- Photons are labelled a, b, c, d. A pure state is a vector of 16 complex
-  amplitudes over the product basis |p_a p_b p_c p_d> with H = 0, V = 1 and
-  flat index ``8*a + 4*b + 2*c + d``.
+- Photons are labelled a, b, c, d. A pure state is a (16,) numpy array of
+  complex amplitudes over the product basis |p_a p_b p_c p_d> with H = 0,
+  V = 1 and flat index ``8*a + 4*b + 2*c + d``.
 - The two-photon Bell basis is
       phi+ = (HH + VV)/sqrt(2),   phi- = (HH - VV)/sqrt(2),
       psi+ = (HV + VH)/sqrt(2),   psi- = (HV - VH)/sqrt(2),
@@ -15,13 +15,14 @@ Conventions
 - Everything is phase-deterministic: states and coefficient matrices are
   compared amplitude-wise, never "up to a global phase".
 
-The double Bell decomposition is batched: bell_bell_coefficients (numeric,
-brute force) and bell_bell_coefficients_closed_form map an (N, 4) array of
-settings to (N, 4, 4) coefficients, and the one-setting functions
-(apply_all_rotations, bell_bell_amplitudes_numeric and _closed_form) are
-their N = 1 case, giving the same floats as a row of any batch.
+The double Bell coefficients of a setting form a (4, 4) array C: rows index
+the Bell outcome of the (b, c) pair, columns that of the (a, d) pair, both
+in BELL_ORDER.  bell_bell_coefficients (numeric, brute force) and
+bell_bell_coefficients_closed_form map an (N, 4) array of settings to the
+(N, 4, 4) stack of them.
 
-All functions are pure; states are immutable once built.
+All functions are pure; the arrays they return for one setting are
+read-only.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ __all__ = [
     "BELL_ORDER",
     "BELL_VECTORS",
     "AngleSettings",
-    "CorrelationPhase",
-    "FourPhotonState",
-    "BellBellAmplitudes",
-    "basis_index",
     "make_vw_state",
-    "rotation_matrix",
     "rotate_photon",
     "apply_all_rotations",
     "compute_phases",
@@ -90,10 +86,13 @@ BELL_ORDER: tuple[BellOutcome, ...] = (
 BELL_INDEX: dict[BellOutcome, int] = {b: i for i, b in enumerate(BELL_ORDER)}
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _bell_vector(hh: complex, hv: complex, vh: complex, vv: complex) -> np.ndarray:
-    vec = np.array([[hh, hv], [vh, vv]], dtype=complex) / math.sqrt(2.0)
-    vec.flags.writeable = False
-    return vec
+    return _read_only(np.array([[hh, hv], [vh, vv]], dtype=complex) / math.sqrt(2.0))
 
 
 #: Two-photon Bell vectors as (2, 2) arrays indexed (p1, p2).
@@ -103,11 +102,6 @@ BELL_VECTORS: dict[BellOutcome, np.ndarray] = {
     BellOutcome.PSI_PLUS: _bell_vector(0, 1, 1, 0),
     BellOutcome.PSI_MINUS: _bell_vector(0, 1, -1, 0),
 }
-
-
-def basis_index(a: int, b: int, c: int, d: int) -> int:
-    """Flat index of the product basis state |p_a p_b p_c p_d>, H=0 / V=1."""
-    return 8 * a + 4 * b + 2 * c + d
 
 
 @dataclass(frozen=True)
@@ -133,73 +127,19 @@ class AngleSettings:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.phi1, self.phi2, self.phi3, self.phi4)
 
-    @classmethod
-    def from_iterable(cls, angles) -> "AngleSettings":
-        p1, p2, p3, p4 = (float(x) for x in angles)
-        return cls(p1, p2, p3, p4)
+
+def compute_phases(angles: AngleSettings) -> tuple[float, float]:
+    """(xi, eta) = ((phi1 - phi2) + (phi3 - phi4), (phi1 - phi2) - (phi3 - phi4)),
+    the phases that govern the swapped correlations; exact, no wrapping."""
+    left, right = angles.phi1 - angles.phi2, angles.phi3 - angles.phi4
+    return left + right, left - right
 
 
-@dataclass(frozen=True)
-class CorrelationPhase:
-    """The two angle combinations that govern the swapped correlations:
-    xi = (phi1 - phi2) + (phi3 - phi4), eta = (phi1 - phi2) - (phi3 - phi4)."""
-
-    xi: float
-    eta: float
-
-
-def compute_phases(angles: AngleSettings) -> CorrelationPhase:
-    """Exact arithmetic; no wrapping applied."""
-    left = angles.phi1 - angles.phi2
-    right = angles.phi3 - angles.phi4
-    return CorrelationPhase(xi=left + right, eta=left - right)
-
-
-@dataclass(frozen=True)
-class FourPhotonState:
-    """16 complex amplitudes over the a,b,c,d product basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(16).copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def amplitude(self, a: int, b: int, c: int, d: int) -> complex:
-        return complex(self.amplitudes[basis_index(a, b, c, d)])
-
-    def as_tensor(self) -> np.ndarray:
-        """View shaped (2, 2, 2, 2), axes = photons a, b, c, d."""
-        return self.amplitudes.reshape(2, 2, 2, 2)
-
-
-def make_vw_state() -> FourPhotonState:
-    """Product of two singlets: (H_a V_b - V_a H_b)(H_c V_d - V_c H_d) / 2."""
-    amps = np.zeros(16, dtype=complex)
-    amps[basis_index(0, 1, 0, 1)] = 0.5
-    amps[basis_index(0, 1, 1, 0)] = -0.5
-    amps[basis_index(1, 0, 0, 1)] = -0.5
-    amps[basis_index(1, 0, 1, 0)] = 0.5
-    return FourPhotonState(amps)
-
-
-def rotation_matrix(phi: float) -> np.ndarray:
-    """2x2 polarization rotation in the (H, V) basis."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rotate_photon(state: FourPhotonState, photon: int, phi: float) -> FourPhotonState:
-    """Rotate one tensor factor; norm-preserving."""
-    if photon not in (0, 1, 2, 3):
-        raise IndexError(f"photon index must be 0..3, got {photon}")
-    rotated = np.tensordot(rotation_matrix(phi), state.as_tensor(), axes=([1], [photon]))
-    rotated = np.moveaxis(rotated, 0, photon)
-    return FourPhotonState(rotated.reshape(16))
+def make_vw_state() -> np.ndarray:
+    """Product of two singlets, (H_a V_b - V_a H_b)(H_c V_d - V_c H_d) / 2:
+    16 read-only amplitudes, exactly +-0.5 where nonzero."""
+    singlet = np.array([0, 1, -1, 0])  # over (HH, HV, VH, VV)
+    return _read_only((np.outer(singlet, singlet) / 2).astype(complex).reshape(16))
 
 
 def _angle_rows(angles) -> np.ndarray:
@@ -222,7 +162,7 @@ def _rotate_all(amplitudes: np.ndarray, angles) -> np.ndarray:
     rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 4, 2, 2)
     left = np.einsum("nai,nbj->nabij", rot[:, 0], rot[:, 1]).reshape(-1, 4, 4)
     right = np.einsum("nck,ndl->nklcd", rot[:, 2], rot[:, 3]).reshape(-1, 4, 4)
-    return (left @ amplitudes.reshape(4, 4) @ right).reshape(-1, 16)
+    return (left @ np.reshape(amplitudes, (4, 4)) @ right).reshape(-1, 16)
 
 
 def _project(amplitudes: np.ndarray) -> np.ndarray:
@@ -246,7 +186,7 @@ def bell_bell_coefficients(angles) -> np.ndarray:
     Builds the N rotations, applies them to the two-singlet amplitudes and
     projects onto the Bell vectors; nothing is taken from the closed form.
     """
-    return _project(_rotate_all(make_vw_state().amplitudes, angles))
+    return _project(_rotate_all(make_vw_state(), angles))
 
 
 def bell_bell_coefficients_closed_form(angles) -> np.ndarray:
@@ -274,46 +214,30 @@ def bell_bell_coefficients_closed_form(angles) -> np.ndarray:
     return coeffs
 
 
-def apply_all_rotations(state: FourPhotonState, angles: AngleSettings) -> FourPhotonState:
-    """Rotate a by phi1, b by phi2, c by phi3, d by phi4.
+def rotate_photon(state: np.ndarray, photon: int, phi: float) -> np.ndarray:
+    """16 amplitudes with one photon rotated by phi; norm-preserving."""
+    if photon not in (0, 1, 2, 3):
+        raise IndexError(f"photon index must be 0..3, got {photon}")
+    angles = np.zeros((1, 4))
+    angles[0, photon] = phi
+    return _read_only(_rotate_all(state, angles)[0])
+
+
+def apply_all_rotations(state: np.ndarray, angles: AngleSettings) -> np.ndarray:
+    """16 amplitudes with a rotated by phi1, b by phi2, c by phi3, d by phi4.
 
     The four rotations act on disjoint factors, so the application order
     is irrelevant.
     """
-    return FourPhotonState(_rotate_all(state.amplitudes, [angles.as_tuple()])[0])
+    return _read_only(_rotate_all(state, [angles.as_tuple()])[0])
 
 
-@dataclass(frozen=True)
-class BellBellAmplitudes:
-    """Coefficients of a state in the double Bell basis.
-
-    rows = Bell outcome of the (b, c) pair, columns = Bell outcome of the
-    (a, d) pair, both in BELL_ORDER.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.coeffs, dtype=complex).reshape(4, 4).copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "coeffs", mat)
-
-    def coeff(self, bc: BellOutcome, ad: BellOutcome) -> complex:
-        return complex(self.coeffs[BELL_INDEX[bc], BELL_INDEX[ad]])
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.coeffs) ** 2
-
-    def total_weight(self) -> float:
-        """Sum of squared magnitudes; 1 for a normalized state."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+def bell_bell_amplitudes_numeric(state: np.ndarray) -> np.ndarray:
+    """Brute-force basis change of 16 amplitudes: the (4, 4) coefficients on
+    every |X_bc> x |Y_ad>."""
+    return _read_only(_project(np.reshape(state, (1, 16)))[0])
 
 
-def bell_bell_amplitudes_numeric(state: FourPhotonState) -> BellBellAmplitudes:
-    """Brute-force basis change: project onto every |X_bc> x |Y_ad>."""
-    return BellBellAmplitudes(_project(state.amplitudes[np.newaxis])[0])
-
-
-def bell_bell_amplitudes_closed_form(angles: AngleSettings) -> BellBellAmplitudes:
-    """Closed form of the rotated two-singlet state in the double Bell basis."""
-    return BellBellAmplitudes(bell_bell_coefficients_closed_form([angles.as_tuple()])[0])
+def bell_bell_amplitudes_closed_form(angles: AngleSettings) -> np.ndarray:
+    """Closed form of the rotated two-singlet state's (4, 4) coefficients."""
+    return _read_only(bell_bell_coefficients_closed_form([angles.as_tuple()])[0])

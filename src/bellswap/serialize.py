@@ -56,6 +56,14 @@ EVENT_CSV_COLUMNS = (
 )
 
 
+def _provenance_to_dict(provenance: Provenance) -> dict:
+    return {
+        "angles": list(provenance.angles),
+        "zeta": provenance.zeta,
+        "equation": provenance.equation,
+    }
+
+
 def constraint_set_to_dict(cs: ConstraintSet) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -69,15 +77,18 @@ def constraint_set_to_dict(cs: ConstraintSet) -> dict:
                 "id": i,
                 "vars": list(constraint.var_ids),
                 "required_sign": constraint.required_sign,
-                "provenance": {
-                    "angles": list(constraint.provenance.angles),
-                    "zeta": constraint.provenance.zeta,
-                    "equation": constraint.provenance.equation,
-                },
+                "provenance": _provenance_to_dict(constraint.provenance),
             }
             for i, constraint in enumerate(cs.constraints)
         ],
     }
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer, by exact type: int() truncates floats, and bool is an int."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def constraint_set_from_dict(doc: dict) -> ConstraintSet:
@@ -85,11 +96,12 @@ def constraint_set_from_dict(doc: dict) -> ConstraintSet:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     context = HiddenContext(
-        kappa=int(doc["context"]["kappa"]), label=str(doc["context"].get("label", ""))
+        kappa=_integer(doc["context"]["kappa"], "kappa"),
+        label=str(doc["context"].get("label", "")),
     )
     variables: list[SignVariable] = []
     for i, entry in enumerate(doc["variables"]):
-        if int(entry["id"]) != i:
+        if _integer(entry["id"], "variable id") != i:
             raise ValueError("variable ids must be 0..n-1 in order")
         variables.append(
             SignVariable(
@@ -99,7 +111,7 @@ def constraint_set_from_dict(doc: dict) -> ConstraintSet:
         )
     constraints: list[ParityConstraint] = []
     for i, entry in enumerate(doc["constraints"]):
-        if int(entry["id"]) != i:
+        if _integer(entry["id"], "constraint id") != i:
             raise ValueError("constraint ids must be 0..n-1 in order")
         prov = entry["provenance"]
         angles = tuple(float(a) for a in prov["angles"])
@@ -107,8 +119,8 @@ def constraint_set_from_dict(doc: dict) -> ConstraintSet:
             raise ValueError("provenance angles must have 4 entries")
         constraints.append(
             ParityConstraint(
-                var_ids=tuple(int(v) for v in entry["vars"]),
-                required_sign=int(entry["required_sign"]),
+                var_ids=tuple(_integer(v, "constraint variable") for v in entry["vars"]),
+                required_sign=_integer(entry["required_sign"], "required_sign"),
                 provenance=Provenance(angles, float(prov["zeta"]), str(prov["equation"])),
             )
         )
@@ -142,11 +154,7 @@ def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool)
                 "id": cid,
                 "variables": [cs.variables[vid].label for vid in cs.constraints[cid].var_ids],
                 "required_sign": cs.constraints[cid].required_sign,
-                "provenance": {
-                    "angles": list(cs.constraints[cid].provenance.angles),
-                    "zeta": cs.constraints[cid].provenance.zeta,
-                    "equation": cs.constraints[cid].provenance.equation,
-                },
+                "provenance": _provenance_to_dict(cs.constraints[cid].provenance),
             }
             for cid in result.certificate
         ]

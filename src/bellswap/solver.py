@@ -106,14 +106,14 @@ def _scan_assignments(rows: list[tuple[int, int]], n_variables: int) -> int | No
     return None
 
 
-def _subset_certificate(rows: list[tuple[int, int]], budget: int = _SUBSET_BUDGET) -> list[int] | None:
+def _subset_certificate(rows: list[tuple[int, int]]) -> list[int] | None:
     """Smallest constraint subset multiplying to "+1 = -1", by exhaustive
     search over subset sizes; gives up beyond the combination budget."""
     m = len(rows)
     tried = 0
     for size in range(1, m + 1):
         count = math.comb(m, size)
-        if tried + count > budget and size > 1:
+        if tried + count > _SUBSET_BUDGET and size > 1:
             return None
         for subset in itertools.combinations(range(m), size):
             mask = 0

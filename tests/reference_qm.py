@@ -15,7 +15,7 @@ from bellswap.quantum import (
     BELL_ORDER,
     BELL_VECTORS,
     AngleSettings,
-    bell_bell_amplitudes_closed_form,
+    bell_bell_coefficients_closed_form,
     make_vw_state,
 )
 from bellswap.verification import CLOSED_FORM_TOL, special_family_settings
@@ -23,7 +23,7 @@ from bellswap.verification import CLOSED_FORM_TOL, special_family_settings
 
 def reference_coefficients(angles):
     """Numeric double Bell coefficients C of the rotated state, one setting."""
-    tensor = make_vw_state().as_tensor()
+    tensor = make_vw_state().reshape(2, 2, 2, 2)
     for photon, phi in enumerate(angles.as_tuple()):
         c, s = math.cos(phi), math.sin(phi)
         rotation = np.array([[c, -s], [s, c]], dtype=complex)
@@ -36,7 +36,9 @@ def reference_qm_verification(grid, tol, seed, closed_form=None):
     """The per-setting verify-qm loop; ``closed_form(angles)`` gives the 4x4
     closed-form coefficients (default: the package's)."""
     if closed_form is None:
-        closed_form = lambda angles: bell_bell_amplitudes_closed_form(angles).coeffs  # noqa: E731
+        closed_form = lambda angles: bell_bell_coefficients_closed_form(  # noqa: E731
+            [angles.as_tuple()]
+        )[0]
     rng = np.random.default_rng(seed)
     random_settings = [
         AngleSettings(*rng.uniform(0.0, 2.0 * math.pi, size=4)) for _ in range(grid**4)

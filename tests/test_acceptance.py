@@ -32,10 +32,8 @@ from bellswap.lhv import (
 from bellswap.quantum import (
     BELL_ORDER,
     AngleSettings,
-    apply_all_rotations,
-    bell_bell_amplitudes_closed_form,
-    bell_bell_amplitudes_numeric,
-    make_vw_state,
+    bell_bell_coefficients,
+    bell_bell_coefficients_closed_form,
 )
 from bellswap.solver import SolveResult, SolveStatus, enumerate_solve, gf2_solve, verify_certificate
 
@@ -62,12 +60,10 @@ def criterion(capsys, label):
 def test_criterion_1_closed_form_fidelity(capsys):
     with criterion(capsys, "criterion 1: closed form matches numeric decomposition (1000 settings, 1e-10)"):
         rng = np.random.default_rng(1001)
-        worst = 0.0
-        for _ in range(1000):
-            angles = AngleSettings(*rng.uniform(-2 * PI, 2 * PI, size=4))
-            closed = bell_bell_amplitudes_closed_form(angles)
-            numeric = bell_bell_amplitudes_numeric(apply_all_rotations(make_vw_state(), angles))
-            worst = max(worst, float(np.max(np.abs(closed.coeffs - numeric.coeffs))))
+        settings = np.array([rng.uniform(-2 * PI, 2 * PI, size=4) for _ in range(1000)])
+        closed = bell_bell_coefficients_closed_form(settings)
+        numeric = bell_bell_coefficients(settings)
+        worst = float(np.max(np.abs(closed - numeric)))
         assert worst < CLOSED_FORM_TOL
 
 

@@ -7,7 +7,9 @@ import pytest
 from bellswap import cli, quantum
 from bellswap.cli import main
 from bellswap.correlations import classify_zeta
+from bellswap.lhv import contradiction_instance
 from bellswap.quantum import AngleSettings, BellOutcome
+from bellswap.serialize import constraint_set_to_dict
 
 PI = math.pi
 
@@ -245,6 +247,17 @@ class TestCompileSolve:
         assert code == 2
 
 
+def _contradiction_document(path: list, value) -> str:
+    """The contradiction_instance(0, 0, +1) file with one field replaced;
+    int() would truncate each of these values to a valid system."""
+    doc = constraint_set_to_dict(contradiction_instance(0.0, 0.0, +1))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "command,content",
@@ -258,8 +271,28 @@ class TestMalformedInput:
                 '{"format_version": 1, "context": {"kappa": 1},'
                 ' "variables": [{"id": 0, "tag": "A", "angles": [1e999]}], "constraints": []}',
             ),
+            ("compile", "[[true, 0, 0, 0]]"),
+            ("compile", '["1234"]'),
+            ("solve", _contradiction_document(["constraints", 0, "required_sign"], 1.5)),
+            ("solve", _contradiction_document(["constraints", 0, "required_sign"], True)),
+            ("solve", _contradiction_document(["constraints", 0, "required_sign"], -1.5)),
+            ("solve", _contradiction_document(["constraints", 0, "vars", 0], 0.9)),
+            ("solve", _contradiction_document(["context", "kappa"], 1.7)),
         ],
-        ids=["null-settings", "null-setting", "bare-list", "null-variables", "infinite-angle"],
+        ids=[
+            "null-settings",
+            "null-setting",
+            "bare-list",
+            "null-variables",
+            "infinite-angle",
+            "bool-angle",
+            "string-setting",
+            "fractional-sign",
+            "bool-sign",
+            "negative-fractional-sign",
+            "fractional-variable-id",
+            "fractional-kappa",
+        ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, command, content):
         infile, out = tmp_path / "in.json", tmp_path / "out.json"

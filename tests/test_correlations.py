@@ -1,11 +1,12 @@
 import io
+import json
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from bellswap import correlations, quantum
+from bellswap.cli import main
 from bellswap.correlations import (
     OUTCOME_ORDER,
     PhaseClass,
@@ -96,7 +97,7 @@ class TestJointBellProbabilities:
 
 def projected_distribution(angles):
     """Reference: project the rotated state onto each (b, c) Bell vector."""
-    tensor = apply_all_rotations(make_vw_state(), angles).as_tensor()
+    tensor = apply_all_rotations(make_vw_state(), angles).reshape(2, 2, 2, 2)
     dist = {}
     for bell in BELL_ORDER:
         amp_ad = np.einsum("bc,abcd->ad", BELL_VECTORS[bell].conj(), tensor)
@@ -140,40 +141,37 @@ class TestBellPolarizationDistribution:
 
 
 @pytest.fixture
-def rotation_calls(monkeypatch):
-    """Count apply_all_rotations calls made through any bellswap module."""
-    calls = []
-    original = quantum.apply_all_rotations
+def rotation_batches(monkeypatch):
+    """Sizes of the batches rotated through quantum._rotate_all, which every
+    state build goes through."""
+    batches = []
+    original = quantum._rotate_all
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(amplitudes, angles):
+        batches.append(len(angles))
+        return original(amplitudes, angles)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("bellswap") and getattr(module, "apply_all_rotations", None) is original:
-            monkeypatch.setattr(module, "apply_all_rotations", counting)
-    return calls
+    monkeypatch.setattr(quantum, "_rotate_all", counting)
+    return batches
 
 
 class TestSinglePass:
-    def test_report_rotates_the_state_once(self, rotation_calls):
+    def test_report_rotates_the_state_once(self, rotation_batches):
         perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
-        assert len(rotation_calls) == 1
+        assert rotation_batches == [1]
 
-    def test_verify_qm_decomposes_in_one_batched_pass(self, monkeypatch):
-        # every state build goes through quantum._rotate_all; the sweep rotates
-        # its 1 random + 100 family settings in one call, the reports none
-        batches = []
-        original = quantum._rotate_all
-
-        def counting(amplitudes, angles):
-            batches.append(len(angles))
-            return original(amplitudes, angles)
-
-        monkeypatch.setattr(quantum, "_rotate_all", counting)
+    def test_verify_qm_decomposes_in_one_batched_pass(self, rotation_batches):
+        # the sweep rotates its 1 random + 100 family settings in one call,
+        # the reports none
         report = run_qm_verification(grid=1)
         assert (report["random_settings"], report["family_settings"]) == (1, 100)
-        assert batches == [101]
+        assert rotation_batches == [101]
+
+    def test_decompose_decomposes_once(self, rotation_batches, capsys):
+        # the tables and the perfect-correlation report share one C
+        assert main(["decompose", "--phi2", str(PI / 4), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["perfect_correlations"]["holds"]
+        assert rotation_batches == [1]
 
     def test_report_classifies_each_sector_once(self, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,3 +213,15 @@ class TestConstraintSetInvariants:
     def test_context_kappa_validated(self):
         with pytest.raises(ValueError):
             HiddenContext(kappa=2)
+
+    def test_equality_compares_context_variables_and_constraints(self):
+        cs = contradiction_instance(0.0, 0.0, +1)
+        assert cs == contradiction_instance(0.0, 0.0, +1)
+        assert cs == cs.copy()
+        flipped = cs.copy()
+        first = flipped.constraints[0]
+        flipped.constraints[0] = replace(first, required_sign=-first.required_sign)
+        assert cs != flipped
+        other_kappa = replace(cs.copy(), context=CTX_MINUS)
+        assert cs != other_kappa
+        assert cs != contradiction_instance(0.0, 0.1, +1)

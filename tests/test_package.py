@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import bellswap
@@ -7,6 +8,23 @@ import bellswap
 
 def test_every_exported_name_resolves():
     missing = [name for name in bellswap.__all__ if not hasattr(bellswap, name)]
+    assert missing == []
+
+
+def test_every_module_exported_name_resolves():
+    # a name deleted from a module but left in its __all__ breaks star imports
+    modules = [
+        importlib.import_module(f"bellswap.{info.name}")
+        for info in pkgutil.iter_modules(bellswap.__path__)
+        if info.name != "__main__"
+    ]
+    assert len(modules) >= 7
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
     assert missing == []
 
 

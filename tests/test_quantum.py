@@ -5,12 +5,11 @@ import pytest
 from reference_qm import reference_coefficients
 
 from bellswap.quantum import (
+    BELL_INDEX,
     BELL_ORDER,
     AngleSettings,
     BellOutcome,
-    FourPhotonState,
     apply_all_rotations,
-    basis_index,
     bell_bell_amplitudes_closed_form,
     bell_bell_amplitudes_numeric,
     bell_bell_coefficients,
@@ -18,67 +17,80 @@ from bellswap.quantum import (
     compute_phases,
     make_vw_state,
     rotate_photon,
-    rotation_matrix,
 )
 from bellswap.verification import _FAMILIES
 
 PI = math.pi
 
 
-def random_state(rng) -> FourPhotonState:
+def random_state(rng) -> np.ndarray:
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    return FourPhotonState(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def amplitude(state: np.ndarray, a: int, b: int, c: int, d: int) -> complex:
+    """Amplitude of |p_a p_b p_c p_d>, H = 0 and V = 1."""
+    return complex(state.reshape(2, 2, 2, 2)[a, b, c, d])
+
+
+def basis_state(a: int, b: int, c: int, d: int) -> np.ndarray:
+    state = np.zeros((2, 2, 2, 2), dtype=complex)
+    state[a, b, c, d] = 1.0
+    return state.reshape(16)
+
+
+def coeff(coeffs: np.ndarray, bc: BellOutcome, ad: BellOutcome) -> complex:
+    return complex(coeffs[BELL_INDEX[bc], BELL_INDEX[ad]])
 
 
 class TestVwState:
     def test_expanded_amplitudes(self):
+        # exact: a rounded +-0.5 would change the printed decompose digits
         state = make_vw_state()
-        assert state.amplitude(0, 1, 0, 1) == pytest.approx(0.5)
-        assert state.amplitude(0, 1, 1, 0) == pytest.approx(-0.5)
-        assert state.amplitude(1, 0, 0, 1) == pytest.approx(-0.5)
-        assert state.amplitude(1, 0, 1, 0) == pytest.approx(0.5)
+        assert state.shape == (16,)
+        assert amplitude(state, 0, 1, 0, 1) == 0.5
+        assert amplitude(state, 0, 1, 1, 0) == -0.5
+        assert amplitude(state, 1, 0, 0, 1) == -0.5
+        assert amplitude(state, 1, 0, 1, 0) == 0.5
 
     def test_absent_terms_vanish(self):
         state = make_vw_state()
-        assert state.amplitude(0, 0, 0, 0) == 0
-        present = {
-            basis_index(0, 1, 0, 1),
-            basis_index(0, 1, 1, 0),
-            basis_index(1, 0, 0, 1),
-            basis_index(1, 0, 1, 0),
-        }
-        for i in range(16):
-            if i not in present:
-                assert state.amplitudes[i] == 0
+        assert amplitude(state, 0, 0, 0, 0) == 0
+        present = {(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)}
+        for index in np.ndindex(2, 2, 2, 2):
+            if index not in present:
+                assert amplitude(state, *index) == 0
 
     def test_normalized(self):
-        assert make_vw_state().norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(make_vw_state()) == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitudes_immutable(self):
         state = make_vw_state()
         with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0
+            state[0] = 1.0
 
 
 class TestRotation:
     def test_zero_angle_is_identity(self):
         state = make_vw_state()
         rotated = rotate_photon(state, 2, 0.0)
-        np.testing.assert_array_equal(rotated.amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(rotated, state)
 
     def test_quarter_turn_sends_h_to_v(self):
-        r = rotation_matrix(PI / 2)
-        h, v = np.array([1, 0]), np.array([0, 1])
-        np.testing.assert_allclose(r @ h, v, atol=1e-15)
-        np.testing.assert_allclose(r @ v, -h, atol=1e-15)
+        # R(pi/2)|H> = |V> and R(pi/2)|V> = -|H> on each photon in turn
+        for photon in range(4):
+            h, v = [0, 0, 0, 0], [0, 0, 0, 0]
+            v[photon] = 1
+            rotated_h = rotate_photon(basis_state(*h), photon, PI / 2)
+            rotated_v = rotate_photon(basis_state(*v), photon, PI / 2)
+            np.testing.assert_allclose(rotated_h, basis_state(*v), atol=1e-15)
+            np.testing.assert_allclose(rotated_v, -basis_state(*h), atol=1e-15)
 
     def test_quarter_turn_on_state(self):
         # photon b in H everywhere it appears: use |H H H H>
-        amps = np.zeros(16)
-        amps[basis_index(0, 0, 0, 0)] = 1.0
-        rotated = rotate_photon(FourPhotonState(amps), 1, PI / 2)
-        assert rotated.amplitude(0, 1, 0, 0) == pytest.approx(1.0)
-        assert abs(rotated.amplitude(0, 0, 0, 0)) < 1e-15
+        rotated = rotate_photon(basis_state(0, 0, 0, 0), 1, PI / 2)
+        assert amplitude(rotated, 0, 1, 0, 0) == pytest.approx(1.0)
+        assert abs(amplitude(rotated, 0, 0, 0, 0)) < 1e-15
 
     def test_norm_preserved_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -86,8 +98,8 @@ class TestRotation:
             state = random_state(rng)
             photon = int(rng.integers(4))
             phi = float(rng.uniform(-10, 10))
-            assert rotate_photon(state, photon, phi).norm() == pytest.approx(
-                state.norm(), abs=1e-12
+            assert np.linalg.norm(rotate_photon(state, photon, phi)) == pytest.approx(
+                np.linalg.norm(state), abs=1e-12
             )
 
     def test_bad_photon_index(self):
@@ -99,7 +111,7 @@ class TestApplyAllRotations:
     def test_zeros_leave_state_unchanged(self):
         state = make_vw_state()
         out = apply_all_rotations(state, AngleSettings(0, 0, 0, 0))
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(out, state, atol=1e-15)
 
     def test_order_independent(self):
         rng = np.random.default_rng(3)
@@ -109,7 +121,7 @@ class TestApplyAllRotations:
         backward = state
         for photon, phi in reversed(list(enumerate(angles.as_tuple()))):
             backward = rotate_photon(backward, photon, phi)
-        assert np.max(np.abs(forward.amplitudes - backward.amplitudes)) < 1e-14
+        assert np.max(np.abs(forward - backward)) < 1e-14
 
     def test_pairwise_shift_invariance(self):
         rng = np.random.default_rng(11)
@@ -121,27 +133,23 @@ class TestApplyAllRotations:
             )
             a = bell_bell_amplitudes_numeric(apply_all_rotations(make_vw_state(), base))
             b = bell_bell_amplitudes_numeric(apply_all_rotations(make_vw_state(), shifted))
-            assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 class TestPhases:
     def test_quarter_wave_plates(self):
-        phases = compute_phases(AngleSettings(0, PI / 4, 0, PI / 4))
-        assert phases.xi == pytest.approx(-PI / 2)
-        assert phases.eta == pytest.approx(0.0)
+        xi, eta = compute_phases(AngleSettings(0, PI / 4, 0, PI / 4))
+        assert xi == pytest.approx(-PI / 2)
+        assert eta == pytest.approx(0.0)
 
     def test_zeros(self):
-        phases = compute_phases(AngleSettings(0, 0, 0, 0))
-        assert phases.xi == 0.0
-        assert phases.eta == 0.0
+        assert compute_phases(AngleSettings(0, 0, 0, 0)) == (0.0, 0.0)
 
     def test_equal_pairs_cancel_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             a, b = rng.uniform(-10, 10, size=2)
-            phases = compute_phases(AngleSettings(a, a, b, b))
-            assert phases.xi == 0.0
-            assert phases.eta == 0.0
+            assert compute_phases(AngleSettings(a, a, b, b)) == (0.0, 0.0)
 
     def test_angles_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -153,24 +161,25 @@ class TestPhases:
 class TestDoubleBellDecomposition:
     def test_zero_angles_numeric(self):
         coeffs = bell_bell_amplitudes_numeric(make_vw_state())
-        assert coeffs.coeff(BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS) == pytest.approx(-0.5)
-        assert coeffs.coeff(BellOutcome.PHI_MINUS, BellOutcome.PHI_MINUS) == pytest.approx(0.5)
-        assert coeffs.coeff(BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS) == pytest.approx(0.5)
-        assert coeffs.coeff(BellOutcome.PSI_MINUS, BellOutcome.PSI_MINUS) == pytest.approx(-0.5)
-        off_diagonal = coeffs.coeffs[~np.eye(4, dtype=bool)]
+        assert coeffs.shape == (4, 4)
+        assert coeff(coeffs, BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS) == pytest.approx(-0.5)
+        assert coeff(coeffs, BellOutcome.PHI_MINUS, BellOutcome.PHI_MINUS) == pytest.approx(0.5)
+        assert coeff(coeffs, BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS) == pytest.approx(0.5)
+        assert coeff(coeffs, BellOutcome.PSI_MINUS, BellOutcome.PSI_MINUS) == pytest.approx(-0.5)
+        off_diagonal = coeffs[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diagonal)) < 1e-15
 
     def test_zero_angles_closed_form_matches_numeric(self):
         closed = bell_bell_amplitudes_closed_form(AngleSettings(0, 0, 0, 0))
         numeric = bell_bell_amplitudes_numeric(make_vw_state())
-        assert np.max(np.abs(closed.coeffs - numeric.coeffs)) < 1e-10
+        assert np.max(np.abs(closed - numeric)) < 1e-10
 
     def test_quarter_wave_swaps_kappa_plus_block(self):
         closed = bell_bell_amplitudes_closed_form(AngleSettings(0, PI / 4, 0, PI / 4))
-        assert closed.coeff(BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS) == pytest.approx(
+        assert coeff(closed, BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS) == pytest.approx(
             0.0, abs=1e-15
         )
-        assert closed.coeff(BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS) == pytest.approx(-0.5)
+        assert coeff(closed, BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS) == pytest.approx(-0.5)
 
     def test_closed_form_matches_numeric_on_random_settings(self):
         rng = np.random.default_rng(17)
@@ -180,7 +189,7 @@ class TestDoubleBellDecomposition:
             numeric = bell_bell_amplitudes_numeric(
                 apply_all_rotations(make_vw_state(), angles)
             )
-            assert np.max(np.abs(closed.coeffs - numeric.coeffs)) < 1e-10
+            assert np.max(np.abs(closed - numeric)) < 1e-10
 
     def test_basis_is_complete(self):
         rng = np.random.default_rng(23)
@@ -189,7 +198,7 @@ class TestDoubleBellDecomposition:
             numeric = bell_bell_amplitudes_numeric(
                 apply_all_rotations(make_vw_state(), angles)
             )
-            assert numeric.total_weight() == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(np.abs(numeric) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_order_is_pinned(self):
         assert [b.value for b in BELL_ORDER] == ["phi+", "phi-", "psi+", "psi-"]
@@ -221,8 +230,22 @@ class TestBatchedKernel:
         numeric, closed = bell_bell_coefficients(batch), bell_bell_coefficients_closed_form(batch)
         for i, angles in enumerate(settings):
             state = apply_all_rotations(make_vw_state(), angles)
-            assert np.array_equal(bell_bell_amplitudes_numeric(state).coeffs, numeric[i])
-            assert np.array_equal(bell_bell_amplitudes_closed_form(angles).coeffs, closed[i])
+            assert np.array_equal(bell_bell_amplitudes_numeric(state), numeric[i])
+            assert np.array_equal(bell_bell_amplitudes_closed_form(angles), closed[i])
+
+    def test_one_setting_results_are_read_only(self):
+        angles = AngleSettings(0.1, 0.2, 0.3, 0.4)
+        state = apply_all_rotations(make_vw_state(), angles)
+        results = (
+            make_vw_state(),
+            rotate_photon(make_vw_state(), 0, 0.1),
+            state,
+            bell_bell_amplitudes_numeric(state),
+            bell_bell_amplitudes_closed_form(angles),
+        )
+        for result in results:
+            with pytest.raises(ValueError):
+                result[0] = 1.0
 
     @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 1)])
     def test_rejects_other_shapes(self, shape):
