@@ -15,7 +15,9 @@ Subcommands:
 
 Exit codes: 0 = checks passed / expected result, 1 = violation or unexpected
 result, 2 = usage error, unreadable input or unwritable output.  Angles are
-radians unless --degrees is given.
+radians unless --degrees is given.  ``main`` builds the parser once per process
+and finds each command's ``cmd_*`` by name at call time, so a wrapped or
+patched one is the one that runs.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .solver import SolveStatus, enumerate_solve, gf2_solve, verify_certificate
 from .verification import CLOSED_FORM_TOL, run_qm_verification
 
 _METHODS = {"enumerate": enumerate_solve, "gf2": gf2_solve}
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
 def _to_radians(value: float, degrees: bool) -> float:
@@ -218,7 +221,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
 
 #: What malformed input files raise while loading: unreadable files, bad JSON,
 #: documents of the wrong shape (missing keys, nulls, lists for objects), and
-#: infinite variable angles, which cannot be put on the angle grid.
+#: integer angles too large for a float.
 _LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
@@ -313,14 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--json", action="store_true", help="JSON output instead of tables")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify-qm", help="check all exact predictions over a sweep")
     p.add_argument("--grid", type=_POSITIVE_INT, default=4, help="random sweep size is grid**4")
     p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--seed", type=_NONNEGATIVE_INT, default=12345, help="sweep RNG seed")
     p.add_argument("--out", help="also write the JSON report here")
-    p.set_defaults(func=cmd_verify_qm)
 
     p = sub.add_parser("simulate", help="sample Bell/polarization events to CSV")
     _add_angle_flags(p)
@@ -329,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_NONNEGATIVE_INT, default=42, help="sampler seed")
     p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("refute", help="certify the two-setting contradiction")
     p.add_argument(
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compile the double Bell arrangement instead (satisfiable)",
     )
-    p.set_defaults(func=cmd_refute)
 
     p = sub.add_parser("compile", help="compile settings into a constraint system")
     p.add_argument("--settings", required=True, help="JSON file with angle settings")
@@ -364,20 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", action="store_true", help="settings file is in degrees")
     p.add_argument("--label", default="", help="context label")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("solve", help="decide a constraint-system file")
     p.add_argument("--in", dest="infile", required=True, help="constraint-system JSON")
     p.add_argument("--method", choices=sorted(_METHODS), default="enumerate")
     p.add_argument("--expect", choices=("sat", "unsat"), help="fail unless this status")
-    p.set_defaults(func=cmd_solve)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ index plus one of 16 fixed suffixes.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Sequence
 
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
@@ -91,6 +92,14 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A finite JSON number, by exact type: float() reads true as 1.0 and "0.5"
+    as 0.5, and json reads NaN and Infinity."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def constraint_set_from_dict(doc: dict) -> ConstraintSet:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -106,7 +115,7 @@ def constraint_set_from_dict(doc: dict) -> ConstraintSet:
         variables.append(
             SignVariable(
                 tag=FunctionTag(entry["tag"]),
-                keys=tuple(quantize_angle(float(a)) for a in entry["angles"]),
+                keys=tuple(quantize_angle(_number(a, "angle")) for a in entry["angles"]),
             )
         )
     constraints: list[ParityConstraint] = []
@@ -114,14 +123,14 @@ def constraint_set_from_dict(doc: dict) -> ConstraintSet:
         if _integer(entry["id"], "constraint id") != i:
             raise ValueError("constraint ids must be 0..n-1 in order")
         prov = entry["provenance"]
-        angles = tuple(float(a) for a in prov["angles"])
+        angles = tuple(_number(a, "provenance angle") for a in prov["angles"])
         if len(angles) != 4:
             raise ValueError("provenance angles must have 4 entries")
         constraints.append(
             ParityConstraint(
                 var_ids=tuple(_integer(v, "constraint variable") for v in entry["vars"]),
                 required_sign=_integer(entry["required_sign"], "required_sign"),
-                provenance=Provenance(angles, float(prov["zeta"]), str(prov["equation"])),
+                provenance=Provenance(angles, _number(prov["zeta"], "zeta"), str(prov["equation"])),
             )
         )
     return ConstraintSet(context=context, variables=variables, constraints=constraints)

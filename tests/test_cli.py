@@ -249,7 +249,7 @@ class TestCompileSolve:
 
 def _contradiction_document(path: list, value) -> str:
     """The contradiction_instance(0, 0, +1) file with one field replaced;
-    int() would truncate each of these values to a valid system."""
+    int() or float() would read each of these values as a valid system."""
     doc = constraint_set_to_dict(contradiction_instance(0.0, 0.0, +1))
     target = doc
     for key in path[:-1]:
@@ -278,6 +278,15 @@ class TestMalformedInput:
             ("solve", _contradiction_document(["constraints", 0, "required_sign"], -1.5)),
             ("solve", _contradiction_document(["constraints", 0, "vars", 0], 0.9)),
             ("solve", _contradiction_document(["context", "kappa"], 1.7)),
+            ("solve", _contradiction_document(["variables", 0, "angles"], [True])),
+            ("solve", _contradiction_document(["variables", 0, "angles", 0], "0.5")),
+            ("solve", _contradiction_document(["constraints", 0, "provenance", "angles", 0], True)),
+            ("solve", _contradiction_document(["constraints", 0, "provenance", "zeta"], "0.5")),
+            ("solve", _contradiction_document(["constraints", 0, "provenance", "zeta"], math.nan)),
+            (
+                "solve",
+                _contradiction_document(["constraints", 0, "provenance", "angles", 0], math.inf),
+            ),
         ],
         ids=[
             "null-settings",
@@ -292,6 +301,12 @@ class TestMalformedInput:
             "negative-fractional-sign",
             "fractional-variable-id",
             "fractional-kappa",
+            "bool-variable-angle",
+            "string-variable-angle",
+            "bool-provenance-angle",
+            "string-zeta",
+            "nan-zeta",
+            "infinite-provenance-angle",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, command, content):
@@ -445,3 +460,53 @@ class TestUsageErrors:
         message = captured.err.splitlines()[-1]
         assert message.endswith(f"argument {flag}: must be {allowed}, got {value}")
         assert not out.exists()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
+        for argv in (["refute"], ["decompose", "--json"], ["refute", "--fig2"]):
+            assert main(argv) == 0
+        assert builds == [1]
+
+    def test_patched_command_runs_after_the_parser_is_cached(self, capsys, monkeypatch):
+        assert main(["refute"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_refute", lambda args: calls.append(args.kappa) or 7)
+        assert main(["refute", "--kappa=-1"]) == 7
+        assert calls == [-1]
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        sequence = [
+            ["decompose", "--json"],
+            ["decompose"],
+            ["decompose", "--bogus", "1"],
+            ["refute", "--fig2", "--kappa=-1"],
+            ["refute"],
+            ["verify-qm", "--grid", "1"],
+            ["--help"],
+            ["refute", "--help"],
+        ]
+
+        def fresh(argv):
+            args = cli.build_parser().parse_args(argv)
+            return getattr(cli, "cmd_" + args.command.replace("-", "_"))(args)
+
+        def outcome(call, argv):
+            try:
+                code = call(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        for _ in range(2):
+            codes = []
+            for argv in sequence:
+                cached = outcome(main, argv)
+                assert cached == outcome(fresh, argv), argv
+                codes.append(cached[0])
+            assert codes == [0, 0, 2, 0, 0, 0, 0, 0]

@@ -4,6 +4,7 @@ import pkgutil
 from pathlib import Path
 
 import bellswap
+from bellswap import cli
 
 
 def test_every_exported_name_resolves():
@@ -28,12 +29,17 @@ def test_every_module_exported_name_resolves():
     assert missing == []
 
 
-def test_every_traced_function_resolves():
-    # the benchmark's tracer wraps these names; a rename must not break it
+def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bellswap_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's tracer wraps these names; a rename must not break it
+    tracing = _load_tracing()
     missing = [
         f"{layer}.{name}"
         for layer, names in tracing.LAYERS.items()
@@ -41,3 +47,20 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"bellswap.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_tracer_attributes_commands_run_by_a_cached_parser(capsys):
+    # the benchmark's warm-up caches the parser before its tracer installs
+    tracing = _load_tracing()
+    assert cli.main(["refute"]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["refute"]) == 0
+        assert cli.main(["refute", "--fig2"]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert [name for name, *_ in spans].count("cli.main") == 2
+    parents = [spans[parent][0] for name, _, _, parent, _ in spans if name == "cli.cmd_refute"]
+    assert parents == ["cli.main", "cli.main"]
