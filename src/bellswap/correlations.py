@@ -20,9 +20,9 @@ rotated state is brute-force projected onto the double Bell basis, giving
 the 4x4 coefficient matrix C (quantum.bell_bell_coefficients, which does a
 whole batch of settings in one pass).  The double Bell probabilities are
 |C|^2; row X of C, expanded in the Bell vectors, gives the (a, d) amplitudes
-of Bell outcome X and so the Bell/polarization distribution; the sector
-reports read both, so a caller holding C for a setting (the verify-qm sweep)
-builds the report without decomposing again.
+of Bell outcome X and so the Bell/polarization distribution.  The sector
+reports read both in one array pass over a batch of settings and their C; one
+report is a batch of one.  One rule classifies zeta, as a float or an array.
 
 A sampled event is an index into OUTCOME_ORDER: each of the 16 outcomes fixes
 the Bell state, both polarizations and so kappa, F, a, d and the product.
@@ -106,13 +106,40 @@ OUTCOME_ORDER: tuple[tuple[BellOutcome, Polarization, Polarization], ...] = tupl
     for pol_d in (Polarization.H, Polarization.V)
 )
 
-#: Sector parity of each row of C; sector parity and product a*F*d of each
-#: outcome in OUTCOME_ORDER.
-_ROW_KAPPA = np.array([_KAPPA[bell] for bell in BELL_ORDER])
-_OUTCOME_KAPPA = np.array([_KAPPA[bell] for bell, _, _ in OUTCOME_ORDER])
-_OUTCOME_PRODUCT = np.array(
-    [_F_VALUE[bell] * pol_a.sign * pol_d.sign for bell, pol_a, pol_d in OUTCOME_ORDER]
-)
+#: Product a*F*d of each outcome in OUTCOME_ORDER.
+_OUTCOME_PRODUCT = [_F_VALUE[bell] * a.sign * d.sign for bell, a, d in OUTCOME_ORDER]
+
+#: The sectors, in the column order of the batched sector arrays, and the
+#: sign with which phi3 - phi4 enters each one's zeta.
+_SECTORS = (+1, -1)
+_SECTOR_SIGNS = np.array(_SECTORS, dtype=float)
+_SECTOR_ROWS = np.arange(len(_SECTORS))
+
+#: Bell-to-Bell pairing that a sector's certain product implies, by (kappa,
+#: product): identity at zeta in {0, +-pi}, swapped at +-pi/2.
+_PAIRING = {
+    (k, c): dict(zip(SECTOR_OUTCOMES[k], SECTOR_OUTCOMES[k][::c])) for k in (1, -1) for c in (1, -1)
+}
+
+
+def _summed_cells(kappa: int, claim: int) -> list[int]:
+    """The cells of a setting's 32 probabilities (16 outcomes, then |C|^2
+    flattened) that sector kappa sums under a claimed product: its 8
+    outcomes, the 4 of them whose product contradicts the claim, and the 6
+    double Bell cells of its rows off the claim's pairing.  Each group
+    ascends, as a one-setting numpy sum reads it."""
+    outcomes = [i for i, (bell, _, _) in enumerate(OUTCOME_ORDER) if _KAPPA[bell] == kappa]
+    violating = [i for i in outcomes if _OUTCOME_PRODUCT[i] != claim]
+    pairing = _PAIRING[kappa, claim]
+    paired = {4 * BELL_INDEX[bc] + BELL_INDEX[ad] for bc, ad in pairing.items()}
+    unpaired = [16 + c for c in range(16) if BELL_ORDER[c // 4] in pairing and c not in paired]
+    return outcomes + violating + unpaired
+
+
+#: _summed_cells per sector, indexed by the sector's predicted product itself:
+#: entry 1 for +1, entry -1 for -1, and a placeholder at 0 (generic).
+_SUMMED_CELLS = np.array([[_summed_cells(k, c or +1) for c in (0, +1, -1)] for k in _SECTORS])
+_SUMS = (slice(0, 8), slice(8, 12), slice(12, 18))
 
 
 def kappa_of(outcome: BellOutcome) -> int:
@@ -149,20 +176,27 @@ class PhaseClass(Enum):
         return None
 
 
-def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_TOL) -> PhaseClass:
-    """Classify zeta_kappa modulo 2*pi.
+def _predicted_product(zeta_value, tol: float):
+    """The certain value of a*F*d at sector phase zeta (a float, or an array
+    of them): +1 at zeta in {0, +-pi}, -1 at +-pi/2, 0 if generic.
 
     Reduction modulo pi folds 0, +-pi onto 0 and +-pi/2 onto pi/2, so the
-    comparison needs only two distances.
+    comparison needs only two distances; below pi/4 they never both hold.
     """
     if not 0 < tol < MAX_ANGLE_TOL:
         raise ValueError(f"tol must be > 0 and < pi/4, got {tol}")
-    residue = zeta(angles, kappa) % math.pi
-    if residue < tol or math.pi - residue < tol:
-        return PhaseClass.ZERO_OR_PI
-    if abs(residue - math.pi / 2) < tol:
-        return PhaseClass.HALF_PI
-    return PhaseClass.GENERIC
+    residue = zeta_value % math.pi
+    zero_or_pi = (residue < tol) | (math.pi - residue < tol)
+    half_pi = abs(residue - math.pi / 2) < tol
+    return 1 * zero_or_pi - half_pi
+
+
+_PHASE_CLASS = {+1: PhaseClass.ZERO_OR_PI, -1: PhaseClass.HALF_PI, 0: PhaseClass.GENERIC}
+
+
+def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_TOL) -> PhaseClass:
+    """Classify zeta_kappa modulo 2*pi."""
+    return _PHASE_CLASS[_predicted_product(zeta(angles, kappa), tol)]
 
 
 def rotated_vw_state(angles: AngleSettings) -> np.ndarray:
@@ -180,7 +214,7 @@ def _outcome_probabilities(coeffs: np.ndarray) -> np.ndarray:
     """Bell/polarization probabilities from C (or a stack of them), shaped
     (..., bell, pol_a, pol_d) in OUTCOME_ORDER: row X of C expanded in the
     (a, d) Bell vectors."""
-    ket = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER])
+    ket = np.array([BELL_VECTORS[bell] for bell in BELL_ORDER])
     return np.abs(np.einsum("...xy,yad->...xad", coeffs, ket)) ** 2
 
 
@@ -203,24 +237,16 @@ def bell_polarization_distribution(
     return dict(zip(OUTCOME_ORDER, probs.ravel().tolist()))
 
 
-def _classify_sectors(angles: AngleSettings, tol: float) -> dict[int, PhaseClass]:
-    return {kappa: classify_zeta(angles, kappa, tol) for kappa in (+1, -1)}
-
-
-def _violation_mask(classes: dict[int, PhaseClass]) -> np.ndarray:
-    mask = np.zeros(len(OUTCOME_ORDER), dtype=bool)
-    for kappa, phase_class in classes.items():
-        predicted = phase_class.predicted_product
-        if predicted is not None:
-            mask |= (_OUTCOME_KAPPA == kappa) & (_OUTCOME_PRODUCT != predicted)
-    return mask
-
-
 def violating_outcomes(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
     """Mask over OUTCOME_ORDER of the outcomes whose product a*F*d contradicts
     the certain value of their sector at this setting.  A generic sector
     claims no value, so none of its outcomes violate."""
-    return _violation_mask(_classify_sectors(angles, tol))
+    mask = np.zeros(len(OUTCOME_ORDER), dtype=bool)
+    for sector, kappa in enumerate(_SECTORS):
+        claim = _predicted_product(zeta(angles, kappa), tol)
+        if claim:
+            mask[_SUMMED_CELLS[sector, claim, _SUMS[1]]] = True
+    return mask
 
 
 def sample_events(angles: AngleSettings, n: int, seed: int) -> np.ndarray:
@@ -295,13 +321,6 @@ class PerfectCorrelationReport:
         }
 
 
-def _sector_pairing(kappa: int, phase_class: PhaseClass) -> dict[BellOutcome, BellOutcome]:
-    first, second = SECTOR_OUTCOMES[kappa]
-    if phase_class is PhaseClass.ZERO_OR_PI:
-        return {first: first, second: second}
-    return {first: second, second: first}
-
-
 def perfect_correlation_report(
     angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL
 ) -> PerfectCorrelationReport:
@@ -317,38 +336,46 @@ def perfect_correlation_report(
     return _correlation_report(angles, _decompose(angles), tol)
 
 
+def _sector_arrays(settings: np.ndarray, coeffs: np.ndarray, tol: float) -> tuple:
+    """Both sectors' values for an (N, 4) batch of settings and their (N, 4, 4)
+    coefficients C, in one array pass: zeta, predicted product (0 if generic,
+    whose violations mean nothing), sector probability, product violation and
+    pairing violation, each (N, 2) with columns kappa +1 and -1.  A sum reads
+    the cells in a one-setting sum's order, so it does not depend on the batch."""
+    left, right = (settings[:, ::2] - settings[:, 1::2]).T
+    zetas = left[:, None] + right[:, None] * _SECTOR_SIGNS
+    predicted = _predicted_product(zetas, tol)
+    outcomes = _outcome_probabilities(coeffs).reshape(-1, 16)
+    probs = np.concatenate([outcomes, (np.abs(coeffs) ** 2).reshape(-1, 16)], axis=1)
+    # row n, sector s reads the cells _SUMMED_CELLS[s, predicted[n, s]] of probs[n]
+    picked = probs[np.arange(len(probs))[:, None, None], _SUMMED_CELLS[_SECTOR_ROWS, predicted]]
+    return (zetas, predicted, *(picked[..., cells].sum(axis=2) for cells in _SUMS))
+
+
 def _correlation_report(
     angles: AngleSettings, coeffs: np.ndarray, tol: float
 ) -> PerfectCorrelationReport:
-    """perfect_correlation_report from the setting's numeric coefficients C."""
-    dist = _outcome_probabilities(coeffs)
-    bell_probs = np.abs(coeffs) ** 2
-    classes = _classify_sectors(angles, tol)
-    violating = _violation_mask(classes).reshape(dist.shape)
+    """perfect_correlation_report from the setting's numeric coefficients C:
+    the one-setting case of _sector_arrays."""
+    values = _sector_arrays(np.array([angles.as_tuple()]), coeffs[None], tol)
     sectors = []
-    for kappa, phase_class in classes.items():
-        predicted = phase_class.predicted_product
-        rows = _ROW_KAPPA == kappa
-        violation = pairing = pairing_violation = None
-        if predicted is not None:
-            violation = float(dist[rows][violating[rows]].sum())
-            pairing = _sector_pairing(kappa, phase_class)
-            unpaired = np.ones((4, 4), dtype=bool)
-            for bc, ad in pairing.items():
-                unpaired[BELL_INDEX[bc], BELL_INDEX[ad]] = False
-            pairing_violation = float(bell_probs[rows][unpaired[rows]].sum())
+    for kappa, zeta_value, claim, probability, violation, pairing_violation in zip(
+        _SECTORS, *(array[0].tolist() for array in values)
+    ):
+        if not claim:  # a generic sector claims nothing
+            violation = pairing_violation = None
         sectors.append(
             SectorReport(
                 kappa=kappa,
-                zeta=zeta(angles, kappa),
-                phase_class=phase_class,
-                predicted_product=predicted,
-                sector_probability=float(dist[rows].sum()),
+                zeta=zeta_value,
+                phase_class=_PHASE_CLASS[claim],
+                predicted_product=claim or None,
+                sector_probability=probability,
                 violation_probability=violation,
                 product_certain=None if violation is None else violation < CERTAINTY_TOL,
-                bell_pairing=pairing,
+                bell_pairing=dict(_PAIRING[kappa, claim]) if claim else None,
                 pairing_violation_probability=pairing_violation,
-                pairing_certain=None if pairing is None else pairing_violation < CERTAINTY_TOL,
+                pairing_certain=None if violation is None else pairing_violation < CERTAINTY_TOL,
             )
         )
     return PerfectCorrelationReport(angles=angles, sectors=tuple(sectors))

@@ -5,11 +5,11 @@ conservation and normalization on random settings, and checks every claimed
 certainty on the special-phase angle families.  Used by the verify-qm
 command; any violation is reported with the offending setting.
 
-The sweep is batched: the settings form one (N, 4) array that is decomposed
-and checked in fixed-size chunks (quantum.bell_bell_coefficients and its
-closed form), so each per-setting check is an array reduction and memory
-stays bounded at large grids.  Each special-family report is built from that
-setting's row of C, without decomposing the state again.
+The sweep is batched: random settings are drawn from one stream a chunk at a
+time, and each chunk is decomposed and checked as an (N, 4) array, so memory
+stays bounded at any grid.  The family settings ride in the last chunk; all
+their reports are one array pass over their rows of C, without decomposing
+again.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import numpy as np
 from .correlations import (
     CERTAINTY_TOL,
     DEFAULT_ANGLE_TOL,
-    _correlation_report,
+    _SECTORS,
     _outcome_probabilities,
+    _sector_arrays,
     kappa_of,
 )
 from .quantum import (
@@ -54,13 +55,10 @@ _FAMILIES = (
 def special_family_settings(
     rng: np.random.Generator, per_family: int
 ) -> list[tuple[str, AngleSettings]]:
-    """Random instantiations of each special-phase family."""
-    out = []
-    for name, build in _FAMILIES:
-        for _ in range(per_family):
-            alpha, beta = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            out.append((name, build(alpha, beta)))
-    return out
+    """Random instantiations of each special-phase family, from one draw of
+    their (alpha, beta) pairs."""
+    pairs = rng.uniform(0.0, 2.0 * math.pi, size=(len(_FAMILIES), per_family, 2)).tolist()
+    return [(name, build(*pair)) for (name, build), row in zip(_FAMILIES, pairs) for pair in row]
 
 
 #: Double Bell outcomes (bc, ad) whose sector parities differ.
@@ -111,11 +109,7 @@ def run_qm_verification(
     if grid < 1:
         raise ValueError("grid must be >= 1")
     rng = np.random.default_rng(seed)
-    random_settings = rng.uniform(0.0, 2.0 * math.pi, size=(grid**4, 4))
-    family_settings = special_family_settings(rng, _PER_FAMILY)
-    settings = np.concatenate(
-        [random_settings, [setting.as_tuple() for _, setting in family_settings]]
-    )
+    n_random = grid**4
 
     checks = {
         "closed_form_vs_numeric": {"max_value": 0.0, "threshold": CLOSED_FORM_TOL},
@@ -126,44 +120,41 @@ def run_qm_verification(
     }
     violations: list[dict] = []
 
-    def record(check: str, value: float, angles: AngleSettings, detail: str = "") -> None:
-        entry = checks[check]
-        entry["max_value"] = max(entry["max_value"], value)
-        if value >= entry["threshold"]:
+    def record(names, values: np.ndarray, settings: np.ndarray, detail=lambda row, col: ""):
+        """Fold the (N, k) values of the checks ``names`` at N settings in."""
+        for name, worst in zip(names, values.max(axis=0).tolist()):
+            checks[name]["max_value"] = max(checks[name]["max_value"], worst)
+        thresholds = [checks[name]["threshold"] for name in names]
+        for row, col in zip(*np.nonzero(values >= thresholds)):
             violations.append(
                 {
-                    "check": check,
-                    "angles": list(angles.as_tuple()),
-                    "value": value,
-                    "detail": detail,
+                    "check": names[col],
+                    "angles": settings[row].tolist(),
+                    "value": values[row, col].item(),
+                    "detail": detail(row, col),
                 }
             )
 
-    thresholds = np.array([checks[check]["threshold"] for check in _SWEEP_CHECKS])
-    family_coeffs = []
-    for start in range(0, len(settings), _CHUNK):
-        batch = settings[start : start + _CHUNK]
+    for start in range(0, n_random, _CHUNK):
+        # one stream, drawn a chunk at a time; the family settings are drawn
+        # after every random one and ride in the last chunk
+        batch = rng.uniform(0.0, 2.0 * math.pi, size=(min(_CHUNK, n_random - start), 4))
+        if start + _CHUNK >= n_random:
+            family_settings = special_family_settings(rng, _PER_FAMILY)
+            batch = np.concatenate([batch, [angles.as_tuple() for _, angles in family_settings]])
         numeric = bell_bell_coefficients(batch)
         values = _sweep_values(numeric, bell_bell_coefficients_closed_form(batch))
-        for check, worst in zip(_SWEEP_CHECKS, values.max(axis=0).tolist()):
-            checks[check]["max_value"] = max(checks[check]["max_value"], worst)
-        for row, column in zip(*np.nonzero(values >= thresholds)):
-            record(_SWEEP_CHECKS[column], float(values[row, column]), AngleSettings(*batch[row]))
-        # the family settings come last; keep their rows for the reports
-        family_coeffs.extend(numeric[max(0, len(random_settings) - start) :])
+        record(_SWEEP_CHECKS, values, batch)
 
-    for (family, angles), coeffs in zip(family_settings, family_coeffs):
-        report = _correlation_report(angles, coeffs, tol)
-        for sector in report.sectors:
-            if sector.predicted_product is None:
-                continue
-            worst = max(sector.violation_probability, sector.pairing_violation_probability)
-            record(
-                "perfect_correlations",
-                worst,
-                angles,
-                detail=f"family {family}, kappa {sector.kappa:+d}",
-            )
+    # every family report at once; a generic sector claims nothing
+    family = slice(len(batch) - len(family_settings), None)
+    _, predicted, _, violation, pairing = _sector_arrays(batch[family], numeric[family], tol)
+    record(
+        ("perfect_correlations",) * 2,
+        np.where(predicted != 0, np.maximum(violation, pairing), 0.0),
+        batch[family],
+        lambda row, col: f"family {family_settings[row][0]}, kappa {_SECTORS[col]:+d}",
+    )
 
     passed = not violations
     for entry in checks.values():
@@ -174,7 +165,7 @@ def run_qm_verification(
         "grid": grid,
         "tol": tol,
         "seed": seed,
-        "random_settings": len(random_settings),
+        "random_settings": n_random,
         "family_settings": len(family_settings),
         "checks": checks,
         "violations": violations,

@@ -174,16 +174,38 @@ class TestSinglePass:
         assert rotation_batches == [1]
 
     def test_report_classifies_each_sector_once(self, monkeypatch):
+        # one call of the shared phase rule covers both sectors of a report
         calls = []
-        original = correlations.classify_zeta
+        original = correlations._predicted_product
 
-        def counting(angles, kappa, tol):
-            calls.append(kappa)
-            return original(angles, kappa, tol)
+        def counting(zeta_value, tol):
+            calls.append(np.shape(zeta_value))
+            return original(zeta_value, tol)
 
-        monkeypatch.setattr(correlations, "classify_zeta", counting)
+        monkeypatch.setattr(correlations, "_predicted_product", counting)
         perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
-        assert calls == [+1, -1]
+        assert calls == [(1, 2)]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
+    def test_batched_classes_are_those_of_classify_zeta(self, tol):
+        # phases at and just off each window's edge, for every special value
+        # (phi3 = phi4 puts both sectors' zeta on phi1), then random settings
+        rng = np.random.default_rng(4)
+        offsets = tol * np.array([-1.0, -0.999999, 0.0, 0.999999, 1.0])
+        edges = (np.array([0.0, PI / 2, PI, -PI / 2, 3 * PI])[:, None] + offsets).ravel()
+        pairs = np.repeat(rng.uniform(-7, 7, len(edges)), 2).reshape(-1, 2)
+        on_edges = np.column_stack([edges, np.zeros_like(edges), pairs])
+        settings = np.concatenate([on_edges, rng.uniform(-7, 7, (200, 4))])
+        coeffs = quantum.bell_bell_coefficients(settings)
+        zetas, predicted, *_ = correlations._sector_arrays(settings, coeffs, tol)
+        rows = [AngleSettings(*row) for row in settings]
+        expected = [
+            [classify_zeta(row, kappa, tol).predicted_product or 0 for kappa in (+1, -1)]
+            for row in rows
+        ]
+        assert predicted.tolist() == expected
+        assert {0, 1, -1} <= set(predicted[: len(edges)].ravel().tolist())
+        assert zetas.tolist() == [[zeta(row, k) for k in (+1, -1)] for row in rows]
 
 
 class TestClassifyZeta:

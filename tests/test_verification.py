@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from reference_qm import reference_qm_verification
+from reference_qm import reference_family_settings, reference_qm_verification
 
 from bellswap import quantum, verification
-from bellswap.quantum import BellOutcome
-from bellswap.verification import run_qm_verification
+from bellswap.quantum import AngleSettings, BellOutcome
+from bellswap.verification import run_qm_verification, special_family_settings
 
 
 def assert_same_report(report, reference, tol=1e-15):
@@ -39,12 +39,50 @@ def xi_eta_swapped(angles):
     return quantum.bell_bell_coefficients_closed_form(np.asarray(angles)[:, [0, 1, 3, 2]])
 
 
+def phi3_moved_off_phase(monkeypatch, offset):
+    """Move phi3 of every special-family setting by ``offset`` rad."""
+
+    def moved(build):
+        def build_moved(alpha, beta):
+            phi1, phi2, phi3, phi4 = build(alpha, beta).as_tuple()
+            return AngleSettings(phi1, phi2, phi3 + offset, phi4)
+
+        return build_moved
+
+    families = tuple((name, moved(build)) for name, build in verification._FAMILIES)
+    monkeypatch.setattr(verification, "_FAMILIES", families)
+
+
 class TestSweepMatchesPerSettingLoop:
-    @pytest.mark.parametrize("grid,seed", [(1, 12345), (2, 3), (3, 301)])
-    def test_intact_state(self, grid, seed):
-        report = run_qm_verification(grid=grid, seed=seed)
+    @pytest.mark.parametrize(
+        "grid,seed,tol",
+        [
+            pytest.param(1, 12345, 1e-9, id="1-12345"),
+            pytest.param(2, 3, 1e-9, id="2-3"),
+            pytest.param(3, 301, 1e-9, id="3-301"),
+            (2, 3, 1e-3),
+            (3, 301, 0.3),
+        ],
+    )
+    def test_intact_state(self, grid, seed, tol):
+        report = run_qm_verification(grid=grid, tol=tol, seed=seed)
         assert report["passed"] is True
-        assert_same_report(report, reference_qm_verification(grid, 1e-9, seed))
+        assert_same_report(report, reference_qm_verification(grid, tol, seed))
+
+    @pytest.mark.parametrize("grid,seed", [(1, 5), (2, 301)])
+    def test_families_off_their_phase(self, monkeypatch, grid, seed):
+        # 0.05 rad off, within tol = 0.1: every family sector still claims a
+        # certain product and fails, each with its own round-off
+        phi3_moved_off_phase(monkeypatch, 0.05)
+        report = run_qm_verification(grid=grid, tol=0.1, seed=seed)
+        reference = reference_qm_verification(grid, 0.1, seed)
+        values = [v["value"] for v in report["violations"]]
+        assert len(values) == 200 and len(set(values)) > 1
+        assert all(1e-3 < value < 2e-3 for value in values)
+        assert report["violations"] == reference["violations"]
+        assert report["checks"]["perfect_correlations"] == (
+            reference["checks"]["perfect_correlations"]
+        )
 
     # the mixed vector makes values of order 1, whose round-off is a few ulps
     @pytest.mark.parametrize("how,failing,tol", [("flip", 1, 1e-15), ("mix", 5, 4e-15)])
@@ -75,6 +113,16 @@ class TestSweepMatchesPerSettingLoop:
         assert np.array_equal(one_draw.uniform(0.0, 2.0 * math.pi, size=(81, 4)), rows)
         assert per_setting.uniform() == one_draw.uniform()
 
+    def test_family_settings_are_one_draw_of_the_same_stream(self):
+        per_pair, one_draw = np.random.default_rng(8), np.random.default_rng(8)
+        assert special_family_settings(one_draw, 20) == reference_family_settings(per_pair, 20)
+        assert per_pair.uniform() == one_draw.uniform()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.pi / 4, 1.0, math.nan, math.inf])
+    def test_rejects_a_tolerance_outside_the_open_range(self, tol):
+        with pytest.raises(ValueError):
+            run_qm_verification(grid=1, tol=tol)
+
 
 class TestChunking:
     @pytest.mark.parametrize("how", [None, "flip", "mix"])
@@ -84,3 +132,16 @@ class TestChunking:
         default = run_qm_verification(grid=2, seed=11)
         monkeypatch.setattr(verification, "_CHUNK", 7)
         assert run_qm_verification(grid=2, seed=11) == default
+
+    @pytest.mark.parametrize("grid", [2, 3])
+    def test_chunked_draws_give_the_default_report(self, monkeypatch, grid):
+        default = run_qm_verification(grid=grid, seed=23)
+        batches = []
+        rotate = quantum._rotate_all
+        monkeypatch.setattr(
+            quantum, "_rotate_all", lambda s, a: batches.append(len(a)) or rotate(s, a)
+        )
+        monkeypatch.setattr(verification, "_CHUNK", 7)
+        assert run_qm_verification(grid=grid, seed=23) == default
+        # random settings drawn 7 at a time, the 100 family rows in the last chunk
+        assert batches == [7] * (grid**4 // 7) + [grid**4 % 7 + 100]
