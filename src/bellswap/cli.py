@@ -15,9 +15,10 @@ Subcommands:
 
 Exit codes: 0 = checks passed / expected result, 1 = violation or unexpected
 result, 2 = usage error, unreadable input or unwritable output.  Angles are
-radians unless --degrees is given.  ``main`` builds the parser once per process
-and finds each command's ``cmd_*`` by name at call time, so a wrapped or
-patched one is the one that runs.
+radians unless --degrees is given.  ``serialize`` reads input files and raises
+only ValueError on a malformed one.  ``main`` builds the parser once per
+process and finds each command's ``cmd_*`` by name at call time, so a wrapped
+or patched one is the one that runs.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .serialize import (
     FORMAT_VERSION,
     dump_constraint_set,
     load_constraint_set,
+    load_settings,
     solve_result_to_dict,
     write_events_csv,
 )
@@ -219,34 +221,11 @@ def cmd_refute(args: argparse.Namespace) -> int:
     return 0 if (result.status is expected and verified) else 1
 
 
-#: What malformed input files raise while loading: unreadable files, bad JSON,
-#: documents of the wrong shape (missing keys, nulls, lists for objects), and
-#: integer angles too large for a float.
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
-
-
-def _load_settings_file(path: str, degrees: bool) -> list[AngleSettings]:
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    raw = doc["settings"] if isinstance(doc, dict) else doc
-    settings = []
-    for entry in raw:
-        # exact types: bool is an int subclass, and float() reads true as 1 rad
-        if not set(map(type, entry)) <= {int, float}:
-            raise ValueError(f"angles must be numbers, got {entry!r}")
-        values = list(map(float, entry))
-        if len(values) != 4:
-            raise ValueError(f"each setting needs 4 angles, got {entry!r}")
-        if degrees:
-            values = [math.radians(v) for v in values]
-        settings.append(AngleSettings(*values))
-    return settings
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     try:
-        settings = _load_settings_file(args.settings, args.degrees)
-    except _LOAD_ERRORS as exc:
+        with open(args.settings, "r", encoding="utf-8") as fp:
+            settings = load_settings(fp, args.degrees)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read settings file: {exc}", file=sys.stderr)
         return 2
     context = HiddenContext(kappa=args.kappa, label=args.label)
@@ -270,7 +249,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fp:
             cs = load_constraint_set(fp)
-    except _LOAD_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read constraint file: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,21 +1,22 @@
-"""Stable on-disk formats: constraint-set JSON and event CSV.
+"""Stable on-disk formats: settings JSON, constraint-set JSON and event CSV.
 
-All JSON documents carry a ``format_version`` field.  Floats are written
-with Python's shortest round-trip repr, so parse(serialize(x)) == x exactly.
-The CSV schema is versioned by its pinned header row; columns, value
-vocabulary, and LF line endings are fixed and golden-tested.  Every column
-after the angles follows from the event's outcome, so an event row is its
-index plus one of 16 fixed suffixes.
+This is the one module that decides what a valid input is: both JSON loaders
+check each field's exact JSON type and raise only ValueError, with a one-line
+message.  Floats are written in Python's shortest round-trip repr, so
+parse(serialize(x)) == x exactly.  The CSV schema is versioned by its pinned
+header row; its columns, vocabulary and LF line endings are golden-tested.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import IO, Sequence
 
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
 from .lhv import (
+    ANGLE_QUANTUM,
     ConstraintSet,
     FunctionTag,
     HiddenContext,
@@ -34,6 +35,7 @@ __all__ = [
     "constraint_set_from_dict",
     "dump_constraint_set",
     "load_constraint_set",
+    "load_settings",
     "solve_result_to_dict",
     "write_events_csv",
 ]
@@ -92,47 +94,65 @@ def _integer(value, name: str) -> int:
     return value
 
 
+#: Largest magnitude whose angle key (lhv.quantize_angle) is a finite float.
+_MAX_NUMBER = sys.float_info.max * ANGLE_QUANTUM
+
+
 def _number(value, name: str) -> float:
-    """A finite JSON number, by exact type: float() reads true as 1.0 and "0.5"
-    as 0.5, and json reads NaN and Infinity."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    """A JSON number up to _MAX_NUMBER, by exact type: float() reads true as 1.0
+    and "0.5" as 0.5, json reads NaN and Infinity, and an int may overflow float()."""
+    if type(value) not in (int, float) or not abs(value) <= _MAX_NUMBER:
+        raise ValueError(f"{name} must be a number within +-{_MAX_NUMBER:.2g}, got {value!r}")
     return float(value)
 
 
-def constraint_set_from_dict(doc: dict) -> ConstraintSet:
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {version!r}")
-    context = HiddenContext(
-        kappa=_integer(doc["context"]["kappa"], "kappa"),
-        label=str(doc["context"].get("label", "")),
-    )
+def load_settings(fp: IO[str], degrees: bool) -> list[AngleSettings]:
+    """Read ``{"settings": [[phi1, phi2, phi3, phi4], ...]}`` or the bare list."""
+    doc = json.load(fp)
+    raw = doc.get("settings") if type(doc) is dict else doc
+    if type(raw) is not list:
+        raise ValueError(f"settings must be a list of 4-angle lists, got {raw!r}")
+    settings = []
+    for entry in raw:
+        if type(entry) is not list or len(entry) != 4:
+            raise ValueError(f"each setting needs 4 angles, got {entry!r}")
+        values = [_number(a, "angle") for a in entry]
+        settings.append(AngleSettings(*(map(math.radians, values) if degrees else values)))
+    return settings
+
+
+def constraint_set_from_dict(doc) -> ConstraintSet:
+    version = doc.get("format_version") if type(doc) is dict else None
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"need an object of format_version {FORMAT_VERSION}, got {version!r}")
+    ctx, var_list, con_list = doc.get("context"), doc.get("variables"), doc.get("constraints")
+    label = ctx.get("label", "") if type(ctx) is dict else None
+    if type(label) is not str or type(var_list) is not list or type(con_list) is not list:
+        raise ValueError("need a context with a string label, and variables and constraints lists")
+    context = HiddenContext(_integer(ctx.get("kappa"), "kappa"), label)
     variables: list[SignVariable] = []
-    for i, entry in enumerate(doc["variables"]):
-        if _integer(entry["id"], "variable id") != i:
+    for i, entry in enumerate(var_list):
+        if type(entry) is not dict or type(entry.get("angles")) is not list:
+            raise ValueError(f"variable {i} must be an object with an angles list")
+        if _integer(entry.get("id"), "variable id") != i:
             raise ValueError("variable ids must be 0..n-1 in order")
-        variables.append(
-            SignVariable(
-                tag=FunctionTag(entry["tag"]),
-                keys=tuple(quantize_angle(_number(a, "angle")) for a in entry["angles"]),
-            )
-        )
+        keys = tuple(quantize_angle(_number(a, "angle")) for a in entry["angles"])
+        variables.append(SignVariable(FunctionTag(entry.get("tag")), keys))
     constraints: list[ParityConstraint] = []
-    for i, entry in enumerate(doc["constraints"]):
-        if _integer(entry["id"], "constraint id") != i:
+    for i, entry in enumerate(con_list):
+        prov = entry.get("provenance") if type(entry) is dict else None
+        if type(prov) is not dict or type(entry.get("vars")) is not list:
+            raise ValueError(f"constraint {i} must be an object with vars and provenance")
+        if _integer(entry.get("id"), "constraint id") != i:
             raise ValueError("constraint ids must be 0..n-1 in order")
-        prov = entry["provenance"]
-        angles = tuple(_number(a, "provenance angle") for a in prov["angles"])
-        if len(angles) != 4:
-            raise ValueError("provenance angles must have 4 entries")
-        constraints.append(
-            ParityConstraint(
-                var_ids=tuple(_integer(v, "constraint variable") for v in entry["vars"]),
-                required_sign=_integer(entry["required_sign"], "required_sign"),
-                provenance=Provenance(angles, _number(prov["zeta"], "zeta"), str(prov["equation"])),
-            )
-        )
+        equation, angles = prov.get("equation"), prov.get("angles")
+        if type(equation) is not str or type(angles) is not list or len(angles) != 4:
+            raise ValueError(f"constraint {i} provenance needs 4 angles and an equation string")
+        angles = tuple(_number(a, "provenance angle") for a in angles)
+        provenance = Provenance(angles, _number(prov.get("zeta"), "zeta"), equation)
+        var_ids = tuple(_integer(v, "constraint variable") for v in entry["vars"])
+        sign = _integer(entry.get("required_sign"), "required_sign")
+        constraints.append(ParityConstraint(var_ids, sign, provenance))
     return ConstraintSet(context=context, variables=variables, constraints=constraints)
 
 

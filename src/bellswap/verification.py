@@ -21,6 +21,7 @@ import numpy as np
 from .correlations import (
     CERTAINTY_TOL,
     DEFAULT_ANGLE_TOL,
+    MAX_ANGLE_TOL,
     _SECTORS,
     _outcome_probabilities,
     _sector_arrays,
@@ -106,8 +107,8 @@ def run_qm_verification(
     are listed setting by setting, random settings first, then the special
     families' perfect-correlation checks.
     """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    if grid < 1 or not 0 < tol < MAX_ANGLE_TOL:  # before the sweep, not after it
+        raise ValueError(f"need grid >= 1 and 0 < tol < pi/4, got grid {grid}, tol {tol}")
     rng = np.random.default_rng(seed)
     n_random = grid**4
 

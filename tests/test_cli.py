@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellswap import cli, quantum
+from bellswap import cli, quantum, serialize
 from bellswap.cli import main
 from bellswap.correlations import classify_zeta
 from bellswap.lhv import contradiction_instance
@@ -287,6 +287,13 @@ class TestMalformedInput:
                 "solve",
                 _contradiction_document(["constraints", 0, "provenance", "angles", 0], math.inf),
             ),
+            ("solve", _contradiction_document(["context", "label"], None)),
+            ("solve", _contradiction_document(["context", "label"], {"x": [1]})),
+            ("solve", _contradiction_document(["constraints", 0, "provenance", "equation"], 5)),
+            ("compile", '{"settings": {}}'),
+            ("compile", '{"settings": ""}'),
+            ("compile", f"[[{10**400}, 0, 0, 0]]"),
+            ("compile", "[[1e300, 1e300, 0, 0]]"),
         ],
         ids=[
             "null-settings",
@@ -307,6 +314,13 @@ class TestMalformedInput:
             "string-zeta",
             "nan-zeta",
             "infinite-provenance-angle",
+            "null-label",
+            "object-label",
+            "number-equation",
+            "object-settings",
+            "string-settings",
+            "oversized-int-angle",
+            "angle-without-a-key",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, command, content):
@@ -323,6 +337,17 @@ class TestMalformedInput:
         assert captured.err.startswith("error: cannot read")
         assert not out.exists()
 
+    def test_loader_bug_is_not_reported_as_malformed_input(self, monkeypatch, tmp_path):
+        infile = tmp_path / "system.json"
+        infile.write_text(json.dumps(constraint_set_to_dict(contradiction_instance(0.0, 0.0, +1))))
+        assert main(["solve", "--in", str(infile)]) == 0
+
+        def broken(phi):
+            raise TypeError("a bug in the loader")
+
+        monkeypatch.setattr(serialize, "quantize_angle", broken)
+        with pytest.raises(TypeError, match="a bug in the loader"):
+            main(["solve", "--in", str(infile)])
 
     def test_enumeration_guard_exits_2_with_one_line(self, capsys, tmp_path):
         settings = tmp_path / "settings.json"

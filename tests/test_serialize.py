@@ -1,9 +1,12 @@
+import copy
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of, sample_events
 from bellswap.lhv import (
@@ -21,6 +24,7 @@ from bellswap.serialize import (
     constraint_set_to_dict,
     dump_constraint_set,
     load_constraint_set,
+    load_settings,
     solve_result_to_dict,
     write_events_csv,
 )
@@ -119,6 +123,86 @@ class TestConstraintSetJson:
         doc["variables"][0]["id"] = 3
         with pytest.raises(ValueError):
             constraint_set_from_dict(doc)
+
+
+#: Any JSON scalar, with integers beyond the float range among the numbers.
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.sampled_from([10**400, -(2**1024)])
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+VALID_DOCUMENT = constraint_set_to_dict(contradiction_instance(0.0, 0.0, +1))
+MISSING = object()  # a replacement that deletes the field
+
+
+def field_paths(node, path=()):
+    """The key path of every field below ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield (*path, key)
+        if isinstance(child, (dict, list)):
+            yield from field_paths(child, (*path, key))
+
+
+def with_field(path, value):
+    """VALID_DOCUMENT with the field at ``path`` replaced by ``value``."""
+    doc = copy.deepcopy(VALID_DOCUMENT)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+def loads_or_raises_value_error(load, value):
+    try:
+        load(value)
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+
+
+class TestLoaderFuzz:
+    """Every input either loads or raises ValueError with a one-line message:
+    anything else would be a bug in the loader, not malformed input."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            JSON_VALUES,
+            st.builds(
+                with_field,
+                st.sampled_from(list(field_paths(VALID_DOCUMENT))),
+                JSON_VALUES | st.just(MISSING),
+            ),
+        )
+    )
+    def test_constraint_loader(self, doc):
+        loads_or_raises_value_error(constraint_set_from_dict, doc)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            JSON_VALUES,
+            st.lists(st.lists(JSON_SCALARS, min_size=3, max_size=5), max_size=3),
+            st.fixed_dictionaries({"settings": JSON_VALUES}),
+        ),
+        st.booleans(),
+    )
+    def test_settings_loader(self, doc, degrees):
+        text = json.dumps(doc)
+        loads_or_raises_value_error(lambda fp: load_settings(fp, degrees), io.StringIO(text))
 
 
 class TestSolveResultJson:

@@ -119,9 +119,15 @@ class TestSweepMatchesPerSettingLoop:
         assert per_pair.uniform() == one_draw.uniform()
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.pi / 4, 1.0, math.nan, math.inf])
-    def test_rejects_a_tolerance_outside_the_open_range(self, tol):
-        with pytest.raises(ValueError):
-            run_qm_verification(grid=1, tol=tol)
+    def test_rejects_a_tolerance_outside_the_open_range(self, monkeypatch, tol):
+        batches = []
+        decompose = verification.bell_bell_coefficients
+        monkeypatch.setattr(
+            verification, "bell_bell_coefficients", lambda s: batches.append(s) or decompose(s)
+        )
+        with pytest.raises(ValueError, match="tol"):
+            run_qm_verification(grid=16, tol=tol)
+        assert batches == []  # rejected before the first draw, not after the sweep
 
 
 class TestChunking:
