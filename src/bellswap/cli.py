@@ -35,6 +35,7 @@ from .correlations import (
     DEFAULT_ANGLE_TOL,
     MAX_ANGLE_TOL,
     _correlation_report,
+    classify_zeta,
     sample_events,
     violating_outcomes,
     zeta,
@@ -195,8 +196,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     alpha = _to_radians(args.alpha, args.degrees)
     beta = _to_radians(args.beta, args.degrees)
+    settings = list(contradiction_settings(alpha, beta, args.kappa))
+    # at large angles the pi/4 offsets are lost in rounding and the settings
+    # no longer sit at zeta = 0 and -pi/2
+    if [classify_zeta(s, args.kappa).predicted_product for s in settings] != [+1, -1]:
+        print(
+            f"error: at alpha={alpha!r}, beta={beta!r} rad the contradiction settings"
+            " lose their pi/4 offsets in rounding; use angles of smaller magnitude",
+            file=sys.stderr,
+        )
+        return 2
     if args.fig2:
-        settings = list(contradiction_settings(alpha, beta, args.kappa))
         context = HiddenContext(kappa=args.kappa, label="double-bell variant")
         cs = compile_double_bell(settings, context)
         expected = SolveStatus.SAT

@@ -20,11 +20,14 @@ share one unknown.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from math import pi
 
-from .correlations import DEFAULT_ANGLE_TOL, classify_zeta, zeta
+import numpy as np
+
+from .correlations import DEFAULT_ANGLE_TOL, _predicted_product
 from .quantum import AngleSettings
 
 __all__ = [
@@ -138,7 +141,7 @@ class ConstraintSet:
     constraints: list[ParityConstraint] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._ids = {var: i for i, var in enumerate(self.variables)}
+        self._ids = {(var.tag, var.keys): i for i, var in enumerate(self.variables)}
         if len(self._ids) != len(self.variables):
             raise ValueError("duplicate variables in registry")
         for constraint in self.constraints:
@@ -153,15 +156,18 @@ class ConstraintSet:
     def n_variables(self) -> int:
         return len(self.variables)
 
-    def variable_id(self, tag: FunctionTag, angles: tuple[float, ...]) -> int:
+    def variable_id(self, tag: FunctionTag, angles: Sequence[float]) -> int:
         """Id of the unknown for (tag, angles), registering it if new."""
-        var = SignVariable(tag, tuple(quantize_angle(a) for a in angles))
-        existing = self._ids.get(var)
-        if existing is not None:
-            return existing
-        self.variables.append(var)
-        self._ids[var] = len(self.variables) - 1
-        return self._ids[var]
+        return self._key_id(tag, tuple(map(quantize_angle, angles)))
+
+    def _key_id(self, tag: FunctionTag, keys: tuple[int, ...]) -> int:
+        """Id of the unknown for (tag, angle keys); a SignVariable is built
+        only for a new one."""
+        existing = self._ids.get((tag, keys))
+        if existing is None:
+            self.variables.append(SignVariable(tag, keys))
+            existing = self._ids[tag, keys] = len(self.variables) - 1
+        return existing
 
     def add_constraint(
         self, var_ids: tuple[int, ...], required_sign: int, provenance: Provenance
@@ -196,17 +202,22 @@ def _compile(
 ) -> ConstraintSet:
     """One constraint per setting whose sector phase is special: the product
     of the rule's unknowns equals +1 at zeta in {0, +-pi} and -1 at
-    zeta = +-pi/2.  Generic settings emit nothing."""
+    zeta = +-pi/2.  Generic settings emit nothing.
+
+    The zeta of every setting is one array expression, the same float
+    arithmetic as correlations.zeta, and one _predicted_product call
+    classifies them all."""
     cs = ConstraintSet(context=context)
-    for setting in settings:
-        sign = classify_zeta(setting, context.kappa, tol).predicted_product
-        if sign is None:
+    rows = [setting.as_tuple() for setting in settings]
+    phis = np.array(rows, dtype=float).reshape(-1, 4)
+    zetas = (phis[:, 0] - phis[:, 1]) + context.kappa * (phis[:, 2] - phis[:, 3])
+    signs = _predicted_product(zetas, tol)
+    terms = _RULE_TERMS[rule]
+    for angles, sign, zeta_value in zip(rows, signs.tolist(), zetas.tolist()):
+        if not sign:
             continue
-        angles = setting.as_tuple()
-        var_ids = tuple(
-            cs.variable_id(tag, tuple(angles[i] for i in slots)) for tag, slots in _RULE_TERMS[rule]
-        )
-        cs.add_constraint(var_ids, sign, Provenance(angles, zeta(setting, context.kappa), rule))
+        var_ids = tuple(cs.variable_id(tag, [angles[i] for i in slots]) for tag, slots in terms)
+        cs.add_constraint(var_ids, sign, Provenance(angles, zeta_value, rule))
     return cs
 
 
@@ -252,15 +263,12 @@ def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
     untouched.
     """
     out = cs.copy()
-    for var in list(out.variables):
+    for vid, var in enumerate(cs.variables):
         if var.tag is not FunctionTag.F:
             continue
+        kx, ky = var.keys
         x, y = var.angles
-        var_ids = (
-            out.variable_id(FunctionTag.F, (x, y)),
-            out.variable_id(FunctionTag.A, (x,)),
-            out.variable_id(FunctionTag.D, (y,)),
-        )
+        var_ids = (vid, out._key_id(FunctionTag.A, (kx,)), out._key_id(FunctionTag.D, (ky,)))
         out.add_constraint(var_ids, +1, Provenance((x, x, y, y), 0.0, RULE_FACTORIZATION))
     return out
 

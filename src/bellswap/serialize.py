@@ -2,9 +2,12 @@
 
 This is the one module that decides what a valid input is: both JSON loaders
 check each field's exact JSON type and raise only ValueError, with a one-line
-message.  Floats are written in Python's shortest round-trip repr, so
-parse(serialize(x)) == x exactly.  The CSV schema is versioned by its pinned
-header row; its columns, vocabulary and LF line endings are golden-tested.
+message, also on input nested too deeply to parse.  Floats are written in
+Python's shortest round-trip repr, so parse(serialize(x)) == x exactly.  The
+constraint-system file is pinned byte for byte: it is what json.dumps with
+indent=2 prints for constraint_set_to_dict, written from templates instead.
+The CSV schema is versioned by its pinned header row; its columns, vocabulary
+and LF line endings are golden-tested.
 """
 
 from __future__ import annotations
@@ -106,9 +109,17 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _parse(fp: IO[str]):
+    """json.load, raising ValueError also on input nested too deeply to parse."""
+    try:
+        return json.load(fp)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def load_settings(fp: IO[str], degrees: bool) -> list[AngleSettings]:
     """Read ``{"settings": [[phi1, phi2, phi3, phi4], ...]}`` or the bare list."""
-    doc = json.load(fp)
+    doc = _parse(fp)
     raw = doc.get("settings") if type(doc) is dict else doc
     if type(raw) is not list:
         raise ValueError(f"settings must be a list of 4-angle lists, got {raw!r}")
@@ -156,13 +167,69 @@ def constraint_set_from_dict(doc) -> ConstraintSet:
     return ConstraintSet(context=context, variables=variables, constraints=constraints)
 
 
+def _array(items, indent: str) -> str:
+    """A JSON array of already formatted, non-empty items, laid out as
+    json.dumps with indent=2 lays it out when its opening bracket sits at
+    ``indent``."""
+    inner = ",\n  " + indent
+    text = inner.join(items)
+    return f"[\n  {indent}{text}\n{indent}]" if text else "[]"
+
+
+_VARIABLE = """{
+      "id": %d,
+      "tag": "%s",
+      "angles": %s
+    }"""
+
+_CONSTRAINT = """{
+      "id": %d,
+      "vars": %s,
+      "required_sign": %d,
+      "provenance": {
+        "angles": %s,
+        "zeta": %s,
+        "equation": %s
+      }
+    }"""
+
+
 def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
-    json.dump(constraint_set_to_dict(cs), fp, indent=2)
-    fp.write("\n")
+    """Write cs in exactly the bytes of
+    ``json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"``, but from
+    fixed templates, one write per part: json's indenting encoder is pure
+    Python and makes one write per token.  Numbers print as json prints them
+    (float.__repr__ and str), the two free strings through json.dumps."""
+    number = float.__repr__
+    fp.write(
+        f'{{\n  "format_version": {FORMAT_VERSION},\n  "context": {{\n'
+        f'    "kappa": {cs.context.kappa},\n    "label": {json.dumps(cs.context.label)}\n  }},\n'
+        '  "variables": '
+    )
+    variables = (
+        _VARIABLE % (i, var.tag.value, _array(map(number, var.angles), "      "))
+        for i, var in enumerate(cs.variables)
+    )
+    fp.write(_array(variables, "  "))
+    fp.write(',\n  "constraints": ')
+    constraints = (
+        _CONSTRAINT
+        % (
+            i,
+            _array(map(str, c.var_ids), "      "),
+            c.required_sign,
+            _array(map(number, c.provenance.angles), "        "),
+            number(c.provenance.zeta),
+            json.dumps(c.provenance.equation),
+        )
+        for i, c in enumerate(cs.constraints)
+    )
+    fp.write(_array(constraints, "  "))
+    fp.write("\n}\n")
 
 
 def load_constraint_set(fp: IO[str]) -> ConstraintSet:
-    return constraint_set_from_dict(json.load(fp))
+    return constraint_set_from_dict(_parse(fp))
 
 
 def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool) -> dict:

@@ -160,6 +160,36 @@ class TestRefute:
         assert doc["model"]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha", "1e300", "--beta", "1e300"],
+            ["--alpha", "1e300", "--beta", "1e300", "--fig2"],
+            ["--alpha", "1e8", "--beta", "0.5"],
+            ["--alpha", "1e8", "--beta", "0.5", "--kappa", "-1", "--method", "gf2"],
+            ["--alpha", "0.5", "--beta", "1e8", "--fig2"],
+            ["--alpha", "1e10", "--beta", "0.5", "--degrees"],
+        ],
+        ids=["1e300", "1e300-fig2", "1e8", "1e8-negative-kappa", "1e8-fig2", "1e10-degrees"],
+    )
+    def test_angles_that_lose_the_offsets_exit_2_with_one_line(self, capsys, argv):
+        assert main(["refute", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "lose their pi/4 offsets" in captured.err
+
+    @pytest.mark.parametrize("kappa", ["1", "-1"])
+    @pytest.mark.parametrize("fig2,status", [([], "unsat"), (["--fig2"], "sat")])
+    def test_large_angles_that_keep_the_offsets_still_work(self, capsys, kappa, fig2, status):
+        argv = ["refute", "--alpha", "1e7", "--beta", "0.5", "--kappa", kappa, *fig2]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == status
+        assert doc["verified"] is True
+
+
 class TestCompileSolve:
     def write_settings(self, tmp_path, settings):
         path = tmp_path / "settings.json"
@@ -294,6 +324,8 @@ class TestMalformedInput:
             ("compile", '{"settings": ""}'),
             ("compile", f"[[{10**400}, 0, 0, 0]]"),
             ("compile", "[[1e300, 1e300, 0, 0]]"),
+            ("compile", "[" * 100_000),
+            ("solve", "[" * 100_000),
         ],
         ids=[
             "null-settings",
@@ -321,6 +353,8 @@ class TestMalformedInput:
             "string-settings",
             "oversized-int-angle",
             "angle-without-a-key",
+            "deeply-nested-settings",
+            "deeply-nested-system",
         ],
     )
     def test_exit_2_with_one_line(self, capsys, tmp_path, command, content):

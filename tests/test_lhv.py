@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import replace
 
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellswap.correlations import PhaseClass, classify_zeta
+from bellswap.correlations import PhaseClass, classify_zeta, zeta
 from bellswap.lhv import (
+    RULE_BELL_POLARIZATION,
+    RULE_DOUBLE_BELL,
     RULE_FACTORIZATION,
     ConstraintSet,
     FunctionTag,
     HiddenContext,
+    Provenance,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -20,6 +24,7 @@ from bellswap.lhv import (
     contradiction_settings,
 )
 from bellswap.quantum import AngleSettings
+from bellswap.serialize import dump_constraint_set
 from bellswap.solver import SolveStatus, enumerate_solve
 
 PI = math.pi
@@ -90,6 +95,104 @@ class TestCompileBellPolarization:
                 AngleSettings(*constraint.provenance.angles), kappa
             )
             assert replayed is phase_class
+
+
+def grid_settings(rng: np.random.Generator, bases: int) -> list[AngleSettings]:
+    """The refute_grid benchmark's settings: random base angles per side, and
+    every arm pair of every left base with every arm pair of every right base,
+    an arm pair being the base twice or the base and the base plus k*pi/4
+    (k = 1, 2, 3) either way round."""
+
+    def arm_pairs(base: float) -> list[tuple[float, float]]:
+        out = [(base, base)]
+        for offset in (PI / 4, PI / 2, 3 * PI / 4):
+            out += [(base, base + offset), (base + offset, base)]
+        return out
+
+    alphas, betas = rng.uniform(0.0, 2 * PI, size=(2, bases)).tolist()
+    return [
+        AngleSettings(*left, *right)
+        for alpha in alphas
+        for beta in betas
+        for left in arm_pairs(alpha)
+        for right in arm_pairs(beta)
+    ]
+
+
+#: Unknowns of each rule, by function tag and angle positions, as the paper
+#: states them: A(phi1) F(phi2, phi3) D(phi4) and F(phi2, phi3) G(phi1, phi4).
+REPLAY_TERMS = {
+    RULE_BELL_POLARIZATION: ((FunctionTag.A, (0,)), (FunctionTag.F, (1, 2)), (FunctionTag.D, (3,))),
+    RULE_DOUBLE_BELL: ((FunctionTag.F, (1, 2)), (FunctionTag.G, (0, 3))),
+}
+
+
+def replay_compile(rule, settings_list, context, tol):
+    """The compiler one setting at a time: one classify_zeta call each."""
+    cs = ConstraintSet(context=context)
+    for setting in settings_list:
+        sign = classify_zeta(setting, context.kappa, tol).predicted_product
+        if sign is None:
+            continue
+        angles = setting.as_tuple()
+        var_ids = tuple(
+            cs.variable_id(tag, [angles[i] for i in slots]) for tag, slots in REPLAY_TERMS[rule]
+        )
+        cs.add_constraint(var_ids, sign, Provenance(angles, zeta(setting, context.kappa), rule))
+    return cs
+
+
+def replay_factorization(cs):
+    """apply_factorization through the angles of each F unknown."""
+    out = cs.copy()
+    for var in list(out.variables):
+        if var.tag is FunctionTag.F:
+            x, y = var.angles
+            var_ids = (
+                out.variable_id(FunctionTag.F, (x, y)),
+                out.variable_id(FunctionTag.A, (x,)),
+                out.variable_id(FunctionTag.D, (y,)),
+            )
+            out.add_constraint(var_ids, +1, Provenance((x, x, y, y), 0.0, RULE_FACTORIZATION))
+    return out
+
+
+def file_text(cs):
+    buffer = io.StringIO()
+    dump_constraint_set(cs, buffer)
+    return buffer.getvalue()
+
+
+class TestArrayPassCompiler:
+    """The compiler classifies all settings in one array pass; on the
+    refute_grid settings it must write what the per-setting replay writes."""
+
+    GRID = grid_settings(np.random.default_rng(303), 9)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.2])
+    @pytest.mark.parametrize("kappa", [+1, -1])
+    @pytest.mark.parametrize("fig", [1, 2])
+    def test_matches_per_setting_replay(self, fig, kappa, tol):
+        context = HiddenContext(kappa=kappa, label="grid")
+        if fig == 1:
+            compiled = apply_factorization(compile_bell_polarization(self.GRID, context, tol))
+            replayed = replay_factorization(
+                replay_compile(RULE_BELL_POLARIZATION, self.GRID, context, tol)
+            )
+        else:
+            compiled = compile_double_bell(self.GRID, context, tol)
+            replayed = replay_compile(RULE_DOUBLE_BELL, self.GRID, context, tol)
+        assert compiled.constraints  # the grid has special settings in every case
+        assert compiled.n_variables == replayed.n_variables
+        assert len(compiled.constraints) == len(replayed.constraints)
+        assert file_text(compiled) == file_text(replayed)
+        for constraint in compiled.constraints:
+            assert type(constraint.required_sign) is int
+            assert type(constraint.provenance.zeta) is float
+
+    def test_empty_settings(self):
+        cs = compile_double_bell([], CTX_MINUS)
+        assert cs.variables == [] and cs.constraints == []
 
 
 class TestCompileDoubleBell:

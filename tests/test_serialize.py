@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of, sample_events
 from bellswap.lhv import (
+    ConstraintSet,
+    FunctionTag,
     HiddenContext,
+    Provenance,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
+    compile_factored,
     contradiction_instance,
 )
 from bellswap.quantum import AngleSettings
@@ -32,6 +36,7 @@ from bellswap.solver import enumerate_solve
 
 PI = math.pi
 
+#: The exact bytes of the file written for contradiction_instance(0.0, 0.0, +1).
 GOLDEN_INSTANCE_JSON = """\
 {
   "format_version": 1,
@@ -40,28 +45,72 @@ GOLDEN_INSTANCE_JSON = """\
     "label": "contradiction(alpha=0.0, beta=0.0)"
   },
   "variables": [
-    {"id": 0, "tag": "A", "angles": [0.0]},
-    {"id": 1, "tag": "A", "angles": [0.7853981630000001]},
-    {"id": 2, "tag": "D", "angles": [0.7853981630000001]},
-    {"id": 3, "tag": "D", "angles": [0.0]}
+    {
+      "id": 0,
+      "tag": "A",
+      "angles": [
+        0.0
+      ]
+    },
+    {
+      "id": 1,
+      "tag": "A",
+      "angles": [
+        0.7853981630000001
+      ]
+    },
+    {
+      "id": 2,
+      "tag": "D",
+      "angles": [
+        0.7853981630000001
+      ]
+    },
+    {
+      "id": 3,
+      "tag": "D",
+      "angles": [
+        0.0
+      ]
+    }
   ],
   "constraints": [
     {
       "id": 0,
-      "vars": [0, 1, 2, 3],
+      "vars": [
+        0,
+        1,
+        2,
+        3
+      ],
       "required_sign": 1,
       "provenance": {
-        "angles": [0.0, 0.7853981633974483, 0.7853981633974483, 0.0],
+        "angles": [
+          0.0,
+          0.7853981633974483,
+          0.7853981633974483,
+          0.0
+        ],
         "zeta": 0.0,
         "equation": "aadd-perfect-correlation"
       }
     },
     {
       "id": 1,
-      "vars": [0, 1, 3, 2],
+      "vars": [
+        0,
+        1,
+        3,
+        2
+      ],
       "required_sign": -1,
       "provenance": {
-        "angles": [0.0, 0.7853981633974483, 0.0, 0.7853981633974483],
+        "angles": [
+          0.0,
+          0.7853981633974483,
+          0.0,
+          0.7853981633974483
+        ],
         "zeta": -1.5707963267948966,
         "equation": "aadd-perfect-correlation"
       }
@@ -107,6 +156,11 @@ class TestConstraintSetJson:
         doc = constraint_set_to_dict(contradiction_instance(0.0, 0.0, +1))
         assert doc == json.loads(GOLDEN_INSTANCE_JSON)
 
+    def test_golden_bytes(self):
+        buffer = io.StringIO()
+        dump_constraint_set(contradiction_instance(0.0, 0.0, +1), buffer)
+        assert buffer.getvalue() == GOLDEN_INSTANCE_JSON
+
     def test_golden_parses_to_working_instance(self):
         cs = constraint_set_from_dict(json.loads(GOLDEN_INSTANCE_JSON))
         result = enumerate_solve(cs)
@@ -123,6 +177,86 @@ class TestConstraintSetJson:
         doc["variables"][0]["id"] = 3
         with pytest.raises(ValueError):
             constraint_set_from_dict(doc)
+
+
+#: Numbers at the edges of what the writer formats: signed zeros, the
+#: smallest subnormal and magnitudes near the loaders' limit of about 1.8e299.
+EDGE_NUMBERS = (-0.0, 0.0, 5e-324, -5e-324, 1.7e299, -1.7e299)
+NUMBERS = st.floats(-7.0, 7.0) | st.sampled_from(EDGE_NUMBERS)
+#: Free text, and strings json.dumps must escape: a quote, a backslash,
+#: non-ASCII characters and control characters.
+AWKWARD_TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "\u00e9 \u2211 \U0001f0a1", "\x00\x1f\n\t\x7f", '\u2028"\\']
+)
+KAPPAS = st.sampled_from([+1, -1])
+ARITIES = {FunctionTag.A: 1, FunctionTag.D: 1, FunctionTag.F: 2, FunctionTag.G: 2}
+
+
+@st.composite
+def compiled_systems(draw):
+    """A system compiled for either figure, factorized or not.  Each angle is
+    one of at most two drawn bases plus a multiple of pi/4, so many settings
+    sit at a special phase."""
+    bases = draw(st.lists(NUMBERS, min_size=1, max_size=2))
+
+    def angle():
+        base, step = draw(st.sampled_from(bases)), draw(st.integers(0, 3))
+        return base + step * PI / 4 if step else base
+
+    settings_list = [
+        AngleSettings(*(angle() for _ in range(4))) for _ in range(draw(st.integers(0, 10)))
+    ]
+    context = HiddenContext(draw(KAPPAS), draw(AWKWARD_TEXT))
+    compile_fig = draw(
+        st.sampled_from([compile_bell_polarization, compile_double_bell, compile_factored])
+    )
+    cs = compile_fig(settings_list, context)
+    return apply_factorization(cs) if draw(st.booleans()) else cs
+
+
+@st.composite
+def hand_built_systems(draw):
+    """A registry and constraints built directly, so that every provenance
+    field, the list of angles included, can take any value."""
+    cs = ConstraintSet(HiddenContext(draw(KAPPAS), draw(AWKWARD_TEXT)))
+    for tag in draw(st.lists(st.sampled_from(list(FunctionTag)), min_size=1, max_size=4)):
+        cs.variable_id(tag, draw(st.lists(NUMBERS, min_size=ARITIES[tag], max_size=ARITIES[tag])))
+    for _ in range(draw(st.integers(0, 4))):
+        var_ids = draw(st.lists(st.integers(0, cs.n_variables - 1), min_size=1, max_size=4))
+        angles = tuple(draw(st.lists(NUMBERS, max_size=5)))
+        provenance = Provenance(angles, draw(NUMBERS), draw(AWKWARD_TEXT))
+        cs.add_constraint(tuple(var_ids), draw(KAPPAS), provenance)
+    return cs
+
+
+def dumped(cs: ConstraintSet) -> str:
+    buffer = io.StringIO()
+    dump_constraint_set(cs, buffer)
+    return buffer.getvalue()
+
+
+class TestWriter:
+    """dump_constraint_set writes the bytes json.dumps(..., indent=2) would."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        compiled_systems()
+        | hand_built_systems()
+        | st.builds(ConstraintSet, st.builds(HiddenContext, KAPPAS, AWKWARD_TEXT))
+    )
+    def test_bytes_match_the_json_module(self, cs):
+        assert dumped(cs) == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
+
+    @pytest.mark.parametrize("label", ['"', "\\", "\u00e9\u2211", "\x00\x1f\n", "\u2028"])
+    def test_edge_numbers_and_labels(self, label):
+        cs = ConstraintSet(HiddenContext(+1, label))
+        vid = cs.variable_id(FunctionTag.F, EDGE_NUMBERS[-2:])
+        for value in EDGE_NUMBERS:
+            cs.add_constraint((vid,), -1, Provenance((value, -0.0, 5e-324, 1.7e299), value, label))
+        text = dumped(cs)
+        assert text == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
+        assert load_constraint_set(io.StringIO(text)) == cs
+        assert '"zeta": -0.0,' in text and '"zeta": 5e-324,' in text
 
 
 #: Any JSON scalar, with integers beyond the float range among the numbers.
