@@ -15,14 +15,18 @@ a constant of the context, so one ConstraintSet is always compiled for a
 single kappa.
 
 Angle arguments are canonicalized on a 1e-9 rad grid so that equal settings
-share one unknown.
+share one unknown.  A ConstraintSet stores its system as columns, one entry
+per unknown and one per constraint, and the compiler fills them in one array
+pass over an (N, 4) array of settings; SignVariable, Provenance and
+ParityConstraint are the row types its read-only views build on demand.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, repeat
 from math import pi
 
 import numpy as np
@@ -69,7 +73,8 @@ class FunctionTag(Enum):
     G = "G"
 
 
-_TAG_ARITY = {FunctionTag.A: 1, FunctionTag.D: 1, FunctionTag.F: 2, FunctionTag.G: 2}
+#: Number of angles each function takes, by tag code (FunctionTag value).
+TAG_ARITY = {"A": 1, "D": 1, "F": 2, "G": 2}
 
 
 @dataclass(frozen=True)
@@ -84,20 +89,32 @@ class HiddenContext:
             raise ValueError(f"kappa must be +1 or -1, got {self.kappa}")
 
 
-def quantize_angle(phi: float) -> int:
-    return round(phi / ANGLE_QUANTUM)
+def quantize_angle(phi) -> np.ndarray:
+    """Angle keys of an array of angles: phi / ANGLE_QUANTUM rounded half to
+    even, as integer-valued floats.  Adding 0.0 turns the -0.0 of a tiny
+    negative angle into 0.0, the key round() gives, so both print alike."""
+    keys = np.rint(np.divide(phi, ANGLE_QUANTUM)) + 0.0
+    if not np.isfinite(keys).all():
+        raise OverflowError("angle too large for its key to be a finite float")
+    return keys
+
+
+def _label(tag: str, keys: Sequence) -> str:
+    return f"{tag}({', '.join(repr(key * ANGLE_QUANTUM) for key in keys)})"
 
 
 @dataclass(frozen=True)
 class SignVariable:
-    """A +-1 unknown, keyed by function tag and canonicalized angles."""
+    """A +-1 unknown, keyed by function tag and canonicalized angles: integer
+    keys, held as ints or as the integer-valued floats of quantize_angle."""
 
     tag: FunctionTag
     keys: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.keys) != _TAG_ARITY[self.tag]:
-            raise ValueError(f"{self.tag.value} takes {_TAG_ARITY[self.tag]} angle(s)")
+        arity = TAG_ARITY[self.tag.value]
+        if len(self.keys) != arity:
+            raise ValueError(f"{self.tag.value} takes {arity} angle(s)")
 
     @property
     def angles(self) -> tuple[float, ...]:
@@ -105,7 +122,7 @@ class SignVariable:
 
     @property
     def label(self) -> str:
-        return f"{self.tag.value}({', '.join(repr(a) for a in self.angles)})"
+        return _label(self.tag.value, self.keys)
 
 
 @dataclass(frozen=True)
@@ -132,97 +149,152 @@ class ParityConstraint:
             raise ValueError("a constraint needs at least one variable")
 
 
-@dataclass
+class _View(Sequence):
+    """Read-only rows of a ConstraintSet column, each built when read."""
+
+    def __init__(self, column: list, build: Callable[[int], object]) -> None:
+        self._column, self._build = column, build
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __getitem__(self, index):
+        rows = range(len(self._column))[index]  # an id, or a range of them for a slice
+        return list(map(self._build, rows)) if isinstance(index, slice) else self._build(rows)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, _View)) else NotImplemented
+
+
 class ConstraintSet:
-    """Parity constraints over a registry of sign variables, one context."""
+    """Parity constraints over a registry of sign variables, one context.
 
-    context: HiddenContext
-    variables: list[SignVariable] = field(default_factory=list)
-    constraints: list[ParityConstraint] = field(default_factory=list)
+    Stored as columns: ``unknowns`` holds a (tag code, angle keys) pair per
+    unknown, by id; ``var_ids``, ``required_signs``, ``angles`` (of the
+    setting), ``zetas`` and ``equations`` hold an entry per constraint.  Only
+    variable_id and add_constraint change them.  ``variables`` and
+    ``constraints`` are read-only views that build a SignVariable or
+    ParityConstraint only for the item read.
+    """
 
-    def __post_init__(self) -> None:
-        self._ids = {(var.tag, var.keys): i for i, var in enumerate(self.variables)}
-        if len(self._ids) != len(self.variables):
+    def __init__(self, context: HiddenContext, variables=(), constraints=()) -> None:
+        """A set holding the given SignVariable and ParityConstraint rows."""
+        self.context, self.unknowns, self._ids = context, [], {}
+        self.var_ids, self.required_signs, self.angles = [], [], []
+        self.zetas, self.equations = [], []
+        self._register((var.tag.value, var.keys) for var in variables)
+        if self.n_variables != len(variables):
             raise ValueError("duplicate variables in registry")
-        for constraint in self.constraints:
-            self._check_ids(constraint.var_ids)
-
-    def _check_ids(self, var_ids: tuple[int, ...]) -> None:
-        for vid in var_ids:
-            if not 0 <= vid < len(self.variables):
-                raise ValueError(f"constraint references unregistered variable id {vid}")
+        for row in constraints:
+            self.add_constraint(row.var_ids, row.required_sign, row.provenance)
 
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return len(self.unknowns)
+
+    @property
+    def variables(self) -> Sequence[SignVariable]:
+        return _View(self.unknowns, self._variable)
+
+    @property
+    def constraints(self) -> Sequence[ParityConstraint]:
+        return _View(self.var_ids, self._constraint)
+
+    def _variable(self, vid: int) -> SignVariable:
+        tag, keys = self.unknowns[vid]
+        return SignVariable(FunctionTag(tag), keys)
+
+    def _constraint(self, cid: int) -> ParityConstraint:
+        provenance = Provenance(self.angles[cid], self.zetas[cid], self.equations[cid])
+        return ParityConstraint(self.var_ids[cid], self.required_signs[cid], provenance)
+
+    def labels(self, vids: Iterable[int]) -> list[str]:
+        """The labels, such as ``F(0.1, 0.2)``, of the unknowns with these ids."""
+        return [_label(*self.unknowns[vid]) for vid in vids]
 
     def variable_id(self, tag: FunctionTag, angles: Sequence[float]) -> int:
-        """Id of the unknown for (tag, angles), registering it if new."""
-        return self._key_id(tag, tuple(map(quantize_angle, angles)))
+        """Id of the unknown for (tag, angles), registering it if new; its
+        keys are round(phi / ANGLE_QUANTUM), one angle at a time."""
+        var = SignVariable(tag, tuple(round(phi / ANGLE_QUANTUM) for phi in angles))
+        return self._register([(tag.value, var.keys)])[0]
 
-    def _key_id(self, tag: FunctionTag, keys: tuple[int, ...]) -> int:
-        """Id of the unknown for (tag, angle keys); a SignVariable is built
-        only for a new one."""
-        existing = self._ids.get((tag, keys))
-        if existing is None:
-            self.variables.append(SignVariable(tag, keys))
-            existing = self._ids[tag, keys] = len(self.variables) - 1
-        return existing
+    def _register(self, unknowns: Iterable[tuple[str, tuple]]) -> list[int]:
+        """Ids of (tag code, keys) pairs; new ones register in order of first occurrence."""
+        ids, known = self._ids, len(self._ids)
+        # len(ids) is read before setdefault inserts, so a new pair gets the next id
+        found = [ids.setdefault(unknown, len(ids)) for unknown in unknowns]
+        self.unknowns.extend(islice(ids, known, None))
+        return found
 
     def add_constraint(
         self, var_ids: tuple[int, ...], required_sign: int, provenance: Provenance
     ) -> None:
-        self._check_ids(var_ids)
-        self.constraints.append(ParityConstraint(var_ids, required_sign, provenance))
+        for vid in var_ids:
+            if not 0 <= vid < self.n_variables:
+                raise ValueError(f"constraint references unregistered variable id {vid}")
+        row = ParityConstraint(tuple(var_ids), required_sign, provenance)  # checks the row
+        angles, zeta, equation = tuple(provenance.angles), provenance.zeta, provenance.equation
+        self._extend([row.var_ids], [required_sign], [angles], [zeta], [equation])
+
+    def _extend(self, var_ids, required_signs, angles, zetas, equations) -> None:
+        """Append checked entries to the constraint columns."""
+        self.var_ids += var_ids
+        self.required_signs += required_signs
+        self.angles += angles
+        self.zetas += zetas
+        self.equations += equations
 
     def copy(self) -> "ConstraintSet":
-        return ConstraintSet(
-            context=self.context,
-            variables=list(self.variables),
-            constraints=list(self.constraints),
-        )
+        out = ConstraintSet(self.context)
+        out.unknowns, out._ids = list(self.unknowns), dict(self._ids)
+        out._extend(self.var_ids, self.required_signs, self.angles, self.zetas, self.equations)
+        return out
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if isinstance(other, ConstraintSet) else NotImplemented
 
 
-#: Unknowns of each compiled rule in registration order: a function tag and
-#: the positions in (phi1, phi2, phi3, phi4) of the angles it takes.
+#: Unknowns of each compiled rule in registration order: a tag code and the
+#: positions in (phi1, phi2, phi3, phi4) of the angles it takes.
 _RULE_TERMS = {
-    RULE_BELL_POLARIZATION: ((FunctionTag.A, (0,)), (FunctionTag.F, (1, 2)), (FunctionTag.D, (3,))),
-    RULE_DOUBLE_BELL: ((FunctionTag.F, (1, 2)), (FunctionTag.G, (0, 3))),
-    RULE_FACTORED_PRODUCT: (
-        (FunctionTag.A, (0,)),
-        (FunctionTag.A, (1,)),
-        (FunctionTag.D, (2,)),
-        (FunctionTag.D, (3,)),
-    ),
+    RULE_BELL_POLARIZATION: (("A", (0,)), ("F", (1, 2)), ("D", (3,))),
+    RULE_DOUBLE_BELL: (("F", (1, 2)), ("G", (0, 3))),
+    RULE_FACTORED_PRODUCT: (("A", (0,)), ("A", (1,)), ("D", (2,)), ("D", (3,))),
 }
 
+#: What compile_* take: an (N, 4) array of angles in radians, as
+#: serialize.load_settings returns, or a sequence of AngleSettings.
+Settings = np.ndarray | Sequence[AngleSettings]
 
-def _compile(
-    rule: str, settings: list[AngleSettings], context: HiddenContext, tol: float
-) -> ConstraintSet:
+
+def _compile(rule: str, settings: Settings, context: HiddenContext, tol: float) -> ConstraintSet:
     """One constraint per setting whose sector phase is special: the product
     of the rule's unknowns equals +1 at zeta in {0, +-pi} and -1 at
     zeta = +-pi/2.  Generic settings emit nothing.
 
-    The zeta of every setting is one array expression, the same float
-    arithmetic as correlations.zeta, and one _predicted_product call
-    classifies them all."""
-    cs = ConstraintSet(context=context)
-    rows = [setting.as_tuple() for setting in settings]
-    phis = np.array(rows, dtype=float).reshape(-1, 4)
+    One array pass: zeta is one array expression (the float arithmetic of
+    correlations.zeta), one _predicted_product call classifies every setting
+    and one quantize_angle call keys the kept ones, whose unknowns register
+    term by term through one dict."""
+    if not isinstance(settings, np.ndarray):
+        settings = [setting.as_tuple() for setting in settings]
+    phis = np.asarray(settings, dtype=float).reshape(-1, 4)
     zetas = (phis[:, 0] - phis[:, 1]) + context.kappa * (phis[:, 2] - phis[:, 3])
     signs = _predicted_product(zetas, tol)
-    terms = _RULE_TERMS[rule]
-    for angles, sign, zeta_value in zip(rows, signs.tolist(), zetas.tolist()):
-        if not sign:
-            continue
-        var_ids = tuple(cs.variable_id(tag, [angles[i] for i in slots]) for tag, slots in terms)
-        cs.add_constraint(var_ids, sign, Provenance(angles, zeta_value, rule))
+    kept = signs != 0
+    phis = phis[kept]
+    keys = quantize_angle(phis).T.tolist()
+    terms = [zip(repeat(tag), zip(*(keys[i] for i in slots))) for tag, slots in _RULE_TERMS[rule]]
+    cs = ConstraintSet(context)
+    found = iter(cs._register(chain.from_iterable(zip(*terms))))
+    var_ids = list(zip(*[found] * len(terms)))
+    angles = list(map(tuple, phis.tolist()))
+    cs._extend(var_ids, signs[kept].tolist(), angles, zetas[kept].tolist(), [rule] * len(phis))
     return cs
 
 
 def compile_bell_polarization(
-    settings: list[AngleSettings],
+    settings: Settings,
     context: HiddenContext,
     tol: float = DEFAULT_ANGLE_TOL,
 ) -> ConstraintSet:
@@ -235,7 +307,7 @@ def compile_bell_polarization(
 
 
 def compile_double_bell(
-    settings: list[AngleSettings],
+    settings: Settings,
     context: HiddenContext,
     tol: float = DEFAULT_ANGLE_TOL,
 ) -> ConstraintSet:
@@ -245,7 +317,7 @@ def compile_double_bell(
 
 
 def compile_factored(
-    settings: list[AngleSettings],
+    settings: Settings,
     context: HiddenContext,
     tol: float = DEFAULT_ANGLE_TOL,
 ) -> ConstraintSet:
@@ -260,16 +332,17 @@ def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
     The equal-angles setting (x, x, y, y) has zeta = 0 in both sectors, so
     its certainty pins F(x, y) = A(x) * D(y) unconditionally; this is what
     makes the compiled systems refutable.  Returns a new set; the input is
-    untouched.
+    untouched.  A(x) and D(y) register in the id order of the F unknowns.
     """
     out = cs.copy()
-    for vid, var in enumerate(cs.variables):
-        if var.tag is not FunctionTag.F:
-            continue
-        kx, ky = var.keys
-        x, y = var.angles
-        var_ids = (vid, out._key_id(FunctionTag.A, (kx,)), out._key_id(FunctionTag.D, (ky,)))
-        out.add_constraint(var_ids, +1, Provenance((x, x, y, y), 0.0, RULE_FACTORIZATION))
+    f_ids = [vid for vid, (tag, _) in enumerate(cs.unknowns) if tag == "F"]
+    f_keys = [cs.unknowns[vid][1] for vid in f_ids]
+    found = out._register(chain.from_iterable((("A", (kx,)), ("D", (ky,))) for kx, ky in f_keys))
+    var_ids = list(zip(f_ids, found[0::2], found[1::2]))
+    points = [(kx * ANGLE_QUANTUM, ky * ANGLE_QUANTUM) for kx, ky in f_keys]
+    angles = [(x, x, y, y) for x, y in points]
+    n = len(f_ids)
+    out._extend(var_ids, [+1] * n, angles, [0.0] * n, [RULE_FACTORIZATION] * n)
     return out
 
 

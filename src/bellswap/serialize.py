@@ -2,8 +2,12 @@
 
 This is the one module that decides what a valid input is: both JSON loaders
 check each field's exact JSON type and raise only ValueError, with a one-line
-message, also on input nested too deeply to parse.  Floats are written in
-Python's shortest round-trip repr, so parse(serialize(x)) == x exactly.  The
+message, also on input nested too deeply to parse.  They check and fill one
+column at a time: load_settings returns the (N, 4) angle array the compiler
+takes, and constraint_set_from_dict fills the columns of a ConstraintSet
+(see lhv) without building a row object.  Each still raises the error a
+field-by-field check would raise first.  Floats are written in Python's
+shortest round-trip repr, so parse(serialize(x)) == x exactly.  The
 constraint-system file is pinned byte for byte: it is what json.dumps with
 indent=2 prints for constraint_set_to_dict, written from templates instead.
 The CSV schema is versioned by its pinned header row; its columns, vocabulary
@@ -13,21 +17,16 @@ and LF line endings are golden-tested.
 from __future__ import annotations
 
 import json
-import math
 import sys
+from collections.abc import Callable
+from contextlib import suppress
+from itertools import chain, islice, repeat
 from typing import IO, Sequence
 
+import numpy as np
+
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
-from .lhv import (
-    ANGLE_QUANTUM,
-    ConstraintSet,
-    FunctionTag,
-    HiddenContext,
-    ParityConstraint,
-    Provenance,
-    SignVariable,
-    quantize_angle,
-)
+from .lhv import ANGLE_QUANTUM, TAG_ARITY, ConstraintSet, HiddenContext, quantize_angle
 from .quantum import AngleSettings
 from .solver import SolveResult, SolveStatus
 
@@ -62,12 +61,8 @@ EVENT_CSV_COLUMNS = (
 )
 
 
-def _provenance_to_dict(provenance: Provenance) -> dict:
-    return {
-        "angles": list(provenance.angles),
-        "zeta": provenance.zeta,
-        "equation": provenance.equation,
-    }
+def _provenance_to_dict(angles, zeta: float, equation: str) -> dict:
+    return {"angles": list(angles), "zeta": zeta, "equation": equation}
 
 
 def constraint_set_to_dict(cs: ConstraintSet) -> dict:
@@ -75,38 +70,25 @@ def constraint_set_to_dict(cs: ConstraintSet) -> dict:
         "format_version": FORMAT_VERSION,
         "context": {"kappa": cs.context.kappa, "label": cs.context.label},
         "variables": [
-            {"id": i, "tag": var.tag.value, "angles": list(var.angles)}
-            for i, var in enumerate(cs.variables)
+            {"id": i, "tag": tag, "angles": [key * ANGLE_QUANTUM for key in keys]}
+            for i, (tag, keys) in enumerate(cs.unknowns)
         ],
         "constraints": [
             {
                 "id": i,
-                "vars": list(constraint.var_ids),
-                "required_sign": constraint.required_sign,
-                "provenance": _provenance_to_dict(constraint.provenance),
+                "vars": list(var_ids),
+                "required_sign": sign,
+                "provenance": _provenance_to_dict(angles, zeta, equation),
             }
-            for i, constraint in enumerate(cs.constraints)
+            for i, (var_ids, sign, angles, zeta, equation) in enumerate(
+                zip(cs.var_ids, cs.required_signs, cs.angles, cs.zetas, cs.equations)
+            )
         ],
     }
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer, by exact type: int() truncates floats, and bool is an int."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 #: Largest magnitude whose angle key (lhv.quantize_angle) is a finite float.
 _MAX_NUMBER = sys.float_info.max * ANGLE_QUANTUM
-
-
-def _number(value, name: str) -> float:
-    """A JSON number up to _MAX_NUMBER, by exact type: float() reads true as 1.0
-    and "0.5" as 0.5, json reads NaN and Infinity, and an int may overflow float()."""
-    if type(value) not in (int, float) or not abs(value) <= _MAX_NUMBER:
-        raise ValueError(f"{name} must be a number within +-{_MAX_NUMBER:.2g}, got {value!r}")
-    return float(value)
 
 
 def _parse(fp: IO[str]):
@@ -117,22 +99,127 @@ def _parse(fp: IO[str]):
         raise ValueError("JSON nested too deeply") from None
 
 
-def load_settings(fp: IO[str], degrees: bool) -> list[AngleSettings]:
-    """Read ``{"settings": [[phi1, phi2, phi3, phi4], ...]}`` or the bare list."""
+def _types(values: list) -> set:
+    return set(map(type, values))
+
+
+def _field(entries: list[dict], key: str) -> list:
+    return list(map(dict.get, entries, repeat(key)))
+
+
+def _integers(values: list, name: str) -> None:
+    """Exact JSON integers: int() truncates floats, and bool is an int."""
+    if not _types(values) <= {int}:
+        bad = next(value for value in values if type(value) is not int)
+        raise ValueError(f"{name} must be an integer, got {bad!r}")
+
+
+def _check_ids(entries: list[dict], start: int, kind: str) -> None:
+    """Entry i of the list has the integer id start + i."""
+    ids = _field(entries, "id")
+    _integers(ids, f"{kind} id")
+    if ids != list(range(start, start + len(ids))):
+        raise ValueError(f"{kind} ids must be 0..n-1 in order")
+
+
+def _numbers(values: list, name: str) -> np.ndarray:
+    """Exact JSON numbers up to _MAX_NUMBER, as one float array: float()
+    reads true as 1.0 and "0.5" as 0.5, json reads NaN and Infinity, and an
+    int may overflow a float."""
+    if _types(values) <= {int, float}:
+        with suppress(OverflowError):  # an int beyond the float range
+            array = np.array(values, dtype=float)
+            if np.abs(array).max(initial=0.0) <= _MAX_NUMBER:  # NaN fails too
+                return array
+    bad = next(v for v in values if type(v) not in (int, float) or not abs(v) <= _MAX_NUMBER)
+    raise ValueError(f"{name} must be a number within +-{_MAX_NUMBER:.2g}, got {bad!r}")
+
+
+def _checked(columns: Callable[[list, int], object], entries: list):
+    """``columns(entries, 0)``: the columns of a JSON list, each checked in
+    one pass, in the order the checks apply to one entry.  If one fails,
+    the error raised is the one an entry-by-entry check gives first: the
+    first failing entry, found by bisection (a prefix fails exactly when one
+    of its entries does), checked alone as ``columns([entry], index)``.  So
+    ``columns`` need only word its messages right for a one-entry list."""
+    try:
+        return columns(entries, 0)
+    except ValueError:
+        good, bad = 0, len(entries)  # entries[:good] pass, entries[:bad] fail
+        while bad - good > 1:
+            middle = (good + bad) // 2
+            try:
+                columns(entries[:middle], 0)
+                good = middle
+            except ValueError:
+                bad = middle
+        return columns(entries[good:bad], good)  # raises
+
+
+def _setting_columns(entries: list, start: int) -> np.ndarray:
+    if not _types(entries) <= {list} or not set(map(len, entries)) <= {4}:
+        raise ValueError(f"each setting needs 4 angles, got {entries[0]!r}")
+    return _numbers(list(chain.from_iterable(entries)), "angle").reshape(-1, 4)
+
+
+def load_settings(fp: IO[str], degrees: bool) -> np.ndarray:
+    """Read ``{"settings": [[phi1, phi2, phi3, phi4], ...]}`` or the bare list
+    as the (N, 4) array of radians that lhv's compile_* functions take."""
     doc = _parse(fp)
     raw = doc.get("settings") if type(doc) is dict else doc
     if type(raw) is not list:
         raise ValueError(f"settings must be a list of 4-angle lists, got {raw!r}")
-    settings = []
-    for entry in raw:
-        if type(entry) is not list or len(entry) != 4:
-            raise ValueError(f"each setting needs 4 angles, got {entry!r}")
-        values = [_number(a, "angle") for a in entry]
-        settings.append(AngleSettings(*(map(math.radians, values) if degrees else values)))
-    return settings
+    phis = _checked(_setting_columns, raw)
+    return np.radians(phis) if degrees else phis
+
+
+def _variable_columns(entries: list, start: int) -> list[tuple[str, tuple]]:
+    """The (tag code, angle keys) pair of each variable entry."""
+    if not _types(entries) <= {dict} or not _types(angles := _field(entries, "angles")) <= {list}:
+        raise ValueError(f"variable {start} must be an object with an angles list")
+    _check_ids(entries, start, "variable")
+    keys = iter(quantize_angle(_numbers(list(chain.from_iterable(angles)), "angle")).tolist())
+    tags = _field(entries, "tag")
+    if not _types(tags) <= {str} or not set(tags) <= TAG_ARITY.keys():
+        raise ValueError(f"{tags[0]!r} is not a valid FunctionTag")
+    arities = list(map(TAG_ARITY.get, tags))
+    if list(map(len, angles)) != arities:
+        raise ValueError(f"{tags[0]} takes {arities[0]} angle(s)")
+    return [(tag, tuple(islice(keys, arity))) for tag, arity in zip(tags, arities)]
+
+
+def _constraint_columns(entries: list, start: int) -> tuple[list, ...]:
+    """The var_ids, required_signs, angles, zetas and equations columns of
+    the constraint entries."""
+    if (
+        not _types(entries) <= {dict}
+        or not _types(provenances := _field(entries, "provenance")) <= {dict}
+        or not _types(var_ids := _field(entries, "vars")) <= {list}
+    ):
+        raise ValueError(f"constraint {start} must be an object with vars and provenance")
+    _check_ids(entries, start, "constraint")
+    equations, angles = _field(provenances, "equation"), _field(provenances, "angles")
+    if (
+        not _types(equations) <= {str}
+        or not _types(angles) <= {list}
+        or not set(map(len, angles)) <= {4}
+    ):
+        raise ValueError(f"constraint {start} provenance needs 4 angles and an equation string")
+    angles = _numbers(list(chain.from_iterable(angles)), "provenance angle").tolist()
+    zetas = _numbers(_field(provenances, "zeta"), "zeta").tolist()
+    _integers(list(chain.from_iterable(var_ids)), "constraint variable")
+    signs = _field(entries, "required_sign")
+    _integers(signs, "required_sign")
+    if not set(signs) <= {1, -1}:
+        raise ValueError(f"required_sign must be +1 or -1, got {signs[0]}")
+    if not all(var_ids):
+        raise ValueError("a constraint needs at least one variable")
+    return list(map(tuple, var_ids)), signs, list(zip(*[iter(angles)] * 4)), zetas, equations
 
 
 def constraint_set_from_dict(doc) -> ConstraintSet:
+    """The ConstraintSet a constraint-system document describes, checked and
+    stored one column at a time."""
     version = doc.get("format_version") if type(doc) is dict else None
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"need an object of format_version {FORMAT_VERSION}, got {version!r}")
@@ -140,31 +227,19 @@ def constraint_set_from_dict(doc) -> ConstraintSet:
     label = ctx.get("label", "") if type(ctx) is dict else None
     if type(label) is not str or type(var_list) is not list or type(con_list) is not list:
         raise ValueError("need a context with a string label, and variables and constraints lists")
-    context = HiddenContext(_integer(ctx.get("kappa"), "kappa"), label)
-    variables: list[SignVariable] = []
-    for i, entry in enumerate(var_list):
-        if type(entry) is not dict or type(entry.get("angles")) is not list:
-            raise ValueError(f"variable {i} must be an object with an angles list")
-        if _integer(entry.get("id"), "variable id") != i:
-            raise ValueError("variable ids must be 0..n-1 in order")
-        keys = tuple(quantize_angle(_number(a, "angle")) for a in entry["angles"])
-        variables.append(SignVariable(FunctionTag(entry.get("tag")), keys))
-    constraints: list[ParityConstraint] = []
-    for i, entry in enumerate(con_list):
-        prov = entry.get("provenance") if type(entry) is dict else None
-        if type(prov) is not dict or type(entry.get("vars")) is not list:
-            raise ValueError(f"constraint {i} must be an object with vars and provenance")
-        if _integer(entry.get("id"), "constraint id") != i:
-            raise ValueError("constraint ids must be 0..n-1 in order")
-        equation, angles = prov.get("equation"), prov.get("angles")
-        if type(equation) is not str or type(angles) is not list or len(angles) != 4:
-            raise ValueError(f"constraint {i} provenance needs 4 angles and an equation string")
-        angles = tuple(_number(a, "provenance angle") for a in angles)
-        provenance = Provenance(angles, _number(prov.get("zeta"), "zeta"), equation)
-        var_ids = tuple(_integer(v, "constraint variable") for v in entry["vars"])
-        sign = _integer(entry.get("required_sign"), "required_sign")
-        constraints.append(ParityConstraint(var_ids, sign, provenance))
-    return ConstraintSet(context=context, variables=variables, constraints=constraints)
+    _integers([ctx.get("kappa")], "kappa")
+    cs = ConstraintSet(HiddenContext(ctx["kappa"], label))
+    unknowns = _checked(_variable_columns, var_list)
+    columns = _checked(_constraint_columns, con_list)
+    cs._register(unknowns)
+    if cs.n_variables != len(unknowns):
+        raise ValueError("duplicate variables in registry")
+    var_ids, n = list(chain.from_iterable(columns[0])), cs.n_variables
+    if var_ids and not 0 <= min(var_ids) <= max(var_ids) < n:
+        bad = next(vid for vid in var_ids if not 0 <= vid < n)
+        raise ValueError(f"constraint references unregistered variable id {bad}")
+    cs._extend(*columns)
+    return cs
 
 
 def _array(items, indent: str) -> str:
@@ -207,22 +282,25 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
         '  "variables": '
     )
     variables = (
-        _VARIABLE % (i, var.tag.value, _array(map(number, var.angles), "      "))
-        for i, var in enumerate(cs.variables)
+        _VARIABLE % (i, tag, _array([number(key * ANGLE_QUANTUM) for key in keys], "      "))
+        for i, (tag, keys) in enumerate(cs.unknowns)
     )
     fp.write(_array(variables, "  "))
     fp.write(',\n  "constraints": ')
+    quoted = {equation: json.dumps(equation) for equation in set(cs.equations)}
     constraints = (
         _CONSTRAINT
         % (
             i,
-            _array(map(str, c.var_ids), "      "),
-            c.required_sign,
-            _array(map(number, c.provenance.angles), "        "),
-            number(c.provenance.zeta),
-            json.dumps(c.provenance.equation),
+            _array(map(str, var_ids), "      "),
+            sign,
+            _array(map(number, angles), "        "),
+            number(zeta),
+            quoted[equation],
         )
-        for i, c in enumerate(cs.constraints)
+        for i, (var_ids, sign, angles, zeta, equation) in enumerate(
+            zip(cs.var_ids, cs.required_signs, cs.angles, cs.zetas, cs.equations)
+        )
     )
     fp.write(_array(constraints, "  "))
     fp.write("\n}\n")
@@ -241,16 +319,17 @@ def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool)
         "verified": verified,
     }
     if result.status is SolveStatus.SAT:
-        doc["model"] = {cs.variables[vid].label: value for vid, value in sorted(result.model.items())}
+        labels = cs.labels(range(cs.n_variables))
+        doc["model"] = {labels[vid]: value for vid, value in sorted(result.model.items())}
         doc["certificate"] = None
     else:
         doc["model"] = None
         doc["certificate"] = [
             {
                 "id": cid,
-                "variables": [cs.variables[vid].label for vid in cs.constraints[cid].var_ids],
-                "required_sign": cs.constraints[cid].required_sign,
-                "provenance": _provenance_to_dict(cs.constraints[cid].provenance),
+                "variables": cs.labels(cs.var_ids[cid]),
+                "required_sign": cs.required_signs[cid],
+                "provenance": _provenance_to_dict(cs.angles[cid], cs.zetas[cid], cs.equations[cid]),
             }
             for cid in result.certificate
         ]

@@ -77,11 +77,11 @@ def _parity_rows(cs: ConstraintSet) -> list[tuple[int, int]]:
     rhs is 1 exactly when the required sign is -1.
     """
     rows = []
-    for constraint in cs.constraints:
+    for var_ids, sign in zip(cs.var_ids, cs.required_signs):
         mask = 0
-        for vid in constraint.var_ids:
+        for vid in var_ids:
             mask ^= 1 << vid
-        rows.append((mask, 0 if constraint.required_sign == +1 else 1))
+        rows.append((mask, 0 if sign == +1 else 1))
     return rows
 
 
@@ -242,11 +242,11 @@ def verify_certificate(cs: ConstraintSet, result: SolveResult) -> bool:
             return False
         if any(value not in (-1, +1) for value in model.values()):
             return False
-        for constraint in cs.constraints:
+        for var_ids, required_sign in zip(cs.var_ids, cs.required_signs):
             product = 1
-            for vid in constraint.var_ids:
+            for vid in var_ids:
                 product *= model[vid]
-            if product != constraint.required_sign:
+            if product != required_sign:
                 return False
         return True
     certificate = result.certificate
@@ -255,10 +255,8 @@ def verify_certificate(cs: ConstraintSet, result: SolveResult) -> bool:
     counts: Counter[int] = Counter()
     sign = 1
     for cid in certificate:
-        if not 0 <= cid < len(cs.constraints):
+        if not 0 <= cid < len(cs.var_ids):
             raise ValueError(f"certificate references unknown constraint id {cid}")
-        constraint = cs.constraints[cid]
-        sign *= constraint.required_sign
-        for vid in constraint.var_ids:
-            counts[vid] += 1
+        sign *= cs.required_signs[cid]
+        counts.update(cs.var_ids[cid])
     return sign == -1 and all(count % 2 == 0 for count in counts.values())

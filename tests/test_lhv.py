@@ -195,6 +195,60 @@ class TestArrayPassCompiler:
         assert cs.variables == [] and cs.constraints == []
 
 
+#: Angles where the array quantizer can part from round(): signed zeros,
+#: tiny negatives (np.rint gives -0.0 where round() gives 0), halfway points
+#: between keys, magnitudes past 2**53 keys (about 9e6 rad) and the largest
+#: angles the loaders accept.
+AWKWARD_ANGLES = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1e-10, -4.9e-10, -5e-10, 5e-10, 1e7, -1e7, 1.7e299, -1.7e299]),
+    st.builds(lambda k: (k + 0.5) * 1e-9, st.integers(-(10**6), 10**6)),
+    st.builds(lambda k: k * 2.0**-30 + 2.0**53 * 1e-9, st.integers(0, 2**20)),
+    st.floats(-1e-8, 1e-8),
+)
+
+
+@st.composite
+def awkward_settings(draw):
+    """Settings built from at most three drawn base angles plus offsets of
+    0, pi/4 or pi/2 on either arm, so that many sit at a special phase."""
+    bases = draw(st.lists(AWKWARD_ANGLES, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = draw(st.sampled_from(bases)), draw(st.sampled_from(bases))
+        da, db = draw(st.sampled_from([0.0, PI / 4, PI / 2])), draw(st.sampled_from([0.0, PI / 4]))
+        left = (a, a + da) if draw(st.booleans()) else (a + da, a)
+        right = (b + db, b) if draw(st.booleans()) else (b, b + db)
+        rows.append((*left, *right))
+    return rows
+
+
+class TestArrayQuantizer:
+    """The compiler keys all angles with one np.rint; replay_compile keys
+    them one round() at a time.  Both must write the same file."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        rows=awkward_settings(),
+        kappa=st.sampled_from([+1, -1]),
+        fig=st.sampled_from([1, 2]),
+        factorize=st.booleans(),
+    )
+    def test_matches_round(self, rows, kappa, fig, factorize):
+        context = HiddenContext(kappa=kappa)
+        rule = RULE_BELL_POLARIZATION if fig == 1 else RULE_DOUBLE_BELL
+        compile_fig = compile_bell_polarization if fig == 1 else compile_double_bell
+        compiled = compile_fig(np.array(rows, dtype=float).reshape(-1, 4), context, 1e-9)
+        replayed = replay_compile(rule, [AngleSettings(*row) for row in rows], context, 1e-9)
+        if factorize:
+            compiled, replayed = apply_factorization(compiled), replay_factorization(replayed)
+        assert file_text(compiled) == file_text(replayed)
+        assert compiled == replayed
+
+    def test_tiny_negative_angle_prints_as_zero(self):
+        cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)
+        assert [v.label for v in cs.variables] == ["F(0.0, 0.0)", "G(0.0, 0.0)"]
+
+
 class TestCompileDoubleBell:
     def test_zero_phase_setting(self):
         alpha, beta = 0.5, 2.2
@@ -321,10 +375,9 @@ class TestConstraintSetInvariants:
         cs = contradiction_instance(0.0, 0.0, +1)
         assert cs == contradiction_instance(0.0, 0.0, +1)
         assert cs == cs.copy()
-        flipped = cs.copy()
-        first = flipped.constraints[0]
-        flipped.constraints[0] = replace(first, required_sign=-first.required_sign)
-        assert cs != flipped
-        other_kappa = replace(cs.copy(), context=CTX_MINUS)
-        assert cs != other_kappa
+        first, *rest = cs.constraints
+        flipped = replace(first, required_sign=-first.required_sign)
+        assert cs != ConstraintSet(cs.context, cs.variables, [flipped, *rest])
+        assert cs == ConstraintSet(cs.context, cs.variables, cs.constraints)
+        assert cs != ConstraintSet(CTX_MINUS, cs.variables, cs.constraints)
         assert cs != contradiction_instance(0.0, 0.1, +1)

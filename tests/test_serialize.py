@@ -339,6 +339,184 @@ class TestLoaderFuzz:
         loads_or_raises_value_error(lambda fp: load_settings(fp, degrees), io.StringIO(text))
 
 
+def edited(*edits):
+    """VALID_DOCUMENT with each (path, value) edit applied in turn."""
+    doc = copy.deepcopy(VALID_DOCUMENT)
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+NUMBER_LIMIT = "must be a number within +-1.8e+299, got"
+
+#: Malformed settings documents and the exact one-line message of each.
+MALFORMED_SETTINGS = {
+    "bool-angle": ([[0, True, 0, 0]], f"angle {NUMBER_LIMIT} True"),
+    "nan-angle": ({"settings": [[0, 0, math.nan, 0]]}, f"angle {NUMBER_LIMIT} nan"),
+    "huge-int-angle": ([[0, 0, 0, 10**400]], f"angle {NUMBER_LIMIT} {10**400}"),
+    "three-angles": ([[0, 0, 0]], "each setting needs 4 angles, got [0, 0, 0]"),
+    "not-a-list": (
+        {"settings": {"a": 1}},
+        "settings must be a list of 4-angle lists, got {'a': 1}",
+    ),
+    # the first offending entry wins, whichever check it fails
+    "angle-before-shape": ([[0, 0, 0, "x"], [0]], f"angle {NUMBER_LIMIT} 'x'"),
+    "shape-before-angle": ([[0], [0, 0, 0, "x"]], "each setting needs 4 angles, got [0]"),
+    "first-of-two-angles": ([[0, 0, math.inf, -math.inf]], f"angle {NUMBER_LIMIT} inf"),
+}
+
+#: Malformed constraint-system documents and the exact one-line message of each.
+MALFORMED_SYSTEMS = {
+    "kappa-zero": (edited((["context", "kappa"], 0)), "kappa must be +1 or -1, got 0"),
+    "string-kappa": (edited((["context", "kappa"], "1")), "kappa must be an integer, got '1'"),
+    "variable-not-object": (
+        edited((["variables", 1], [0.0])),
+        "variable 1 must be an object with an angles list",
+    ),
+    "bool-variable-id": (
+        edited((["variables", 0, "id"], False)),
+        "variable id must be an integer, got False",
+    ),
+    "variable-ids-out-of-order": (
+        edited((["variables", 1, "id"], 2), (["variables", 2, "id"], 1)),
+        "variable ids must be 0..n-1 in order",
+    ),
+    "bool-variable-angle": (
+        edited((["variables", 2, "angles", 0], True)),
+        f"angle {NUMBER_LIMIT} True",
+    ),
+    "unknown-tag": (edited((["variables", 3, "tag"], "B")), "'B' is not a valid FunctionTag"),
+    "list-tag": (edited((["variables", 0, "tag"], ["A"])), "['A'] is not a valid FunctionTag"),
+    "f-with-one-angle": (edited((["variables", 1, "tag"], "F")), "F takes 2 angle(s)"),
+    "a-with-two-angles": (edited((["variables", 0, "angles"], [0.0, 0.0])), "A takes 1 angle(s)"),
+    "duplicate-unknowns": (
+        edited((["variables", 1, "angles"], [0.0])),
+        "duplicate variables in registry",
+    ),
+    "constraint-not-object": (
+        edited((["constraints", 1], None)),
+        "constraint 1 must be an object with vars and provenance",
+    ),
+    "constraint-ids-out-of-order": (
+        edited((["constraints", 0, "id"], 1)),
+        "constraint ids must be 0..n-1 in order",
+    ),
+    "float-constraint-id": (
+        edited((["constraints", 1, "id"], 1.0)),
+        "constraint id must be an integer, got 1.0",
+    ),
+    "three-provenance-angles": (
+        edited((["constraints", 0, "provenance", "angles"], [0.0, 0.0, 0.0])),
+        "constraint 0 provenance needs 4 angles and an equation string",
+    ),
+    "non-string-equation": (
+        edited((["constraints", 1, "provenance", "equation"], ["aadd"])),
+        "constraint 1 provenance needs 4 angles and an equation string",
+    ),
+    "string-provenance-angle": (
+        edited((["constraints", 1, "provenance", "angles", 3], "0")),
+        f"provenance angle {NUMBER_LIMIT} '0'",
+    ),
+    "huge-zeta": (
+        edited((["constraints", 0, "provenance", "zeta"], -1e300)),
+        f"zeta {NUMBER_LIMIT} -1e+300",
+    ),
+    "float-variable-reference": (
+        edited((["constraints", 1, "vars", 2], 3.0)),
+        "constraint variable must be an integer, got 3.0",
+    ),
+    "bool-required-sign": (
+        edited((["constraints", 0, "required_sign"], True)),
+        "required_sign must be an integer, got True",
+    ),
+    "list-required-sign": (
+        edited((["constraints", 1, "required_sign"], [1])),
+        "required_sign must be an integer, got [1]",
+    ),
+    "zero-required-sign": (
+        edited((["constraints", 1, "required_sign"], 0)),
+        "required_sign must be +1 or -1, got 0",
+    ),
+    "no-variables-in-constraint": (
+        edited((["constraints", 0, "vars"], [])),
+        "a constraint needs at least one variable",
+    ),
+    "variable-id-out-of-range": (
+        edited((["constraints", 1, "vars", 1], 7), (["constraints", 1, "vars", 2], -1)),
+        "constraint references unregistered variable id 7",
+    ),
+    # in one entry the checks keep their order
+    "angle-before-tag": (
+        edited((["variables", 0, "tag"], "B"), (["variables", 0, "angles", 0], "x")),
+        f"angle {NUMBER_LIMIT} 'x'",
+    ),
+    "zeta-before-sign": (
+        edited(
+            (["constraints", 1, "required_sign"], 0),
+            (["constraints", 1, "provenance", "zeta"], True),
+        ),
+        f"zeta {NUMBER_LIMIT} True",
+    ),
+    # the first offending entry wins, whichever check it fails
+    "id-before-later-object": (
+        edited((["variables", 0, "id"], "0"), (["variables", 1], None)),
+        "variable id must be an integer, got '0'",
+    ),
+    "object-before-later-angle": (
+        edited((["variables", 0], None), (["variables", 1, "angles", 0], "x")),
+        "variable 0 must be an object with an angles list",
+    ),
+    "zeta-before-later-object": (
+        edited((["constraints", 0, "provenance", "zeta"], None), (["constraints", 1], [])),
+        f"zeta {NUMBER_LIMIT} None",
+    ),
+    "sign-before-later-angle": (
+        edited(
+            (["constraints", 0, "required_sign"], 2),
+            (["constraints", 1, "provenance", "angles", 0], None),
+        ),
+        "required_sign must be +1 or -1, got 2",
+    ),
+    "variable-error-before-constraint-error": (
+        edited((["variables", 3, "tag"], "G"), (["constraints", 0], None)),
+        "G takes 2 angle(s)",
+    ),
+    "constraint-error-before-duplicate": (
+        edited((["variables", 1, "angles"], [0.0]), (["constraints", 1, "vars"], [])),
+        "a constraint needs at least one variable",
+    ),
+    "duplicate-before-range": (
+        edited((["variables", 1, "angles"], [0.0]), (["constraints", 1, "vars", 0], 9)),
+        "duplicate variables in registry",
+    ),
+}
+
+
+class TestLoaderMessages:
+    """Each malformed document fails with the exact one-line message the
+    loaders gave when they checked one field at a time: the first offending
+    entry, and in it the first failing check, names the error."""
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    @pytest.mark.parametrize("doc,message", MALFORMED_SETTINGS.values(), ids=MALFORMED_SETTINGS)
+    def test_settings(self, doc, message, degrees):
+        with pytest.raises(ValueError) as excinfo:
+            load_settings(io.StringIO(json.dumps(doc)), degrees)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("doc,message", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS)
+    def test_constraint_systems(self, doc, message):
+        with pytest.raises(ValueError) as excinfo:
+            constraint_set_from_dict(doc)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            load_constraint_set(io.StringIO(json.dumps(doc)))
+        assert str(excinfo.value) == message
+
+
 class TestSolveResultJson:
     def test_unsat_document_names_experiments(self):
         cs = contradiction_instance(0.0, 0.0, +1)
