@@ -129,7 +129,10 @@ def _numbers(values: list, name: str) -> np.ndarray:
     if _types(values) <= {int, float}:
         with suppress(OverflowError):  # an int beyond the float range
             array = np.array(values, dtype=float)
-            if np.abs(array).max(initial=0.0) <= _MAX_NUMBER:  # NaN fails too
+            peak = np.abs(array).max(initial=0.0)  # NaN fails both tests below
+            # an int just past _MAX_NUMBER rounds to it: compare as Python numbers
+            exact = peak < _MAX_NUMBER or all(abs(v) <= _MAX_NUMBER for v in values)
+            if peak <= _MAX_NUMBER and exact:
                 return array
     bad = next(v for v in values if type(v) not in (int, float) or not abs(v) <= _MAX_NUMBER)
     raise ValueError(f"{name} must be a number within +-{_MAX_NUMBER:.2g}, got {bad!r}")
@@ -137,23 +140,16 @@ def _numbers(values: list, name: str) -> np.ndarray:
 
 def _checked(columns: Callable[[list, int], object], entries: list):
     """``columns(entries, 0)``: the columns of a JSON list, each checked in
-    one pass, in the order the checks apply to one entry.  If one fails,
-    the error raised is the one an entry-by-entry check gives first: the
-    first failing entry, found by bisection (a prefix fails exactly when one
-    of its entries does), checked alone as ``columns([entry], index)``.  So
+    one pass, in the order the checks apply to one entry.  If a check fails,
+    the entries are checked one at a time as ``columns([entry], index)``, so
+    the error raised is the one an entry-by-entry check gives first, and
     ``columns`` need only word its messages right for a one-entry list."""
     try:
         return columns(entries, 0)
     except ValueError:
-        good, bad = 0, len(entries)  # entries[:good] pass, entries[:bad] fail
-        while bad - good > 1:
-            middle = (good + bad) // 2
-            try:
-                columns(entries[:middle], 0)
-                good = middle
-            except ValueError:
-                bad = middle
-        return columns(entries[good:bad], good)  # raises
+        for index, entry in enumerate(entries):
+            columns([entry], index)
+        raise
 
 
 def _setting_columns(entries: list, start: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of, sample_events
 from bellswap.lhv import (
+    ANGLE_QUANTUM,
     ConstraintSet,
     FunctionTag,
     HiddenContext,
@@ -352,11 +354,19 @@ def edited(*edits):
 
 NUMBER_LIMIT = "must be a number within +-1.8e+299, got"
 
+#: The largest integer the loaders take as a number.  The next integer rounds
+#: to it as a float, so only an exact comparison refuses that one.
+LARGEST_INT = int(sys.float_info.max * ANGLE_QUANTUM)
+
 #: Malformed settings documents and the exact one-line message of each.
 MALFORMED_SETTINGS = {
     "bool-angle": ([[0, True, 0, 0]], f"angle {NUMBER_LIMIT} True"),
     "nan-angle": ({"settings": [[0, 0, math.nan, 0]]}, f"angle {NUMBER_LIMIT} nan"),
     "huge-int-angle": ([[0, 0, 0, 10**400]], f"angle {NUMBER_LIMIT} {10**400}"),
+    "int-just-past-limit": (
+        [[0, -LARGEST_INT - 1, 0, 0]],
+        f"angle {NUMBER_LIMIT} {-LARGEST_INT - 1}",
+    ),
     "three-angles": ([[0, 0, 0]], "each setting needs 4 angles, got [0, 0, 0]"),
     "not-a-list": (
         {"settings": {"a": 1}},
@@ -419,6 +429,14 @@ MALFORMED_SYSTEMS = {
     "string-provenance-angle": (
         edited((["constraints", 1, "provenance", "angles", 3], "0")),
         f"provenance angle {NUMBER_LIMIT} '0'",
+    ),
+    "int-angle-just-past-limit": (
+        edited((["variables", 1, "angles", 0], LARGEST_INT + 1)),
+        f"angle {NUMBER_LIMIT} {LARGEST_INT + 1}",
+    ),
+    "int-zeta-just-past-limit": (
+        edited((["constraints", 1, "provenance", "zeta"], LARGEST_INT + 1)),
+        f"zeta {NUMBER_LIMIT} {LARGEST_INT + 1}",
     ),
     "huge-zeta": (
         edited((["constraints", 0, "provenance", "zeta"], -1e300)),
@@ -506,6 +524,10 @@ class TestLoaderMessages:
         with pytest.raises(ValueError) as excinfo:
             load_settings(io.StringIO(json.dumps(doc)), degrees)
         assert str(excinfo.value) == message
+
+    def test_largest_int_is_a_number(self):
+        phis = load_settings(io.StringIO(json.dumps([[LARGEST_INT, 0, 0, -LARGEST_INT]])), False)
+        assert phis.tolist() == [[float(LARGEST_INT), 0.0, 0.0, -float(LARGEST_INT)]]
 
     @pytest.mark.parametrize("doc,message", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS)
     def test_constraint_systems(self, doc, message):

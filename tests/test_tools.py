@@ -7,7 +7,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def test_stage_times_smallest_size():
-    argv = ["--bases", "1", "--repeat", "1", "--solve-bases", "1", "--solve-repeat", "1"]
+    argv = ["--bases", "1", "--repeat", "1", "--solve-bases", "1"]
     proc = subprocess.run(
         [sys.executable, str(TOOLS / "stage_times.py"), *argv],
         capture_output=True,

@@ -17,7 +17,8 @@ best of ``--repeat`` runs is reported in milliseconds.
 
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
-bases give 1044, 2464 and 4960 unknowns), best of ``--solve-repeat`` runs.
+bases give 1044, 2464 and 4960 unknowns), best of ``--repeat`` runs.  The
+base angles are drawn with the refute_grid benchmark's seed, SEED.
 
 The output is one JSON object on standard output.
 """
@@ -40,6 +41,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bellswap import lhv, serialize, solver  # noqa: E402
 
 OFFSETS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+
+#: Seed of the base angles, the refute_grid benchmark's.
+SEED = 301
 
 
 def grid_settings(rng: np.random.Generator, bases: int) -> list[list[float]]:
@@ -117,11 +121,11 @@ def dump_text(cs: lhv.ConstraintSet) -> str:
     return buffer.getvalue()
 
 
-def unfactorized_solves(seed: int, sizes: list[int], repeat: int) -> list[dict]:
+def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     """gf2_solve on the unfactorized figure-1 system of each grid size."""
     out = []
     for bases in sizes:
-        text = json.dumps(grid_settings(np.random.default_rng(seed), bases))
+        text = json.dumps(grid_settings(np.random.default_rng(SEED), bases))
         settings = serialize.load_settings(io.StringIO(text), False)
         cs = lhv.compile_bell_polarization(settings, lhv.HiddenContext(kappa=+1))
         ms, result = best_ms(repeat, lambda: solver.gf2_solve(cs))
@@ -139,9 +143,8 @@ def unfactorized_solves(seed: int, sizes: list[int], repeat: int) -> list[dict]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=301, help="seed of the base angles")
     parser.add_argument("--bases", type=int, default=9, help="base angles per side of the round")
-    parser.add_argument("--repeat", type=int, default=9, help="runs per stage; the best counts")
+    parser.add_argument("--repeat", type=int, default=9, help="runs per timing; the best counts")
     parser.add_argument(
         "--solve-bases",
         type=int,
@@ -149,25 +152,22 @@ def main(argv: list[str] | None = None) -> int:
         default=[9, 14, 20],
         help="grid sizes of the unfactorized figure-1 gf2_solve timings",
     )
-    parser.add_argument("--solve-repeat", type=int, default=3, help="runs per solve timing")
     args = parser.parse_args(argv)
-    if min([args.bases, args.repeat, args.solve_repeat, *args.solve_bases]) < 1:
-        parser.error("sizes and repeats must be >= 1")
+    if min([args.bases, args.repeat, *args.solve_bases]) < 1:
+        parser.error("sizes and --repeat must be >= 1")
 
-    settings = grid_settings(np.random.default_rng(args.seed), args.bases)
+    settings = grid_settings(np.random.default_rng(SEED), args.bases)
     stages = round_stages(json.dumps({"settings": settings}), args.repeat)
     report = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seed": args.seed,
+        "seed": SEED,
         "bases": args.bases,
         "settings": len(settings),
         "repeat": args.repeat,
         "stages_ms": stages,
         "round_ms": sum(stages.values()),
-        "gf2_unfactorized_fig1": unfactorized_solves(
-            args.seed, args.solve_bases, args.solve_repeat
-        ),
+        "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
     }
     print(json.dumps(report, indent=2))
     return 0
