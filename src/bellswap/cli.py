@@ -6,7 +6,8 @@ Subcommands:
   state, closed form next to the brute-force decomposition.
 - verify-qm: sweep random plus special-phase settings and check every exact
   prediction; JSON report on stdout.
-- simulate: sample Bell/polarization coincidences to CSV.
+- simulate: sample Bell/polarization coincidences to CSV, a fixed chunk of
+  events at a time.
 - refute: build the two-setting contradiction for a sector and certify it
   unsatisfiable ("--fig2" compiles the same settings for the double Bell
   arrangement instead, which is satisfiable).
@@ -66,6 +67,9 @@ from .solver import SolveStatus, enumerate_solve, gf2_solve, verify_certificate
 from .verification import CLOSED_FORM_TOL, run_qm_verification
 
 _METHODS = {"enumerate": enumerate_solve, "gf2": gf2_solve}
+#: Events simulate samples and writes at a time, so its memory does not
+#: grow with --events.
+EVENT_CHUNK = 4096
 _parser: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
@@ -182,14 +186,19 @@ def cmd_verify_qm(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     angles = _angles_from_args(args)
+    violations = 0
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            outcomes = sample_events(angles, args.events, args.seed)
-            write_events_csv(fp, angles, outcomes)
+            rng = np.random.default_rng(args.seed)
+            violating = violating_outcomes(angles, args.tol)
+            # one chunk at --events 0 too: it writes the header row
+            for start in range(0, args.events, EVENT_CHUNK) or [0]:
+                outcomes = sample_events(angles, min(EVENT_CHUNK, args.events - start), rng)
+                write_events_csv(fp, angles, outcomes, start)
+                violations += int(np.count_nonzero(violating[outcomes]))
     except OSError as exc:
         return _cannot_write(exc)
-    violations = int(violating_outcomes(angles, args.tol)[outcomes].sum())
-    print(f"wrote {len(outcomes)} events to {args.out}; sector-product violations: {violations}")
+    print(f"wrote {args.events} events to {args.out}; sector-product violations: {violations}")
     return 0 if violations == 0 else 1
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .quantum import (
     AngleSettings,
     BellOutcome,
     Polarization,
+    _read_only,
     apply_all_rotations,
     bell_bell_coefficients,
     make_vw_state,
@@ -249,16 +251,25 @@ def violating_outcomes(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) ->
     return mask
 
 
-def sample_events(angles: AngleSettings, n: int, seed: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _outcome_cdf(angles: AngleSettings) -> np.ndarray:
+    """Cumulative probabilities over OUTCOME_ORDER.  simulate samples one
+    setting a chunk at a time, so the last setting's CDF is kept."""
+    return _read_only(np.cumsum(_outcome_probabilities(_decompose(angles))))
+
+
+def sample_events(angles: AngleSettings, n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. events from the Bell/polarization distribution.
 
     Each event is an index into OUTCOME_ORDER.  Sampling is inverse-CDF over
     that order with numpy's seeded generator, so a given (angles, n, seed)
-    always yields the same array.
+    always yields the same array.  A Generator passed as ``seed`` is drawn
+    from as it stands, so draws of n1 and then n2 events from one Generator
+    concatenate to the draw of n1 + n2 events from its seed.
     """
     if n < 0:
         raise ValueError("event count must be >= 0")
-    cdf = np.cumsum(_outcome_probabilities(_decompose(angles)))
+    cdf = _outcome_cdf(angles)
     rng = np.random.default_rng(seed)
     draws = np.searchsorted(cdf, rng.random(n), side="right")
     return np.minimum(draws, len(OUTCOME_ORDER) - 1)

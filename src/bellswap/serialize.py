@@ -9,24 +9,37 @@ takes, and constraint_set_from_dict fills the columns of a ConstraintSet
 field-by-field check would raise first.  Floats are written in Python's
 shortest round-trip repr, so parse(serialize(x)) == x exactly.  The
 constraint-system file is pinned byte for byte: it is what json.dumps with
-indent=2 prints for constraint_set_to_dict, written from templates instead.
-The CSV schema is versioned by its pinned header row; its columns, vocabulary
-and LF line endings are golden-tested.
+indent=2 prints for constraint_set_to_dict, written instead from one layout
+per row shape, with one % call per chunk of rows; each distinct float is
+formatted once (lhv.float_reprs, which keeps -0.0 apart from 0.0).  The
+event CSV is written one chunk of events per write_events_csv call: its rows
+are formatted by one % call over (event id, row text) pairs, the header
+precedes event 0 and the ids continue from the call's start.  The CSV
+schema is versioned by its pinned header row; its columns, vocabulary and
+LF line endings are golden-tested.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import suppress
+from functools import cache
 from itertools import chain, islice, repeat
 from typing import IO, Sequence
 
 import numpy as np
 
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
-from .lhv import ANGLE_QUANTUM, TAG_ARITY, ConstraintSet, HiddenContext, quantize_angle
+from .lhv import (
+    ANGLE_QUANTUM,
+    TAG_ARITY,
+    ConstraintSet,
+    HiddenContext,
+    float_reprs,
+    quantize_angle,
+)
 from .quantum import AngleSettings
 from .solver import SolveResult, SolveStatus
 
@@ -238,67 +251,101 @@ def constraint_set_from_dict(doc) -> ConstraintSet:
     return cs
 
 
-def _array(items, indent: str) -> str:
-    """A JSON array of already formatted, non-empty items, laid out as
+#: Objects per % call of dump_constraint_set, so that the text held at once
+#: stays small.
+_CHUNK = 128
+
+
+@cache
+def _array_layout(n: int, slot: str, indent: str) -> str:
+    """A JSON array of n items, each the % slot ``slot``, laid out as
     json.dumps with indent=2 lays it out when its opening bracket sits at
     ``indent``."""
     inner = ",\n  " + indent
-    text = inner.join(items)
-    return f"[\n  {indent}{text}\n{indent}]" if text else "[]"
+    return f"[\n  {indent}{inner.join([slot] * n)}\n{indent}]" if n else "[]"
 
 
+# Object layouts with the arrays left open: %% is a slot of the final layout.
 _VARIABLE = """{
-      "id": %d,
-      "tag": "%s",
+      "id": %%d,
+      "tag": "%%s",
       "angles": %s
     }"""
 
 _CONSTRAINT = """{
-      "id": %d,
+      "id": %%d,
       "vars": %s,
-      "required_sign": %d,
+      "required_sign": %%d,
       "provenance": {
         "angles": %s,
-        "zeta": %s,
-        "equation": %s
+        "zeta": %%s,
+        "equation": %%s
       }
     }"""
+
+
+@cache
+def _variable_layout(arity: int) -> str:
+    return _VARIABLE % _array_layout(arity, "%s", "      ")
+
+
+@cache
+def _constraint_layout(n_vars: int, n_angles: int) -> str:
+    vars_ = _array_layout(n_vars, "%d", "      ")
+    return _CONSTRAINT % (vars_, _array_layout(n_angles, "%s", "        "))
+
+
+def _write_array(fp: IO[str], layouts: Iterator[str], cells: Iterator) -> None:
+    """Write a JSON array of objects at indent 2: ``layouts`` gives each
+    object's text with % slots, ``cells`` the values of all slots in order.
+    Each chunk of _CHUNK objects is formatted by one % call."""
+    opening = "[\n    "
+    while chunk := ",\n    ".join(islice(layouts, _CHUNK)):
+        fp.write(opening)
+        fp.write(chunk % tuple(islice(cells, chunk.count("%"))))
+        opening = ",\n    "
+    fp.write("\n  ]" if opening.startswith(",") else "[]")
 
 
 def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
     """Write cs in exactly the bytes of
     ``json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"``, but from
-    fixed templates, one write per part: json's indenting encoder is pure
-    Python and makes one write per token.  Numbers print as json prints them
-    (float.__repr__ and str), the two free strings through json.dumps."""
-    number = float.__repr__
+    fixed layouts, one % call per chunk of rows: json's indenting encoder is
+    pure Python and makes one write per token.  Numbers print as json prints
+    them (float.__repr__, formatted once per distinct value, and %d), the
+    two free strings through json.dumps."""
+    text = float_reprs(
+        [
+            *(key * ANGLE_QUANTUM for _, keys in cs.unknowns for key in keys),
+            *chain.from_iterable(cs.angles),
+            *cs.zetas,
+        ]
+    )
+    angles = iter(text)  # the variables' angles, then the settings' angles
+    zetas = islice(text, len(text) - len(cs.zetas), None)
+    quoted = {equation: json.dumps(equation) for equation in set(cs.equations)}
     fp.write(
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "context": {{\n'
         f'    "kappa": {cs.context.kappa},\n    "label": {json.dumps(cs.context.label)}\n  }},\n'
         '  "variables": '
     )
-    variables = (
-        _VARIABLE % (i, tag, _array([number(key * ANGLE_QUANTUM) for key in keys], "      "))
-        for i, (tag, keys) in enumerate(cs.unknowns)
+    _write_array(
+        fp,
+        (_variable_layout(len(keys)) for _, keys in cs.unknowns),
+        chain.from_iterable(
+            (i, tag, *islice(angles, len(keys))) for i, (tag, keys) in enumerate(cs.unknowns)
+        ),
     )
-    fp.write(_array(variables, "  "))
     fp.write(',\n  "constraints": ')
-    quoted = {equation: json.dumps(equation) for equation in set(cs.equations)}
-    constraints = (
-        _CONSTRAINT
-        % (
-            i,
-            _array(map(str, var_ids), "      "),
-            sign,
-            _array(map(number, angles), "        "),
-            number(zeta),
-            quoted[equation],
-        )
-        for i, (var_ids, sign, angles, zeta, equation) in enumerate(
-            zip(cs.var_ids, cs.required_signs, cs.angles, cs.zetas, cs.equations)
-        )
+    rows = zip(cs.var_ids, cs.required_signs, cs.angles, zetas, cs.equations)
+    _write_array(
+        fp,
+        map(_constraint_layout, map(len, cs.var_ids), map(len, cs.angles)),
+        chain.from_iterable(
+            (i, *var_ids, sign, *islice(angles, len(setting)), zeta, quoted[equation])
+            for i, (var_ids, sign, setting, zeta, equation) in enumerate(rows)
+        ),
     )
-    fp.write(_array(constraints, "  "))
     fp.write("\n}\n")
 
 
@@ -320,33 +367,45 @@ def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool)
         doc["certificate"] = None
     else:
         doc["model"] = None
+        lines = [cs.var_ids[cid] for cid in result.certificate]
+        labels = iter(cs.labels(chain.from_iterable(lines)))
         doc["certificate"] = [
             {
                 "id": cid,
-                "variables": cs.labels(cs.var_ids[cid]),
+                "variables": list(islice(labels, len(var_ids))),
                 "required_sign": cs.required_signs[cid],
                 "provenance": _provenance_to_dict(cs.angles[cid], cs.zetas[cid], cs.equations[cid]),
             }
-            for cid in result.certificate
+            for cid, var_ids in zip(result.certificate, lines)
         ]
     return doc
 
 
-def write_events_csv(fp: IO[str], angles: AngleSettings, outcomes: Sequence[int]) -> int:
-    """Write the pinned event schema; returns the number of rows written.
+def _outcome_cells(bell, pol_a, pol_d) -> str:
+    f, a, d = f_value_of(bell), pol_a.sign, pol_d.sign
+    return f"{bell.value},{pol_a.value},{pol_d.value},{kappa_of(bell)},{f},{a},{d},{a * f * d}\n"
+
+
+#: The cells after the angles of an event row, for each outcome of OUTCOME_ORDER.
+_OUTCOME_CELLS = [_outcome_cells(*outcome) for outcome in OUTCOME_ORDER]
+
+
+def write_events_csv(
+    fp: IO[str], angles: AngleSettings, outcomes: Sequence[int], start: int = 0
+) -> int:
+    """Write the rows of events start, start + 1, ... in the pinned event
+    schema, after the header row when start is 0; returns the number of rows.
 
     ``outcomes`` are indices into OUTCOME_ORDER, as drawn by sample_events.
     Angles use shortest round-trip repr and rows get LF endings, so equal
-    inputs serialize to identical bytes.
+    inputs serialize to identical bytes.  Successive calls with the next
+    start continue one file.  All rows are formatted by one % call.
     """
-    phis = ",".join(repr(phi) for phi in angles.as_tuple())
-    suffixes = []
-    for bell, pol_a, pol_d in OUTCOME_ORDER:
-        f, a, d = f_value_of(bell), pol_a.sign, pol_d.sign
-        suffixes.append(
-            f"{phis},{bell.value},{pol_a.value},{pol_d.value},"
-            f"{kappa_of(bell)},{f},{a},{d},{a * f * d}\n"
-        )
-    fp.write(",".join(EVENT_CSV_COLUMNS) + "\n")
-    fp.writelines(f"{i},{suffixes[k]}" for i, k in enumerate(outcomes))
-    return len(outcomes)
+    phis = ",".join(map(repr, angles.as_tuple()))
+    rows = [f"{phis},{cells}" for cells in _OUTCOME_CELLS]
+    if start == 0:
+        fp.write(",".join(EVENT_CSV_COLUMNS) + "\n")
+    keys = np.asarray(outcomes, dtype=np.intp).tolist()
+    cells = chain.from_iterable(zip(range(start, start + len(keys)), map(rows.__getitem__, keys)))
+    fp.write(("%d,%s" * len(keys)) % tuple(cells))
+    return len(keys)

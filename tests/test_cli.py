@@ -6,10 +6,17 @@ import pytest
 
 from bellswap import cli, quantum, serialize
 from bellswap.cli import main
-from bellswap.correlations import classify_zeta
+from bellswap.correlations import (
+    OUTCOME_ORDER,
+    classify_zeta,
+    f_value_of,
+    kappa_of,
+    sample_events,
+    violating_outcomes,
+)
 from bellswap.lhv import contradiction_instance
 from bellswap.quantum import AngleSettings, BellOutcome
-from bellswap.serialize import constraint_set_to_dict
+from bellswap.serialize import EVENT_CSV_COLUMNS, constraint_set_to_dict, write_events_csv
 
 PI = math.pi
 
@@ -84,11 +91,26 @@ class TestVerifyQm:
         assert len(report["violations"][0]["angles"]) == 4
 
 
+def per_row_csv(angles: AngleSettings, outcomes) -> str:
+    """The event CSV built one row at a time: the bytes the chunked writer must match."""
+    phis = ",".join(repr(phi) for phi in angles.as_tuple())
+    lines = [",".join(EVENT_CSV_COLUMNS)]
+    for i, k in enumerate(outcomes):
+        bell, pol_a, pol_d = OUTCOME_ORDER[k]
+        f, a, d = f_value_of(bell), pol_a.sign, pol_d.sign
+        lines.append(
+            f"{i},{phis},{bell.value},{pol_a.value},{pol_d.value},"
+            f"{kappa_of(bell)},{f},{a},{d},{a * f * d}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestSimulate:
     def test_zero_events_header_only(self, capsys, tmp_path):
         out_csv = tmp_path / "events.csv"
         code, out = run(capsys, "simulate", "--events", "0", "--out", str(out_csv))
         assert code == 0
+        assert out.startswith("wrote 0 events")
         assert out_csv.read_bytes() == (
             b"event_id,phi1,phi2,phi3,phi4,bc_outcome,pol_a,pol_d,kappa,f,a,d,product\n"
         )
@@ -126,6 +148,53 @@ class TestSimulate:
         assert len(rows) == 20000 and expected > 0
         assert code == 1
         assert out.rstrip().endswith(f"sector-product violations: {expected}")
+
+    def test_chunk_draws_concatenate_to_one_draw(self):
+        angles = AngleSettings(0.2, 0.9, 1.3, 0.4)
+        chunk = cli.EVENT_CHUNK
+        rng = np.random.default_rng(11)
+        chunks = [sample_events(angles, size, rng) for size in (chunk, chunk, 1)]
+        whole = sample_events(angles, 2 * chunk + 1, 11)
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    def test_chunked_file_matches_the_per_row_writer(self, capsys, tmp_path):
+        # a wide tolerance gives violations to count across the chunks
+        n = 2 * cli.EVENT_CHUNK + 1
+        out_csv = tmp_path / "events.csv"
+        argv = ["--phi2", "0.1", "--phi3", "0.05", "--tol", "0.2", "--events", str(n)]
+        code, out = run(capsys, "simulate", *argv, "--seed", "3", "--out", str(out_csv))
+        angles = AngleSettings(0.0, 0.1, 0.05, 0.0)
+        outcomes = sample_events(angles, n, 3)
+        assert out_csv.read_bytes() == per_row_csv(angles, outcomes).encode()
+        violations = int(violating_outcomes(angles, 0.2)[outcomes].sum())
+        assert violations > 0 and code == 1
+        assert out == f"wrote {n} events to {out_csv}; sector-product violations: {violations}\n"
+
+    def test_no_call_sees_more_than_one_chunk(self, capsys, monkeypatch, tmp_path):
+        # memory is bounded by construction: each draw and each write
+        # handles at most one chunk, and the writes continue the event ids
+        n, chunk = 3 * cli.EVENT_CHUNK + 5, cli.EVENT_CHUNK
+        draws, writes = [], []
+
+        def spy_sample(angles, count, seed):
+            draws.append((count, seed))
+            return sample_events(angles, count, seed)
+
+        def spy_write(fp, angles, outcomes, start=0):
+            writes.append((start, len(outcomes)))
+            return write_events_csv(fp, angles, outcomes, start)
+
+        monkeypatch.setattr(cli, "sample_events", spy_sample)
+        monkeypatch.setattr(cli, "write_events_csv", spy_write)
+        out_csv = tmp_path / "events.csv"
+        code, _ = run(capsys, "simulate", "--events", str(n), "--seed", "5", "--out", str(out_csv))
+        assert code == 0
+        assert [count for count, _ in draws] == [chunk, chunk, chunk, 5]
+        generators = {id(seed) for _, seed in draws}
+        assert len(generators) == 1 and isinstance(draws[0][1], np.random.Generator)
+        assert writes == [(0, chunk), (chunk, chunk), (2 * chunk, chunk), (3 * chunk, 5)]
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [int(row.split(",", 1)[0]) for row in rows] == list(range(n))
 
 
 class TestRefute:

@@ -16,11 +16,13 @@ from bellswap.lhv import (
     FunctionTag,
     HiddenContext,
     Provenance,
+    SignVariable,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
     compile_factored,
     contradiction_instance,
+    float_reprs,
 )
 from bellswap.quantum import AngleSettings
 from bellswap.serialize import (
@@ -34,6 +36,7 @@ from bellswap.serialize import (
     solve_result_to_dict,
     write_events_csv,
 )
+from bellswap.cli import main
 from bellswap.solver import enumerate_solve
 
 PI = math.pi
@@ -562,6 +565,50 @@ class TestSolveResultJson:
         assert doc["certificate"] is None
         assert set(doc["model"].values()) <= {-1, 1}
         assert json.loads(json.dumps(doc)) == doc
+
+
+class TestNegativeZero:
+    """-0.0 prints as -0.0, as json prints it, next to 0.0 in the same file:
+    a table of reprs keyed by float value would merge the two."""
+
+    @pytest.mark.parametrize("n", [3, 40])  # below and above the repr table's minimum
+    def test_repr_table(self, n):
+        values = [(-0.0, 0.0, 2.5, -2.5, 5e-324, -0.0)[i % 6] for i in range(n)]
+        assert float_reprs(values) == list(map(repr, values)) == list(map(json.dumps, values))
+
+    @pytest.mark.parametrize("copies", [1, 4])  # 14 and 44 numbers in the file
+    def test_constraint_file(self, capsys, tmp_path, copies):
+        settings, system = tmp_path / "settings.json", tmp_path / "system.json"
+        # zeta = (-0.0 - 0.0) + (-0.0 - 0.0) is -0.0; the second setting's is 0.0
+        settings.write_text(json.dumps([[-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]] * copies))
+        argv = ["compile", "--settings", str(settings), "--kappa", "1", "--out", str(system)]
+        assert main(argv) == 0
+        text = system.read_text()
+        cs = load_constraint_set(io.StringIO(text))
+        assert cs.zetas == [-0.0, 0.0] * copies and math.copysign(1.0, cs.zetas[0]) == -1.0
+        assert text == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
+        assert '"zeta": -0.0,' in text and '"zeta": 0.0,' in text
+        assert text.count("-0.0") == 3 * copies  # two provenance angles and one zeta
+
+    def test_solve_labels(self):
+        variables = [
+            SignVariable(FunctionTag.A, (-0.0,)),
+            SignVariable(FunctionTag.D, (0.0,)),
+            SignVariable(FunctionTag.F, (-0.0, 0.0)),
+        ]
+        cs = ConstraintSet(HiddenContext(+1), variables)
+        provenance = Provenance((-0.0, 0.0, -0.0, 0.0), -0.0, "hand-built")
+        cs.add_constraint((0, 1, 2), +1, provenance)
+        labels = [f"A({json.dumps(-0.0)})", f"D({json.dumps(0.0)})", "F(-0.0, 0.0)"]
+        assert cs.labels(range(3)) == [var.label for var in cs.variables] == labels
+        assert cs.labels([0, 1, 2] * 11) == labels * 11  # through the repr table
+        doc = solve_result_to_dict(cs, enumerate_solve(cs), verified=True)
+        assert list(doc["model"]) == labels
+        cs.add_constraint((0, 1, 2), -1, provenance)
+        doc = solve_result_to_dict(cs, enumerate_solve(cs), verified=True)
+        assert [line["variables"] for line in doc["certificate"]] == [labels, labels]
+        assert json.dumps(doc["certificate"][0]["provenance"]["zeta"]) == "-0.0"
+        assert dumped(cs) == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
 
 
 class TestEventCsv:

@@ -30,5 +30,8 @@ def test_stage_times_smallest_size():
     ):
         assert stages[name] >= 0.0
     assert report["round_ms"] == sum(stages.values())
+    assert report["events"] == 100_000
+    assert set(report["event_stages_ms"]) == {"sample_events", "write_events_csv"}
+    assert min(report["event_stages_ms"].values()) >= 0.0
     (solve,) = report["gf2_unfactorized_fig1"]
     assert solve["bases"] == 1 and solve["status"] == "sat" and solve["unknowns"] > 0

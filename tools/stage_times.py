@@ -15,6 +15,12 @@ factorize (figure 1), write the constraint file, parse it, load it, solve,
 verify and build the result document.  Each stage is timed alone, and its
 best of ``--repeat`` runs is reported in milliseconds.
 
+It also times the two stages of ``simulate`` on EVENTS events at a
+special-phase setting: ``sample_events`` draws them in one call (the
+setting's CDF is cached after the first, as it is across simulate's chunks)
+and ``write_events_csv`` writes them in one call to a string buffer, each
+the best of ``--repeat`` runs.
+
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
 bases give 1044, 2464 and 4960 unknowns), best of ``--repeat`` runs.  The
@@ -38,12 +44,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bellswap import lhv, serialize, solver  # noqa: E402
+from bellswap import correlations, lhv, quantum, serialize, solver  # noqa: E402
 
 OFFSETS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
-#: Seed of the base angles, the refute_grid benchmark's.
+#: Seed of the base angles and of the event draws, the refute_grid benchmark's.
 SEED = 301
+
+#: Events of the simulate stages, and the setting they are drawn at.
+EVENTS = 100_000
+EVENT_ANGLES = (0.25, 0.25 + math.pi / 4, 1.0, 1.0 + math.pi / 4)
 
 
 def grid_settings(rng: np.random.Generator, bases: int) -> list[list[float]]:
@@ -121,6 +131,16 @@ def dump_text(cs: lhv.ConstraintSet) -> str:
     return buffer.getvalue()
 
 
+def event_stages(repeat: int) -> dict[str, float]:
+    """Best time of sampling and of writing EVENTS events."""
+    angles = quantum.AngleSettings(*EVENT_ANGLES)
+    sample_ms, outcomes = best_ms(repeat, lambda: correlations.sample_events(angles, EVENTS, SEED))
+    write_ms, _ = best_ms(
+        repeat, lambda: serialize.write_events_csv(io.StringIO(), angles, outcomes)
+    )
+    return {"sample_events": sample_ms, "write_events_csv": write_ms}
+
+
 def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     """gf2_solve on the unfactorized figure-1 system of each grid size."""
     out = []
@@ -167,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         "repeat": args.repeat,
         "stages_ms": stages,
         "round_ms": sum(stages.values()),
+        "events": EVENTS,
+        "event_stages_ms": event_stages(args.repeat),
         "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
     }
     print(json.dumps(report, indent=2))
