@@ -56,6 +56,7 @@ from .quantum import (
     bell_bell_coefficients_closed_form,
 )
 from .serialize import (
+    EVENT_CHUNK,
     FORMAT_VERSION,
     dump_constraint_set,
     load_constraint_set,
@@ -67,9 +68,6 @@ from .solver import SolveStatus, enumerate_solve, gf2_solve, verify_certificate
 from .verification import CLOSED_FORM_TOL, run_qm_verification
 
 _METHODS = {"enumerate": enumerate_solve, "gf2": gf2_solve}
-#: Events simulate samples and writes at a time, so its memory does not
-#: grow with --events.
-EVENT_CHUNK = 4096
 _parser: argparse.ArgumentParser | None = None  # built by the first main() call
 
 

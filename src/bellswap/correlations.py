@@ -254,7 +254,11 @@ def violating_outcomes(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) ->
 @lru_cache(maxsize=1)
 def _outcome_cdf(angles: AngleSettings) -> np.ndarray:
     """Cumulative probabilities over OUTCOME_ORDER.  simulate samples one
-    setting a chunk at a time, so the last setting's CDF is kept."""
+    setting a chunk at a time, so the last setting's CDF is kept.  The cache
+    is module state: in one process, later draws at the same setting reuse
+    it too (a benchmark that repeats one setting skips its decomposition
+    after the first command), while a one-command process computes it once
+    either way."""
     return _read_only(np.cumsum(_outcome_probabilities(_decompose(angles))))
 
 

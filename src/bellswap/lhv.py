@@ -100,25 +100,19 @@ def quantize_angle(phi) -> np.ndarray:
     return keys
 
 
-#: Below this many numbers, float_reprs formats each one: a table of the
-#: distinct values costs more than it saves on a few.
-_REPR_TABLE_MIN = 32
-
-
 def float_reprs(values: Sequence[float]) -> list[str]:
     """float.__repr__ of each value, computed once per distinct value: most
     numbers of a compiled system repeat.  Values are told apart by bit
     pattern, so -0.0 keeps its own repr (a float key would merge it with 0.0)."""
-    if len(values) < _REPR_TABLE_MIN:
-        return list(map(float.__repr__, values))
     bits = struct.unpack(f"{len(values)}q", struct.pack(f"{len(values)}d", *values))
     distinct = dict(zip(bits, values))
     table = dict(zip(distinct, map(float.__repr__, distinct.values())))
     return list(map(table.__getitem__, bits))
 
 
-def _label(tag: str, keys: Sequence) -> str:
-    return f"{tag}({', '.join(repr(key * ANGLE_QUANTUM) for key in keys)})"
+def _label(tag: str, reprs: Iterable[str]) -> str:
+    """The label of an unknown, such as ``F(0.1, 0.2)``, from its angles' reprs."""
+    return f"{tag}({', '.join(reprs)})"
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,7 @@ class SignVariable:
 
     @property
     def label(self) -> str:
-        return _label(self.tag.value, self.keys)
+        return _label(self.tag.value, map(repr, self.angles))
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,7 @@ class ConstraintSet:
         """The labels, such as ``F(0.1, 0.2)``, of the unknowns with these ids."""
         rows = [self.unknowns[vid] for vid in vids]
         angles = iter(float_reprs([key * ANGLE_QUANTUM for _, keys in rows for key in keys]))
-        return [f"{tag}({', '.join(islice(angles, len(keys)))})" for tag, keys in rows]
+        return [_label(tag, islice(angles, len(keys))) for tag, keys in rows]
 
     def variable_id(self, tag: FunctionTag, angles: Sequence[float]) -> int:
         """Id of the unknown for (tag, angles), registering it if new; its

@@ -12,11 +12,12 @@ constraint-system file is pinned byte for byte: it is what json.dumps with
 indent=2 prints for constraint_set_to_dict, written instead from one layout
 per row shape, with one % call per chunk of rows; each distinct float is
 formatted once (lhv.float_reprs, which keeps -0.0 apart from 0.0).  The
-event CSV is written one chunk of events per write_events_csv call: its rows
-are formatted by one % call over (event id, row text) pairs, the header
-precedes event 0 and the ids continue from the call's start.  The CSV
-schema is versioned by its pinned header row; its columns, vocabulary and
-LF line endings are golden-tested.
+event CSV is written by write_events_csv in chunks of EVENT_CHUNK events:
+each chunk's rows are formatted by one % call over (event id, row text)
+pairs, the header precedes event 0 and the ids continue from the call's
+start, so a file can be written in several calls.  The CSV schema is
+versioned by its pinned header row; its columns, vocabulary and LF line
+endings are golden-tested.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .solver import SolveResult, SolveStatus
 __all__ = [
     "FORMAT_VERSION",
     "EVENT_CSV_COLUMNS",
+    "EVENT_CHUNK",
     "constraint_set_to_dict",
     "constraint_set_from_dict",
     "dump_constraint_set",
@@ -255,6 +257,10 @@ def constraint_set_from_dict(doc) -> ConstraintSet:
 #: stays small.
 _CHUNK = 128
 
+#: Events per % call of write_events_csv, and per draw of simulate, so that
+#: neither holds more than one chunk of events at once.
+EVENT_CHUNK = 4096
+
 
 @cache
 def _array_layout(n: int, slot: str, indent: str) -> str:
@@ -302,7 +308,10 @@ def _write_array(fp: IO[str], layouts: Iterator[str], cells: Iterator) -> None:
     opening = "[\n    "
     while chunk := ",\n    ".join(islice(layouts, _CHUNK)):
         fp.write(opening)
-        fp.write(chunk % tuple(islice(cells, chunk.count("%"))))
+        # (*...,) sizes the tuple from a list: tuple() of an iterator resizes
+        # the tuple it fills, and CPython keeps up to 2000 freed small tuples
+        # of each size, so a resized one per call fills those caches
+        fp.write(chunk % (*islice(cells, chunk.count("%")),))
         opening = ",\n    "
     fp.write("\n  ]" if opening.startswith(",") else "[]")
 
@@ -399,13 +408,17 @@ def write_events_csv(
     ``outcomes`` are indices into OUTCOME_ORDER, as drawn by sample_events.
     Angles use shortest round-trip repr and rows get LF endings, so equal
     inputs serialize to identical bytes.  Successive calls with the next
-    start continue one file.  All rows are formatted by one % call.
+    start continue one file.  Rows are formatted EVENT_CHUNK at a time, one
+    % call per chunk, so the text held at once does not grow with the
+    number of events.
     """
     phis = ",".join(map(repr, angles.as_tuple()))
     rows = [f"{phis},{cells}" for cells in _OUTCOME_CELLS]
     if start == 0:
         fp.write(",".join(EVENT_CSV_COLUMNS) + "\n")
-    keys = np.asarray(outcomes, dtype=np.intp).tolist()
-    cells = chain.from_iterable(zip(range(start, start + len(keys)), map(rows.__getitem__, keys)))
-    fp.write(("%d,%s" * len(keys)) % tuple(cells))
-    return len(keys)
+    for first in range(0, len(outcomes), EVENT_CHUNK):
+        keys = np.asarray(outcomes[first : first + EVENT_CHUNK], dtype=np.intp).tolist()
+        ids = range(start + first, start + first + len(keys))
+        cells = chain.from_iterable(zip(ids, map(rows.__getitem__, keys)))
+        fp.write(("%d,%s" * len(keys)) % (*cells,))  # not tuple(): see _write_array
+    return len(outcomes)

@@ -26,6 +26,7 @@ from bellswap.lhv import (
 )
 from bellswap.quantum import AngleSettings
 from bellswap.serialize import (
+    EVENT_CHUNK,
     EVENT_CSV_COLUMNS,
     FORMAT_VERSION,
     constraint_set_from_dict,
@@ -571,7 +572,7 @@ class TestNegativeZero:
     """-0.0 prints as -0.0, as json prints it, next to 0.0 in the same file:
     a table of reprs keyed by float value would merge the two."""
 
-    @pytest.mark.parametrize("n", [3, 40])  # below and above the repr table's minimum
+    @pytest.mark.parametrize("n", [3, 40])  # distinct values, and each repeated
     def test_repr_table(self, n):
         values = [(-0.0, 0.0, 2.5, -2.5, 5e-324, -0.0)[i % 6] for i in range(n)]
         assert float_reprs(values) == list(map(repr, values)) == list(map(json.dumps, values))
@@ -653,6 +654,25 @@ class TestEventCsv:
                 f"{k},0.1,{PI / 4!r},-2.5,1e-09,{bell.value},{pol_a.value},{pol_d.value},"
                 f"{kappa},{f},{a},{d},{a * f * d}"
             )
+
+    def test_one_call_writes_a_chunk_at_a_time(self):
+        # memory is bounded for every caller: each write holds at most one
+        # chunk of rows, and the ids continue from start across the chunks
+        angles, n, start = AngleSettings(0.1, PI / 4, -2.5, 1e-9), 2 * EVENT_CHUNK + 3, 7
+        outcomes = [k % 16 for k in range(n)]
+        writes = []
+        buffer = io.StringIO()
+        buffer.write = lambda text: writes.append(text) or len(text)
+        assert write_events_csv(buffer, angles, outcomes, start) == n
+        assert [text.count("\n") for text in writes] == [EVENT_CHUNK, EVENT_CHUNK, 3]
+        table = io.StringIO()
+        write_events_csv(table, angles, range(16))
+        tails = [row.split(",", 1)[1] for row in table.getvalue().splitlines()[1:]]
+        expected = [f"{start + i},{tails[k]}" for i, k in enumerate(outcomes)]
+        assert "".join(writes).splitlines() == expected
+        array = io.StringIO()
+        write_events_csv(array, angles, np.array(outcomes), start)
+        assert array.getvalue() == "".join(writes)
 
     def test_angles_round_trip_through_repr(self):
         angles = AngleSettings(0.1, PI / 4, -2.5, 1e-9)

@@ -18,8 +18,8 @@ best of ``--repeat`` runs is reported in milliseconds.
 It also times the two stages of ``simulate`` on EVENTS events at a
 special-phase setting: ``sample_events`` draws them in one call (the
 setting's CDF is cached after the first, as it is across simulate's chunks)
-and ``write_events_csv`` writes them in one call to a string buffer, each
-the best of ``--repeat`` runs.
+and ``write_events_csv`` writes them in one call, which formats them a
+chunk at a time, to a string buffer, each the best of ``--repeat`` runs.
 
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
