@@ -14,10 +14,10 @@ of the involved unknowns must equal a fixed sign.  The sector parity kappa is
 a constant of the context, so one ConstraintSet is always compiled for a
 single kappa.
 
-Angle arguments are canonicalized on a 1e-9 rad grid so that equal settings
-share one unknown.  A ConstraintSet stores its system as columns, one entry
-per unknown and one per constraint, and the compiler fills them in one array
-pass over an (N, 4) array of settings; SignVariable, Provenance and
+Angles are keyed on a 1e-9 rad grid by quantize_angle, so that equal settings
+share one unknown.  A ConstraintSet stores its system as columns, filled only
+by the compiler, in one array pass over an (N, 4) array of settings, and by
+serialize.constraint_set_from_dict; SignVariable, Provenance and
 ParityConstraint are the row types its read-only views build on demand.
 """
 
@@ -86,14 +86,15 @@ class HiddenContext:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.kappa not in (-1, +1):
-            raise ValueError(f"kappa must be +1 or -1, got {self.kappa}")
+        # a bool or float kappa would write a file that does not load back
+        if type(self.kappa) is not int or self.kappa not in (-1, +1):
+            raise ValueError(f"kappa must be +1 or -1, got {self.kappa!r}")
 
 
 def quantize_angle(phi) -> np.ndarray:
     """Angle keys of an array of angles: phi / ANGLE_QUANTUM rounded half to
     even, as integer-valued floats.  Adding 0.0 turns the -0.0 of a tiny
-    negative angle into 0.0, the key round() gives, so both print alike."""
+    negative angle into 0.0, so a key never prints as -0.0."""
     keys = np.rint(np.divide(phi, ANGLE_QUANTUM)) + 0.0
     if not np.isfinite(keys).all():
         raise OverflowError("angle too large for its key to be a finite float")
@@ -117,16 +118,11 @@ def _label(tag: str, reprs: Iterable[str]) -> str:
 
 @dataclass(frozen=True)
 class SignVariable:
-    """A +-1 unknown, keyed by function tag and canonicalized angles: integer
-    keys, held as ints or as the integer-valued floats of quantize_angle."""
+    """A +-1 unknown, keyed by function tag and canonicalized angles: the
+    integer-valued floats of quantize_angle."""
 
     tag: FunctionTag
-    keys: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        arity = TAG_ARITY[self.tag.value]
-        if len(self.keys) != arity:
-            raise ValueError(f"{self.tag.value} takes {arity} angle(s)")
+    keys: tuple[float, ...]
 
     @property
     def angles(self) -> tuple[float, ...]:
@@ -154,12 +150,6 @@ class ParityConstraint:
     required_sign: int
     provenance: Provenance
 
-    def __post_init__(self) -> None:
-        if self.required_sign not in (-1, +1):
-            raise ValueError(f"required_sign must be +1 or -1, got {self.required_sign}")
-        if not self.var_ids:
-            raise ValueError("a constraint needs at least one variable")
-
 
 class _View(Sequence):
     """Read-only rows of a ConstraintSet column, each built when read."""
@@ -182,23 +172,18 @@ class ConstraintSet:
     """Parity constraints over a registry of sign variables, one context.
 
     Stored as columns: ``unknowns`` holds a (tag code, angle keys) pair per
-    unknown, by id; ``var_ids``, ``required_signs``, ``angles`` (of the
-    setting), ``zetas`` and ``equations`` hold an entry per constraint.  Only
-    variable_id and add_constraint change them.  ``variables`` and
-    ``constraints`` are read-only views that build a SignVariable or
-    ParityConstraint only for the item read.
+    unknown, by id, the keys the integer-valued floats of quantize_angle;
+    ``var_ids``, ``required_signs``, ``angles`` (the 4 of the setting),
+    ``zetas`` and ``equations`` hold an entry per constraint.  A new set is
+    empty; the compiler and serialize.constraint_set_from_dict fill it from
+    checked columns.  ``variables`` and ``constraints`` are read-only views
+    that build a SignVariable or ParityConstraint only for the item read.
     """
 
-    def __init__(self, context: HiddenContext, variables=(), constraints=()) -> None:
-        """A set holding the given SignVariable and ParityConstraint rows."""
+    def __init__(self, context: HiddenContext) -> None:
         self.context, self.unknowns, self._ids = context, [], {}
         self.var_ids, self.required_signs, self.angles = [], [], []
         self.zetas, self.equations = [], []
-        self._register((var.tag.value, var.keys) for var in variables)
-        if self.n_variables != len(variables):
-            raise ValueError("duplicate variables in registry")
-        for row in constraints:
-            self.add_constraint(row.var_ids, row.required_sign, row.provenance)
 
     @property
     def n_variables(self) -> int:
@@ -226,12 +211,6 @@ class ConstraintSet:
         angles = iter(float_reprs([key * ANGLE_QUANTUM for _, keys in rows for key in keys]))
         return [_label(tag, islice(angles, len(keys))) for tag, keys in rows]
 
-    def variable_id(self, tag: FunctionTag, angles: Sequence[float]) -> int:
-        """Id of the unknown for (tag, angles), registering it if new; its
-        keys are round(phi / ANGLE_QUANTUM), one angle at a time."""
-        var = SignVariable(tag, tuple(round(phi / ANGLE_QUANTUM) for phi in angles))
-        return self._register([(tag.value, var.keys)])[0]
-
     def _register(self, unknowns: Iterable[tuple[str, tuple]]) -> list[int]:
         """Ids of (tag code, keys) pairs; new ones register in order of first occurrence."""
         ids, known = self._ids, len(self._ids)
@@ -239,16 +218,6 @@ class ConstraintSet:
         found = [ids.setdefault(unknown, len(ids)) for unknown in unknowns]
         self.unknowns.extend(islice(ids, known, None))
         return found
-
-    def add_constraint(
-        self, var_ids: tuple[int, ...], required_sign: int, provenance: Provenance
-    ) -> None:
-        for vid in var_ids:
-            if not 0 <= vid < self.n_variables:
-                raise ValueError(f"constraint references unregistered variable id {vid}")
-        row = ParityConstraint(tuple(var_ids), required_sign, provenance)  # checks the row
-        angles, zeta, equation = tuple(provenance.angles), provenance.zeta, provenance.equation
-        self._extend([row.var_ids], [required_sign], [angles], [zeta], [equation])
 
     def _extend(self, var_ids, required_signs, angles, zetas, equations) -> None:
         """Append checked entries to the constraint columns."""

@@ -4,20 +4,21 @@ This is the one module that decides what a valid input is: both JSON loaders
 check each field's exact JSON type and raise only ValueError, with a one-line
 message, also on input nested too deeply to parse.  They check and fill one
 column at a time: load_settings returns the (N, 4) angle array the compiler
-takes, and constraint_set_from_dict fills the columns of a ConstraintSet
-(see lhv) without building a row object.  Each still raises the error a
-field-by-field check would raise first.  Floats are written in Python's
-shortest round-trip repr, so parse(serialize(x)) == x exactly.  The
-constraint-system file is pinned byte for byte: it is what json.dumps with
-indent=2 prints for constraint_set_to_dict, written instead from one layout
-per row shape, with one % call per chunk of rows; each distinct float is
-formatted once (lhv.float_reprs, which keeps -0.0 apart from 0.0).  The
-event CSV is written by write_events_csv in chunks of EVENT_CHUNK events:
-each chunk's rows are formatted by one % call over (event id, row text)
-pairs, the header precedes event 0 and the ids continue from the call's
-start, so a file can be written in several calls.  The CSV schema is
-versioned by its pinned header row; its columns, vocabulary and LF line
-endings are golden-tested.
+takes, and constraint_set_from_dict fills the columns of a ConstraintSet (see
+lhv) without building a row object.  Each still raises the error a
+field-by-field check would raise first.  Beside lhv's compiler, that loader is
+the only way to make a ConstraintSet, and floats are written in Python's
+shortest round-trip repr, so every set writes a file that loads back to the
+same bytes.  The constraint-system file is pinned byte for byte: it is what
+json.dumps with indent=2 prints for constraint_set_to_dict, written instead
+from one layout per row shape, with one % call per chunk of rows; each
+distinct float is formatted once (lhv.float_reprs, which keeps -0.0 apart from
+0.0).  The event CSV is written by write_events_csv in chunks of EVENT_CHUNK
+events: each chunk's rows are formatted by one % call over (event id, row
+text) pairs, the header precedes event 0 and the ids continue from the call's
+start, so a file can be written in several calls.  The CSV schema is versioned
+by its pinned header row; its columns, vocabulary and LF line endings are
+golden-tested.
 """
 
 from __future__ import annotations
@@ -296,9 +297,8 @@ def _variable_layout(arity: int) -> str:
 
 
 @cache
-def _constraint_layout(n_vars: int, n_angles: int) -> str:
-    vars_ = _array_layout(n_vars, "%d", "      ")
-    return _CONSTRAINT % (vars_, _array_layout(n_angles, "%s", "        "))
+def _constraint_layout(n_vars: int) -> str:
+    return _CONSTRAINT % (_array_layout(n_vars, "%d", "      "), _array_layout(4, "%s", "        "))
 
 
 def _write_array(fp: IO[str], layouts: Iterator[str], cells: Iterator) -> None:
@@ -346,13 +346,13 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
         ),
     )
     fp.write(',\n  "constraints": ')
-    rows = zip(cs.var_ids, cs.required_signs, cs.angles, zetas, cs.equations)
+    rows = zip(cs.var_ids, cs.required_signs, zetas, cs.equations)
     _write_array(
         fp,
-        map(_constraint_layout, map(len, cs.var_ids), map(len, cs.angles)),
+        map(_constraint_layout, map(len, cs.var_ids)),
         chain.from_iterable(
-            (i, *var_ids, sign, *islice(angles, len(setting)), zeta, quoted[equation])
-            for i, (var_ids, sign, setting, zeta, equation) in enumerate(rows)
+            (i, *var_ids, sign, *islice(angles, 4), zeta, quoted[equation])
+            for i, (var_ids, sign, zeta, equation) in enumerate(rows)
         ),
     )
     fp.write("\n}\n")

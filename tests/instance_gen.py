@@ -1,4 +1,5 @@
-"""Shared generator of random compiled constraint systems for solver tests."""
+"""Shared generator of random compiled constraint systems for solver tests,
+and the document of a hand-built system."""
 
 import math
 
@@ -13,6 +14,7 @@ from bellswap.lhv import (
     compile_factored,
 )
 from bellswap.quantum import AngleSettings
+from bellswap.serialize import FORMAT_VERSION
 
 PI = math.pi
 
@@ -54,3 +56,27 @@ def random_compiled_instance(rng: np.random.Generator, max_variables: int = 16) 
             cs = compile_factored(settings_list, context)
         if 0 < cs.n_variables <= max_variables:
             return cs
+
+
+def system_document(kappa: int, variables, constraints, label: str = "") -> dict:
+    """The constraint-system document of hand-built rows, for
+    serialize.constraint_set_from_dict: ``variables`` are (tag code, angles)
+    pairs and ``constraints`` (var_ids, required_sign, (angles, zeta,
+    equation)) triples, ids given by position."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "context": {"kappa": kappa, "label": label},
+        "variables": [
+            {"id": vid, "tag": tag, "angles": list(angles)}
+            for vid, (tag, angles) in enumerate(variables)
+        ],
+        "constraints": [
+            {
+                "id": cid,
+                "vars": list(var_ids),
+                "required_sign": sign,
+                "provenance": {"angles": list(angles), "zeta": zeta, "equation": equation},
+            }
+            for cid, (var_ids, sign, (angles, zeta, equation)) in enumerate(constraints)
+        ],
+    }

@@ -1,21 +1,22 @@
 import io
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from instance_gen import system_document
 
 from bellswap.correlations import PhaseClass, classify_zeta, zeta
 from bellswap.lhv import (
+    ANGLE_QUANTUM,
     RULE_BELL_POLARIZATION,
     RULE_DOUBLE_BELL,
     RULE_FACTORIZATION,
     ConstraintSet,
     FunctionTag,
     HiddenContext,
-    Provenance,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -127,34 +128,52 @@ REPLAY_TERMS = {
 }
 
 
+class Replay:
+    """The rows of a system built one at a time, as a reference for the
+    compiler: each angle keyed by its own round(), each unknown registered
+    on first use."""
+
+    def __init__(self, context):
+        self.context, self.ids, self.variables, self.constraints = context, {}, [], []
+
+    def unknown(self, tag, angles):
+        keys = tuple(round(phi / ANGLE_QUANTUM) for phi in angles)
+        if (tag, keys) not in self.ids:
+            self.ids[tag, keys] = len(self.variables)
+            self.variables.append((tag.value, [key * ANGLE_QUANTUM for key in keys]))
+        return self.ids[tag, keys]
+
+    def text(self):
+        """The file the rows describe, as json.dumps writes it."""
+        kappa, label = self.context.kappa, self.context.label
+        doc = system_document(kappa, self.variables, self.constraints, label)
+        return json.dumps(doc, indent=2) + "\n"
+
+
 def replay_compile(rule, settings_list, context, tol):
     """The compiler one setting at a time: one classify_zeta call each."""
-    cs = ConstraintSet(context=context)
+    replay = Replay(context)
     for setting in settings_list:
         sign = classify_zeta(setting, context.kappa, tol).predicted_product
         if sign is None:
             continue
         angles = setting.as_tuple()
-        var_ids = tuple(
-            cs.variable_id(tag, [angles[i] for i in slots]) for tag, slots in REPLAY_TERMS[rule]
-        )
-        cs.add_constraint(var_ids, sign, Provenance(angles, zeta(setting, context.kappa), rule))
-    return cs
+        terms = REPLAY_TERMS[rule]
+        var_ids = [replay.unknown(tag, [angles[i] for i in slots]) for tag, slots in terms]
+        replay.constraints.append((var_ids, sign, (angles, zeta(setting, context.kappa), rule)))
+    return replay
 
 
-def replay_factorization(cs):
+def replay_factorization(replay):
     """apply_factorization through the angles of each F unknown."""
-    out = cs.copy()
-    for var in list(out.variables):
-        if var.tag is FunctionTag.F:
-            x, y = var.angles
-            var_ids = (
-                out.variable_id(FunctionTag.F, (x, y)),
-                out.variable_id(FunctionTag.A, (x,)),
-                out.variable_id(FunctionTag.D, (y,)),
-            )
-            out.add_constraint(var_ids, +1, Provenance((x, x, y, y), 0.0, RULE_FACTORIZATION))
-    return out
+    for _, (x, y) in [var for var in replay.variables if var[0] == "F"]:
+        var_ids = [
+            replay.unknown(FunctionTag.F, (x, y)),
+            replay.unknown(FunctionTag.A, (x,)),
+            replay.unknown(FunctionTag.D, (y,)),
+        ]
+        replay.constraints.append((var_ids, +1, ((x, x, y, y), 0.0, RULE_FACTORIZATION)))
+    return replay
 
 
 def file_text(cs):
@@ -183,9 +202,10 @@ class TestArrayPassCompiler:
             compiled = compile_double_bell(self.GRID, context, tol)
             replayed = replay_compile(RULE_DOUBLE_BELL, self.GRID, context, tol)
         assert compiled.constraints  # the grid has special settings in every case
-        assert compiled.n_variables == replayed.n_variables
+        assert compiled.n_variables == len(replayed.variables)
         assert len(compiled.constraints) == len(replayed.constraints)
-        assert file_text(compiled) == file_text(replayed)
+        # bytes, not ==: -0.0 == 0.0, but the two print differently
+        assert file_text(compiled) == replayed.text()
         for constraint in compiled.constraints:
             assert type(constraint.required_sign) is int
             assert type(constraint.provenance.zeta) is float
@@ -241,8 +261,7 @@ class TestArrayQuantizer:
         replayed = replay_compile(rule, [AngleSettings(*row) for row in rows], context, 1e-9)
         if factorize:
             compiled, replayed = apply_factorization(compiled), replay_factorization(replayed)
-        assert file_text(compiled) == file_text(replayed)
-        assert compiled == replayed
+        assert file_text(compiled) == replayed.text()
 
     def test_tiny_negative_angle_prints_as_zero(self):
         cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)
@@ -362,22 +381,18 @@ class TestContradictionInstance:
 
 
 class TestConstraintSetInvariants:
-    def test_constraints_must_reference_registered_variables(self):
-        cs = ConstraintSet(context=CTX_PLUS)
-        with pytest.raises(ValueError):
-            cs.add_constraint((0,), +1, None)  # no variables registered yet
-
     def test_context_kappa_validated(self):
-        with pytest.raises(ValueError):
-            HiddenContext(kappa=2)
+        for kappa in (2, 0, True, 1.0):  # a file holds only the int +1 or -1
+            with pytest.raises(ValueError):
+                HiddenContext(kappa=kappa)
 
     def test_equality_compares_context_variables_and_constraints(self):
         cs = contradiction_instance(0.0, 0.0, +1)
         assert cs == contradiction_instance(0.0, 0.0, +1)
         assert cs == cs.copy()
-        first, *rest = cs.constraints
-        flipped = replace(first, required_sign=-first.required_sign)
-        assert cs != ConstraintSet(cs.context, cs.variables, [flipped, *rest])
-        assert cs == ConstraintSet(cs.context, cs.variables, cs.constraints)
-        assert cs != ConstraintSet(CTX_MINUS, cs.variables, cs.constraints)
+        flipped, other_kappa = cs.copy(), cs.copy()
+        flipped.required_signs[0] = -flipped.required_signs[0]
+        other_kappa.context = CTX_MINUS
+        assert cs != flipped and cs != other_kappa
+        assert cs == contradiction_instance(0.0, 0.0, +1)  # the copies' edits left cs as it was
         assert cs != contradiction_instance(0.0, 0.1, +1)

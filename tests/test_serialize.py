@@ -8,21 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from instance_gen import system_document
 
 from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of, sample_events
 from bellswap.lhv import (
     ANGLE_QUANTUM,
+    TAG_ARITY,
     ConstraintSet,
-    FunctionTag,
     HiddenContext,
-    Provenance,
-    SignVariable,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
     compile_factored,
     contradiction_instance,
     float_reprs,
+    quantize_angle,
 )
 from bellswap.quantum import AngleSettings
 from bellswap.serialize import (
@@ -195,7 +195,6 @@ AWKWARD_TEXT = st.text(max_size=8) | st.sampled_from(
     ['"', "\\", "\u00e9 \u2211 \U0001f0a1", "\x00\x1f\n\t\x7f", '\u2028"\\']
 )
 KAPPAS = st.sampled_from([+1, -1])
-ARITIES = {FunctionTag.A: 1, FunctionTag.D: 1, FunctionTag.F: 2, FunctionTag.G: 2}
 
 
 @st.composite
@@ -220,19 +219,32 @@ def compiled_systems(draw):
     return apply_factorization(cs) if draw(st.booleans()) else cs
 
 
+#: A (tag code, angles) pair of any function tag.
+UNKNOWNS = st.sampled_from(list(TAG_ARITY)).flatmap(
+    lambda tag: st.tuples(st.just(tag), st.tuples(*[NUMBERS] * TAG_ARITY[tag]))
+)
+
+
+def unknown_key(unknown) -> tuple:
+    tag, angles = unknown
+    return tag, tuple(quantize_angle(angles).tolist())
+
+
 @st.composite
 def hand_built_systems(draw):
-    """A registry and constraints built directly, so that every provenance
-    field, the list of angles included, can take any value."""
-    cs = ConstraintSet(HiddenContext(draw(KAPPAS), draw(AWKWARD_TEXT)))
-    for tag in draw(st.lists(st.sampled_from(list(FunctionTag)), min_size=1, max_size=4)):
-        cs.variable_id(tag, draw(st.lists(NUMBERS, min_size=ARITIES[tag], max_size=ARITIES[tag])))
-    for _ in range(draw(st.integers(0, 4))):
-        var_ids = draw(st.lists(st.integers(0, cs.n_variables - 1), min_size=1, max_size=4))
-        angles = tuple(draw(st.lists(NUMBERS, max_size=5)))
-        provenance = Provenance(angles, draw(NUMBERS), draw(AWKWARD_TEXT))
-        cs.add_constraint(tuple(var_ids), draw(KAPPAS), provenance)
-    return cs
+    """A system loaded from a document drawn directly, so that every
+    provenance field can take any value a file can hold."""
+    variables = draw(st.lists(UNKNOWNS, min_size=1, max_size=4, unique_by=unknown_key))
+    rows = [
+        (
+            draw(st.lists(st.integers(0, len(variables) - 1), min_size=1, max_size=4)),
+            draw(KAPPAS),
+            (draw(st.lists(NUMBERS, min_size=4, max_size=4)), draw(NUMBERS), draw(AWKWARD_TEXT)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    doc = system_document(draw(KAPPAS), variables, rows, draw(AWKWARD_TEXT))
+    return constraint_set_from_dict(doc)
 
 
 def dumped(cs: ConstraintSet) -> str:
@@ -251,14 +263,16 @@ class TestWriter:
         | st.builds(ConstraintSet, st.builds(HiddenContext, KAPPAS, AWKWARD_TEXT))
     )
     def test_bytes_match_the_json_module(self, cs):
-        assert dumped(cs) == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
+        text = dumped(cs)
+        assert text == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
+        assert dumped(load_constraint_set(io.StringIO(text))) == text
 
     @pytest.mark.parametrize("label", ['"', "\\", "\u00e9\u2211", "\x00\x1f\n", "\u2028"])
     def test_edge_numbers_and_labels(self, label):
-        cs = ConstraintSet(HiddenContext(+1, label))
-        vid = cs.variable_id(FunctionTag.F, EDGE_NUMBERS[-2:])
-        for value in EDGE_NUMBERS:
-            cs.add_constraint((vid,), -1, Provenance((value, -0.0, 5e-324, 1.7e299), value, label))
+        rows = [
+            ((0,), -1, ((value, -0.0, 5e-324, 1.7e299), value, label)) for value in EDGE_NUMBERS
+        ]
+        cs = constraint_set_from_dict(system_document(+1, [("F", EDGE_NUMBERS[-2:])], rows, label))
         text = dumped(cs)
         assert text == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
         assert load_constraint_set(io.StringIO(text)) == cs
@@ -592,20 +606,17 @@ class TestNegativeZero:
         assert text.count("-0.0") == 3 * copies  # two provenance angles and one zeta
 
     def test_solve_labels(self):
-        variables = [
-            SignVariable(FunctionTag.A, (-0.0,)),
-            SignVariable(FunctionTag.D, (0.0,)),
-            SignVariable(FunctionTag.F, (-0.0, 0.0)),
-        ]
-        cs = ConstraintSet(HiddenContext(+1), variables)
-        provenance = Provenance((-0.0, 0.0, -0.0, 0.0), -0.0, "hand-built")
-        cs.add_constraint((0, 1, 2), +1, provenance)
-        labels = [f"A({json.dumps(-0.0)})", f"D({json.dumps(0.0)})", "F(-0.0, 0.0)"]
+        # a -0.0 angle keys as 0.0, so only provenance and zeta keep -0.0
+        variables = [("A", (-0.0,)), ("D", (0.0,)), ("F", (-0.0, 0.0))]
+        row = ((0, 1, 2), +1, ((-0.0, 0.0, -0.0, 0.0), -0.0, "hand-built"))
+        cs = constraint_set_from_dict(system_document(+1, variables, [row]))
+        labels = ["A(0.0)", "D(0.0)", "F(0.0, 0.0)"]
         assert cs.labels(range(3)) == [var.label for var in cs.variables] == labels
         assert cs.labels([0, 1, 2] * 11) == labels * 11  # through the repr table
         doc = solve_result_to_dict(cs, enumerate_solve(cs), verified=True)
         assert list(doc["model"]) == labels
-        cs.add_constraint((0, 1, 2), -1, provenance)
+        flipped = (row[0], -1, row[2])
+        cs = constraint_set_from_dict(system_document(+1, variables, [row, flipped]))
         doc = solve_result_to_dict(cs, enumerate_solve(cs), verified=True)
         assert [line["variables"] for line in doc["certificate"]] == [labels, labels]
         assert json.dumps(doc["certificate"][0]["provenance"]["zeta"]) == "-0.0"

@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from instance_gen import random_compiled_instance
+from instance_gen import random_compiled_instance, system_document
 
 from bellswap.lhv import (
     ConstraintSet,
-    FunctionTag,
     HiddenContext,
-    Provenance,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
     contradiction_instance,
 )
 from bellswap.quantum import AngleSettings
+from bellswap.serialize import constraint_set_from_dict, constraint_set_to_dict
 from bellswap.solver import (
     SolveResult,
     SolveStatus,
@@ -24,28 +23,23 @@ from bellswap.solver import (
 )
 
 PI = math.pi
-PROV = Provenance((0.0, 0.0, 0.0, 0.0), 0.0, "test")
+PROV = ((0.0, 0.0, 0.0, 0.0), 0.0, "test")
+
+
+def a_unknowns(n: int) -> list:
+    return [("A", (0.001 * i,)) for i in range(n)]
 
 
 def chain_set(signs: list[int]) -> ConstraintSet:
     """x_i * x_{i+1} = sign_i over len(signs)+1 variables."""
-    cs = ConstraintSet(context=HiddenContext(kappa=+1))
-    ids = [cs.variable_id(FunctionTag.A, (0.001 * i,)) for i in range(len(signs) + 1)]
-    for i, sign in enumerate(signs):
-        cs.add_constraint((ids[i], ids[i + 1]), sign, PROV)
-    return cs
+    rows = [((i, i + 1), sign, PROV) for i, sign in enumerate(signs)]
+    return constraint_set_from_dict(system_document(+1, a_unknowns(len(signs) + 1), rows))
 
 
 def triangle_set() -> ConstraintSet:
     """x*y = +1, y*z = +1, x*z = -1: unsatisfiable, certificate is all three."""
-    cs = ConstraintSet(context=HiddenContext(kappa=+1))
-    x = cs.variable_id(FunctionTag.A, (0.1,))
-    y = cs.variable_id(FunctionTag.A, (0.2,))
-    z = cs.variable_id(FunctionTag.A, (0.3,))
-    cs.add_constraint((x, y), +1, PROV)
-    cs.add_constraint((y, z), +1, PROV)
-    cs.add_constraint((x, z), -1, PROV)
-    return cs
+    rows = [((0, 1), +1, PROV), ((1, 2), +1, PROV), ((0, 2), -1, PROV)]
+    return constraint_set_from_dict(system_document(+1, a_unknowns(3), rows))
 
 
 def grid_settings(bases: int, seed: int) -> list[AngleSettings]:
@@ -73,9 +67,9 @@ def grid_settings(bases: int, seed: int) -> list[AngleSettings]:
 
 def prefix(cs: ConstraintSet, k: int) -> ConstraintSet:
     """Constraints 0..k-1 of cs over the same variables."""
-    return ConstraintSet(
-        context=cs.context, variables=list(cs.variables), constraints=cs.constraints[:k]
-    )
+    doc = constraint_set_to_dict(cs)
+    doc["constraints"] = doc["constraints"][:k]
+    return constraint_set_from_dict(doc)
 
 
 def dense_gauss_jordan(cs: ConstraintSet) -> SolveResult:
@@ -148,9 +142,7 @@ class TestEnumerateSolve:
         assert result.model == {0: -1, 1: +1}
 
     def test_variable_guard(self):
-        cs = ConstraintSet(context=HiddenContext(kappa=+1))
-        for i in range(25):
-            cs.variable_id(FunctionTag.A, (0.001 * i,))
+        cs = constraint_set_from_dict(system_document(+1, a_unknowns(25), []))
         with pytest.raises(ValueError, match="guard"):
             enumerate_solve(cs)
 

@@ -35,3 +35,7 @@ def test_stage_times_smallest_size():
     assert min(report["event_stages_ms"].values()) >= 0.0
     (solve,) = report["gf2_unfactorized_fig1"]
     assert solve["bases"] == 1 and solve["status"] == "sat" and solve["unknowns"] > 0
+    lines = report["src_lines"]
+    total = lines.pop("total")
+    assert {"lhv.py", "serialize.py"} <= set(lines) and min(lines.values()) > 0
+    assert total == sum(lines.values())

@@ -26,6 +26,9 @@ system of a grid with that many bases per side (satisfiable; 9, 14 and 20
 bases give 1044, 2464 and 4960 unknowns), best of ``--repeat`` runs.  The
 base angles are drawn with the refute_grid benchmark's seed, SEED.
 
+It also reports ``src_lines``: the line count of each module of the
+package, as ``wc -l`` counts them, and their total.
+
 The output is one JSON object on standard output.
 """
 
@@ -42,7 +45,8 @@ from time import perf_counter
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from bellswap import correlations, lhv, quantum, serialize, solver  # noqa: E402
 
@@ -161,6 +165,13 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     return out
 
 
+def src_lines() -> dict[str, int]:
+    """Newlines in each src/bellswap/*.py, by file name, and their total."""
+    paths = sorted(SRC.glob("bellswap/*.py"))
+    counts = {path.name: path.read_bytes().count(b"\n") for path in paths}
+    return {**counts, "total": sum(counts.values())}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bases", type=int, default=9, help="base angles per side of the round")
@@ -190,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         "events": EVENTS,
         "event_stages_ms": event_stages(args.repeat),
         "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
+        "src_lines": src_lines(),
     }
     print(json.dumps(report, indent=2))
     return 0
