@@ -23,11 +23,9 @@ from .correlations import (
 )
 from .lhv import (
     ConstraintSet,
-    FunctionTag,
     HiddenContext,
     ParityConstraint,
     Provenance,
-    SignVariable,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -58,7 +56,6 @@ __all__ = [
     "BellOutcome",
     "BELL_ORDER",
     "ConstraintSet",
-    "FunctionTag",
     "HiddenContext",
     "ParityConstraint",
     "PerfectCorrelationReport",
@@ -66,7 +63,6 @@ __all__ = [
     "Polarization",
     "Provenance",
     "SectorReport",
-    "SignVariable",
     "SolveResult",
     "SolveStatus",
     "apply_all_rotations",

@@ -39,7 +39,6 @@ from .correlations import (
     classify_zeta,
     sample_events,
     violating_outcomes,
-    zeta,
 )
 from .lhv import (
     HiddenContext,
@@ -131,8 +130,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     closed = bell_bell_coefficients_closed_form(setting)[0]
     deviation = float(np.max(np.abs(closed - numeric)))
     probabilities = np.abs(numeric) ** 2
-    xi, eta = zeta(angles, +1), zeta(angles, -1)
     correlations = _correlation_report(angles, numeric, args.tol)
+    xi, eta = (sector.zeta for sector in correlations.sectors)  # kappa +1, then -1
     if args.json:
         _print_json(
             {
@@ -257,7 +256,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return _cannot_write(exc)
     print(
         f"compiled {len(settings)} settings (fig {args.fig}, kappa {args.kappa:+d})"
-        f" -> {cs.n_variables} variables, {len(cs.constraints)} constraints: {args.out}"
+        f" -> {cs.n_variables} variables, {len(cs.var_ids)} constraints: {args.out}"
     )
     return 0
 
@@ -281,7 +280,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "method": args.method,
         "context": {"kappa": cs.context.kappa, "label": cs.context.label},
         "n_variables": cs.n_variables,
-        "n_constraints": len(cs.constraints),
+        "n_constraints": len(cs.var_ids),
     }
     doc.update(solve_result_to_dict(cs, result, verified))
     _print_json(doc)

@@ -15,18 +15,18 @@ a constant of the context, so one ConstraintSet is always compiled for a
 single kappa.
 
 Angles are keyed on a 1e-9 rad grid by quantize_angle, so that equal settings
-share one unknown.  A ConstraintSet stores its system as columns, filled only
-by the compiler, in one array pass over an (N, 4) array of settings, and by
-serialize.constraint_set_from_dict; SignVariable, Provenance and
-ParityConstraint are the row types its read-only views build on demand.
+share one unknown.  A ConstraintSet is its columns, filled only by the
+compiler, in one array pass over an (N, 4) array of settings, and by
+serialize.constraint_set_from_dict.  An unknown is a (tag code, keys) pair of
+``unknowns``, named by ``labels``; ``constraints`` builds ParityConstraint rows
+(with their Provenance) from the constraint columns on each read.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain, islice, repeat
 from math import pi
 
@@ -37,9 +37,7 @@ from .quantum import AngleSettings
 
 __all__ = [
     "ANGLE_QUANTUM",
-    "FunctionTag",
     "HiddenContext",
-    "SignVariable",
     "Provenance",
     "ParityConstraint",
     "ConstraintSet",
@@ -65,16 +63,7 @@ RULE_FACTORIZATION = "f-factorization"
 RULE_FACTORED_PRODUCT = "aadd-perfect-correlation"
 
 
-class FunctionTag(Enum):
-    """Which local function an unknown stands for."""
-
-    A = "A"
-    D = "D"
-    F = "F"
-    G = "G"
-
-
-#: Number of angles each function takes, by tag code (FunctionTag value).
+#: Number of angles each local function (A, D, F, G above) takes, by tag code.
 TAG_ARITY = {"A": 1, "D": 1, "F": 2, "G": 2}
 
 
@@ -86,9 +75,12 @@ class HiddenContext:
     label: str = ""
 
     def __post_init__(self) -> None:
-        # a bool or float kappa would write a file that does not load back
+        # a bool or float kappa, or a label that is not a string, would write
+        # a file that does not load back
         if type(self.kappa) is not int or self.kappa not in (-1, +1):
             raise ValueError(f"kappa must be +1 or -1, got {self.kappa!r}")
+        if type(self.label) is not str:
+            raise ValueError(f"label must be a string, got {self.label!r}")
 
 
 def quantize_angle(phi) -> np.ndarray:
@@ -111,28 +103,6 @@ def float_reprs(values: Sequence[float]) -> list[str]:
     return list(map(table.__getitem__, bits))
 
 
-def _label(tag: str, reprs: Iterable[str]) -> str:
-    """The label of an unknown, such as ``F(0.1, 0.2)``, from its angles' reprs."""
-    return f"{tag}({', '.join(reprs)})"
-
-
-@dataclass(frozen=True)
-class SignVariable:
-    """A +-1 unknown, keyed by function tag and canonicalized angles: the
-    integer-valued floats of quantize_angle."""
-
-    tag: FunctionTag
-    keys: tuple[float, ...]
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return tuple(key * ANGLE_QUANTUM for key in self.keys)
-
-    @property
-    def label(self) -> str:
-        return _label(self.tag.value, map(repr, self.angles))
-
-
 @dataclass(frozen=True)
 class Provenance:
     """Where a constraint came from: the setting, its phase, the rule."""
@@ -151,33 +121,16 @@ class ParityConstraint:
     provenance: Provenance
 
 
-class _View(Sequence):
-    """Read-only rows of a ConstraintSet column, each built when read."""
-
-    def __init__(self, column: list, build: Callable[[int], object]) -> None:
-        self._column, self._build = column, build
-
-    def __len__(self) -> int:
-        return len(self._column)
-
-    def __getitem__(self, index):
-        rows = range(len(self._column))[index]  # an id, or a range of them for a slice
-        return list(map(self._build, rows)) if isinstance(index, slice) else self._build(rows)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other) if isinstance(other, (list, _View)) else NotImplemented
-
-
 class ConstraintSet:
-    """Parity constraints over a registry of sign variables, one context.
+    """Parity constraints over +-1 unknowns, one context, stored as columns.
 
-    Stored as columns: ``unknowns`` holds a (tag code, angle keys) pair per
-    unknown, by id, the keys the integer-valued floats of quantize_angle;
+    ``unknowns`` holds a (tag code, angle keys) pair per unknown, by id, the
+    keys the integer-valued floats of quantize_angle; ``labels`` names them.
     ``var_ids``, ``required_signs``, ``angles`` (the 4 of the setting),
     ``zetas`` and ``equations`` hold an entry per constraint.  A new set is
     empty; the compiler and serialize.constraint_set_from_dict fill it from
-    checked columns.  ``variables`` and ``constraints`` are read-only views
-    that build a SignVariable or ParityConstraint only for the item read.
+    checked columns.  ``constraints`` is a list of rows built from those
+    columns on each read.
     """
 
     def __init__(self, context: HiddenContext) -> None:
@@ -190,26 +143,15 @@ class ConstraintSet:
         return len(self.unknowns)
 
     @property
-    def variables(self) -> Sequence[SignVariable]:
-        return _View(self.unknowns, self._variable)
-
-    @property
-    def constraints(self) -> Sequence[ParityConstraint]:
-        return _View(self.var_ids, self._constraint)
-
-    def _variable(self, vid: int) -> SignVariable:
-        tag, keys = self.unknowns[vid]
-        return SignVariable(FunctionTag(tag), keys)
-
-    def _constraint(self, cid: int) -> ParityConstraint:
-        provenance = Provenance(self.angles[cid], self.zetas[cid], self.equations[cid])
-        return ParityConstraint(self.var_ids[cid], self.required_signs[cid], provenance)
+    def constraints(self) -> list[ParityConstraint]:
+        provenances = map(Provenance, self.angles, self.zetas, self.equations)
+        return list(map(ParityConstraint, self.var_ids, self.required_signs, provenances))
 
     def labels(self, vids: Iterable[int]) -> list[str]:
         """The labels, such as ``F(0.1, 0.2)``, of the unknowns with these ids."""
         rows = [self.unknowns[vid] for vid in vids]
         angles = iter(float_reprs([key * ANGLE_QUANTUM for _, keys in rows for key in keys]))
-        return [_label(tag, islice(angles, len(keys))) for tag, keys in rows]
+        return [f"{tag}({', '.join(islice(angles, len(keys)))})" for tag, keys in rows]
 
     def _register(self, unknowns: Iterable[tuple[str, tuple]]) -> list[int]:
         """Ids of (tag code, keys) pairs; new ones register in order of first occurrence."""

@@ -4,21 +4,20 @@ This is the one module that decides what a valid input is: both JSON loaders
 check each field's exact JSON type and raise only ValueError, with a one-line
 message, also on input nested too deeply to parse.  They check and fill one
 column at a time: load_settings returns the (N, 4) angle array the compiler
-takes, and constraint_set_from_dict fills the columns of a ConstraintSet (see
-lhv) without building a row object.  Each still raises the error a
-field-by-field check would raise first.  Beside lhv's compiler, that loader is
-the only way to make a ConstraintSet, and floats are written in Python's
-shortest round-trip repr, so every set writes a file that loads back to the
-same bytes.  The constraint-system file is pinned byte for byte: it is what
-json.dumps with indent=2 prints for constraint_set_to_dict, written instead
-from one layout per row shape, with one % call per chunk of rows; each
-distinct float is formatted once (lhv.float_reprs, which keeps -0.0 apart from
-0.0).  The event CSV is written by write_events_csv in chunks of EVENT_CHUNK
-events: each chunk's rows are formatted by one % call over (event id, row
-text) pairs, the header precedes event 0 and the ids continue from the call's
-start, so a file can be written in several calls.  The CSV schema is versioned
-by its pinned header row; its columns, vocabulary and LF line endings are
-golden-tested.
+takes, and constraint_set_from_dict fills the columns that are a ConstraintSet
+(see lhv).  Each still raises the error a field-by-field check would raise
+first.  Beside lhv's compiler, that loader is the only way to make a
+ConstraintSet, and floats are written in Python's shortest round-trip repr, so
+every set writes a file that loads back to the same bytes.  The
+constraint-system file is pinned byte for byte: it is what json.dumps with
+indent=2 prints for constraint_set_to_dict, written instead from one layout
+per row shape, with one % call per chunk of rows; each distinct float is
+formatted once (lhv.float_reprs, which keeps -0.0 apart from 0.0).  The event
+CSV is written by write_events_csv in chunks of EVENT_CHUNK events: each
+chunk's rows are formatted by one % call over (event id, row text) pairs, the
+header precedes event 0 and the ids continue from the call's start, so a file
+can be written in several calls.  The CSV schema is versioned by its pinned
+header row; its columns, vocabulary and LF line endings are golden-tested.
 """
 
 from __future__ import annotations
@@ -193,6 +192,7 @@ def _variable_columns(entries: list, start: int) -> list[tuple[str, tuple]]:
     keys = iter(quantize_angle(_numbers(list(chain.from_iterable(angles)), "angle")).tolist())
     tags = _field(entries, "tag")
     if not _types(tags) <= {str} or not set(tags) <= TAG_ARITY.keys():
+        # pinned byte for byte: it is the CLI's exit-2 stderr
         raise ValueError(f"{tags[0]!r} is not a valid FunctionTag")
     arities = list(map(TAG_ARITY.get, tags))
     if list(map(len, angles)) != arities:

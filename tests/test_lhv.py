@@ -15,8 +15,9 @@ from bellswap.lhv import (
     RULE_DOUBLE_BELL,
     RULE_FACTORIZATION,
     ConstraintSet,
-    FunctionTag,
     HiddenContext,
+    ParityConstraint,
+    Provenance,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -33,8 +34,12 @@ CTX_PLUS = HiddenContext(kappa=+1)
 CTX_MINUS = HiddenContext(kappa=-1)
 
 
-def tags_of(cs: ConstraintSet, constraint_index: int) -> list[FunctionTag]:
-    return [cs.variables[vid].tag for vid in cs.constraints[constraint_index].var_ids]
+def tags_of(cs: ConstraintSet, constraint_index: int) -> list[str]:
+    return [cs.unknowns[vid][0] for vid in cs.var_ids[constraint_index]]
+
+
+def angles_of(cs: ConstraintSet, vid: int) -> tuple[float, ...]:
+    return tuple(key * ANGLE_QUANTUM for key in cs.unknowns[vid][1])
 
 
 class TestCompileBellPolarization:
@@ -44,16 +49,16 @@ class TestCompileBellPolarization:
         assert len(cs.constraints) == 1
         constraint = cs.constraints[0]
         assert constraint.required_sign == +1
-        assert tags_of(cs, 0) == [FunctionTag.A, FunctionTag.F, FunctionTag.D]
-        a_var, f_var, d_var = (cs.variables[v] for v in constraint.var_ids)
-        assert a_var.angles[0] == pytest.approx(alpha, abs=1e-9)
-        assert f_var.angles == pytest.approx((alpha, beta), abs=1e-9)
-        assert d_var.angles[0] == pytest.approx(beta, abs=1e-9)
+        assert tags_of(cs, 0) == ["A", "F", "D"]
+        a_angles, f_angles, d_angles = (angles_of(cs, v) for v in constraint.var_ids)
+        assert a_angles[0] == pytest.approx(alpha, abs=1e-9)
+        assert f_angles == pytest.approx((alpha, beta), abs=1e-9)
+        assert d_angles[0] == pytest.approx(beta, abs=1e-9)
 
     def test_generic_setting_emits_nothing(self):
         cs = compile_bell_polarization([AngleSettings(0, 0.3, 0.7, 0.1)], CTX_PLUS)
         assert cs.constraints == []
-        assert cs.variables == []
+        assert cs.unknowns == []
 
     def test_zero_and_half_pi_signs(self):
         settings_list = [
@@ -123,8 +128,8 @@ def grid_settings(rng: np.random.Generator, bases: int) -> list[AngleSettings]:
 #: Unknowns of each rule, by function tag and angle positions, as the paper
 #: states them: A(phi1) F(phi2, phi3) D(phi4) and F(phi2, phi3) G(phi1, phi4).
 REPLAY_TERMS = {
-    RULE_BELL_POLARIZATION: ((FunctionTag.A, (0,)), (FunctionTag.F, (1, 2)), (FunctionTag.D, (3,))),
-    RULE_DOUBLE_BELL: ((FunctionTag.F, (1, 2)), (FunctionTag.G, (0, 3))),
+    RULE_BELL_POLARIZATION: (("A", (0,)), ("F", (1, 2)), ("D", (3,))),
+    RULE_DOUBLE_BELL: (("F", (1, 2)), ("G", (0, 3))),
 }
 
 
@@ -140,7 +145,7 @@ class Replay:
         keys = tuple(round(phi / ANGLE_QUANTUM) for phi in angles)
         if (tag, keys) not in self.ids:
             self.ids[tag, keys] = len(self.variables)
-            self.variables.append((tag.value, [key * ANGLE_QUANTUM for key in keys]))
+            self.variables.append((tag, [key * ANGLE_QUANTUM for key in keys]))
         return self.ids[tag, keys]
 
     def text(self):
@@ -168,9 +173,9 @@ def replay_factorization(replay):
     """apply_factorization through the angles of each F unknown."""
     for _, (x, y) in [var for var in replay.variables if var[0] == "F"]:
         var_ids = [
-            replay.unknown(FunctionTag.F, (x, y)),
-            replay.unknown(FunctionTag.A, (x,)),
-            replay.unknown(FunctionTag.D, (y,)),
+            replay.unknown("F", (x, y)),
+            replay.unknown("A", (x,)),
+            replay.unknown("D", (y,)),
         ]
         replay.constraints.append((var_ids, +1, ((x, x, y, y), 0.0, RULE_FACTORIZATION)))
     return replay
@@ -212,7 +217,7 @@ class TestArrayPassCompiler:
 
     def test_empty_settings(self):
         cs = compile_double_bell([], CTX_MINUS)
-        assert cs.variables == [] and cs.constraints == []
+        assert cs.unknowns == [] and cs.constraints == []
 
 
 #: Angles where the array quantizer can part from round(): signed zeros,
@@ -265,7 +270,7 @@ class TestArrayQuantizer:
 
     def test_tiny_negative_angle_prints_as_zero(self):
         cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)
-        assert [v.label for v in cs.variables] == ["F(0.0, 0.0)", "G(0.0, 0.0)"]
+        assert cs.labels(range(cs.n_variables)) == ["F(0.0, 0.0)", "G(0.0, 0.0)"]
 
 
 class TestCompileDoubleBell:
@@ -276,10 +281,10 @@ class TestCompileDoubleBell:
         )
         (constraint,) = cs.constraints
         assert constraint.required_sign == +1
-        assert tags_of(cs, 0) == [FunctionTag.F, FunctionTag.G]
-        f_var, g_var = (cs.variables[v] for v in constraint.var_ids)
-        assert f_var.angles == pytest.approx((alpha + PI / 4, beta + PI / 4), abs=1e-9)
-        assert g_var.angles == pytest.approx((alpha, beta), abs=1e-9)
+        assert tags_of(cs, 0) == ["F", "G"]
+        f_angles, g_angles = (angles_of(cs, v) for v in constraint.var_ids)
+        assert f_angles == pytest.approx((alpha + PI / 4, beta + PI / 4), abs=1e-9)
+        assert g_angles == pytest.approx((alpha, beta), abs=1e-9)
 
     def test_half_pi_setting(self):
         alpha, beta = 0.5, 2.2
@@ -302,7 +307,7 @@ class TestCompileDoubleBell:
             AngleSettings(a, a, b, b) for a, b in rng.uniform(0, 2 * PI, size=(10, 2))
         ]
         cs = compile_double_bell(settings_list, CTX_MINUS)
-        assert all(v.tag in (FunctionTag.F, FunctionTag.G) for v in cs.variables)
+        assert all(tag in ("F", "G") for tag, _ in cs.unknowns)
 
 
 class TestFactorization:
@@ -317,12 +322,10 @@ class TestFactorization:
         definition = out.constraints[1]
         assert definition.required_sign == +1
         assert definition.provenance.equation == RULE_FACTORIZATION
-        f_var, a_var, d_var = (out.variables[v] for v in definition.var_ids)
-        assert f_var.tag is FunctionTag.F
-        assert a_var.tag is FunctionTag.A
-        assert d_var.tag is FunctionTag.D
-        assert a_var.angles[0] == pytest.approx(f_var.angles[0])
-        assert d_var.angles[0] == pytest.approx(f_var.angles[1])
+        assert tags_of(out, 1) == ["F", "A", "D"]
+        f_angles, a_angles, d_angles = (angles_of(out, v) for v in definition.var_ids)
+        assert a_angles[0] == pytest.approx(f_angles[0])
+        assert d_angles[0] == pytest.approx(f_angles[1])
 
     def test_no_f_variables_is_a_fixed_point(self):
         cs = compile_factored([AngleSettings(0.1, 0.1, 0.2, 0.2)], CTX_PLUS)
@@ -355,7 +358,7 @@ class TestContradictionInstance:
         cs = contradiction_instance(0.0, 0.0, +1)
         assert cs.n_variables == 4
         assert len(cs.constraints) == 2
-        labels = {v.label for v in cs.variables}
+        labels = set(cs.labels(range(cs.n_variables)))
         assert labels == {"A(0.0)", "A(0.7853981630000001)", "D(0.0)", "D(0.7853981630000001)"}
         first, second = cs.constraints
         assert sorted(first.var_ids) == sorted(second.var_ids)
@@ -385,6 +388,24 @@ class TestConstraintSetInvariants:
         for kappa in (2, 0, True, 1.0):  # a file holds only the int +1 or -1
             with pytest.raises(ValueError):
                 HiddenContext(kappa=kappa)
+
+    def test_context_label_validated(self):
+        for label in (5, None, b"x"):  # a file holds only a string label
+            with pytest.raises(ValueError):
+                HiddenContext(kappa=+1, label=label)
+
+    def test_constraints_are_rows_of_the_columns(self):
+        settings_list = grid_settings(np.random.default_rng(7), 2)
+        cs = apply_factorization(compile_bell_polarization(settings_list, CTX_PLUS))
+        rows = [
+            ParityConstraint(var_ids, sign, Provenance(angles, zeta_value, equation))
+            for var_ids, sign, angles, zeta_value, equation in zip(
+                cs.var_ids, cs.required_signs, cs.angles, cs.zetas, cs.equations
+            )
+        ]
+        assert type(cs.constraints) is list and cs.constraints == rows
+        assert len(rows) == len(cs.var_ids) > 0
+        assert ConstraintSet(CTX_PLUS).constraints == []
 
     def test_equality_compares_context_variables_and_constraints(self):
         cs = contradiction_instance(0.0, 0.0, +1)

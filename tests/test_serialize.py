@@ -611,7 +611,7 @@ class TestNegativeZero:
         row = ((0, 1, 2), +1, ((-0.0, 0.0, -0.0, 0.0), -0.0, "hand-built"))
         cs = constraint_set_from_dict(system_document(+1, variables, [row]))
         labels = ["A(0.0)", "D(0.0)", "F(0.0, 0.0)"]
-        assert cs.labels(range(3)) == [var.label for var in cs.variables] == labels
+        assert cs.labels(range(3)) == labels
         assert cs.labels([0, 1, 2] * 11) == labels * 11  # through the repr table
         doc = solve_result_to_dict(cs, enumerate_solve(cs), verified=True)
         assert list(doc["model"]) == labels

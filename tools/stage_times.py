@@ -157,7 +157,7 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
             {
                 "bases": bases,
                 "unknowns": cs.n_variables,
-                "constraints": len(cs.constraints),
+                "constraints": len(cs.var_ids),
                 "status": result.status.value,
                 "ms": ms,
             }
