@@ -41,6 +41,7 @@ from .correlations import (
     violating_outcomes,
 )
 from .lhv import (
+    ConstraintSet,
     HiddenContext,
     apply_factorization,
     compile_bell_polarization,
@@ -63,7 +64,7 @@ from .serialize import (
     solve_result_to_dict,
     write_events_csv,
 )
-from .solver import SolveStatus, enumerate_solve, gf2_solve, verify_certificate
+from .solver import enumerate_solve, gf2_solve, verify_certificate
 from .verification import CLOSED_FORM_TOL, run_qm_verification
 
 _METHODS = {"enumerate": enumerate_solve, "gf2": gf2_solve}
@@ -199,6 +200,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if violations == 0 else 1
 
 
+def _solve_and_print(cs: ConstraintSet, doc: dict, expect: str | None) -> int:
+    """Solve cs with doc's method, verify the answer and print doc with the
+    result document added.  The exit code is 2 if the enumeration guard
+    refuses cs, else 0 iff the answer verifies and its status is ``expect``
+    ("sat" or "unsat"; None accepts either)."""
+    try:
+        result = _METHODS[doc["method"]](cs)
+    except ValueError as exc:  # the enumeration guard
+        print(f"error: {exc}; use --method gf2", file=sys.stderr)
+        return 2
+    verified = verify_certificate(cs, result)
+    doc.update(solve_result_to_dict(cs, result, verified))
+    _print_json(doc)
+    return 0 if verified and expect in (None, result.status.value) else 1
+
+
 def cmd_refute(args: argparse.Namespace) -> int:
     alpha = _to_radians(args.alpha, args.degrees)
     beta = _to_radians(args.beta, args.degrees)
@@ -215,14 +232,10 @@ def cmd_refute(args: argparse.Namespace) -> int:
     if args.fig2:
         context = HiddenContext(kappa=args.kappa, label="double-bell variant")
         cs = compile_double_bell(settings, context)
-        expected = SolveStatus.SAT
-        arrangement = "double-bell"
+        expected, arrangement = "sat", "double-bell"
     else:
         cs = contradiction_instance(alpha, beta, args.kappa)
-        expected = SolveStatus.UNSAT
-        arrangement = "bell-polarization-factored"
-    result = _METHODS[args.method](cs)
-    verified = verify_certificate(cs, result)
+        expected, arrangement = "unsat", "bell-polarization-factored"
     doc = {
         "format_version": FORMAT_VERSION,
         "command": "refute",
@@ -232,9 +245,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
         "arrangement": arrangement,
         "method": args.method,
     }
-    doc.update(solve_result_to_dict(cs, result, verified))
-    _print_json(doc)
-    return 0 if (result.status is expected and verified) else 1
+    return _solve_and_print(cs, doc, expected)
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -268,12 +279,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read constraint file: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = _METHODS[args.method](cs)
-    except ValueError as exc:  # the enumeration guard
-        print(f"error: {exc}; use --method gf2", file=sys.stderr)
-        return 2
-    verified = verify_certificate(cs, result)
     doc = {
         "format_version": FORMAT_VERSION,
         "command": "solve",
@@ -282,13 +287,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "n_variables": cs.n_variables,
         "n_constraints": len(cs.var_ids),
     }
-    doc.update(solve_result_to_dict(cs, result, verified))
-    _print_json(doc)
-    if not verified:
-        return 1
-    if args.expect is not None and args.expect != result.status.value:
-        return 1
-    return 0
+    return _solve_and_print(cs, doc, args.expect)
 
 
 def _add_angle_flags(parser: argparse.ArgumentParser) -> None:

@@ -295,21 +295,13 @@ class SectorReport:
     pairing_certain: bool | None
 
     def to_dict(self) -> dict:
+        pairing = self.bell_pairing
         return {
-            "kappa": self.kappa,
-            "zeta": self.zeta,
+            **vars(self),
             "phase_class": self.phase_class.value,
-            "predicted_product": self.predicted_product,
-            "sector_probability": self.sector_probability,
-            "violation_probability": self.violation_probability,
-            "product_certain": self.product_certain,
             "bell_pairing": (
-                None
-                if self.bell_pairing is None
-                else {bc.value: ad.value for bc, ad in self.bell_pairing.items()}
+                None if pairing is None else {bc.value: ad.value for bc, ad in pairing.items()}
             ),
-            "pairing_violation_probability": self.pairing_violation_probability,
-            "pairing_certain": self.pairing_certain,
         }
 
 

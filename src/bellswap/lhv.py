@@ -282,13 +282,10 @@ def contradiction_settings(
     """
     if kappa not in (-1, +1):
         raise ValueError(f"kappa must be +1 or -1, got {kappa}")
-    if kappa == +1:
-        zero_setting = AngleSettings(alpha, alpha + pi / 4, beta + pi / 4, beta)
-        half_setting = AngleSettings(alpha, alpha + pi / 4, beta, beta + pi / 4)
-    else:
-        zero_setting = AngleSettings(alpha, alpha + pi / 4, beta, beta + pi / 4)
-        half_setting = AngleSettings(alpha, alpha + pi / 4, beta + pi / 4, beta)
-    return zero_setting, half_setting
+    # zeta_+1 = 0 at plus, zeta_-1 = 0 at minus
+    plus = AngleSettings(alpha, alpha + pi / 4, beta + pi / 4, beta)
+    minus = AngleSettings(alpha, alpha + pi / 4, beta, beta + pi / 4)
+    return (plus, minus) if kappa == +1 else (minus, plus)
 
 
 def contradiction_instance(alpha: float, beta: float, kappa: int) -> ConstraintSet:

@@ -72,13 +72,16 @@ _KAPPA_MISMATCH = np.array(
 #: cost over thousands of settings.
 _CHUNK = 4096
 
-#: The checks every swept setting gets, in the order they are reported.
-_SWEEP_CHECKS = (
-    "closed_form_vs_numeric",
-    "double_bell_completeness",
-    "kappa_mismatch_probability",
-    "distribution_normalization",
-)
+#: Every check's threshold, in the order the checks are reported; each
+#: swept setting gets all but the last, the special families' check.
+_THRESHOLDS = {
+    "closed_form_vs_numeric": CLOSED_FORM_TOL,
+    "double_bell_completeness": 1e-12,
+    "kappa_mismatch_probability": 1e-12,
+    "distribution_normalization": 1e-12,
+    "perfect_correlations": CERTAINTY_TOL,
+}
+_SWEEP_CHECKS = tuple(_THRESHOLDS)[:-1]
 
 
 def _sweep_values(numeric: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -113,11 +116,7 @@ def run_qm_verification(
     n_random = grid**4
 
     checks = {
-        "closed_form_vs_numeric": {"max_value": 0.0, "threshold": CLOSED_FORM_TOL},
-        "double_bell_completeness": {"max_value": 0.0, "threshold": 1e-12},
-        "kappa_mismatch_probability": {"max_value": 0.0, "threshold": 1e-12},
-        "distribution_normalization": {"max_value": 0.0, "threshold": 1e-12},
-        "perfect_correlations": {"max_value": 0.0, "threshold": CERTAINTY_TOL},
+        name: {"max_value": 0.0, "threshold": threshold} for name, threshold in _THRESHOLDS.items()
     }
     violations: list[dict] = []
 

@@ -259,6 +259,31 @@ class TestRefute:
         assert doc["verified"] is True
 
 
+class TestUnverifiedAnswer:
+    """An answer that verify_certificate rejects exits 1 even when its status
+    is the one expected, and the document says it is not verified."""
+
+    @pytest.fixture(autouse=True)
+    def reject_every_answer(self, monkeypatch):
+        monkeypatch.setattr(cli, "verify_certificate", lambda cs, result: False)
+
+    @pytest.mark.parametrize("method", ["enumerate", "gf2"])
+    @pytest.mark.parametrize("fig2,status", [([], "unsat"), (["--fig2"], "sat")])
+    def test_refute(self, capsys, method, fig2, status):
+        code, out = run(capsys, "refute", "--method", method, *fig2)
+        doc = json.loads(out)
+        assert (code, doc["status"], doc["verified"]) == (1, status, False)
+
+    @pytest.mark.parametrize("expect", [[], ["--expect", "unsat"]])
+    def test_solve(self, capsys, tmp_path, expect):
+        path = tmp_path / "system.json"
+        with open(path, "w", encoding="utf-8") as fp:
+            serialize.dump_constraint_set(contradiction_instance(0.0, 0.0, +1), fp)
+        code, out = run(capsys, "solve", "--in", str(path), *expect)
+        doc = json.loads(out)
+        assert (code, doc["status"], doc["verified"]) == (1, "unsat", False)
+
+
 class TestCompileSolve:
     def write_settings(self, tmp_path, settings):
         path = tmp_path / "settings.json"

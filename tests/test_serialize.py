@@ -3,6 +3,8 @@ import io
 import json
 import math
 import sys
+from itertools import cycle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,6 +279,24 @@ class TestWriter:
         assert text == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
         assert load_constraint_set(io.StringIO(text)) == cs
         assert '"zeta": -0.0,' in text and '"zeta": 5e-324,' in text
+
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 257])
+    def test_chunk_seams(self, n):
+        """n variables and n constraints, on both sides of the writer's chunk
+        boundaries; no write holds more than one chunk of 128 objects."""
+        tags = zip(range(n), cycle(TAG_ARITY))
+        variables = [(tag, (0.01 * i,) * TAG_ARITY[tag]) for i, tag in tags]
+        rows = [
+            (range(i % 3 + 1), 1 - 2 * (i % 2), ((0.1 * i, -0.0, 5e-324, i), -0.5 * i, f"r{i}"))
+            for i in range(n)
+        ]
+        cs = constraint_set_from_dict(system_document(-1, variables, rows, "seams"))
+        writes: list[str] = []
+        dump_constraint_set(cs, SimpleNamespace(write=writes.append))
+        text = "".join(writes)
+        assert text == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
+        assert dumped(load_constraint_set(io.StringIO(text))) == text
+        assert max(write.count('"id"') for write in writes) <= 128
 
 
 #: Any JSON scalar, with integers beyond the float range among the numbers.
