@@ -15,9 +15,10 @@ Subcommands:
 - solve: decide a constraint-system JSON file and verify the answer.
 
 Exit codes: 0 = checks passed / expected result, 1 = violation or unexpected
-result, 2 = usage error, unreadable input or unwritable output.  Angles are
-radians unless --degrees is given.  ``serialize`` reads input files and raises
-only ValueError on a malformed one.  ``main`` builds the parser once per
+result, 2 = usage error, unreadable input or unwritable output (an --out path,
+or a standard output whose reader has gone).  Angles are radians unless
+--degrees is given.  ``serialize`` reads input files and raises only
+ValueError on a malformed one.  ``main`` builds the parser once per
 process and finds each command's ``cmd_*`` by name at call time, so a wrapped
 or patched one is the one that runs.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -35,6 +37,7 @@ import numpy as np
 from .correlations import (
     DEFAULT_ANGLE_TOL,
     MAX_ANGLE_TOL,
+    MAX_COMPILE_TOL,
     _correlation_report,
     classify_zeta,
     sample_events,
@@ -96,6 +99,11 @@ _NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _FINITE_FLOAT = _checked(float, math.isfinite, "a finite number")
 _PHASE_TOL = _checked(float, lambda v: 0 < v < MAX_ANGLE_TOL, "> 0 and < pi/4")
 _TOL_HELP = "phase tolerance (rad), > 0 and < pi/4"
+_COMPILE_TOL = _checked(
+    float,
+    lambda v: 0 < v <= MAX_COMPILE_TOL,
+    f"> 0 and <= {MAX_COMPILE_TOL!r}, the widest phase window whose constraints stay certain",
+)
 
 
 def _cannot_write(exc: OSError) -> int:
@@ -353,7 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
         " 2 = Bell analyzers on both pairs",
     )
     p.add_argument("--factorize", action="store_true", help="adjoin F = A*D constraints")
-    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    p.add_argument(
+        "--tol",
+        type=_COMPILE_TOL,
+        default=DEFAULT_ANGLE_TOL,
+        help=f"phase tolerance (rad), > 0 and <= {MAX_COMPILE_TOL:.6g}",
+    )
     p.add_argument("--degrees", action="store_true", help="settings file is in degrees")
     p.add_argument("--label", default="", help="context label")
     p.add_argument("--out", required=True, help="output JSON path")
@@ -371,7 +384,15 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    return globals()["cmd_" + args.command.replace("-", "_")](args)
+    try:
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except BrokenPipeError as exc:  # the reader closed stdout early (e.g. `| head`)
+        # what is still buffered, and the interpreter's final flush, go to devnull
+        # instead of raising into the closed pipe once more at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _cannot_write(exc)
 
 
 if __name__ == "__main__":

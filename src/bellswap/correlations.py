@@ -54,6 +54,7 @@ __all__ = [
     "DEFAULT_ANGLE_TOL",
     "MAX_ANGLE_TOL",
     "CERTAINTY_TOL",
+    "MAX_COMPILE_TOL",
     "PhaseClass",
     "SectorReport",
     "PerfectCorrelationReport",
@@ -79,6 +80,11 @@ MAX_ANGLE_TOL = math.pi / 4
 
 #: Probability residual below which a correlation counts as certain.
 CERTAINTY_TOL = 1e-12
+
+#: Inclusive upper bound on the phase tolerance of a compiled constraint, a
+#: claim of certainty: a setting d away from a special phase has violation
+#: probability sin(d)**2 / 2 in its sector, which must stay below CERTAINTY_TOL.
+MAX_COMPILE_TOL = math.asin(math.sqrt(2 * CERTAINTY_TOL))
 
 _KAPPA = {
     BellOutcome.PHI_PLUS: +1,

@@ -32,7 +32,7 @@ from math import pi
 
 import numpy as np
 
-from .correlations import DEFAULT_ANGLE_TOL, _predicted_product
+from .correlations import DEFAULT_ANGLE_TOL, MAX_COMPILE_TOL, _predicted_product
 from .quantum import AngleSettings
 
 __all__ = [
@@ -201,6 +201,11 @@ def _compile(rule: str, settings: Settings, context: HiddenContext, tol: float) 
     correlations.zeta), one _predicted_product call classifies every setting
     and one quantize_angle call keys the kept ones, whose unknowns register
     term by term through one dict."""
+    if not 0 < tol <= MAX_COMPILE_TOL:
+        raise ValueError(
+            f"tol must be > 0 and <= {MAX_COMPILE_TOL!r}, the widest phase window whose"
+            f" constraints stay certain, got {tol}"
+        )
     if not isinstance(settings, np.ndarray):
         settings = [setting.as_tuple() for setting in settings]
     phis = np.asarray(settings, dtype=float).reshape(-1, 4)

@@ -3,8 +3,16 @@
 Conventions
 -----------
 - Photons are labelled a, b, c, d. A pure state is a (16,) numpy array of
-  complex amplitudes over the product basis |p_a p_b p_c p_d> with H = 0,
-  V = 1 and flat index ``8*a + 4*b + 2*c + d``.
+  amplitudes over the product basis |p_a p_b p_c p_d> with H = 0, V = 1 and
+  flat index ``8*a + 4*b + 2*c + d``.  The two-singlet source state and
+  every rotation matrix are real, so make_vw_state and its rotations are
+  real float64 arrays, rotated in real arithmetic (a complex state passed
+  in stays complex).
+- The complex dtype enters only at the projection onto BELL_VECTORS, which
+  stays complex: a real einsum sums in another order than a complex one, so
+  a real projection would change the last bits of the coefficients that
+  decompose, verify-qm and simulate print.  The real rotation gives the
+  bits the complex one gave.
 - The two-photon Bell basis is
       phi+ = (HH + VV)/sqrt(2),   phi- = (HH - VV)/sqrt(2),
       psi+ = (HV + VH)/sqrt(2),   psi- = (HV - VH)/sqrt(2),
@@ -137,9 +145,10 @@ def compute_phases(angles: AngleSettings) -> tuple[float, float]:
 
 def make_vw_state() -> np.ndarray:
     """Product of two singlets, (H_a V_b - V_a H_b)(H_c V_d - V_c H_d) / 2:
-    16 read-only amplitudes, exactly +-0.5 where nonzero."""
+    16 read-only real float64 amplitudes, exactly +-0.5 where nonzero, so the
+    rotations applied to it run in real arithmetic."""
     singlet = np.array([0, 1, -1, 0])  # over (HH, HV, VH, VV)
-    return _read_only((np.outer(singlet, singlet) / 2).astype(complex).reshape(16))
+    return _read_only((np.outer(singlet, singlet) / 2).reshape(16))
 
 
 def _angle_rows(angles) -> np.ndarray:

@@ -1,5 +1,10 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ import pytest
 from bellswap import cli, quantum, serialize
 from bellswap.cli import main
 from bellswap.correlations import (
+    MAX_COMPILE_TOL,
     OUTCOME_ORDER,
     classify_zeta,
     f_value_of,
@@ -14,11 +20,14 @@ from bellswap.correlations import (
     sample_events,
     violating_outcomes,
 )
-from bellswap.lhv import contradiction_instance
+from bellswap.lhv import HiddenContext, compile_double_bell, contradiction_instance
 from bellswap.quantum import AngleSettings, BellOutcome
 from bellswap.serialize import EVENT_CSV_COLUMNS, constraint_set_to_dict, write_events_csv
 
 PI = math.pi
+COMPILE_TOL_BOUND = (
+    f"> 0 and <= {MAX_COMPILE_TOL!r}, the widest phase window whose constraints stay certain"
+)
 
 
 def run(capsys, *argv):
@@ -89,6 +98,39 @@ class TestVerifyQm:
         assert report["violations"]
         # the offending setting is reported
         assert len(report["violations"][0]["angles"]) == 4
+
+
+class TestRealSourceState:
+    """The source state and its rotations are real; what the commands print
+    must be what the complex state printed.  Compared in process, so the
+    check holds on any BLAS build, where pinned digests would not."""
+
+    ANGLES = [
+        ["--phi1=0", "--phi2=0", "--phi3=0", "--phi4=0"],
+        ["--phi1=-0.0", "--phi2=0.0", "--phi3=-0.0", "--phi4=0.0"],
+        ["--phi1=0.25", f"--phi2={0.25 + PI / 4!r}", "--phi3=1.0", f"--phi4={1.0 + PI / 4!r}"],
+        [f"--phi1={3 * PI / 4!r}", f"--phi2={-PI / 2!r}", f"--phi3={PI!r}", "--phi4=0"],
+        ["--phi1=0.3", "--phi2=1.1", "--phi3=-2.5", "--phi4=4.0"],
+        ["--phi1=1e6", "--phi2=-1e6", "--phi3=0.001", "--phi4=123456.789"],
+    ]
+    ARGVS = [
+        *(["decompose", *angles] for angles in ANGLES),
+        *(["decompose", "--json", *angles] for angles in ANGLES),
+        *(["verify-qm", "--grid", "2", "--seed", str(seed)] for seed in (0, 12345)),
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_stdout_equals_the_complex_state_output(self, capsys, monkeypatch, argv):
+        real = run(capsys, *argv)
+        make_real, calls = quantum.make_vw_state, []
+
+        def make_complex():
+            calls.append(1)
+            return make_real().astype(complex)
+
+        monkeypatch.setattr(quantum, "make_vw_state", make_complex)
+        assert run(capsys, *argv) == real
+        assert calls
 
 
 def per_row_csv(angles: AngleSettings, outcomes) -> str:
@@ -356,6 +398,27 @@ class TestCompileSolve:
         assert doc["status"] == "sat"
         assert doc["model"] == {}
 
+    def test_wide_tol_fig2_false_refutation_is_refused_at_compile(self, capsys, tmp_path):
+        # every 4-tuple of five angles: at --tol 0.2 the fig-2 system, which
+        # has a local model, compiled to 195 constraints with a verified UNSAT
+        # certificate; the tolerance now stops at compile
+        angles = [0, 0.35, 0.7, 1.05, 1.4]
+        settings_path = self.write_settings(
+            tmp_path, [list(s) for s in itertools.product(angles, repeat=4)]
+        )
+        cs_path = tmp_path / "system.json"
+        argv = ["compile", "--settings", settings_path, "--fig", "2", "--kappa", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "0.2", "--out", str(cs_path)])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.endswith(f"argument --tol: must be {COMPILE_TOL_BOUND}, got 0.2")
+        assert not cs_path.exists()
+        code, out = run(capsys, *argv, "--out", str(cs_path))
+        assert (code, out.split(" -> ")[1].split(":")[0]) == (0, "50 variables, 85 constraints")
+        code, out = run(capsys, "solve", "--in", str(cs_path), "--method", "gf2", "--expect", "sat")
+        assert code == 0
+
     def test_expectation_mismatch_fails(self, capsys, tmp_path):
         settings_path = self.write_settings(tmp_path, [[0.0, 0.0, 0.0, 0.0]])
         cs_path = tmp_path / "system.json"
@@ -563,8 +626,27 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         message = captured.err.splitlines()[-1]
-        assert message.endswith(f"argument --tol: must be > 0 and < pi/4, got {value}")
+        bound = COMPILE_TOL_BOUND if command == "compile" else "> 0 and < pi/4"
+        assert message.endswith(f"argument --tol: must be {bound}, got {value}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value", [repr(float(np.nextafter(MAX_COMPILE_TOL, 1))), "1.5e-6", "1e-3", "0.2", "0.78"]
+    )
+    def test_compile_tol_above_the_certainty_bound(self, capsys, tmp_path, value):
+        settings, out = tmp_path / "settings.json", tmp_path / "out"
+        settings.write_text('{"settings": [[0, 0.5, 0, 0]]}')
+        argv = ["compile", "--settings", str(settings), "--kappa", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.splitlines()[-1]
+        assert message.endswith(f"argument --tol: must be {COMPILE_TOL_BOUND}, got {value}")
+        assert not out.exists()
+        code, _ = run(capsys, *argv, f"--tol={MAX_COMPILE_TOL!r}")
+        assert code == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "abc"])
     @pytest.mark.parametrize(
@@ -663,3 +745,29 @@ class TestParserReuse:
                 assert cached == outcome(fresh, argv), argv
                 codes.append(cached[0])
             assert codes == [0, 0, 2, 0, 0, 0, 0, 0]
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_2_without_traceback(self, tmp_path):
+        # about 0.2 MB of model labels: more than a pipe buffer holds, so the
+        # writer is still writing when the reader goes
+        settings = np.array(
+            [[x, x, y, y] for x in np.linspace(0.1, 3.0, 60) for y in np.linspace(0.2, 2.9, 40)]
+        )
+        path = tmp_path / "system.json"
+        with open(path, "w", encoding="utf-8") as fp:
+            serialize.dump_constraint_set(compile_double_bell(settings, HiddenContext(-1)), fp)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bellswap", "solve", "--in", str(path), "--method", "gf2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert stderr.splitlines() == ["error: cannot write output: [Errno 32] Broken pipe"]

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from instance_gen import system_document
 
-from bellswap.correlations import PhaseClass, classify_zeta, zeta
+from bellswap.correlations import (
+    CERTAINTY_TOL,
+    MAX_COMPILE_TOL,
+    PhaseClass,
+    classify_zeta,
+    perfect_correlation_report,
+    zeta,
+)
 from bellswap.lhv import (
     ANGLE_QUANTUM,
     RULE_BELL_POLARIZATION,
@@ -192,8 +199,11 @@ class TestArrayPassCompiler:
     refute_grid settings it must write what the per-setting replay writes."""
 
     GRID = grid_settings(np.random.default_rng(303), 9)
+    # every seventh setting again, 5e-7 rad off its phase: special only within
+    # the wider tolerance, so the two tolerances compile different systems
+    GRID += [AngleSettings(s.phi1 + 5e-7, s.phi2, s.phi3, s.phi4) for s in GRID[::7]]
 
-    @pytest.mark.parametrize("tol", [1e-9, 0.2])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     @pytest.mark.parametrize("kappa", [+1, -1])
     @pytest.mark.parametrize("fig", [1, 2])
     def test_matches_per_setting_replay(self, fig, kappa, tol):
@@ -271,6 +281,37 @@ class TestArrayQuantizer:
     def test_tiny_negative_angle_prints_as_zero(self):
         cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)
         assert cs.labels(range(cs.n_variables)) == ["F(0.0, 0.0)", "G(0.0, 0.0)"]
+
+
+class TestCompileTolerance:
+    """A compiled constraint claims certainty, so its phase window may only
+    admit settings whose violation probability sin(d)**2 / 2 stays below
+    CERTAINTY_TOL."""
+
+    def test_bound_is_the_widest_window_below_certainty_tol(self):
+        assert 0.5 * math.sin(MAX_COMPILE_TOL) ** 2 < CERTAINTY_TOL
+        assert 0.5 * math.sin(np.nextafter(MAX_COMPILE_TOL, 1)) ** 2 >= CERTAINTY_TOL
+
+    @pytest.mark.parametrize("kappa", [+1, -1])
+    def test_setting_at_the_window_edge_is_certain(self, kappa):
+        edge = float(np.nextafter(MAX_COMPILE_TOL, 0))  # the window is open
+        setting = AngleSettings(edge, 0.0, 0.0, 0.0)
+        cs = compile_bell_polarization([setting], HiddenContext(kappa), MAX_COMPILE_TOL)
+        assert cs.required_signs == [+1]
+        report = perfect_correlation_report(setting, MAX_COMPILE_TOL)
+        sector = next(sector for sector in report.sectors if sector.kappa == kappa)
+        assert sector.product_certain is True
+
+    @pytest.mark.parametrize(
+        "tol",
+        [float(np.nextafter(MAX_COMPILE_TOL, 1)), 1.5e-6, 1e-3, 0.2, PI / 4, 0.0, -1e-9, math.nan],
+    )
+    @pytest.mark.parametrize(
+        "compile_fig", [compile_bell_polarization, compile_double_bell, compile_factored]
+    )
+    def test_wider_tolerance_is_rejected(self, compile_fig, tol):
+        with pytest.raises(ValueError, match="the widest phase window whose constraints stay"):
+            compile_fig(contradiction_settings(0.1, 0.2, 1), CTX_PLUS, tol)
 
 
 class TestCompileDoubleBell:

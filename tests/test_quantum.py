@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from bellswap.quantum import (
     BELL_ORDER,
     AngleSettings,
     BellOutcome,
+    _project,
+    _rotate_all,
     apply_all_rotations,
     bell_bell_amplitudes_closed_form,
     bell_bell_amplitudes_numeric,
@@ -68,6 +71,14 @@ class TestVwState:
         state = make_vw_state()
         with pytest.raises(ValueError):
             state[0] = 1.0
+
+    def test_state_and_its_rotations_are_real(self):
+        angles = AngleSettings(0.3, -1.1, 2.5, 4.0)
+        assert make_vw_state().dtype == np.float64
+        assert apply_all_rotations(make_vw_state(), angles).dtype == np.float64
+        assert rotate_photon(make_vw_state(), 2, 0.7).dtype == np.float64
+        complex_state = make_vw_state().astype(complex)
+        assert apply_all_rotations(complex_state, angles).dtype == complex
 
 
 class TestRotation:
@@ -252,3 +263,37 @@ class TestBatchedKernel:
         for kernel in (bell_bell_coefficients, bell_bell_coefficients_closed_form):
             with pytest.raises(ValueError):
                 kernel(np.zeros(shape))
+
+
+def complex_state_coefficients(batch) -> np.ndarray:
+    """bell_bell_coefficients with the source state cast to complex first."""
+    return _project(_rotate_all(make_vw_state().astype(complex), batch))
+
+
+class TestRealRotation:
+    """Rotating the real source state in real arithmetic must give, bit for
+    bit, the complex coefficients that rotating it as a complex state gave:
+    full complex bytes, signed zeros and imaginary parts included."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 100, 725, 2000])
+    def test_random_batches(self, rows):
+        rng = np.random.default_rng(rows)
+        magnitude = 10.0 ** rng.uniform(-3, 6, size=(rows, 1))  # 1e-3 to 1e6 rad
+        batch = rng.uniform(-1, 1, size=(rows, 4)) * magnitude
+        quarter = rng.random(rows) < 0.25
+        batch[quarter] = rng.integers(-16, 17, size=(quarter.sum(), 4)) * (PI / 4)
+        zero = rng.random(rows) < 0.1
+        batch[zero] = rng.choice([0.0, -0.0], size=(zero.sum(), 4))
+        numeric = bell_bell_coefficients(batch)
+        assert numeric.dtype == complex
+        assert numeric.tobytes() == complex_state_coefficients(batch).tobytes()
+
+    def test_zeros_and_quarter_turns(self):
+        signed_zeros = list(itertools.product([0.0, -0.0], repeat=4))
+        quarter_turns = np.random.default_rng(5).integers(-8, 9, size=(200, 4)) * (PI / 4)
+        batch = np.concatenate([signed_zeros, quarter_turns])
+        expected = complex_state_coefficients(batch).tobytes()
+        assert bell_bell_coefficients(batch).tobytes() == expected
+        # each row alone: a setting's bits do not depend on its batch
+        rows = b"".join(bell_bell_coefficients(row[None]).tobytes() for row in batch)
+        assert rows == expected

@@ -33,6 +33,15 @@ def test_stage_times_smallest_size():
     assert report["events"] == 100_000
     assert set(report["event_stages_ms"]) == {"sample_events", "write_events_csv"}
     assert min(report["event_stages_ms"].values()) >= 0.0
+    assert (report["qm_grid"], report["qm_settings"]) == (5, 725)
+    assert set(report["qm_stages_ms"]) == {
+        "_rotate_all",
+        "_project",
+        "bell_bell_coefficients_closed_form",
+        "_sweep_values",
+        "run_qm_verification",
+    }
+    assert min(report["qm_stages_ms"].values()) >= 0.0
     (solve,) = report["gf2_unfactorized_fig1"]
     assert solve["bases"] == 1 and solve["status"] == "sat" and solve["unknowns"] > 0
     lines = report["src_lines"]

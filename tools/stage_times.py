@@ -21,6 +21,15 @@ setting's CDF is cached after the first, as it is across simulate's chunks)
 and ``write_events_csv`` writes them in one call, which formats them a
 chunk at a time, to a string buffer, each the best of ``--repeat`` runs.
 
+It times the layers of a ``verify-qm --grid 5`` sweep, the qm_sweep
+benchmark workload's, on that sweep's batch of 725 settings (625 random,
+then the 100 special-family ones, drawn as ``run_qm_verification`` draws
+them, here from SEED): ``_rotate_all`` (the rotated two-singlet
+amplitudes), ``_project`` (their projection onto the Bell vectors),
+``bell_bell_coefficients_closed_form``, ``_sweep_values`` (the per-setting
+checks) and the whole ``run_qm_verification`` call, each the best of
+``--repeat`` runs.
+
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
 bases give 1044, 2464 and 4960 unknowns), best of ``--repeat`` runs.  The
@@ -48,7 +57,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from bellswap import correlations, lhv, quantum, serialize, solver  # noqa: E402
+from bellswap import correlations, lhv, quantum, serialize, solver, verification  # noqa: E402
 
 OFFSETS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
@@ -58,6 +67,9 @@ SEED = 301
 #: Events of the simulate stages, and the setting they are drawn at.
 EVENTS = 100_000
 EVENT_ANGLES = (0.25, 0.25 + math.pi / 4, 1.0, 1.0 + math.pi / 4)
+
+#: Grid of the verify-qm stages: grid**4 random settings plus the families.
+QM_GRID = 5
 
 
 def grid_settings(rng: np.random.Generator, bases: int) -> list[list[float]]:
@@ -92,14 +104,21 @@ def best_ms(repeat: int, fn):
     return 1e3 * min(times), result
 
 
-def round_stages(settings_text: str, repeat: int) -> dict[str, float]:
-    """Best time of every stage of one compile + solve of both figures."""
-    stages: dict[str, float] = {}
+def stage_timer(stages: dict[str, float], repeat: int):
+    """stage(name, fn): record fn's best time under ``name`` in stages and
+    return its last result."""
 
     def stage(name, fn):
         stages[name], result = best_ms(repeat, fn)
         return result
 
+    return stage
+
+
+def round_stages(settings_text: str, repeat: int) -> dict[str, float]:
+    """Best time of every stage of one compile + solve of both figures."""
+    stages: dict[str, float] = {}
+    stage = stage_timer(stages, repeat)
     for fig, kappa in ((1, +1), (2, -1)):
         context = lhv.HiddenContext(kappa=kappa, label="grid")
         compile_fig = lhv.compile_bell_polarization if fig == 1 else lhv.compile_double_bell
@@ -143,6 +162,31 @@ def event_stages(repeat: int) -> dict[str, float]:
         repeat, lambda: serialize.write_events_csv(io.StringIO(), angles, outcomes)
     )
     return {"sample_events": sample_ms, "write_events_csv": write_ms}
+
+
+def qm_batch() -> np.ndarray:
+    """The settings of run_qm_verification(QM_GRID, seed=SEED), drawn as it
+    draws them: QM_GRID**4 random ones, then the special families."""
+    rng = np.random.default_rng(SEED)
+    random = rng.uniform(0.0, 2 * math.pi, size=(QM_GRID**4, 4))
+    families = verification.special_family_settings(rng, verification._PER_FAMILY)
+    return np.concatenate([random, [angles.as_tuple() for _, angles in families]])
+
+
+def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
+    """Best time of each layer of the verify-qm sweep on its batch."""
+    stages: dict[str, float] = {}
+    stage = stage_timer(stages, repeat)
+    state = quantum.make_vw_state()
+    rotated = stage("_rotate_all", lambda: quantum._rotate_all(state, batch))
+    numeric = stage("_project", lambda: quantum._project(rotated))
+    closed = stage(
+        "bell_bell_coefficients_closed_form",
+        lambda: quantum.bell_bell_coefficients_closed_form(batch),
+    )
+    stage("_sweep_values", lambda: verification._sweep_values(numeric, closed))
+    stage("run_qm_verification", lambda: verification.run_qm_verification(QM_GRID, seed=SEED))
+    return stages
 
 
 def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
@@ -189,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
 
     settings = grid_settings(np.random.default_rng(SEED), args.bases)
     stages = round_stages(json.dumps({"settings": settings}), args.repeat)
+    batch = qm_batch()
     report = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -200,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         "round_ms": sum(stages.values()),
         "events": EVENTS,
         "event_stages_ms": event_stages(args.repeat),
+        "qm_grid": QM_GRID,
+        "qm_settings": len(batch),
+        "qm_stages_ms": qm_stages(batch, args.repeat),
         "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
         "src_lines": src_lines(),
     }
