@@ -14,9 +14,11 @@ of the involved unknowns must equal a fixed sign.  The sector parity kappa is
 a constant of the context, so one ConstraintSet is always compiled for a
 single kappa.
 
-Angles are keyed on a 1e-9 rad grid by quantize_angle, so that equal settings
-share one unknown.  A ConstraintSet is its columns, filled only by the
-compiler, in one array pass over an (N, 4) array of settings, and by
+Every constraint is one rule of _RULE_TERMS at one setting: the factorization
+too, as the rule F * A * D at the equal-angle setting (x, x, y, y).  Angles are
+keyed on a 1e-9 rad grid by quantize_angle, so that equal settings share one
+unknown.  A ConstraintSet is its columns, filled only by the compiler, in one
+array pass over an (N, 4) array of settings, and by
 serialize.constraint_set_from_dict.  An unknown is a (tag code, keys) pair of
 ``unknowns``, named by ``labels``; ``constraints`` builds ParityConstraint rows
 (with their Provenance) from the constraint columns on each read.
@@ -33,7 +35,7 @@ from math import pi
 import numpy as np
 
 from .correlations import DEFAULT_ANGLE_TOL, MAX_COMPILE_TOL, _predicted_product
-from .quantum import AngleSettings
+from .quantum import AngleSettings, _angle_rows
 
 __all__ = [
     "ANGLE_QUANTUM",
@@ -184,6 +186,7 @@ class ConstraintSet:
 _RULE_TERMS = {
     RULE_BELL_POLARIZATION: (("A", (0,)), ("F", (1, 2)), ("D", (3,))),
     RULE_DOUBLE_BELL: (("F", (1, 2)), ("G", (0, 3))),
+    RULE_FACTORIZATION: (("F", (1, 2)), ("A", (0,)), ("D", (3,))),
     RULE_FACTORED_PRODUCT: (("A", (0,)), ("A", (1,)), ("D", (2,)), ("D", (3,))),
 }
 
@@ -192,10 +195,10 @@ _RULE_TERMS = {
 Settings = np.ndarray | Sequence[AngleSettings]
 
 
-def _compile(rule: str, settings: Settings, context: HiddenContext, tol: float) -> ConstraintSet:
-    """One constraint per setting whose sector phase is special: the product
-    of the rule's unknowns equals +1 at zeta in {0, +-pi} and -1 at
-    zeta = +-pi/2.  Generic settings emit nothing.
+def _compile(rule: str, settings: Settings, cs: ConstraintSet, tol: float) -> ConstraintSet:
+    """Fill cs with one constraint per setting whose sector phase is special:
+    the product of the rule's unknowns equals +1 at zeta in {0, +-pi} and -1
+    at zeta = +-pi/2.  Generic settings emit nothing.  Returns cs.
 
     One array pass: zeta is one array expression (the float arithmetic of
     correlations.zeta), one _predicted_product call classifies every setting
@@ -207,15 +210,14 @@ def _compile(rule: str, settings: Settings, context: HiddenContext, tol: float) 
             f" constraints stay certain, got {tol}"
         )
     if not isinstance(settings, np.ndarray):
-        settings = [setting.as_tuple() for setting in settings]
-    phis = np.asarray(settings, dtype=float).reshape(-1, 4)
-    zetas = (phis[:, 0] - phis[:, 1]) + context.kappa * (phis[:, 2] - phis[:, 3])
+        settings = np.reshape([setting.as_tuple() for setting in settings], (-1, 4))
+    phis = _angle_rows(settings)
+    zetas = (phis[:, 0] - phis[:, 1]) + cs.context.kappa * (phis[:, 2] - phis[:, 3])
     signs = _predicted_product(zetas, tol)
     kept = signs != 0
     phis = phis[kept]
     keys = quantize_angle(phis).T.tolist()
     terms = [zip(repeat(tag), zip(*(keys[i] for i in slots))) for tag, slots in _RULE_TERMS[rule]]
-    cs = ConstraintSet(context)
     found = iter(cs._register(chain.from_iterable(zip(*terms))))
     var_ids = list(zip(*[found] * len(terms)))
     angles = list(map(tuple, phis.tolist()))
@@ -233,7 +235,7 @@ def compile_bell_polarization(
 
     The analyzer pair never sees phi1 or phi4, so G plays no role here.
     """
-    return _compile(RULE_BELL_POLARIZATION, settings, context, tol)
+    return _compile(RULE_BELL_POLARIZATION, settings, ConstraintSet(context), tol)
 
 
 def compile_double_bell(
@@ -243,7 +245,7 @@ def compile_double_bell(
 ) -> ConstraintSet:
     """Constraints F(phi2, phi3) * G(phi1, phi4) = +-1 from the double Bell
     arrangement, same phase rule as compile_bell_polarization."""
-    return _compile(RULE_DOUBLE_BELL, settings, context, tol)
+    return _compile(RULE_DOUBLE_BELL, settings, ConstraintSet(context), tol)
 
 
 def compile_factored(
@@ -253,27 +255,22 @@ def compile_factored(
 ) -> ConstraintSet:
     """Constraints A(phi1) * A(phi2) * D(phi3) * D(phi4) = +-1: the
     Bell/polarization rule with F already replaced by A * D."""
-    return _compile(RULE_FACTORED_PRODUCT, settings, context, tol)
+    return _compile(RULE_FACTORED_PRODUCT, settings, ConstraintSet(context), tol)
 
 
 def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
-    """Adjoin F(x, y) * A(x) * D(y) = +1 for every F unknown in cs.
+    """Compile the equal-angle certainty of every F unknown F(x, y) of cs, in
+    id order, into a copy of cs: the rows F(x, y) * A(x) * D(y) = +1.
 
-    The equal-angles setting (x, x, y, y) has zeta = 0 in both sectors, so
-    its certainty pins F(x, y) = A(x) * D(y) unconditionally; this is what
-    makes the compiled systems refutable.  Returns a new set; the input is
-    untouched.  A(x) and D(y) register in the id order of the F unknowns.
+    The setting (x, x, y, y) has zeta = 0 in both sectors, so its certainty
+    pins F(x, y) = A(x) * D(y) unconditionally; this is what makes the
+    compiled systems refutable.  Each row registers F, A, D in that order, so
+    F(x, y) keeps its id and A(x), D(y) register in the id order of the F
+    unknowns.  The input is untouched.
     """
-    out = cs.copy()
-    f_ids = [vid for vid, (tag, _) in enumerate(cs.unknowns) if tag == "F"]
-    f_keys = [cs.unknowns[vid][1] for vid in f_ids]
-    found = out._register(chain.from_iterable((("A", (kx,)), ("D", (ky,))) for kx, ky in f_keys))
-    var_ids = list(zip(f_ids, found[0::2], found[1::2]))
-    points = [(kx * ANGLE_QUANTUM, ky * ANGLE_QUANTUM) for kx, ky in f_keys]
-    angles = [(x, x, y, y) for x, y in points]
-    n = len(f_ids)
-    out._extend(var_ids, [+1] * n, angles, [0.0] * n, [RULE_FACTORIZATION] * n)
-    return out
+    f_keys = np.reshape([keys for tag, keys in cs.unknowns if tag == "F"], (-1, 2))
+    settings = f_keys[:, [0, 0, 1, 1]] * ANGLE_QUANTUM
+    return _compile(RULE_FACTORIZATION, settings, cs.copy(), DEFAULT_ANGLE_TOL)
 
 
 def contradiction_settings(

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,9 +32,10 @@ from bellswap.lhv import (
     compile_factored,
     contradiction_instance,
     contradiction_settings,
+    quantize_angle,
 )
 from bellswap.quantum import AngleSettings
-from bellswap.serialize import dump_constraint_set
+from bellswap.serialize import _MAX_NUMBER, dump_constraint_set
 from bellswap.solver import SolveStatus, enumerate_solve
 
 PI = math.pi
@@ -229,6 +231,21 @@ class TestArrayPassCompiler:
         cs = compile_double_bell([], CTX_MINUS)
         assert cs.unknowns == [] and cs.constraints == []
 
+    @pytest.mark.parametrize("shape", [(4, 3), (8,), (2, 2, 4)])
+    @pytest.mark.parametrize(
+        "compile_fig", [compile_bell_polarization, compile_double_bell, compile_factored]
+    )
+    def test_misshaped_array_is_rejected(self, compile_fig, shape):
+        # reshaping would compile settings that nobody gave
+        message = f"angles must have shape (N, 4), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compile_fig(np.zeros(shape), CTX_PLUS)
+
+    @pytest.mark.parametrize("settings_arg", [np.zeros((0, 4)), []], ids=["array", "list"])
+    def test_no_settings_compile_to_no_constraints(self, settings_arg):
+        cs = compile_bell_polarization(settings_arg, CTX_PLUS)
+        assert cs.unknowns == [] and cs.var_ids == []
+
 
 #: Angles where the array quantizer can part from round(): signed zeros,
 #: tiny negatives (np.rint gives -0.0 where round() gives 0), halfway points
@@ -277,6 +294,22 @@ class TestArrayQuantizer:
         if factorize:
             compiled, replayed = apply_factorization(compiled), replay_factorization(replayed)
         assert file_text(compiled) == replayed.text()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        phi=st.one_of(
+            AWKWARD_ANGLES,
+            st.sampled_from([_MAX_NUMBER, -_MAX_NUMBER, float(np.nextafter(_MAX_NUMBER, 0))]),
+            st.floats(-1e30, 1e30),
+            st.floats(-_MAX_NUMBER, _MAX_NUMBER),
+        )
+    )
+    def test_key_round_trips_through_its_angle(self, phi):
+        # apply_factorization compiles F(x, y) at the angles key * ANGLE_QUANTUM,
+        # so those must key back to the F unknown's own keys.  Angles are drawn,
+        # not keys: a set only holds keys that quantize_angle made.
+        key = quantize_angle(phi)
+        assert quantize_angle(key * ANGLE_QUANTUM) == key
 
     def test_tiny_negative_angle_prints_as_zero(self):
         cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)
@@ -367,6 +400,19 @@ class TestFactorization:
         f_angles, a_angles, d_angles = (angles_of(out, v) for v in definition.var_ids)
         assert a_angles[0] == pytest.approx(f_angles[0])
         assert d_angles[0] == pytest.approx(f_angles[1])
+
+    @pytest.mark.parametrize("context", [CTX_PLUS, CTX_MINUS])
+    def test_huge_f_angles_register_no_new_f_unknown(self, context):
+        points = [(1e7 + 0.3, 1.7e299), (-1.7e299, -1e7 - 0.7), (1.7e299, 1e7 + 0.3)]
+        cs = compile_double_bell([AngleSettings(x, x, y, y) for x, y in points], context)
+        f_ids = [vid for vid, (tag, _) in enumerate(cs.unknowns) if tag == "F"]
+        out = apply_factorization(cs)
+        assert len(f_ids) == 3
+        assert [unknown for unknown in out.unknowns if unknown[0] == "F"] == [
+            cs.unknowns[vid] for vid in f_ids
+        ]
+        assert [row[0] for row in out.var_ids[len(cs.var_ids) :]] == f_ids
+        assert out.n_variables == cs.n_variables + 6  # A(x) and D(y) per point
 
     def test_no_f_variables_is_a_fixed_point(self):
         cs = compile_factored([AngleSettings(0.1, 0.1, 0.2, 0.2)], CTX_PLUS)

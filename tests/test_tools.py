@@ -39,6 +39,7 @@ def test_stage_times_smallest_size():
         "_project",
         "bell_bell_coefficients_closed_form",
         "_sweep_values",
+        "_sector_arrays",
         "run_qm_verification",
     }
     assert min(report["qm_stages_ms"].values()) >= 0.0

@@ -27,8 +27,9 @@ then the 100 special-family ones, drawn as ``run_qm_verification`` draws
 them, here from SEED): ``_rotate_all`` (the rotated two-singlet
 amplitudes), ``_project`` (their projection onto the Bell vectors),
 ``bell_bell_coefficients_closed_form``, ``_sweep_values`` (the per-setting
-checks) and the whole ``run_qm_verification`` call, each the best of
-``--repeat`` runs.
+checks), ``_sector_arrays`` (both sectors' perfect-correlation values of the
+100 family settings) and the whole ``run_qm_verification`` call, each the
+best of ``--repeat`` runs.
 
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
@@ -185,6 +186,13 @@ def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
         lambda: quantum.bell_bell_coefficients_closed_form(batch),
     )
     stage("_sweep_values", lambda: verification._sweep_values(numeric, closed))
+    family = slice(QM_GRID**4, None)
+    stage(
+        "_sector_arrays",
+        lambda: correlations._sector_arrays(
+            batch[family], numeric[family], correlations.DEFAULT_ANGLE_TOL
+        ),
+    )
     stage("run_qm_verification", lambda: verification.run_qm_verification(QM_GRID, seed=SEED))
     return stages
 
