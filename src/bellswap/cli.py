@@ -61,6 +61,7 @@ from .quantum import (
 from .serialize import (
     EVENT_CHUNK,
     FORMAT_VERSION,
+    _MAX_NUMBER,
     dump_constraint_set,
     load_constraint_set,
     load_settings,
@@ -111,13 +112,14 @@ def _cannot_write(exc: OSError) -> int:
     return 2
 
 
-def _angles_from_args(args: argparse.Namespace) -> AngleSettings:
-    return AngleSettings(
-        _to_radians(args.phi1, args.degrees),
-        _to_radians(args.phi2, args.degrees),
-        _to_radians(args.phi3, args.degrees),
-        _to_radians(args.phi4, args.degrees),
-    )
+def _angles_from_args(args: argparse.Namespace) -> AngleSettings | None:
+    """The angle flags in radians; None, after one line on stderr, if one is
+    beyond the bound that a settings file's numbers have."""
+    phis = [args.phi1, args.phi2, args.phi3, args.phi4]
+    if abs(peak := max(phis, key=abs)) > _MAX_NUMBER:
+        print(f"error: angles must be within +-{_MAX_NUMBER:.2g}, got {peak!r}", file=sys.stderr)
+        return None
+    return AngleSettings(*(_to_radians(phi, args.degrees) for phi in phis))
 
 
 def _print_json(doc: dict) -> None:
@@ -133,7 +135,8 @@ def _print_bell_matrix(title: str, matrix: np.ndarray) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    angles = _angles_from_args(args)
+    if (angles := _angles_from_args(args)) is None:
+        return 2
     setting = np.array([angles.as_tuple()])
     numeric = bell_bell_coefficients(setting)[0]
     closed = bell_bell_coefficients_closed_form(setting)[0]
@@ -191,7 +194,8 @@ def cmd_verify_qm(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    angles = _angles_from_args(args)
+    if (angles := _angles_from_args(args)) is None:
+        return 2
     violations = 0
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:

@@ -101,10 +101,7 @@ _F_VALUE = {
 }
 
 #: Bell outcomes of each parity sector, in BELL_ORDER.
-SECTOR_OUTCOMES = {
-    +1: (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS),
-    -1: (BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS),
-}
+SECTOR_OUTCOMES = {k: tuple(b for b in BELL_ORDER if _KAPPA[b] == k) for k in (+1, -1)}
 
 #: Fixed sampling order of the 16 Bell/polarization outcomes.
 OUTCOME_ORDER: tuple[tuple[BellOutcome, Polarization, Polarization], ...] = tuple(
@@ -177,11 +174,7 @@ class PhaseClass(Enum):
     @property
     def predicted_product(self) -> int | None:
         """Certain value of a*F*d in the sector, if any."""
-        if self is PhaseClass.ZERO_OR_PI:
-            return +1
-        if self is PhaseClass.HALF_PI:
-            return -1
-        return None
+        return _PRODUCT_OF_CLASS[self]
 
 
 def _predicted_product(zeta_value, tol: float):
@@ -200,6 +193,7 @@ def _predicted_product(zeta_value, tol: float):
 
 
 _PHASE_CLASS = {+1: PhaseClass.ZERO_OR_PI, -1: PhaseClass.HALF_PI, 0: PhaseClass.GENERIC}
+_PRODUCT_OF_CLASS = {c: product or None for product, c in _PHASE_CLASS.items()}  # the inverse
 
 
 def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_TOL) -> PhaseClass:

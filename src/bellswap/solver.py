@@ -202,18 +202,18 @@ def gf2_solve(cs: ConstraintSet) -> SolveResult:
     and its pedigree is the certificate, the canonical one described in the
     module docstring whatever the pivot choice.
 
-    Pass 2 (satisfiable systems only) rebuilds the basis pivoting on the
-    lowest variable id.  Its pivots are the leading columns of the
-    row-reduced system, so back-substituting from the highest pivot down,
-    with every free variable +1, gives the canonical model: the lowest
-    satisfying assignment index.
+    Pass 2 (satisfiable systems only) re-pivots pass 1's basis, which spans
+    the same row space in rank-many rows, on the lowest variable id.  Its
+    pivots are the leading columns of the row-reduced system, so
+    back-substituting from the highest pivot down, with every free variable
+    +1, gives the canonical model: the lowest satisfying assignment index.
     """
     rows = _parity_rows(cs)
-    _, pedigree = _eliminate(rows, _highest_variable)
+    basis, pedigree = _eliminate(rows, _highest_variable)
     if pedigree is not None:
         certificate = tuple(i for i in range(len(rows)) if (pedigree >> i) & 1)
         return SolveResult(SolveStatus.UNSAT, certificate=certificate)
-    basis, _ = _eliminate(rows, _lowest_variable)
+    basis, _ = _eliminate([row[:2] for row in basis.values()], _lowest_variable)
     assignment = 0
     for pivot in sorted(basis, reverse=True):
         mask, rhs, _ = basis[pivot]

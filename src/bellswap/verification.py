@@ -146,12 +146,13 @@ def run_qm_verification(
         values = _sweep_values(numeric, bell_bell_coefficients_closed_form(batch))
         record(_SWEEP_CHECKS, values, batch)
 
-    # every family report at once; a generic sector claims nothing
+    # every family report at once; every family sector is special by
+    # construction, so one that claims nothing (a tol too tight) violates
     family = slice(len(batch) - len(family_settings), None)
     _, predicted, _, violation, pairing = _sector_arrays(batch[family], numeric[family], tol)
     record(
         ("perfect_correlations",) * 2,
-        np.where(predicted != 0, np.maximum(violation, pairing), 0.0),
+        np.where(predicted != 0, np.maximum(violation, pairing), 1.0),
         batch[family],
         lambda row, col: f"family {family_settings[row][0]}, kappa {_SECTORS[col]:+d}",
     )

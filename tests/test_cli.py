@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -671,6 +672,32 @@ class TestUsageErrors:
         message = captured.err.splitlines()[-1]
         assert message.endswith(f"argument {flag}: must be a finite number, got {value}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,peak",
+        [(["--phi1=1e308", "--phi2=-1e308"], "1e+308"), (["--phi4=-1e308", "--degrees"], "-1e+308")],
+    )
+    @pytest.mark.parametrize("command", ["decompose", "simulate"])
+    def test_angle_beyond_the_settings_file_bound(self, capsys, tmp_path, command, flags, peak):
+        out = tmp_path / "events.csv"
+        extra = ["--out", str(out)] if command == "simulate" else ["--json"]
+        assert main([command, *flags, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bound = f"{serialize._MAX_NUMBER:.2g}"
+        assert captured.err.splitlines() == [f"error: angles must be within +-{bound}, got {peak}"]
+        assert not out.exists()
+
+    def test_largest_angles_within_the_bound_give_strict_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-finite number {token} in the output")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "decompose", "--phi1=1.7e299", "--phi2=-1.7e299", "--json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["angles"] == [1.7e299, -1.7e299, 0.0, 0.0]
 
     @pytest.mark.parametrize(
         "command,flag,value",

@@ -9,6 +9,7 @@ from bellswap import correlations, quantum
 from bellswap.cli import main
 from bellswap.correlations import (
     OUTCOME_ORDER,
+    SECTOR_OUTCOMES,
     PhaseClass,
     bell_polarization_distribution,
     classify_zeta,
@@ -67,6 +68,20 @@ class TestOutcomeCodings:
     def test_polarization_signs(self):
         assert Polarization.H.sign == +1
         assert Polarization.V.sign == -1
+
+    def test_sector_outcomes(self):
+        assert SECTOR_OUTCOMES == {
+            +1: (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS),
+            -1: (BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS),
+        }
+
+    def test_predicted_product_of_each_phase_class(self):
+        products = {phase_class: phase_class.predicted_product for phase_class in PhaseClass}
+        assert products == {
+            PhaseClass.ZERO_OR_PI: +1,
+            PhaseClass.HALF_PI: -1,
+            PhaseClass.GENERIC: None,
+        }
 
 
 class TestJointBellProbabilities:

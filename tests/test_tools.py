@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -49,3 +50,18 @@ def test_stage_times_smallest_size():
     total = lines.pop("total")
     assert {"lhv.py", "serialize.py"} <= set(lines) and min(lines.values()) > 0
     assert total == sum(lines.values())
+
+
+def test_stage_times_draws_the_refute_grid_workload_settings(monkeypatch):
+    # the tool puts src and benchmarks on sys.path; undo that after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("stage_times", TOOLS / "stage_times.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    import workloads
+
+    assert tool.grid_settings is workloads.grid_settings
+    for bases, size in ((1, 49), (9, 3969)):
+        settings = tool.grid(bases)
+        assert len(settings) == size
+        assert settings == workloads.grid_settings(workloads.rng_for(301, "refute_grid"), bases)

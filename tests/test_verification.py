@@ -5,6 +5,7 @@ import pytest
 from reference_qm import reference_family_settings, reference_qm_verification
 
 from bellswap import quantum, verification
+from bellswap.correlations import PhaseClass, classify_zeta
 from bellswap.quantum import AngleSettings, BellOutcome
 from bellswap.verification import run_qm_verification, special_family_settings
 
@@ -117,6 +118,30 @@ class TestSweepMatchesPerSettingLoop:
         per_pair, one_draw = np.random.default_rng(8), np.random.default_rng(8)
         assert special_family_settings(one_draw, 20) == reference_family_settings(per_pair, 20)
         assert per_pair.uniform() == one_draw.uniform()
+
+    @pytest.mark.parametrize("seed", [3, 7, 99, 301])
+    def test_family_sector_without_a_claim_is_a_violation(self, seed):
+        # family sectors are special by construction; below the round-off of
+        # their phases some classify as generic, and each such sector fails
+        # instead of going unchecked
+        tol = 1e-300
+        rng = np.random.default_rng(seed)
+        rng.uniform(0.0, 2.0 * math.pi, size=(1, 4))  # the grid-1 sweep's setting
+        dropped = [
+            (list(angles.as_tuple()), f"family {name}, kappa {kappa:+d}")
+            for name, angles in special_family_settings(rng, 20)
+            for kappa in (+1, -1)
+            if classify_zeta(angles, kappa, tol) is PhaseClass.GENERIC
+        ]
+        assert 0 < len(dropped) < 200
+        report = run_qm_verification(grid=1, tol=tol, seed=seed)
+        assert report["passed"] is False
+        assert report["checks"]["perfect_correlations"]["passed"] is False
+        assert [(v["angles"], v["detail"]) for v in report["violations"]] == dropped
+        assert {(v["check"], v["value"]) for v in report["violations"]} == {
+            ("perfect_correlations", 1.0)
+        }
+        assert run_qm_verification(grid=1, tol=1e-15, seed=seed)["passed"] is True
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.pi / 4, 1.0, math.nan, math.inf])
     def test_rejects_a_tolerance_outside_the_open_range(self, monkeypatch, tol):

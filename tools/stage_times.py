@@ -5,9 +5,10 @@ Run from the repository root:
     python3 tools/stage_times.py
     python3 tools/stage_times.py --bases 2 --repeat 1 --solve-bases 1 2
 
-A round compiles a dense settings grid (``--bases`` random base angles per
-side, every arm pair of every left base with every arm pair of every right
-base) twice, as the refute_grid benchmark workload does: figure 1 with the
+A round compiles the refute_grid benchmark workload's settings grid, made by
+its ``benchmarks/workloads.py`` code from its seed (``--bases`` random base
+angles per side, every arm pair of every left base with every arm pair of
+every right base), twice, as that workload does: figure 1 with the
 factorization in sector kappa = +1 (unsatisfiable) and figure 2 in sector
 kappa = -1 (satisfiable).  Each figure's system goes through every stage of
 ``compile`` and ``solve --method gf2``: load the settings file, compile,
@@ -33,8 +34,8 @@ best of ``--repeat`` runs.
 
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
-bases give 1044, 2464 and 4960 unknowns), best of ``--repeat`` runs.  The
-base angles are drawn with the refute_grid benchmark's seed, SEED.
+bases give 1044, 2464 and 4960 unknowns), best of ``--repeat`` runs.  Its
+settings are the refute_grid grid of that size, drawn the same way.
 
 It also reports ``src_lines``: the line count of each module of the
 package, as ``wc -l`` counts them, and their total.
@@ -55,14 +56,15 @@ from time import perf_counter
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "benchmarks")]
 
 from bellswap import correlations, lhv, quantum, serialize, solver, verification  # noqa: E402
+from workloads import grid_settings, rng_for  # noqa: E402
 
-OFFSETS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-
-#: Seed of the base angles and of the event draws, the refute_grid benchmark's.
+#: The benchmark seed: of the grids' base angles (drawn as the refute_grid
+#: workload draws them), of the event draws and of the verify-qm batch.
 SEED = 301
 
 #: Events of the simulate stages, and the setting they are drawn at.
@@ -73,26 +75,9 @@ EVENT_ANGLES = (0.25, 0.25 + math.pi / 4, 1.0, 1.0 + math.pi / 4)
 QM_GRID = 5
 
 
-def grid_settings(rng: np.random.Generator, bases: int) -> list[list[float]]:
-    """Every arm pair of every left base with every arm pair of every right
-    base; an arm pair is the base twice, or the base and the base plus an
-    offset, either way round."""
-
-    def arm_pairs(base: float) -> list[tuple[float, float]]:
-        out = [(base, base)]
-        for offset in OFFSETS[1:]:
-            out += [(base, base + offset), (base + offset, base)]
-        return out
-
-    alphas = rng.uniform(0.0, 2 * math.pi, size=bases).tolist()
-    betas = rng.uniform(0.0, 2 * math.pi, size=bases).tolist()
-    return [
-        [*left, *right]
-        for alpha in alphas
-        for beta in betas
-        for left in arm_pairs(alpha)
-        for right in arm_pairs(beta)
-    ]
+def grid(bases: int) -> list[list[float]]:
+    """The refute_grid workload's settings grid with ``bases`` bases per side."""
+    return grid_settings(rng_for(SEED, "refute_grid"), bases)
 
 
 def best_ms(repeat: int, fn):
@@ -201,7 +186,7 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     """gf2_solve on the unfactorized figure-1 system of each grid size."""
     out = []
     for bases in sizes:
-        text = json.dumps(grid_settings(np.random.default_rng(SEED), bases))
+        text = json.dumps(grid(bases))
         settings = serialize.load_settings(io.StringIO(text), False)
         cs = lhv.compile_bell_polarization(settings, lhv.HiddenContext(kappa=+1))
         ms, result = best_ms(repeat, lambda: solver.gf2_solve(cs))
@@ -239,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     if min([args.bases, args.repeat, *args.solve_bases]) < 1:
         parser.error("sizes and --repeat must be >= 1")
 
-    settings = grid_settings(np.random.default_rng(SEED), args.bases)
+    settings = grid(args.bases)
     stages = round_stages(json.dumps({"settings": settings}), args.repeat)
     batch = qm_batch()
     report = {
