@@ -20,12 +20,16 @@ or a standard output whose reader has gone).  Angles are radians unless
 --degrees is given.  ``serialize`` reads input files and raises only
 ValueError on a malformed one.  ``main`` builds the parser once per
 process and finds each command's ``cmd_*`` by name at call time, so a wrapped
-or patched one is the one that runs.
+or patched one is the one that runs.  It pauses the cyclic garbage collector
+while the command runs, since commands build large acyclic data (parsed JSON,
+columns, tuples) that collector passes would only rescan, and leaves it as it
+found it; the library functions do not pause it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -388,6 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BrokenPipeError as exc:  # the reader closed stdout early (e.g. `| head`)
@@ -397,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _cannot_write(exc)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

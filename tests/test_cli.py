@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_solver import grid_settings
 
 from bellswap import cli, quantum, serialize
 from bellswap.cli import main
@@ -798,3 +800,98 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == 2
         assert "Traceback" not in stderr and "Exception ignored" not in stderr
         assert stderr.splitlines() == ["error: cannot write output: [Errno 32] Broken pipe"]
+
+
+@pytest.fixture
+def restore_collector():
+    """Put the collector back as the test found it, whatever the test does."""
+    collecting = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+@pytest.mark.usefixtures("restore_collector")
+class TestCollectorPause:
+    def test_command_runs_with_the_collector_paused(self, capsys, monkeypatch):
+        gc.enable()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_refute", lambda args: seen.append(gc.isenabled()) or 0)
+        assert main(["refute"]) == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("ending", ["return", "raise", "closed stdout", "usage error"])
+    def test_the_callers_collector_state_comes_back(
+        self, capsys, monkeypatch, tmp_path, collecting, ending
+    ):
+        def command(args):
+            if ending == "raise":
+                raise RuntimeError("command failed")
+            if ending == "closed stdout":
+                raise BrokenPipeError(32, "Broken pipe")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_refute", command)
+        # the closed-stdout path points the stdout descriptor at devnull: give it one of its own
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            (gc.enable if collecting else gc.disable)()
+            if ending == "raise":
+                with pytest.raises(RuntimeError):
+                    main(["refute"])
+            elif ending == "usage error":
+                with pytest.raises(SystemExit) as exc:
+                    main(["refute", "--kappa", "5"])
+                assert exc.value.code == 2
+            else:
+                assert main(["refute"]) == (2 if ending == "closed stdout" else 0)
+        assert gc.isenabled() is collecting
+
+
+def verify_qm_commands(tmp_path, grid: int) -> list[list[str]]:
+    return [["verify-qm", "--grid", str(grid)]]
+
+
+def simulate_commands(tmp_path, events: int) -> list[list[str]]:
+    return [["simulate", "--events", str(events), "--out", str(tmp_path / "events.csv")]]
+
+
+def grid_commands(tmp_path, bases: int) -> list[list[str]]:
+    """compile (figure 1, factorized) and gf2-solve the refute_grid-shaped grid
+    with ``bases`` base angles per side."""
+    settings, system = tmp_path / f"settings{bases}.json", tmp_path / f"system{bases}.json"
+    grid = [angles.as_tuple() for angles in grid_settings(bases, seed=301)]
+    settings.write_text(json.dumps({"settings": grid}))
+    return [
+        ["compile", "--settings", str(settings), "--kappa", "1", "--factorize"]
+        + ["--out", str(system)],
+        ["solve", "--in", str(system), "--method", "gf2"],
+    ]
+
+
+@pytest.mark.usefixtures("restore_collector")
+class TestCollectorTraffic:
+    """``main`` pauses the collector, so cyclic garbage a command makes stays
+    until the command ends: it must not grow with the problem size."""
+
+    @staticmethod
+    def garbage_left(capsys, commands: list[list[str]]) -> int:
+        gc.collect()
+        for argv in commands:
+            assert main(argv) == 0, argv
+        found = gc.collect()
+        capsys.readouterr()
+        return found
+
+    @pytest.mark.parametrize(
+        "commands,small,large",
+        [(verify_qm_commands, 1, 3), (simulate_commands, 10, 20000), (grid_commands, 1, 3)],
+        ids=["verify-qm", "simulate", "compile-solve"],
+    )
+    def test_garbage_left_does_not_grow_with_size(self, capsys, tmp_path, commands, small, large):
+        gc.disable()
+        self.garbage_left(capsys, commands(tmp_path, small))  # one-time set-up garbage
+        counts = [self.garbage_left(capsys, commands(tmp_path, n)) for n in (small, large)]
+        assert counts[0] == counts[1]

@@ -31,6 +31,10 @@ def test_stage_times_smallest_size():
     ):
         assert stages[name] >= 0.0
     assert report["round_ms"] == sum(stages.values())
+    commands = {"compile_fig1", "solve_fig1", "compile_fig2", "solve_fig2"}
+    assert set(report["cli_ms"]) == commands and min(report["cli_ms"].values()) > 0.0
+    assert set(report["cli_collections"]) == {"gen0", "gen1", "gen2"}
+    assert min(report["cli_collections"].values()) >= 0.0
     assert report["events"] == 100_000
     assert set(report["event_stages_ms"]) == {"sample_events", "write_events_csv"}
     assert min(report["event_stages_ms"].values()) >= 0.0

@@ -16,6 +16,16 @@ factorize (figure 1), write the constraint file, parse it, load it, solve,
 verify and build the result document.  Each stage is timed alone, and its
 best of ``--repeat`` runs is reported in milliseconds.
 
+``cli_ms`` times the same round as the workload runs it: its four commands
+(``compile --factorize`` and ``solve --method gf2`` of figure 1 in kappa = +1,
+``compile`` and ``solve`` of figure 2 in kappa = -1) through ``cli.main``, on
+files in a temporary directory, each the best of ``--repeat`` runs.  Unlike
+the stages above, which call the library functions, these run with the
+collector paused as ``main`` pauses it.  ``cli_collections`` counts the
+collector passes per generation (``gc.callbacks``) over those ``--repeat``
+four-command windows, divided by ``--repeat``; each window includes the pass
+that ``main`` puts off until it turns the collector back on.
+
 It also times the two stages of ``simulate`` on EVENTS events at a
 special-phase setting: ``sample_events`` draws them in one call (the
 setting's CDF is cached after the first, as it is across simulate's chunks)
@@ -46,11 +56,14 @@ The output is one JSON object on standard output.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
 import platform
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -60,7 +73,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "benchmarks")]
 
-from bellswap import correlations, lhv, quantum, serialize, solver, verification  # noqa: E402
+from bellswap import cli, correlations, lhv, quantum, serialize, solver, verification  # noqa: E402
 from workloads import grid_settings, rng_for  # noqa: E402
 
 #: The benchmark seed: of the grids' base angles (drawn as the refute_grid
@@ -138,6 +151,64 @@ def dump_text(cs: lhv.ConstraintSet) -> str:
     buffer = io.StringIO()
     serialize.dump_constraint_set(cs, buffer)
     return buffer.getvalue()
+
+
+def round_commands(settings: Path, folder: Path) -> dict[str, list[str]]:
+    """The refute_grid round's four commands on a settings file, by name."""
+    commands = {}
+    for fig, kappa, expect in ((1, +1, "unsat"), (2, -1, "sat")):
+        system = folder / f"system_fig{fig}.json"
+        factorize = ["--factorize"] if fig == 1 else []
+        commands[f"compile_fig{fig}"] = [
+            "compile",
+            f"--settings={settings}",
+            f"--kappa={kappa}",
+            f"--fig={fig}",
+            f"--out={system}",
+            *factorize,
+        ]
+        commands[f"solve_fig{fig}"] = [
+            "solve",
+            f"--in={system}",
+            "--method=gf2",
+            f"--expect={expect}",
+        ]
+    return commands
+
+
+def cli_round(settings_text: str, repeat: int) -> tuple[dict[str, float], dict[str, float]]:
+    """Best time of each of the round's commands through ``cli.main`` over
+    ``repeat`` windows of the four in order, and the collector passes per
+    generation per window."""
+    passes = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            passes[info["generation"]] += 1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        settings = folder / "settings.json"
+        settings.write_text(settings_text, encoding="utf-8")
+        commands = round_commands(settings, folder)
+        times: dict[str, list[float]] = {name: [] for name in commands}
+        gc.callbacks.append(count)
+        try:
+            for _ in range(repeat):
+                for name, argv in commands.items():
+                    # the new buffer is the first tracked allocation after the
+                    # previous command: a pass its pause put off runs here
+                    with redirect_stdout(io.StringIO()):
+                        start = perf_counter()
+                        code = cli.main(argv)
+                        times[name].append(perf_counter() - start)
+                    if code != 0:
+                        raise SystemExit(f"{name}: exit {code}")
+            io.StringIO()  # the same for the last command
+        finally:
+            gc.callbacks.remove(count)
+    best = {name: 1e3 * min(runs) for name, runs in times.items()}
+    return best, {f"gen{gen}": n / repeat for gen, n in enumerate(passes)}
 
 
 def event_stages(repeat: int) -> dict[str, float]:
@@ -225,7 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("sizes and --repeat must be >= 1")
 
     settings = grid(args.bases)
-    stages = round_stages(json.dumps({"settings": settings}), args.repeat)
+    settings_text = json.dumps({"settings": settings})
+    stages = round_stages(settings_text, args.repeat)
+    cli_ms, cli_collections = cli_round(settings_text, args.repeat)
     batch = qm_batch()
     report = {
         "python": platform.python_version(),
@@ -236,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
         "repeat": args.repeat,
         "stages_ms": stages,
         "round_ms": sum(stages.values()),
+        "cli_ms": cli_ms,
+        "cli_collections": cli_collections,
         "events": EVENTS,
         "event_stages_ms": event_stages(args.repeat),
         "qm_grid": QM_GRID,
