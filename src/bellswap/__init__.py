@@ -8,9 +8,6 @@ machine-checkable certificates.
 """
 
 from .correlations import (
-    PerfectCorrelationReport,
-    PhaseClass,
-    SectorReport,
     bell_polarization_distribution,
     classify_zeta,
     f_value_of,
@@ -58,11 +55,8 @@ __all__ = [
     "ConstraintSet",
     "HiddenContext",
     "ParityConstraint",
-    "PerfectCorrelationReport",
-    "PhaseClass",
     "Polarization",
     "Provenance",
-    "SectorReport",
     "SolveResult",
     "SolveStatus",
     "apply_all_rotations",

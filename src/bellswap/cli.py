@@ -3,7 +3,8 @@
 Subcommands:
 
 - decompose: print the double Bell coefficients of the rotated two-singlet
-  state, closed form next to the brute-force decomposition.
+  state, closed form next to the brute-force decomposition, and check each
+  sector's perfect correlation.
 - verify-qm: sweep random plus special-phase settings and check every exact
   prediction; JSON report on stdout.
 - simulate: sample Bell/polarization coincidences to CSV, a fixed chunk of
@@ -147,7 +148,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     deviation = float(np.max(np.abs(closed - numeric)))
     probabilities = np.abs(numeric) ** 2
     correlations = _correlation_report(angles, numeric, args.tol)
-    xi, eta = (sector.zeta for sector in correlations.sectors)  # kappa +1, then -1
+    xi, eta = (sector["zeta"] for sector in correlations["sectors"])  # kappa +1, then -1
     if args.json:
         _print_json(
             {
@@ -160,7 +161,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "numeric": numeric.real.tolist(),
                 "max_abs_deviation": deviation,
                 "joint_bell_probabilities": probabilities.tolist(),
-                "perfect_correlations": correlations.to_dict(),
+                "perfect_correlations": correlations,
             }
         )
     else:
@@ -171,16 +172,20 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _print_bell_matrix("numeric coefficients:", numeric)
         print(f"max |closed - numeric| = {deviation:.3e}")
         _print_bell_matrix("joint Bell probabilities:", probabilities)
-        for sector in correlations.sectors:
-            if sector.predicted_product is None:
+        for sector in correlations["sectors"]:
+            claim, residual = sector["predicted_product"], sector["violation_probability"]
+            if claim is None:
                 verdict = "no perfect correlation at this setting"
+            elif sector["product_certain"] and sector["pairing_certain"]:
+                verdict = f"product a*F*d = {claim:+d} with certainty (residual {residual:.1e})"
             else:
+                pairing = sector["pairing_violation_probability"]
                 verdict = (
-                    f"product a*F*d = {sector.predicted_product:+d} with certainty"
-                    f" (residual {sector.violation_probability:.1e})"
+                    f"claim fails: product a*F*d = {claim:+d} with certainty"
+                    f" (residual {residual:.1e}, pairing residual {pairing:.1e})"
                 )
-            print(f"sector kappa={sector.kappa:+d}: zeta = {sector.zeta!r}: {verdict}")
-    return 0 if deviation < CLOSED_FORM_TOL else 1
+            print(f"sector kappa={sector['kappa']:+d}: zeta = {sector['zeta']!r}: {verdict}")
+    return 0 if deviation < CLOSED_FORM_TOL and correlations["holds"] else 1
 
 
 def cmd_verify_qm(args: argparse.Namespace) -> int:
@@ -238,7 +243,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
     settings = list(contradiction_settings(alpha, beta, args.kappa))
     # at large angles the pi/4 offsets are lost in rounding and the settings
     # no longer sit at zeta = 0 and -pi/2
-    if [classify_zeta(s, args.kappa).predicted_product for s in settings] != [+1, -1]:
+    if [classify_zeta(s, args.kappa) for s in settings] != [+1, -1]:
         print(
             f"error: at alpha={alpha!r}, beta={beta!r} rad the contradiction settings"
             " lose their pi/4 offsets in rounding; use angles of smaller magnitude",

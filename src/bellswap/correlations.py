@@ -22,7 +22,10 @@ whole batch of settings in one pass).  The double Bell probabilities are
 |C|^2; row X of C, expanded in the Bell vectors, gives the (a, d) amplitudes
 of Bell outcome X and so the Bell/polarization distribution.  The sector
 reports read both in one array pass over a batch of settings and their C; one
-report is a batch of one.  One rule classifies zeta, as a float or an array.
+report is a batch of one.  One rule classifies zeta, as a float or an array,
+and a phase class is the certain product it gives: +1 at zero-or-pi, -1 at
+half-pi, 0 if generic; only the JSON report shows a class by name.  A
+perfect-correlation report is the JSON-ready dict that ``decompose`` prints.
 
 A sampled event is an index into OUTCOME_ORDER: each of the 16 outcomes fixes
 the Bell state, both polarizations and so kappa, F, a, d and the product.
@@ -31,8 +34,6 @@ the Bell state, both polarizations and so kappa, F, a, d and the product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -55,9 +56,6 @@ __all__ = [
     "MAX_ANGLE_TOL",
     "CERTAINTY_TOL",
     "MAX_COMPILE_TOL",
-    "PhaseClass",
-    "SectorReport",
-    "PerfectCorrelationReport",
     "OUTCOME_ORDER",
     "kappa_of",
     "f_value_of",
@@ -164,19 +162,6 @@ def zeta(angles: AngleSettings, kappa: int) -> float:
     return (angles.phi1 - angles.phi2) + kappa * (angles.phi3 - angles.phi4)
 
 
-class PhaseClass(Enum):
-    """Where a sector phase falls modulo 2*pi."""
-
-    ZERO_OR_PI = "zero-or-pi"
-    HALF_PI = "half-pi"
-    GENERIC = "generic"
-
-    @property
-    def predicted_product(self) -> int | None:
-        """Certain value of a*F*d in the sector, if any."""
-        return _PRODUCT_OF_CLASS[self]
-
-
 def _predicted_product(zeta_value, tol: float):
     """The certain value of a*F*d at sector phase zeta (a float, or an array
     of them): +1 at zeta in {0, +-pi}, -1 at +-pi/2, 0 if generic.
@@ -192,13 +177,14 @@ def _predicted_product(zeta_value, tol: float):
     return 1 * zero_or_pi - half_pi
 
 
-_PHASE_CLASS = {+1: PhaseClass.ZERO_OR_PI, -1: PhaseClass.HALF_PI, 0: PhaseClass.GENERIC}
-_PRODUCT_OF_CLASS = {c: product or None for product, c in _PHASE_CLASS.items()}  # the inverse
+#: The JSON name of each phase class, by the certain product it gives.
+_CLASS_NAME = {+1: "zero-or-pi", -1: "half-pi", 0: "generic"}
 
 
-def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_TOL) -> PhaseClass:
-    """Classify zeta_kappa modulo 2*pi."""
-    return _PHASE_CLASS[_predicted_product(zeta(angles, kappa), tol)]
+def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_TOL) -> int:
+    """Classify zeta_kappa modulo 2*pi by the certain product a*F*d it gives:
+    +1 at zero-or-pi, -1 at half-pi, 0 if generic."""
+    return _predicted_product(zeta(angles, kappa), tol)
 
 
 def rotated_vw_state(angles: AngleSettings) -> np.ndarray:
@@ -279,58 +265,7 @@ def sample_events(angles: AngleSettings, n: int, seed: int | np.random.Generator
     return np.minimum(draws, len(OUTCOME_ORDER) - 1)
 
 
-@dataclass(frozen=True)
-class SectorReport:
-    """Perfect-correlation verdict for one parity sector at one setting."""
-
-    kappa: int
-    zeta: float
-    phase_class: PhaseClass
-    predicted_product: int | None
-    sector_probability: float
-    violation_probability: float | None
-    product_certain: bool | None
-    bell_pairing: dict[BellOutcome, BellOutcome] | None
-    pairing_violation_probability: float | None
-    pairing_certain: bool | None
-
-    def to_dict(self) -> dict:
-        pairing = self.bell_pairing
-        return {
-            **vars(self),
-            "phase_class": self.phase_class.value,
-            "bell_pairing": (
-                None if pairing is None else {bc.value: ad.value for bc, ad in pairing.items()}
-            ),
-        }
-
-
-@dataclass(frozen=True)
-class PerfectCorrelationReport:
-    """Per-sector certainty verdicts for one angle setting."""
-
-    angles: AngleSettings
-    sectors: tuple[SectorReport, SectorReport]
-
-    @property
-    def holds(self) -> bool:
-        """True unless some claimed certainty fails; generic sectors don't claim."""
-        for sector in self.sectors:
-            if sector.product_certain is False or sector.pairing_certain is False:
-                return False
-        return True
-
-    def to_dict(self) -> dict:
-        return {
-            "angles": list(self.angles.as_tuple()),
-            "sectors": [sector.to_dict() for sector in self.sectors],
-            "holds": self.holds,
-        }
-
-
-def perfect_correlation_report(
-    angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL
-) -> PerfectCorrelationReport:
+def perfect_correlation_report(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) -> dict:
     """Check every certainty the state predicts at this setting.
 
     For each sector whose zeta classifies as zero-or-pi or half-pi the
@@ -338,7 +273,9 @@ def perfect_correlation_report(
     conditional product a*F*d equals the predicted sign up to a residual
     probability below CERTAINTY_TOL, and from the double Bell
     probabilities that the sector's exact Bell-to-Bell pairing holds.
-    Generic sectors carry no claim.
+    Generic sectors carry no claim.  The report is a JSON-ready dict:
+    ``angles``, one dict per sector (kappa +1, then -1) and ``holds``, true
+    unless some claimed certainty fails.
     """
     return _correlation_report(angles, _decompose(angles), tol)
 
@@ -359,9 +296,7 @@ def _sector_arrays(settings: np.ndarray, coeffs: np.ndarray, tol: float) -> tupl
     return (zetas, predicted, *(picked[..., cells].sum(axis=2) for cells in _SUMS))
 
 
-def _correlation_report(
-    angles: AngleSettings, coeffs: np.ndarray, tol: float
-) -> PerfectCorrelationReport:
+def _correlation_report(angles: AngleSettings, coeffs: np.ndarray, tol: float) -> dict:
     """perfect_correlation_report from the setting's numeric coefficients C:
     the one-setting case of _sector_arrays."""
     values = _sector_arrays(np.array([angles.as_tuple()]), coeffs[None], tol)
@@ -369,20 +304,24 @@ def _correlation_report(
     for kappa, zeta_value, claim, probability, violation, pairing_violation in zip(
         _SECTORS, *(array[0].tolist() for array in values)
     ):
-        if not claim:  # a generic sector claims nothing
-            violation = pairing_violation = None
+        if claim:
+            pairing = {bc.value: ad.value for bc, ad in _PAIRING[kappa, claim].items()}
+        else:  # a generic sector claims nothing
+            violation = pairing_violation = pairing = None
         sectors.append(
-            SectorReport(
-                kappa=kappa,
-                zeta=zeta_value,
-                phase_class=_PHASE_CLASS[claim],
-                predicted_product=claim or None,
-                sector_probability=probability,
-                violation_probability=violation,
-                product_certain=None if violation is None else violation < CERTAINTY_TOL,
-                bell_pairing=dict(_PAIRING[kappa, claim]) if claim else None,
-                pairing_violation_probability=pairing_violation,
-                pairing_certain=None if violation is None else pairing_violation < CERTAINTY_TOL,
-            )
+            {
+                "kappa": kappa,
+                "zeta": zeta_value,
+                "phase_class": _CLASS_NAME[claim],
+                "predicted_product": claim or None,
+                "sector_probability": probability,
+                "violation_probability": violation,
+                "product_certain": None if violation is None else violation < CERTAINTY_TOL,
+                "bell_pairing": pairing,
+                "pairing_violation_probability": pairing_violation,
+                "pairing_certain": None if violation is None else pairing_violation < CERTAINTY_TOL,
+            }
         )
-    return PerfectCorrelationReport(angles=angles, sectors=tuple(sectors))
+    # generic sectors' None claims neither holds nor fails
+    claims = [sector[key] for sector in sectors for key in ("product_certain", "pairing_certain")]
+    return {"angles": list(angles.as_tuple()), "sectors": sectors, "holds": False not in claims}

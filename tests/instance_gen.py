@@ -1,5 +1,6 @@
-"""Shared generator of random compiled constraint systems for solver tests,
-and the document of a hand-built system."""
+"""Shared generators of random compiled constraint systems and of the
+refute_grid benchmark's dense settings grid, and the document of a
+hand-built system."""
 
 import math
 
@@ -80,3 +81,25 @@ def system_document(kappa: int, variables, constraints, label: str = "") -> dict
             for cid, (var_ids, sign, (angles, zeta, equation)) in enumerate(constraints)
         ],
     }
+
+
+def grid_settings(rng: np.random.Generator, bases: int) -> list[AngleSettings]:
+    """The refute_grid benchmark's settings: random base angles per side, and
+    every arm pair of every left base with every arm pair of every right base,
+    an arm pair being the base twice or the base and the base plus k*pi/4
+    (k = 1, 2, 3) either way round."""
+
+    def arm_pairs(base: float) -> list[tuple[float, float]]:
+        out = [(base, base)]
+        for offset in (PI / 4, PI / 2, 3 * PI / 4):
+            out += [(base, base + offset), (base + offset, base)]
+        return out
+
+    alphas, betas = rng.uniform(0.0, 2 * PI, size=(2, bases)).tolist()
+    return [
+        AngleSettings(*left, *right)
+        for alpha in alphas
+        for beta in betas
+        for left in arm_pairs(alpha)
+        for right in arm_pairs(beta)
+    ]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_solver import grid_settings
+from instance_gen import grid_settings
 
 from bellswap import cli, quantum, serialize
 from bellswap.cli import main
@@ -73,6 +73,40 @@ class TestDecompose:
         _, out = run(capsys, "decompose", "--json")
         closed = np.array(json.loads(out)["closed_form"])
         np.testing.assert_allclose(np.diag(closed), [-0.5, 0.5, 0.5, -0.5], atol=1e-15)
+
+    # zeta = -0.1 in both sectors: --tol 0.2 claims a*F*d = +1 with certainty,
+    # which fails with residual sin(0.1)**2 / 2
+    WIDE = ("--phi2", "0.1", "--tol", "0.2")
+
+    def test_failed_claim_exits_1(self, capsys):
+        code, out = run(capsys, "decompose", *self.WIDE)
+        verdicts = [line for line in out.splitlines() if line.startswith("sector kappa=")]
+        assert code == 1
+        assert verdicts == [
+            f"sector kappa={kappa}: zeta = -0.1: claim fails: product a*F*d = +1 with"
+            " certainty (residual 5.0e-03, pairing residual 5.0e-03)"
+            for kappa in ("+1", "-1")
+        ]
+
+    def test_failed_claim_exits_1_with_json(self, capsys):
+        code, out = run(capsys, "decompose", *self.WIDE, "--json")
+        report = json.loads(out)["perfect_correlations"]
+        assert code == 1
+        assert report["holds"] is False
+        assert [sector["product_certain"] for sector in report["sectors"]] == [False, False]
+
+    def test_claims_that_hold_keep_their_verdict(self, capsys):
+        angles = ("--phi2", str(PI / 4), "--phi4", str(PI / 4))
+        code, out = run(capsys, "decompose", *angles, "--tol", "0.3")
+        assert code == 0
+        plus, minus = out.splitlines()[-2:]
+        assert plus.startswith(
+            "sector kappa=+1: zeta = -1.5707963267948966: product a*F*d = -1 with certainty"
+            " (residual "
+        )
+        assert minus.startswith(
+            "sector kappa=-1: zeta = 0.0: product a*F*d = +1 with certainty (residual "
+        )
 
 
 class TestVerifyQm:
@@ -183,7 +217,7 @@ class TestSimulate:
         argv = ["--phi2", "0.1", "--phi3", "0.05", "--tol", "0.2", "--events", "20000"]
         code, out = run(capsys, "simulate", *argv, "--seed", "3", "--out", str(out_csv))
         angles = AngleSettings(0.0, 0.1, 0.05, 0.0)
-        predicted = {k: classify_zeta(angles, k, 0.2).predicted_product for k in (+1, -1)}
+        predicted = {k: classify_zeta(angles, k, 0.2) or None for k in (+1, -1)}
         rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
         expected = sum(
             1
@@ -862,7 +896,7 @@ def grid_commands(tmp_path, bases: int) -> list[list[str]]:
     """compile (figure 1, factorized) and gf2-solve the refute_grid-shaped grid
     with ``bases`` base angles per side."""
     settings, system = tmp_path / f"settings{bases}.json", tmp_path / f"system{bases}.json"
-    grid = [angles.as_tuple() for angles in grid_settings(bases, seed=301)]
+    grid = [angles.as_tuple() for angles in grid_settings(np.random.default_rng(301), bases)]
     settings.write_text(json.dumps({"settings": grid}))
     return [
         ["compile", "--settings", str(settings), "--kappa", "1", "--factorize"]

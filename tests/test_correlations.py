@@ -10,7 +10,6 @@ from bellswap.cli import main
 from bellswap.correlations import (
     OUTCOME_ORDER,
     SECTOR_OUTCOMES,
-    PhaseClass,
     bell_polarization_distribution,
     classify_zeta,
     f_value_of,
@@ -30,7 +29,7 @@ from bellswap.quantum import (
     make_vw_state,
 )
 from bellswap.serialize import write_events_csv
-from bellswap.verification import run_qm_verification
+from bellswap.verification import _FAMILIES, run_qm_verification
 
 PI = math.pi
 ZEROS = AngleSettings(0, 0, 0, 0)
@@ -76,12 +75,13 @@ class TestOutcomeCodings:
         }
 
     def test_predicted_product_of_each_phase_class(self):
-        products = {phase_class: phase_class.predicted_product for phase_class in PhaseClass}
-        assert products == {
-            PhaseClass.ZERO_OR_PI: +1,
-            PhaseClass.HALF_PI: -1,
-            PhaseClass.GENERIC: None,
+        # a phase class is its certain product; the report names it in JSON
+        products = {
+            sector["phase_class"]: sector["predicted_product"]
+            for angles in (ZEROS, AngleSettings(0, PI / 4, PI / 4, 0), AngleSettings(0, 0.3, 0, 0))
+            for sector in perfect_correlation_report(angles)["sectors"]
         }
+        assert products == {"zero-or-pi": +1, "half-pi": -1, "generic": None}
 
 
 class TestJointBellProbabilities:
@@ -215,7 +215,7 @@ class TestSinglePass:
         zetas, predicted, *_ = correlations._sector_arrays(settings, coeffs, tol)
         rows = [AngleSettings(*row) for row in settings]
         expected = [
-            [classify_zeta(row, kappa, tol).predicted_product or 0 for kappa in (+1, -1)]
+            [classify_zeta(row, kappa, tol) for kappa in (+1, -1)]
             for row in rows
         ]
         assert predicted.tolist() == expected
@@ -225,23 +225,32 @@ class TestSinglePass:
 
 class TestClassifyZeta:
     def test_half_pi(self):
-        assert classify_zeta(AngleSettings(0, PI / 4, 0, PI / 4), +1) is PhaseClass.HALF_PI
+        assert classify_zeta(AngleSettings(0, PI / 4, 0, PI / 4), +1) == -1
 
     def test_zero_for_other_sector(self):
-        assert classify_zeta(AngleSettings(0, PI / 4, 0, PI / 4), -1) is PhaseClass.ZERO_OR_PI
+        assert classify_zeta(AngleSettings(0, PI / 4, 0, PI / 4), -1) == +1
 
     def test_generic(self):
-        assert classify_zeta(AngleSettings(0, 0.3, 0, 0), +1) is PhaseClass.GENERIC
+        assert classify_zeta(AngleSettings(0, 0.3, 0, 0), +1) == 0
 
     def test_periodicity(self):
-        assert classify_zeta(AngleSettings(6 * PI, 0, 0, 0), +1) is PhaseClass.ZERO_OR_PI
-        assert classify_zeta(AngleSettings(2 * PI + PI / 2, 0, 0, 0), +1) is PhaseClass.HALF_PI
-        assert classify_zeta(AngleSettings(-PI, 0, 0, 0), +1) is PhaseClass.ZERO_OR_PI
+        assert classify_zeta(AngleSettings(6 * PI, 0, 0, 0), +1) == +1
+        assert classify_zeta(AngleSettings(2 * PI + PI / 2, 0, 0, 0), +1) == -1
+        assert classify_zeta(AngleSettings(-PI, 0, 0, 0), +1) == +1
 
     def test_tolerance_is_respected(self):
         nudged = AngleSettings(1e-6, 0, 0, 0)
-        assert classify_zeta(nudged, +1, tol=1e-9) is PhaseClass.GENERIC
-        assert classify_zeta(nudged, +1, tol=1e-3) is PhaseClass.ZERO_OR_PI
+        assert classify_zeta(nudged, +1, tol=1e-9) == 0
+        assert classify_zeta(nudged, +1, tol=1e-3) == +1
+
+    def test_class_is_a_python_int(self):
+        for angles, kappa, product in (
+            (AngleSettings(0, PI / 4, 0, PI / 4), -1, +1),
+            (AngleSettings(0, PI / 4, 0, PI / 4), +1, -1),
+            (AngleSettings(0, 0.3, 0, 0), +1, 0),
+        ):
+            phase_class = classify_zeta(angles, kappa)
+            assert type(phase_class) is int and phase_class == product
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -259,47 +268,58 @@ class TestClassifyZeta:
 class TestPerfectCorrelationReport:
     def test_zero_angles_both_sectors_certain(self):
         report = perfect_correlation_report(ZEROS)
-        assert report.holds
-        for sector in report.sectors:
-            assert sector.phase_class is PhaseClass.ZERO_OR_PI
-            assert sector.predicted_product == +1
-            assert sector.sector_probability == pytest.approx(0.5, abs=1e-12)
-            assert sector.violation_probability < 1e-12
-            assert sector.product_certain
-            assert sector.pairing_certain
+        assert report["holds"]
+        for sector in report["sectors"]:
+            assert sector["phase_class"] == "zero-or-pi"
+            assert sector["predicted_product"] == +1
+            assert sector["sector_probability"] == pytest.approx(0.5, abs=1e-12)
+            assert sector["violation_probability"] < 1e-12
+            assert sector["product_certain"]
+            assert sector["pairing_certain"]
             # identity pairing at zeta = 0
-            assert all(bc is ad for bc, ad in sector.bell_pairing.items())
+            assert all(bc == ad for bc, ad in sector["bell_pairing"].items())
 
     def test_mixed_sector_classes(self):
         report = perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
-        plus, minus = report.sectors
-        assert plus.kappa == +1
-        assert plus.phase_class is PhaseClass.ZERO_OR_PI
-        assert plus.predicted_product == +1
-        assert plus.product_certain
-        assert minus.kappa == -1
-        assert minus.phase_class is PhaseClass.HALF_PI
-        assert minus.predicted_product == -1
-        assert minus.product_certain
+        plus, minus = report["sectors"]
+        assert plus["kappa"] == +1
+        assert plus["phase_class"] == "zero-or-pi"
+        assert plus["predicted_product"] == +1
+        assert plus["product_certain"]
+        assert minus["kappa"] == -1
+        assert minus["phase_class"] == "half-pi"
+        assert minus["predicted_product"] == -1
+        assert minus["product_certain"]
         # swapped pairing at zeta = -pi/2
-        assert minus.bell_pairing[BellOutcome.PHI_MINUS] is BellOutcome.PSI_PLUS
-        assert minus.pairing_certain
+        assert minus["bell_pairing"][BellOutcome.PHI_MINUS.value] == BellOutcome.PSI_PLUS.value
+        assert minus["pairing_certain"]
 
     def test_generic_setting_makes_no_claims(self):
         report = perfect_correlation_report(AngleSettings(0, 0.3, 0.7, 0.1))
-        assert report.holds
-        for sector in report.sectors:
-            assert sector.phase_class is PhaseClass.GENERIC
-            assert sector.predicted_product is None
-            assert sector.violation_probability is None
-            assert sector.product_certain is None
-            assert sector.bell_pairing is None
+        assert report["holds"]
+        for sector in report["sectors"]:
+            assert sector["phase_class"] == "generic"
+            assert sector["predicted_product"] is None
+            assert sector["violation_probability"] is None
+            assert sector["product_certain"] is None
+            assert sector["bell_pairing"] is None
 
-    def test_to_dict_round_trips_through_json(self):
-        import json
+    @pytest.mark.parametrize("tol", [1e-9, 0.3])
+    def test_report_is_what_decompose_prints(self, capsys, tol):
+        # one setting of each special family plus a generic one, key order included
+        rng = np.random.default_rng(20)
+        settings = [build(*rng.uniform(0, 2 * PI, size=2)) for _, build in _FAMILIES]
+        settings.append(AngleSettings(0.3, 1.1, -2.5, 4.0))
+        for angles in settings:
+            flags = [f"--phi{k}={phi!r}" for k, phi in enumerate(angles.as_tuple(), start=1)]
+            main(["decompose", "--json", f"--tol={tol}", *flags])
+            printed = json.loads(capsys.readouterr().out)["perfect_correlations"]
+            report = perfect_correlation_report(angles, tol)
+            assert report == printed
+            assert json.dumps(report) == json.dumps(printed)
 
-        report = perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
-        doc = report.to_dict()
+    def test_report_round_trips_through_json(self):
+        doc = perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
         assert json.loads(json.dumps(doc)) == doc
 
 

@@ -12,6 +12,12 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_phase_and_report_types_are_not_exported():
+    # a phase class is the int product and a report is a plain dict
+    for name in ("PhaseClass", "SectorReport", "PerfectCorrelationReport"):
+        assert name not in bellswap.__all__ and not hasattr(bellswap, name)
+
+
 def test_every_module_exported_name_resolves():
     # a name deleted from a module but left in its __all__ breaks star imports
     modules = [

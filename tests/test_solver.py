@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from instance_gen import random_compiled_instance, system_document
+from instance_gen import grid_settings, random_compiled_instance, system_document
 
 from bellswap.lhv import (
     ConstraintSet,
@@ -40,29 +40,6 @@ def triangle_set() -> ConstraintSet:
     """x*y = +1, y*z = +1, x*z = -1: unsatisfiable, certificate is all three."""
     rows = [((0, 1), +1, PROV), ((1, 2), +1, PROV), ((0, 2), -1, PROV)]
     return constraint_set_from_dict(system_document(+1, a_unknowns(3), rows))
-
-
-def grid_settings(bases: int, seed: int) -> list[AngleSettings]:
-    """Random base angles per side, and every base on the left with every
-    base on the right, each arm pair either equal or one arm offset by pi/4,
-    pi/2 or 3pi/4 either way round: (7 * bases)**2 settings."""
-
-    def arm_pairs(base: float) -> list[tuple[float, float]]:
-        out = [(base, base)]
-        for offset in (PI / 4, PI / 2, 3 * PI / 4):
-            out += [(base, base + offset), (base + offset, base)]
-        return out
-
-    rng = np.random.default_rng(seed)
-    alphas = rng.uniform(0, 2 * PI, size=bases)
-    betas = rng.uniform(0, 2 * PI, size=bases)
-    return [
-        AngleSettings(*left, *right)
-        for alpha in alphas
-        for beta in betas
-        for left in arm_pairs(float(alpha))
-        for right in arm_pairs(float(beta))
-    ]
 
 
 def prefix(cs: ConstraintSet, k: int) -> ConstraintSet:
@@ -240,7 +217,7 @@ class TestGf2Contracts:
 
     @pytest.mark.parametrize("fig", [1, 2])
     def test_same_result_as_dense_gauss_jordan_on_grid(self, fig):
-        settings = grid_settings(bases=4, seed=97)
+        settings = grid_settings(np.random.default_rng(97), 4)
         assert len(settings) == 784
         if fig == 1:
             cs = apply_factorization(compile_bell_polarization(settings, HiddenContext(kappa=+1)))
@@ -262,9 +239,8 @@ class TestGf2Contracts:
         assert verify_certificate(cs, result)
 
     def test_large_factorized_grid_is_refuted(self):
-        cs = apply_factorization(
-            compile_bell_polarization(grid_settings(bases=18, seed=103), HiddenContext(kappa=+1))
-        )
+        settings = grid_settings(np.random.default_rng(103), 18)
+        cs = apply_factorization(compile_bell_polarization(settings, HiddenContext(kappa=+1)))
         assert cs.n_variables >= 4000
         result = gf2_solve(cs)
         assert result.status is SolveStatus.UNSAT

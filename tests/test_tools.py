@@ -45,6 +45,7 @@ def test_stage_times_smallest_size():
         "bell_bell_coefficients_closed_form",
         "_sweep_values",
         "_sector_arrays",
+        "_correlation_report",
         "run_qm_verification",
     }
     assert min(report["qm_stages_ms"].values()) >= 0.0

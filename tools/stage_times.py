@@ -39,8 +39,10 @@ them, here from SEED): ``_rotate_all`` (the rotated two-singlet
 amplitudes), ``_project`` (their projection onto the Bell vectors),
 ``bell_bell_coefficients_closed_form``, ``_sweep_values`` (the per-setting
 checks), ``_sector_arrays`` (both sectors' perfect-correlation values of the
-100 family settings) and the whole ``run_qm_verification`` call, each the
-best of ``--repeat`` runs.
+100 family settings), ``_correlation_report`` (the one-setting report of
+the first family setting from its row of C, and its JSON document as
+``decompose --json`` indents it) and the whole ``run_qm_verification``
+call, each the best of ``--repeat`` runs.
 
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
@@ -247,6 +249,16 @@ def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
         "_sector_arrays",
         lambda: correlations._sector_arrays(
             batch[family], numeric[family], correlations.DEFAULT_ANGLE_TOL
+        ),
+    )
+    first = quantum.AngleSettings(*batch[family.start])
+    stage(
+        "_correlation_report",
+        lambda: json.dumps(
+            correlations._correlation_report(
+                first, numeric[family.start], correlations.DEFAULT_ANGLE_TOL
+            ),
+            indent=2,
         ),
     )
     stage("run_qm_verification", lambda: verification.run_qm_verification(QM_GRID, seed=SEED))
