@@ -32,7 +32,6 @@ from .lhv import (
 )
 from .quantum import (
     BELL_ORDER,
-    AngleSettings,
     BellOutcome,
     Polarization,
     apply_all_rotations,
@@ -49,7 +48,6 @@ from .solver import SolveResult, SolveStatus, enumerate_solve, gf2_solve, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSettings",
     "BellOutcome",
     "BELL_ORDER",
     "ConstraintSet",

@@ -57,12 +57,7 @@ from .lhv import (
     contradiction_instance,
     contradiction_settings,
 )
-from .quantum import (
-    BELL_ORDER,
-    AngleSettings,
-    bell_bell_coefficients,
-    bell_bell_coefficients_closed_form,
-)
+from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_closed_form
 from .serialize import (
     EVENT_CHUNK,
     FORMAT_VERSION,
@@ -117,14 +112,15 @@ def _cannot_write(exc: OSError) -> int:
     return 2
 
 
-def _angles_from_args(args: argparse.Namespace) -> AngleSettings | None:
-    """The angle flags in radians; None, after one line on stderr, if one is
-    beyond the bound that a settings file's numbers have."""
+def _angles_from_args(args: argparse.Namespace) -> tuple[float, float, float, float] | None:
+    """The angle flags in radians, as one setting's row of Python floats;
+    None, after one line on stderr, if one is beyond the bound that a
+    settings file's numbers have."""
     phis = [args.phi1, args.phi2, args.phi3, args.phi4]
     if abs(peak := max(phis, key=abs)) > _MAX_NUMBER:
         print(f"error: angles must be within +-{_MAX_NUMBER:.2g}, got {peak!r}", file=sys.stderr)
         return None
-    return AngleSettings(*(_to_radians(phi, args.degrees) for phi in phis))
+    return tuple(_to_radians(phi, args.degrees) for phi in phis)
 
 
 def _print_json(doc: dict) -> None:
@@ -142,9 +138,8 @@ def _print_bell_matrix(title: str, matrix: np.ndarray) -> None:
 def cmd_decompose(args: argparse.Namespace) -> int:
     if (angles := _angles_from_args(args)) is None:
         return 2
-    setting = np.array([angles.as_tuple()])
-    numeric = bell_bell_coefficients(setting)[0]
-    closed = bell_bell_coefficients_closed_form(setting)[0]
+    numeric = bell_bell_coefficients([angles])[0]
+    closed = bell_bell_coefficients_closed_form([angles])[0]
     deviation = float(np.max(np.abs(closed - numeric)))
     probabilities = np.abs(numeric) ** 2
     correlations = _correlation_report(angles, numeric, args.tol)
@@ -154,7 +149,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             {
                 "format_version": FORMAT_VERSION,
                 "command": "decompose",
-                "angles": list(angles.as_tuple()),
+                "angles": list(angles),
                 "xi": xi,
                 "eta": eta,
                 "closed_form": closed.tolist(),
@@ -165,7 +160,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print(f"angles (rad): {angles.as_tuple()}")
+        print(f"angles (rad): {angles}")
         print(f"xi  = {xi!r}")
         print(f"eta = {eta!r}")
         _print_bell_matrix("closed-form coefficients (rows bc, cols ad):", closed)
@@ -240,7 +235,7 @@ def _solve_and_print(cs: ConstraintSet, doc: dict, expect: str | None) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     alpha = _to_radians(args.alpha, args.degrees)
     beta = _to_radians(args.beta, args.degrees)
-    settings = list(contradiction_settings(alpha, beta, args.kappa))
+    settings = contradiction_settings(alpha, beta, args.kappa)
     # at large angles the pi/4 offsets are lost in rounding and the settings
     # no longer sit at zeta = 0 and -pi/2
     if [classify_zeta(s, args.kappa) for s in settings] != [+1, -1]:

@@ -15,17 +15,20 @@ at zeta = 0 or +-pi the product a * F * d of the outer polarizations with the
 analyzer's polarization product F is +1 with certainty, and at zeta = +-pi/2
 it is -1 with certainty.
 
-Every prediction for a setting derives from one numeric decomposition: the
-rotated state is brute-force projected onto the double Bell basis, giving
-the 4x4 coefficient matrix C (quantum.bell_bell_coefficients, which does a
-whole batch of settings in one pass).  The double Bell probabilities are
-|C|^2; row X of C, expanded in the Bell vectors, gives the (a, d) amplitudes
-of Bell outcome X and so the Bell/polarization distribution.  The sector
-reports read both in one array pass over a batch of settings and their C; one
-report is a batch of one.  One rule classifies zeta, as a float or an array,
-and a phase class is the certain product it gives: +1 at zero-or-pi, -1 at
-half-pi, 0 if generic; only the JSON report shows a class by name.  A
-perfect-correlation report is the JSON-ready dict that ``decompose`` prints.
+A setting is a row of four angles, a (4,) array-like, and a batch of them
+an (N, 4) one; both go through quantum._angle_rows, and every sector phase
+comes from quantum._zetas.  Every prediction for a setting derives from one
+numeric decomposition: the rotated state is brute-force projected onto the
+double Bell basis, giving the 4x4 coefficient matrix C
+(quantum.bell_bell_coefficients, which does a whole batch of settings in one
+pass).  The double Bell probabilities are |C|^2; row X of C, expanded in the
+Bell vectors, gives the (a, d) amplitudes of Bell outcome X and so the
+Bell/polarization distribution.  The sector reports read both in one array
+pass over a batch of settings and their C; one report is a batch of one.
+One rule classifies zeta, as a float or an array, and a phase class is the
+certain product it gives: +1 at zero-or-pi, -1 at half-pi, 0 if generic;
+only the JSON report shows a class by name.  A perfect-correlation report is
+the JSON-ready dict that ``decompose`` prints.
 
 A sampled event is an index into OUTCOME_ORDER: each of the 16 outcomes fixes
 the Bell state, both polarizations and so kappa, F, a, d and the product.
@@ -42,10 +45,11 @@ from .quantum import (
     BELL_INDEX,
     BELL_ORDER,
     BELL_VECTORS,
-    AngleSettings,
     BellOutcome,
     Polarization,
+    _angle_rows,
     _read_only,
+    _zetas,
     apply_all_rotations,
     bell_bell_coefficients,
     make_vw_state,
@@ -112,10 +116,8 @@ OUTCOME_ORDER: tuple[tuple[BellOutcome, Polarization, Polarization], ...] = tupl
 #: Product a*F*d of each outcome in OUTCOME_ORDER.
 _OUTCOME_PRODUCT = [_F_VALUE[bell] * a.sign * d.sign for bell, a, d in OUTCOME_ORDER]
 
-#: The sectors, in the column order of the batched sector arrays, and the
-#: sign with which phi3 - phi4 enters each one's zeta.
+#: The sectors, in the column order of the batched sector arrays.
 _SECTORS = (+1, -1)
-_SECTOR_SIGNS = np.array(_SECTORS, dtype=float)
 _SECTOR_ROWS = np.arange(len(_SECTORS))
 
 #: Bell-to-Bell pairing that a sector's certain product implies, by (kappa,
@@ -155,11 +157,11 @@ def f_value_of(outcome: BellOutcome) -> int:
     return _F_VALUE[outcome]
 
 
-def zeta(angles: AngleSettings, kappa: int) -> float:
-    """Sector phase (phi1 - phi2) + kappa * (phi3 - phi4)."""
+def zeta(angles, kappa: int) -> float:
+    """Sector phase (phi1 - phi2) + kappa * (phi3 - phi4) of one setting."""
     if kappa not in (-1, +1):
         raise ValueError(f"kappa must be +1 or -1, got {kappa}")
-    return (angles.phi1 - angles.phi2) + kappa * (angles.phi3 - angles.phi4)
+    return _zetas(_angle_rows([angles]), (kappa,)).item()
 
 
 def _predicted_product(zeta_value, tol: float):
@@ -181,21 +183,21 @@ def _predicted_product(zeta_value, tol: float):
 _CLASS_NAME = {+1: "zero-or-pi", -1: "half-pi", 0: "generic"}
 
 
-def classify_zeta(angles: AngleSettings, kappa: int, tol: float = DEFAULT_ANGLE_TOL) -> int:
+def classify_zeta(angles, kappa: int, tol: float = DEFAULT_ANGLE_TOL) -> int:
     """Classify zeta_kappa modulo 2*pi by the certain product a*F*d it gives:
     +1 at zero-or-pi, -1 at half-pi, 0 if generic."""
     return _predicted_product(zeta(angles, kappa), tol)
 
 
-def rotated_vw_state(angles: AngleSettings) -> np.ndarray:
+def rotated_vw_state(angles) -> np.ndarray:
     """The 16 amplitudes of the two-singlet source after all four rotations."""
     return apply_all_rotations(make_vw_state(), angles)
 
 
-def _decompose(angles: AngleSettings) -> np.ndarray:
+def _decompose(angles) -> np.ndarray:
     """The numeric double Bell coefficients C of the rotated state, 4x4:
     the one-setting case of quantum.bell_bell_coefficients."""
-    return bell_bell_coefficients([angles.as_tuple()])[0]
+    return bell_bell_coefficients([angles])[0]
 
 
 def _outcome_probabilities(coeffs: np.ndarray) -> np.ndarray:
@@ -206,7 +208,7 @@ def _outcome_probabilities(coeffs: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("...xy,yad->...xad", coeffs, ket)) ** 2
 
 
-def joint_bell_probabilities(angles: AngleSettings) -> np.ndarray:
+def joint_bell_probabilities(angles) -> np.ndarray:
     """4x4 joint outcome probabilities of the double Bell arrangement.
 
     Rows index the (b, c) outcome and columns the (a, d) outcome, both in
@@ -218,29 +220,30 @@ def joint_bell_probabilities(angles: AngleSettings) -> np.ndarray:
 
 
 def bell_polarization_distribution(
-    angles: AngleSettings,
+    angles,
 ) -> dict[tuple[BellOutcome, Polarization, Polarization], float]:
     """Joint probabilities of the Bell/polarization arrangement (16 entries)."""
     probs = _outcome_probabilities(_decompose(angles))
     return dict(zip(OUTCOME_ORDER, probs.ravel().tolist()))
 
 
-def violating_outcomes(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
+def violating_outcomes(angles, tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
     """Mask over OUTCOME_ORDER of the outcomes whose product a*F*d contradicts
     the certain value of their sector at this setting.  A generic sector
     claims no value, so none of its outcomes violate."""
     mask = np.zeros(len(OUTCOME_ORDER), dtype=bool)
-    for sector, kappa in enumerate(_SECTORS):
-        claim = _predicted_product(zeta(angles, kappa), tol)
+    claims = _predicted_product(_zetas(_angle_rows([angles]), _SECTORS)[:, 0], tol).tolist()
+    for sector, claim in enumerate(claims):
         if claim:
             mask[_SUMMED_CELLS[sector, claim, _SUMS[1]]] = True
     return mask
 
 
 @lru_cache(maxsize=1)
-def _outcome_cdf(angles: AngleSettings) -> np.ndarray:
-    """Cumulative probabilities over OUTCOME_ORDER.  simulate samples one
-    setting a chunk at a time, so the last setting's CDF is kept.  The cache
+def _outcome_cdf(angles: tuple[float, float, float, float]) -> np.ndarray:
+    """Cumulative probabilities over OUTCOME_ORDER at a setting, given as a
+    tuple of Python floats to be a cache key.  simulate samples one setting
+    a chunk at a time, so the last setting's CDF is kept.  The cache
     is module state: in one process, later draws at the same setting reuse
     it too (a benchmark that repeats one setting skips its decomposition
     after the first command), while a one-command process computes it once
@@ -248,7 +251,7 @@ def _outcome_cdf(angles: AngleSettings) -> np.ndarray:
     return _read_only(np.cumsum(_outcome_probabilities(_decompose(angles))))
 
 
-def sample_events(angles: AngleSettings, n: int, seed: int | np.random.Generator) -> np.ndarray:
+def sample_events(angles, n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. events from the Bell/polarization distribution.
 
     Each event is an index into OUTCOME_ORDER.  Sampling is inverse-CDF over
@@ -259,13 +262,13 @@ def sample_events(angles: AngleSettings, n: int, seed: int | np.random.Generator
     """
     if n < 0:
         raise ValueError("event count must be >= 0")
-    cdf = _outcome_cdf(angles)
+    cdf = _outcome_cdf(tuple(_angle_rows([angles])[0].tolist()))
     rng = np.random.default_rng(seed)
     draws = np.searchsorted(cdf, rng.random(n), side="right")
     return np.minimum(draws, len(OUTCOME_ORDER) - 1)
 
 
-def perfect_correlation_report(angles: AngleSettings, tol: float = DEFAULT_ANGLE_TOL) -> dict:
+def perfect_correlation_report(angles, tol: float = DEFAULT_ANGLE_TOL) -> dict:
     """Check every certainty the state predicts at this setting.
 
     For each sector whose zeta classifies as zero-or-pi or half-pi the
@@ -280,14 +283,13 @@ def perfect_correlation_report(angles: AngleSettings, tol: float = DEFAULT_ANGLE
     return _correlation_report(angles, _decompose(angles), tol)
 
 
-def _sector_arrays(settings: np.ndarray, coeffs: np.ndarray, tol: float) -> tuple:
+def _sector_arrays(settings, coeffs: np.ndarray, tol: float) -> tuple:
     """Both sectors' values for an (N, 4) batch of settings and their (N, 4, 4)
     coefficients C, in one array pass: zeta, predicted product (0 if generic,
     whose violations mean nothing), sector probability, product violation and
     pairing violation, each (N, 2) with columns kappa +1 and -1.  A sum reads
     the cells in a one-setting sum's order, so it does not depend on the batch."""
-    left, right = (settings[:, ::2] - settings[:, 1::2]).T
-    zetas = left[:, None] + right[:, None] * _SECTOR_SIGNS
+    zetas = _zetas(_angle_rows(settings), _SECTORS).T
     predicted = _predicted_product(zetas, tol)
     outcomes = _outcome_probabilities(coeffs).reshape(-1, 16)
     probs = np.concatenate([outcomes, (np.abs(coeffs) ** 2).reshape(-1, 16)], axis=1)
@@ -296,10 +298,11 @@ def _sector_arrays(settings: np.ndarray, coeffs: np.ndarray, tol: float) -> tupl
     return (zetas, predicted, *(picked[..., cells].sum(axis=2) for cells in _SUMS))
 
 
-def _correlation_report(angles: AngleSettings, coeffs: np.ndarray, tol: float) -> dict:
+def _correlation_report(angles, coeffs: np.ndarray, tol: float) -> dict:
     """perfect_correlation_report from the setting's numeric coefficients C:
     the one-setting case of _sector_arrays."""
-    values = _sector_arrays(np.array([angles.as_tuple()]), coeffs[None], tol)
+    rows = _angle_rows([angles])
+    values = _sector_arrays(rows, coeffs[None], tol)
     sectors = []
     for kappa, zeta_value, claim, probability, violation, pairing_violation in zip(
         _SECTORS, *(array[0].tolist() for array in values)
@@ -324,4 +327,4 @@ def _correlation_report(angles: AngleSettings, coeffs: np.ndarray, tol: float) -
         )
     # generic sectors' None claims neither holds nor fails
     claims = [sector[key] for sector in sectors for key in ("product_certain", "pairing_certain")]
-    return {"angles": list(angles.as_tuple()), "sectors": sectors, "holds": False not in claims}
+    return {"angles": rows[0].tolist(), "sectors": sectors, "holds": False not in claims}

@@ -17,8 +17,11 @@ single kappa.
 Every constraint is one rule of _RULE_TERMS at one setting: the factorization
 too, as the rule F * A * D at the equal-angle setting (x, x, y, y).  Angles are
 keyed on a 1e-9 rad grid by quantize_angle, so that equal settings share one
-unknown.  A ConstraintSet is its columns, filled only by the compiler, in one
-array pass over an (N, 4) array of settings, and by
+unknown.  The compilers take their settings as one (N, 4) array-like of
+angles in radians, such as the array serialize.load_settings returns or a
+list of 4-angle rows, checked by quantum._angle_rows; contradiction_settings
+returns its two settings as such an array.  A ConstraintSet is its columns,
+filled only by the compiler, in one array pass over the settings, and by
 serialize.constraint_set_from_dict.  An unknown is a (tag code, keys) pair of
 ``unknowns``, named by ``labels``; ``constraints`` builds ParityConstraint rows
 (with their Provenance) from the constraint columns on each read.
@@ -35,7 +38,7 @@ from math import pi
 import numpy as np
 
 from .correlations import DEFAULT_ANGLE_TOL, MAX_COMPILE_TOL, _predicted_product
-from .quantum import AngleSettings, _angle_rows
+from .quantum import _angle_rows, _zetas
 
 __all__ = [
     "ANGLE_QUANTUM",
@@ -190,29 +193,22 @@ _RULE_TERMS = {
     RULE_FACTORED_PRODUCT: (("A", (0,)), ("A", (1,)), ("D", (2,)), ("D", (3,))),
 }
 
-#: What compile_* take: an (N, 4) array of angles in radians, as
-#: serialize.load_settings returns, or a sequence of AngleSettings.
-Settings = np.ndarray | Sequence[AngleSettings]
-
-
-def _compile(rule: str, settings: Settings, cs: ConstraintSet, tol: float) -> ConstraintSet:
+def _compile(rule: str, settings, cs: ConstraintSet, tol: float) -> ConstraintSet:
     """Fill cs with one constraint per setting whose sector phase is special:
     the product of the rule's unknowns equals +1 at zeta in {0, +-pi} and -1
     at zeta = +-pi/2.  Generic settings emit nothing.  Returns cs.
 
-    One array pass: zeta is one array expression (the float arithmetic of
-    correlations.zeta), one _predicted_product call classifies every setting
-    and one quantize_angle call keys the kept ones, whose unknowns register
-    term by term through one dict."""
+    One array pass over the (N, 4) array-like of settings: one _zetas call
+    gives every sector phase, one _predicted_product call classifies them
+    and one quantize_angle call keys the kept settings, whose unknowns
+    register term by term through one dict."""
     if not 0 < tol <= MAX_COMPILE_TOL:
         raise ValueError(
             f"tol must be > 0 and <= {MAX_COMPILE_TOL!r}, the widest phase window whose"
             f" constraints stay certain, got {tol}"
         )
-    if not isinstance(settings, np.ndarray):
-        settings = np.reshape([setting.as_tuple() for setting in settings], (-1, 4))
     phis = _angle_rows(settings)
-    zetas = (phis[:, 0] - phis[:, 1]) + cs.context.kappa * (phis[:, 2] - phis[:, 3])
+    zetas = _zetas(phis, (cs.context.kappa,))[0]
     signs = _predicted_product(zetas, tol)
     kept = signs != 0
     phis = phis[kept]
@@ -226,7 +222,7 @@ def _compile(rule: str, settings: Settings, cs: ConstraintSet, tol: float) -> Co
 
 
 def compile_bell_polarization(
-    settings: Settings,
+    settings,
     context: HiddenContext,
     tol: float = DEFAULT_ANGLE_TOL,
 ) -> ConstraintSet:
@@ -239,7 +235,7 @@ def compile_bell_polarization(
 
 
 def compile_double_bell(
-    settings: Settings,
+    settings,
     context: HiddenContext,
     tol: float = DEFAULT_ANGLE_TOL,
 ) -> ConstraintSet:
@@ -249,7 +245,7 @@ def compile_double_bell(
 
 
 def compile_factored(
-    settings: Settings,
+    settings,
     context: HiddenContext,
     tol: float = DEFAULT_ANGLE_TOL,
 ) -> ConstraintSet:
@@ -273,10 +269,9 @@ def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
     return _compile(RULE_FACTORIZATION, settings, cs.copy(), DEFAULT_ANGLE_TOL)
 
 
-def contradiction_settings(
-    alpha: float, beta: float, kappa: int
-) -> tuple[AngleSettings, AngleSettings]:
-    """The two settings whose certainties clash in the given sector.
+def contradiction_settings(alpha: float, beta: float, kappa: int) -> np.ndarray:
+    """The two settings whose certainties clash in the given sector, as the
+    rows of a (2, 4) array: zeta_kappa = 0 at the first, -pi/2 at the second.
 
     Both use phi1 = alpha, phi2 = alpha + pi/4; swapping pi/4 between phi3
     and phi4 moves zeta_kappa between 0 and -pi/2 while involving the same
@@ -285,14 +280,13 @@ def contradiction_settings(
     if kappa not in (-1, +1):
         raise ValueError(f"kappa must be +1 or -1, got {kappa}")
     # zeta_+1 = 0 at plus, zeta_-1 = 0 at minus
-    plus = AngleSettings(alpha, alpha + pi / 4, beta + pi / 4, beta)
-    minus = AngleSettings(alpha, alpha + pi / 4, beta, beta + pi / 4)
-    return (plus, minus) if kappa == +1 else (minus, plus)
+    plus = (alpha, alpha + pi / 4, beta + pi / 4, beta)
+    minus = (alpha, alpha + pi / 4, beta, beta + pi / 4)
+    return _angle_rows((plus, minus) if kappa == +1 else (minus, plus))
 
 
 def contradiction_instance(alpha: float, beta: float, kappa: int) -> ConstraintSet:
     """Two factored constraints over A(alpha), A(alpha + pi/4), D(beta),
     D(beta + pi/4) whose required signs differ: the unsatisfiable core."""
-    zero_setting, half_setting = contradiction_settings(alpha, beta, kappa)
     context = HiddenContext(kappa=kappa, label=f"contradiction(alpha={alpha!r}, beta={beta!r})")
-    return compile_factored([zero_setting, half_setting], context)
+    return compile_factored(contradiction_settings(alpha, beta, kappa), context)

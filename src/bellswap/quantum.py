@@ -23,6 +23,15 @@ Conventions
 - Everything is phase-deterministic: states and coefficient matrices are
   compared amplitude-wise, never "up to a global phase".
 
+A setting is a row of four rotation angles (phi1, phi2, phi3, phi4), in
+radians, applied to photons a..d; angles are carried raw, never normalized.
+A batch of settings is an (N, 4) array-like and one setting a (4,) one;
+every input goes through one check, _angle_rows, which a one-setting
+function passes its setting to as a batch of one, and which rejects any
+other shape and any angle that is not finite.  The sector phases
+zeta_kappa = (phi1 - phi2) + kappa * (phi3 - phi4) of a batch are computed
+in one place, _zetas.
+
 The double Bell coefficients of a setting form a (4, 4) array C: rows index
 the Bell outcome of the (b, c) pair, columns that of the (a, d) pair, both
 in BELL_ORDER.  bell_bell_coefficients (numeric, brute force) and
@@ -36,7 +45,6 @@ read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,7 +54,6 @@ __all__ = [
     "BellOutcome",
     "BELL_ORDER",
     "BELL_VECTORS",
-    "AngleSettings",
     "make_vw_state",
     "rotate_photon",
     "apply_all_rotations",
@@ -112,35 +119,35 @@ BELL_VECTORS: dict[BellOutcome, np.ndarray] = {
 }
 
 
-@dataclass(frozen=True)
-class AngleSettings:
-    """Polarization rotation angles, in radians, applied to photons a..d.
-
-    Angles are carried raw; periodicity is handled where it matters
-    (phase classification), never by normalizing here.
-    """
-
-    phi1: float
-    phi2: float
-    phi3: float
-    phi4: float
-
-    def __post_init__(self) -> None:
-        for name in ("phi1", "phi2", "phi3", "phi4"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.phi1, self.phi2, self.phi3, self.phi4)
+def _angle_rows(angles) -> np.ndarray:
+    """The settings of a batch as an (N, 4) float array of finite angles; an
+    empty sequence is the empty batch."""
+    rows = np.asarray(angles, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"angles must have shape (N, 4), got {rows.shape}")
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"phi{col + 1} must be a finite real, got {rows[row, col].item()!r}")
+    return rows
 
 
-def compute_phases(angles: AngleSettings) -> tuple[float, float]:
-    """(xi, eta) = ((phi1 - phi2) + (phi3 - phi4), (phi1 - phi2) - (phi3 - phi4)),
-    the phases that govern the swapped correlations; exact, no wrapping."""
-    left, right = angles.phi1 - angles.phi2, angles.phi3 - angles.phi4
-    return left + right, left - right
+def _zetas(rows: np.ndarray, kappas) -> np.ndarray:
+    """Sector phases (phi1 - phi2) + kappa * (phi3 - phi4) of each row of an
+    (N, 4) angle array, one contiguous row per kappa: (len(kappas), N).
+    Multiplying by kappa = +-1 is exact, so the -1 row is
+    (phi1 - phi2) - (phi3 - phi4) to the last bit."""
+    left, right = (rows[:, ::2] - rows[:, 1::2]).T
+    return left + right * np.asarray(kappas, dtype=float)[:, None]
+
+
+def compute_phases(angles) -> tuple[float, float]:
+    """(xi, eta) = ((phi1 - phi2) + (phi3 - phi4), (phi1 - phi2) - (phi3 - phi4))
+    of one setting, the phases that govern the swapped correlations; exact,
+    no wrapping."""
+    return tuple(_zetas(_angle_rows([angles]), (+1, -1))[:, 0].tolist())
 
 
 def make_vw_state() -> np.ndarray:
@@ -149,14 +156,6 @@ def make_vw_state() -> np.ndarray:
     rotations applied to it run in real arithmetic."""
     singlet = np.array([0, 1, -1, 0])  # over (HH, HV, VH, VV)
     return _read_only((np.outer(singlet, singlet) / 2).reshape(16))
-
-
-def _angle_rows(angles) -> np.ndarray:
-    """The settings of a batch as an (N, 4) float array."""
-    rows = np.asarray(angles, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValueError(f"angles must have shape (N, 4), got {rows.shape}")
-    return rows
 
 
 def _rotate_all(amplitudes: np.ndarray, angles) -> np.ndarray:
@@ -205,13 +204,11 @@ def bell_bell_coefficients_closed_form(angles) -> np.ndarray:
     governed by xi, the kappa = -1 block {phi-, psi+} by eta, each a 2x2
     rotation-like pattern times 1/2.
     """
-    rows = _angle_rows(angles)
-    left = rows[:, 0] - rows[:, 1]
-    right = rows[:, 2] - rows[:, 3]
-    cos_xi, sin_xi = np.cos(left + right) / 2, np.sin(left + right) / 2
-    cos_eta, sin_eta = np.cos(left - right) / 2, np.sin(left - right) / 2
+    xi, eta = _zetas(_angle_rows(angles), (+1, -1))
+    cos_xi, sin_xi = np.cos(xi) / 2, np.sin(xi) / 2
+    cos_eta, sin_eta = np.cos(eta) / 2, np.sin(eta) / 2
     pp, pm, sp, sm = (BELL_INDEX[bell] for bell in BELL_ORDER)
-    coeffs = np.zeros((len(rows), 4, 4))
+    coeffs = np.zeros((len(xi), 4, 4))
     coeffs[:, pp, pp] = -cos_xi
     coeffs[:, pp, sm] = +sin_xi
     coeffs[:, sm, sm] = -cos_xi
@@ -232,13 +229,13 @@ def rotate_photon(state: np.ndarray, photon: int, phi: float) -> np.ndarray:
     return _read_only(_rotate_all(state, angles)[0])
 
 
-def apply_all_rotations(state: np.ndarray, angles: AngleSettings) -> np.ndarray:
+def apply_all_rotations(state: np.ndarray, angles) -> np.ndarray:
     """16 amplitudes with a rotated by phi1, b by phi2, c by phi3, d by phi4.
 
     The four rotations act on disjoint factors, so the application order
     is irrelevant.
     """
-    return _read_only(_rotate_all(state, [angles.as_tuple()])[0])
+    return _read_only(_rotate_all(state, [angles])[0])
 
 
 def bell_bell_amplitudes_numeric(state: np.ndarray) -> np.ndarray:
@@ -247,6 +244,7 @@ def bell_bell_amplitudes_numeric(state: np.ndarray) -> np.ndarray:
     return _read_only(_project(np.reshape(state, (1, 16)))[0])
 
 
-def bell_bell_amplitudes_closed_form(angles: AngleSettings) -> np.ndarray:
-    """Closed form of the rotated two-singlet state's (4, 4) coefficients."""
-    return _read_only(bell_bell_coefficients_closed_form([angles.as_tuple()])[0])
+def bell_bell_amplitudes_closed_form(angles) -> np.ndarray:
+    """Closed form of the rotated two-singlet state's (4, 4) coefficients at
+    one setting."""
+    return _read_only(bell_bell_coefficients_closed_form([angles])[0])

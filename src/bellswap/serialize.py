@@ -41,7 +41,7 @@ from .lhv import (
     float_reprs,
     quantize_angle,
 )
-from .quantum import AngleSettings
+from .quantum import _angle_rows
 from .solver import SolveResult, SolveStatus
 
 __all__ = [
@@ -369,7 +369,7 @@ _OUTCOME_CELLS = [_outcome_cells(*outcome) for outcome in OUTCOME_ORDER]
 
 
 def write_events_csv(
-    fp: IO[str], angles: AngleSettings, outcomes: Sequence[int], start: int = 0
+    fp: IO[str], angles, outcomes: Sequence[int], start: int = 0
 ) -> int:
     """Write the rows of events start, start + 1, ... in the pinned event
     schema, after the header row when start is 0; returns the number of rows.
@@ -381,7 +381,7 @@ def write_events_csv(
     % call per chunk, so the text held at once does not grow with the
     number of events.
     """
-    phis = ",".join(map(repr, angles.as_tuple()))
+    phis = ",".join(map(repr, _angle_rows([angles])[0].tolist()))
     rows = [f"{phis},{cells}" for cells in _OUTCOME_CELLS]
     if start == 0:
         fp.write(",".join(EVENT_CSV_COLUMNS) + "\n")

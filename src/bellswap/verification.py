@@ -7,9 +7,10 @@ command; any violation is reported with the offending setting.
 
 The sweep is batched: random settings are drawn from one stream a chunk at a
 time, and each chunk is decomposed and checked as an (N, 4) array, so memory
-stays bounded at any grid.  The family settings ride in the last chunk; all
-their reports are one array pass over their rows of C, without decomposing
-again.
+stays bounded at any grid.  The special-family builders give their settings
+as rows of 4 Python floats, which ride in the last chunk as its last rows;
+all their reports are one array pass over their rows of C, without
+decomposing again.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from .correlations import (
     _sector_arrays,
     kappa_of,
 )
-from .quantum import (
-    BELL_ORDER,
-    AngleSettings,
-    bell_bell_coefficients,
-    bell_bell_coefficients_closed_form,
-)
+from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_closed_form
 
 __all__ = ["CLOSED_FORM_TOL", "special_family_settings", "run_qm_verification"]
 
@@ -43,21 +39,22 @@ CLOSED_FORM_TOL = 1e-10
 _PER_FAMILY = 20
 
 #: (family name, builder) pairs; each builder maps random (alpha, beta) to a
-#: setting whose sector phases land on the named special values.
+#: setting, a row (phi1, phi2, phi3, phi4), whose sector phases land on the
+#: named special values.
 _FAMILIES = (
-    ("zeta=(0,0)", lambda a, b: AngleSettings(a, a, b, b)),
-    ("zeta=(pi,pi)", lambda a, b: AngleSettings(a + math.pi, a, b, b)),
-    ("zeta=(-pi/2,0)", lambda a, b: AngleSettings(a, a + math.pi / 4, b, b + math.pi / 4)),
-    ("zeta=(0,-pi/2)", lambda a, b: AngleSettings(a, a + math.pi / 4, b + math.pi / 4, b)),
-    ("zeta=(pi,0)", lambda a, b: AngleSettings(a + math.pi / 2, a, b + math.pi / 2, b)),
+    ("zeta=(0,0)", lambda a, b: (a, a, b, b)),
+    ("zeta=(pi,pi)", lambda a, b: (a + math.pi, a, b, b)),
+    ("zeta=(-pi/2,0)", lambda a, b: (a, a + math.pi / 4, b, b + math.pi / 4)),
+    ("zeta=(0,-pi/2)", lambda a, b: (a, a + math.pi / 4, b + math.pi / 4, b)),
+    ("zeta=(pi,0)", lambda a, b: (a + math.pi / 2, a, b + math.pi / 2, b)),
 )
 
 
 def special_family_settings(
     rng: np.random.Generator, per_family: int
-) -> list[tuple[str, AngleSettings]]:
+) -> list[tuple[str, tuple[float, float, float, float]]]:
     """Random instantiations of each special-phase family, from one draw of
-    their (alpha, beta) pairs."""
+    their (alpha, beta) pairs: (family name, row of 4 Python floats) pairs."""
     pairs = rng.uniform(0.0, 2.0 * math.pi, size=(len(_FAMILIES), per_family, 2)).tolist()
     return [(name, build(*pair)) for (name, build), row in zip(_FAMILIES, pairs) for pair in row]
 
@@ -141,7 +138,7 @@ def run_qm_verification(
         batch = rng.uniform(0.0, 2.0 * math.pi, size=(min(_CHUNK, n_random - start), 4))
         if start + _CHUNK >= n_random:
             family_settings = special_family_settings(rng, _PER_FAMILY)
-            batch = np.concatenate([batch, [angles.as_tuple() for _, angles in family_settings]])
+            batch = np.concatenate([batch, [angles for _, angles in family_settings]])
         numeric = bell_bell_coefficients(batch)
         values = _sweep_values(numeric, bell_bell_coefficients_closed_form(batch))
         record(_SWEEP_CHECKS, values, batch)

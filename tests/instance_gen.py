@@ -14,7 +14,6 @@ from bellswap.lhv import (
     compile_double_bell,
     compile_factored,
 )
-from bellswap.quantum import AngleSettings
 from bellswap.serialize import FORMAT_VERSION
 
 PI = math.pi
@@ -39,13 +38,12 @@ def random_compiled_instance(rng: np.random.Generator, max_variables: int = 16) 
             db = float(rng.choice(offsets))
             phi1, phi2 = (base_a + da, base_a) if rng.integers(2) else (base_a, base_a + da)
             phi3, phi4 = (base_b + db, base_b) if rng.integers(2) else (base_b, base_b + db)
-            settings_list.append(AngleSettings(phi1, phi2, phi3, phi4))
+            settings_list.append((phi1, phi2, phi3, phi4))
             if rng.random() < 0.35:
                 # mirror an earlier setting: same unknowns, possibly opposite sign
                 mirror = settings_list[int(rng.integers(len(settings_list)))]
-                settings_list.append(
-                    AngleSettings(mirror.phi1, mirror.phi2, mirror.phi4, mirror.phi3)
-                )
+                phi1, phi2, phi3, phi4 = mirror
+                settings_list.append((phi1, phi2, phi4, phi3))
         mode = int(rng.integers(0, 3))
         if mode == 0:
             cs = compile_bell_polarization(settings_list, context)
@@ -83,11 +81,11 @@ def system_document(kappa: int, variables, constraints, label: str = "") -> dict
     }
 
 
-def grid_settings(rng: np.random.Generator, bases: int) -> list[AngleSettings]:
-    """The refute_grid benchmark's settings: random base angles per side, and
-    every arm pair of every left base with every arm pair of every right base,
-    an arm pair being the base twice or the base and the base plus k*pi/4
-    (k = 1, 2, 3) either way round."""
+def grid_settings(rng: np.random.Generator, bases: int) -> list[tuple[float, ...]]:
+    """The refute_grid benchmark's settings, as rows of 4 floats: random base
+    angles per side, and every arm pair of every left base with every arm
+    pair of every right base, an arm pair being the base twice or the base
+    and the base plus k*pi/4 (k = 1, 2, 3) either way round."""
 
     def arm_pairs(base: float) -> list[tuple[float, float]]:
         out = [(base, base)]
@@ -97,7 +95,7 @@ def grid_settings(rng: np.random.Generator, bases: int) -> list[AngleSettings]:
 
     alphas, betas = rng.uniform(0.0, 2 * PI, size=(2, bases)).tolist()
     return [
-        AngleSettings(*left, *right)
+        (*left, *right)
         for alpha in alphas
         for beta in betas
         for left in arm_pairs(alpha)

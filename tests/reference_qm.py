@@ -19,7 +19,6 @@ from bellswap.quantum import (
     BELL_INDEX,
     BELL_ORDER,
     BELL_VECTORS,
-    AngleSettings,
     bell_bell_coefficients,
     bell_bell_coefficients_closed_form,
     make_vw_state,
@@ -30,7 +29,7 @@ from bellswap.verification import CLOSED_FORM_TOL
 def reference_coefficients(angles):
     """Numeric double Bell coefficients C of the rotated state, one setting."""
     tensor = make_vw_state().reshape(2, 2, 2, 2)
-    for photon, phi in enumerate(angles.as_tuple()):
+    for photon, phi in enumerate(angles):
         c, s = math.cos(phi), math.sin(phi)
         rotation = np.array([[c, -s], [s, c]], dtype=complex)
         tensor = np.moveaxis(np.tensordot(rotation, tensor, axes=([1], [photon])), 0, photon)
@@ -52,7 +51,8 @@ def reference_family_settings(rng, per_family):
 def reference_predicted_product(angles, kappa, tol):
     """+1 if zeta_kappa is 0 or pi modulo 2 pi within tol, -1 if it is
     +-pi/2, else None."""
-    residue = ((angles.phi1 - angles.phi2) + kappa * (angles.phi3 - angles.phi4)) % math.pi
+    phi1, phi2, phi3, phi4 = angles
+    residue = ((phi1 - phi2) + kappa * (phi3 - phi4)) % math.pi
     if residue < tol or math.pi - residue < tol:
         return +1
     if abs(residue - math.pi / 2) < tol:
@@ -97,12 +97,10 @@ def reference_qm_verification(grid, tol, seed, closed_form=None):
     """The per-setting verify-qm loop; ``closed_form(angles)`` gives the 4x4
     closed-form coefficients (default: the package's)."""
     if closed_form is None:
-        closed_form = lambda angles: bell_bell_coefficients_closed_form(  # noqa: E731
-            [angles.as_tuple()]
-        )[0]
+        closed_form = lambda angles: bell_bell_coefficients_closed_form([angles])[0]  # noqa: E731
     rng = np.random.default_rng(seed)
     random_settings = [
-        AngleSettings(*rng.uniform(0.0, 2.0 * math.pi, size=4)) for _ in range(grid**4)
+        tuple(rng.uniform(0.0, 2.0 * math.pi, size=4).tolist()) for _ in range(grid**4)
     ]
     family_settings = reference_family_settings(rng, 20)
     checks = {
@@ -121,7 +119,7 @@ def reference_qm_verification(grid, tol, seed, closed_form=None):
             violations.append(
                 {
                     "check": check,
-                    "angles": list(angles.as_tuple()),
+                    "angles": [float(phi) for phi in angles],
                     "value": value,
                     "detail": detail,
                 }
@@ -143,7 +141,7 @@ def reference_qm_verification(grid, tol, seed, closed_form=None):
     # the family check reads the package kernel's C (test_quantum holds it to
     # reference_coefficients), so its values can be compared bit for bit
     for family, angles in family_settings:
-        coeffs = bell_bell_coefficients([angles.as_tuple()])[0]
+        coeffs = bell_bell_coefficients([angles])[0]
         for kappa, worst in reference_sector_violations(angles, coeffs, tol):
             detail = f"family {family}, kappa {kappa:+d}"
             record("perfect_correlations", worst, angles, detail=detail)

@@ -30,7 +30,6 @@ from bellswap.lhv import (
 )
 from bellswap.quantum import (
     BELL_ORDER,
-    AngleSettings,
     bell_bell_coefficients,
     bell_bell_coefficients_closed_form,
 )
@@ -71,7 +70,7 @@ def test_criterion_2_kappa_conservation(capsys):
         rng = np.random.default_rng(1002)
         worst = 0.0
         for _ in range(100):
-            probs = joint_bell_probabilities(AngleSettings(*rng.uniform(0, 2 * PI, size=4)))
+            probs = joint_bell_probabilities(rng.uniform(0, 2 * PI, size=4))
             mismatch = sum(
                 float(probs[i, j])
                 for i, bc in enumerate(BELL_ORDER)
@@ -85,23 +84,23 @@ def test_criterion_2_kappa_conservation(capsys):
 # family name -> (builder, {kappa: expected class, by its JSON name})
 _FAMILIES = {
     "zeta=0 both sectors": (
-        lambda a, b: AngleSettings(a, a, b, b),
+        lambda a, b: (a, a, b, b),
         {+1: "zero-or-pi", -1: "zero-or-pi"},
     ),
     "zeta=pi both sectors": (
-        lambda a, b: AngleSettings(a + PI, a, b, b),
+        lambda a, b: (a + PI, a, b, b),
         {+1: "zero-or-pi", -1: "zero-or-pi"},
     ),
     "zeta=+pi in plus sector": (
-        lambda a, b: AngleSettings(a + PI / 2, a, b + PI / 2, b),
+        lambda a, b: (a + PI / 2, a, b + PI / 2, b),
         {+1: "zero-or-pi", -1: "zero-or-pi"},
     ),
     "zeta=-pi/2 in plus sector": (
-        lambda a, b: AngleSettings(a, a + PI / 4, b, b + PI / 4),
+        lambda a, b: (a, a + PI / 4, b, b + PI / 4),
         {+1: "half-pi", -1: "zero-or-pi"},
     ),
     "zeta=-pi/2 in minus sector": (
-        lambda a, b: AngleSettings(a, a + PI / 4, b + PI / 4, b),
+        lambda a, b: (a, a + PI / 4, b + PI / 4, b),
         {+1: "zero-or-pi", -1: "half-pi"},
     ),
 }
@@ -130,8 +129,8 @@ def test_criterion_3_perfect_correlations(capsys):
 
         # Monte Carlo confirmation, fixed seed, n = 1e5 per arrangement
         for angles in (
-            AngleSettings(0, 0, 0, 0),
-            AngleSettings(0.4, 0.4 + PI / 4, 1.3 + PI / 4, 1.3),
+            (0, 0, 0, 0),
+            (0.4, 0.4 + PI / 4, 1.3 + PI / 4, 1.3),
         ):
             predicted = {kappa: classify_zeta(angles, kappa) or None for kappa in (+1, -1)}
             # kappa and a*F*d of each outcome index, from its Bell state and polarizations

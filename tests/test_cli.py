@@ -24,7 +24,7 @@ from bellswap.correlations import (
     violating_outcomes,
 )
 from bellswap.lhv import HiddenContext, compile_double_bell, contradiction_instance
-from bellswap.quantum import AngleSettings, BellOutcome
+from bellswap.quantum import BellOutcome
 from bellswap.serialize import EVENT_CSV_COLUMNS, constraint_set_to_dict, write_events_csv
 
 PI = math.pi
@@ -170,9 +170,9 @@ class TestRealSourceState:
         assert calls
 
 
-def per_row_csv(angles: AngleSettings, outcomes) -> str:
+def per_row_csv(angles, outcomes) -> str:
     """The event CSV built one row at a time: the bytes the chunked writer must match."""
-    phis = ",".join(repr(phi) for phi in angles.as_tuple())
+    phis = ",".join(repr(float(phi)) for phi in angles)
     lines = [",".join(EVENT_CSV_COLUMNS)]
     for i, k in enumerate(outcomes):
         bell, pol_a, pol_d = OUTCOME_ORDER[k]
@@ -216,7 +216,7 @@ class TestSimulate:
         out_csv = tmp_path / "events.csv"
         argv = ["--phi2", "0.1", "--phi3", "0.05", "--tol", "0.2", "--events", "20000"]
         code, out = run(capsys, "simulate", *argv, "--seed", "3", "--out", str(out_csv))
-        angles = AngleSettings(0.0, 0.1, 0.05, 0.0)
+        angles = (0.0, 0.1, 0.05, 0.0)
         predicted = {k: classify_zeta(angles, k, 0.2) or None for k in (+1, -1)}
         rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
         expected = sum(
@@ -229,7 +229,7 @@ class TestSimulate:
         assert out.rstrip().endswith(f"sector-product violations: {expected}")
 
     def test_chunk_draws_concatenate_to_one_draw(self):
-        angles = AngleSettings(0.2, 0.9, 1.3, 0.4)
+        angles = (0.2, 0.9, 1.3, 0.4)
         chunk = cli.EVENT_CHUNK
         rng = np.random.default_rng(11)
         chunks = [sample_events(angles, size, rng) for size in (chunk, chunk, 1)]
@@ -242,7 +242,7 @@ class TestSimulate:
         out_csv = tmp_path / "events.csv"
         argv = ["--phi2", "0.1", "--phi3", "0.05", "--tol", "0.2", "--events", str(n)]
         code, out = run(capsys, "simulate", *argv, "--seed", "3", "--out", str(out_csv))
-        angles = AngleSettings(0.0, 0.1, 0.05, 0.0)
+        angles = (0.0, 0.1, 0.05, 0.0)
         outcomes = sample_events(angles, n, 3)
         assert out_csv.read_bytes() == per_row_csv(angles, outcomes).encode()
         violations = int(violating_outcomes(angles, 0.2)[outcomes].sum())
@@ -896,7 +896,7 @@ def grid_commands(tmp_path, bases: int) -> list[list[str]]:
     """compile (figure 1, factorized) and gf2-solve the refute_grid-shaped grid
     with ``bases`` base angles per side."""
     settings, system = tmp_path / f"settings{bases}.json", tmp_path / f"system{bases}.json"
-    grid = [angles.as_tuple() for angles in grid_settings(np.random.default_rng(301), bases)]
+    grid = grid_settings(np.random.default_rng(301), bases)
     settings.write_text(json.dumps({"settings": grid}))
     return [
         ["compile", "--settings", str(settings), "--kappa", "1", "--factorize"]

@@ -22,7 +22,6 @@ from bellswap.correlations import (
 from bellswap.quantum import (
     BELL_ORDER,
     BELL_VECTORS,
-    AngleSettings,
     BellOutcome,
     Polarization,
     apply_all_rotations,
@@ -32,7 +31,7 @@ from bellswap.serialize import write_events_csv
 from bellswap.verification import _FAMILIES, run_qm_verification
 
 PI = math.pi
-ZEROS = AngleSettings(0, 0, 0, 0)
+ZEROS = (0, 0, 0, 0)
 
 
 class TestOutcomeCodings:
@@ -78,7 +77,7 @@ class TestOutcomeCodings:
         # a phase class is its certain product; the report names it in JSON
         products = {
             sector["phase_class"]: sector["predicted_product"]
-            for angles in (ZEROS, AngleSettings(0, PI / 4, PI / 4, 0), AngleSettings(0, 0.3, 0, 0))
+            for angles in (ZEROS, (0, PI / 4, PI / 4, 0), (0, 0.3, 0, 0))
             for sector in perfect_correlation_report(angles)["sectors"]
         }
         assert products == {"zero-or-pi": +1, "half-pi": -1, "generic": None}
@@ -92,7 +91,7 @@ class TestJointBellProbabilities:
     def test_kappa_never_mismatches(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            probs = joint_bell_probabilities(AngleSettings(*rng.uniform(0, 2 * PI, size=4)))
+            probs = joint_bell_probabilities(rng.uniform(0, 2 * PI, size=4))
             mismatch = sum(
                 probs[i, j]
                 for i, bc in enumerate(BELL_ORDER)
@@ -104,7 +103,7 @@ class TestJointBellProbabilities:
     def test_marginals_are_uniform(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            probs = joint_bell_probabilities(AngleSettings(*rng.uniform(0, 2 * PI, size=4)))
+            probs = joint_bell_probabilities(rng.uniform(0, 2 * PI, size=4))
             np.testing.assert_allclose(probs.sum(axis=0), 0.25, atol=1e-12)
             np.testing.assert_allclose(probs.sum(axis=1), 0.25, atol=1e-12)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -126,7 +125,7 @@ class TestBellPolarizationDistribution:
     def test_matches_per_pair_projection(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
-            angles = AngleSettings(*rng.uniform(0, 2 * PI, size=4))
+            angles = rng.uniform(0, 2 * PI, size=4)
             dist = bell_polarization_distribution(angles)
             reference = projected_distribution(angles)
             assert list(dist) == list(OUTCOME_ORDER)
@@ -172,7 +171,7 @@ def rotation_batches(monkeypatch):
 
 class TestSinglePass:
     def test_report_rotates_the_state_once(self, rotation_batches):
-        perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
+        perfect_correlation_report((0, PI / 4, PI / 4, 0))
         assert rotation_batches == [1]
 
     def test_verify_qm_decomposes_in_one_batched_pass(self, rotation_batches):
@@ -198,7 +197,7 @@ class TestSinglePass:
             return original(zeta_value, tol)
 
         monkeypatch.setattr(correlations, "_predicted_product", counting)
-        perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
+        perfect_correlation_report((0, PI / 4, PI / 4, 0))
         assert calls == [(1, 2)]
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
@@ -213,41 +212,37 @@ class TestSinglePass:
         settings = np.concatenate([on_edges, rng.uniform(-7, 7, (200, 4))])
         coeffs = quantum.bell_bell_coefficients(settings)
         zetas, predicted, *_ = correlations._sector_arrays(settings, coeffs, tol)
-        rows = [AngleSettings(*row) for row in settings]
-        expected = [
-            [classify_zeta(row, kappa, tol) for kappa in (+1, -1)]
-            for row in rows
-        ]
+        expected = [[classify_zeta(row, kappa, tol) for kappa in (+1, -1)] for row in settings]
         assert predicted.tolist() == expected
         assert {0, 1, -1} <= set(predicted[: len(edges)].ravel().tolist())
-        assert zetas.tolist() == [[zeta(row, k) for k in (+1, -1)] for row in rows]
+        assert zetas.tolist() == [[zeta(row, k) for k in (+1, -1)] for row in settings]
 
 
 class TestClassifyZeta:
     def test_half_pi(self):
-        assert classify_zeta(AngleSettings(0, PI / 4, 0, PI / 4), +1) == -1
+        assert classify_zeta((0, PI / 4, 0, PI / 4), +1) == -1
 
     def test_zero_for_other_sector(self):
-        assert classify_zeta(AngleSettings(0, PI / 4, 0, PI / 4), -1) == +1
+        assert classify_zeta((0, PI / 4, 0, PI / 4), -1) == +1
 
     def test_generic(self):
-        assert classify_zeta(AngleSettings(0, 0.3, 0, 0), +1) == 0
+        assert classify_zeta((0, 0.3, 0, 0), +1) == 0
 
     def test_periodicity(self):
-        assert classify_zeta(AngleSettings(6 * PI, 0, 0, 0), +1) == +1
-        assert classify_zeta(AngleSettings(2 * PI + PI / 2, 0, 0, 0), +1) == -1
-        assert classify_zeta(AngleSettings(-PI, 0, 0, 0), +1) == +1
+        assert classify_zeta((6 * PI, 0, 0, 0), +1) == +1
+        assert classify_zeta((2 * PI + PI / 2, 0, 0, 0), +1) == -1
+        assert classify_zeta((-PI, 0, 0, 0), +1) == +1
 
     def test_tolerance_is_respected(self):
-        nudged = AngleSettings(1e-6, 0, 0, 0)
+        nudged = (1e-6, 0, 0, 0)
         assert classify_zeta(nudged, +1, tol=1e-9) == 0
         assert classify_zeta(nudged, +1, tol=1e-3) == +1
 
     def test_class_is_a_python_int(self):
         for angles, kappa, product in (
-            (AngleSettings(0, PI / 4, 0, PI / 4), -1, +1),
-            (AngleSettings(0, PI / 4, 0, PI / 4), +1, -1),
-            (AngleSettings(0, 0.3, 0, 0), +1, 0),
+            ((0, PI / 4, 0, PI / 4), -1, +1),
+            ((0, PI / 4, 0, PI / 4), +1, -1),
+            ((0, 0.3, 0, 0), +1, 0),
         ):
             phase_class = classify_zeta(angles, kappa)
             assert type(phase_class) is int and phase_class == product
@@ -259,8 +254,21 @@ class TestClassifyZeta:
             with pytest.raises(ValueError):
                 classify_zeta(ZEROS, +1, tol=tol)
 
+    def test_takes_any_four_angle_row(self):
+        # a tuple of ints, a list and an array row give the same Python values
+        for angles in ((0, 0, 0, 0), [0.0, 0.0, 0.0, 0.0], np.zeros(4)):
+            value = zeta(angles, 1)
+            assert type(value) is float and value == 0.0
+            phase_class = classify_zeta(angles, -1)
+            assert type(phase_class) is int and phase_class == +1
+
+    def test_rejects_a_batch_or_a_short_row(self):
+        for angles in (np.zeros((2, 4)), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="must have shape"):
+                zeta(angles, 1)
+
     def test_zeta_values(self):
-        angles = AngleSettings(0.1, 0.5, 1.0, 0.25)
+        angles = (0.1, 0.5, 1.0, 0.25)
         assert zeta(angles, +1) == pytest.approx((0.1 - 0.5) + (1.0 - 0.25))
         assert zeta(angles, -1) == pytest.approx((0.1 - 0.5) - (1.0 - 0.25))
 
@@ -280,7 +288,7 @@ class TestPerfectCorrelationReport:
             assert all(bc == ad for bc, ad in sector["bell_pairing"].items())
 
     def test_mixed_sector_classes(self):
-        report = perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
+        report = perfect_correlation_report((0, PI / 4, PI / 4, 0))
         plus, minus = report["sectors"]
         assert plus["kappa"] == +1
         assert plus["phase_class"] == "zero-or-pi"
@@ -295,7 +303,7 @@ class TestPerfectCorrelationReport:
         assert minus["pairing_certain"]
 
     def test_generic_setting_makes_no_claims(self):
-        report = perfect_correlation_report(AngleSettings(0, 0.3, 0.7, 0.1))
+        report = perfect_correlation_report((0, 0.3, 0.7, 0.1))
         assert report["holds"]
         for sector in report["sectors"]:
             assert sector["phase_class"] == "generic"
@@ -309,17 +317,24 @@ class TestPerfectCorrelationReport:
         # one setting of each special family plus a generic one, key order included
         rng = np.random.default_rng(20)
         settings = [build(*rng.uniform(0, 2 * PI, size=2)) for _, build in _FAMILIES]
-        settings.append(AngleSettings(0.3, 1.1, -2.5, 4.0))
+        settings.append((0.3, 1.1, -2.5, 4.0))
         for angles in settings:
-            flags = [f"--phi{k}={phi!r}" for k, phi in enumerate(angles.as_tuple(), start=1)]
+            flags = [f"--phi{k}={float(phi)!r}" for k, phi in enumerate(angles, start=1)]
             main(["decompose", "--json", f"--tol={tol}", *flags])
             printed = json.loads(capsys.readouterr().out)["perfect_correlations"]
             report = perfect_correlation_report(angles, tol)
             assert report == printed
             assert json.dumps(report) == json.dumps(printed)
 
+    def test_int_and_array_rows_report_python_floats(self):
+        # the angles print as decompose prints them, never as ints or numpy scalars
+        for angles in ((0, 0, 0, 0), np.zeros(4)):
+            report = perfect_correlation_report(angles)
+            assert json.dumps(report["angles"]) == "[0.0, 0.0, 0.0, 0.0]"
+            assert all(type(phi) is float for phi in report["angles"])
+
     def test_report_round_trips_through_json(self):
-        doc = perfect_correlation_report(AngleSettings(0, PI / 4, PI / 4, 0))
+        doc = perfect_correlation_report((0, PI / 4, PI / 4, 0))
         assert json.loads(json.dumps(doc)) == doc
 
 
@@ -343,9 +358,16 @@ class TestSampler:
         different = sample_events(ZEROS, 500, seed=43)
         assert not np.array_equal(first, different)
 
+    def test_an_array_row_draws_what_its_tuple_draws(self):
+        assert np.array_equal(sample_events(np.zeros(4), 3, 1), sample_events((0, 0, 0, 0), 3, 1))
+        angles = (0.3, 1.1, 0.2, 2.0)
+        assert np.array_equal(
+            sample_events(np.array(angles), 500, 9), sample_events(list(angles), 500, 9)
+        )
+
     def test_derived_fields_are_consistent(self):
         # every column of a CSV row after the angles follows from its outcome
-        angles = AngleSettings(0.3, 1.1, 0.2, 2.0)
+        angles = (0.3, 1.1, 0.2, 2.0)
         outcomes = sample_events(angles, 200, seed=9)
         assert len(outcomes) == 200
         assert all(0 <= k < len(OUTCOME_ORDER) for k in outcomes)
@@ -376,9 +398,7 @@ class TestSampler:
             sigma = math.sqrt(0.25 * 0.75 * n)
             assert abs(count - 0.25 * n) < 5 * sigma
 
-    @pytest.mark.parametrize(
-        "angles", [ZEROS, AngleSettings(0.8, 0.15, 2.4, 1.05)], ids=["zeros", "generic"]
-    )
+    @pytest.mark.parametrize("angles", [ZEROS, (0.8, 0.15, 2.4, 1.05)], ids=["zeros", "generic"])
     def test_all_outcome_frequencies_within_five_sigma(self, angles):
         n = 100_000
         dist = bell_polarization_distribution(angles)

@@ -33,7 +33,6 @@ from bellswap.lhv import (
     contradiction_settings,
     quantize_angle,
 )
-from bellswap.quantum import AngleSettings
 from bellswap.serialize import _MAX_NUMBER, dump_constraint_set
 from bellswap.solver import SolveStatus, enumerate_solve
 
@@ -53,7 +52,7 @@ def angles_of(cs: ConstraintSet, vid: int) -> tuple[float, ...]:
 class TestCompileBellPolarization:
     def test_equal_pairs_emit_one_positive_constraint(self):
         alpha, beta = 0.37, 1.91
-        cs = compile_bell_polarization([AngleSettings(alpha, alpha, beta, beta)], CTX_PLUS)
+        cs = compile_bell_polarization([(alpha, alpha, beta, beta)], CTX_PLUS)
         assert len(cs.constraints) == 1
         constraint = cs.constraints[0]
         assert constraint.required_sign == +1
@@ -64,27 +63,27 @@ class TestCompileBellPolarization:
         assert d_angles[0] == pytest.approx(beta, abs=1e-9)
 
     def test_generic_setting_emits_nothing(self):
-        cs = compile_bell_polarization([AngleSettings(0, 0.3, 0.7, 0.1)], CTX_PLUS)
+        cs = compile_bell_polarization([(0, 0.3, 0.7, 0.1)], CTX_PLUS)
         assert cs.constraints == []
         assert cs.unknowns == []
 
     def test_zero_and_half_pi_signs(self):
         settings_list = [
-            AngleSettings(0, PI / 4, PI / 4, 0),
-            AngleSettings(0, PI / 4, 0, PI / 4),
+            (0, PI / 4, PI / 4, 0),
+            (0, PI / 4, 0, PI / 4),
         ]
         cs = compile_bell_polarization(settings_list, CTX_PLUS)
         assert [c.required_sign for c in cs.constraints] == [+1, -1]
 
     def test_variable_dedup_on_repeated_settings(self):
-        setting = AngleSettings(0.2, 0.2, 0.9, 0.9)
+        setting = (0.2, 0.2, 0.9, 0.9)
         cs = compile_bell_polarization([setting, setting], CTX_PLUS)
         assert len(cs.constraints) == 2
         assert cs.n_variables == 3
         assert cs.constraints[0].var_ids == cs.constraints[1].var_ids
 
     def test_kappa_flips_the_rule(self):
-        setting = AngleSettings(0, PI / 4, 0, PI / 4)
+        setting = (0, PI / 4, 0, PI / 4)
         plus = compile_bell_polarization([setting], CTX_PLUS)
         minus = compile_bell_polarization([setting], CTX_MINUS)
         assert plus.constraints[0].required_sign == -1
@@ -96,18 +95,15 @@ class TestCompileBellPolarization:
         kappa=st.sampled_from([-1, +1]),
     )
     def test_emitted_constraints_match_their_provenance(self, phis, kappa):
-        setting = AngleSettings(*phis)
         context = HiddenContext(kappa=kappa)
-        cs = compile_bell_polarization([setting], context)
-        phase_class = classify_zeta(setting, kappa)
+        cs = compile_bell_polarization([phis], context)
+        phase_class = classify_zeta(phis, kappa)
         if phase_class == 0:
             assert cs.constraints == []
         else:
             (constraint,) = cs.constraints
             assert constraint.required_sign == phase_class
-            replayed = classify_zeta(
-                AngleSettings(*constraint.provenance.angles), kappa
-            )
+            replayed = classify_zeta(constraint.provenance.angles, kappa)
             assert replayed == phase_class
 
 
@@ -148,7 +144,7 @@ def replay_compile(rule, settings_list, context, tol):
         sign = classify_zeta(setting, context.kappa, tol)
         if sign == 0:
             continue
-        angles = setting.as_tuple()
+        angles = tuple(map(float, setting))
         terms = REPLAY_TERMS[rule]
         var_ids = [replay.unknown(tag, [angles[i] for i in slots]) for tag, slots in terms]
         replay.constraints.append((var_ids, sign, (angles, zeta(setting, context.kappa), rule)))
@@ -180,7 +176,7 @@ class TestArrayPassCompiler:
     GRID = grid_settings(np.random.default_rng(303), 9)
     # every seventh setting again, 5e-7 rad off its phase: special only within
     # the wider tolerance, so the two tolerances compile different systems
-    GRID += [AngleSettings(s.phi1 + 5e-7, s.phi2, s.phi3, s.phi4) for s in GRID[::7]]
+    GRID += [(phi1 + 5e-7, phi2, phi3, phi4) for phi1, phi2, phi3, phi4 in GRID[::7]]
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     @pytest.mark.parametrize("kappa", [+1, -1])
@@ -222,6 +218,46 @@ class TestArrayPassCompiler:
     def test_no_settings_compile_to_no_constraints(self, settings_arg):
         cs = compile_bell_polarization(settings_arg, CTX_PLUS)
         assert cs.unknowns == [] and cs.var_ids == []
+
+
+class TestSettingsInput:
+    """compile_* take any (N, 4) array-like of settings through one check."""
+
+    COMPILERS = [compile_bell_polarization, compile_double_bell, compile_factored]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, 0.0, 0.0, 0.0]],
+            [
+                (0.1, 0.1 + PI / 4, 0.2 + PI / 4, 0.2),
+                (0.1, 0.1 + PI / 4, 0.2, 0.2 + PI / 4),
+                (0.3, 0.5, 0.7, 1.1),
+                (0, 0, 1, 1),
+            ],
+        ],
+        ids=["nested-list", "tuples"],
+    )
+    @pytest.mark.parametrize("compile_fig", COMPILERS)
+    def test_plain_rows_compile_as_their_array(self, compile_fig, rows):
+        from_rows = compile_fig(rows, CTX_PLUS)
+        assert from_rows.var_ids  # each input has a special setting
+        assert file_text(from_rows) == file_text(compile_fig(np.array(rows, dtype=float), CTX_PLUS))
+
+    @pytest.mark.parametrize("compile_fig", COMPILERS)
+    def test_non_finite_angles_are_rejected(self, compile_fig):
+        # the two bad rows are not dropped: the whole input is refused
+        settings = np.array([[0, math.nan, 0, 0], [math.inf, 0, 0, 0], [0, 0, 0, 0]])
+        with pytest.raises(ValueError, match=r"^phi2 must be a finite real, got nan$"):
+            compile_fig(settings, CTX_PLUS)
+        with pytest.raises(ValueError, match=r"^phi1 must be a finite real, got -inf$"):
+            compile_fig([(0.0, 0.0, 0.0, 0.0), (-math.inf, 0.0, 0.0, 0.0)], CTX_PLUS)
+
+    def test_contradiction_settings_are_two_rows(self):
+        settings = contradiction_settings(0.5, 1.5, -1)
+        assert settings.shape == (2, 4) and settings.dtype == np.float64
+        assert [classify_zeta(row, -1) for row in settings] == [+1, -1]
+        assert contradiction_settings(0, 0, +1).tolist()[0] == [0.0, PI / 4, PI / 4, 0.0]
 
 
 #: Angles where the array quantizer can part from round(): signed zeros,
@@ -267,7 +303,7 @@ class TestArrayQuantizer:
         rule = RULE_BELL_POLARIZATION if fig == 1 else RULE_DOUBLE_BELL
         compile_fig = compile_bell_polarization if fig == 1 else compile_double_bell
         compiled = compile_fig(np.array(rows, dtype=float).reshape(-1, 4), context, 1e-9)
-        replayed = replay_compile(rule, [AngleSettings(*row) for row in rows], context, 1e-9)
+        replayed = replay_compile(rule, rows, context, 1e-9)
         if factorize:
             compiled, replayed = apply_factorization(compiled), replay_factorization(replayed)
         assert file_text(compiled) == replayed.text()
@@ -305,7 +341,7 @@ class TestCompileTolerance:
     @pytest.mark.parametrize("kappa", [+1, -1])
     def test_setting_at_the_window_edge_is_certain(self, kappa):
         edge = float(np.nextafter(MAX_COMPILE_TOL, 0))  # the window is open
-        setting = AngleSettings(edge, 0.0, 0.0, 0.0)
+        setting = (edge, 0.0, 0.0, 0.0)
         cs = compile_bell_polarization([setting], HiddenContext(kappa), MAX_COMPILE_TOL)
         assert cs.required_signs == [+1]
         report = perfect_correlation_report(setting, MAX_COMPILE_TOL)
@@ -327,9 +363,7 @@ class TestCompileTolerance:
 class TestCompileDoubleBell:
     def test_zero_phase_setting(self):
         alpha, beta = 0.5, 2.2
-        cs = compile_double_bell(
-            [AngleSettings(alpha, alpha + PI / 4, beta + PI / 4, beta)], CTX_PLUS
-        )
+        cs = compile_double_bell([(alpha, alpha + PI / 4, beta + PI / 4, beta)], CTX_PLUS)
         (constraint,) = cs.constraints
         assert constraint.required_sign == +1
         assert tags_of(cs, 0) == ["F", "G"]
@@ -339,24 +373,20 @@ class TestCompileDoubleBell:
 
     def test_half_pi_setting(self):
         alpha, beta = 0.5, 2.2
-        cs = compile_double_bell(
-            [AngleSettings(alpha, alpha + PI / 4, beta, beta + PI / 4)], CTX_PLUS
-        )
+        cs = compile_double_bell([(alpha, alpha + PI / 4, beta, beta + PI / 4)], CTX_PLUS)
         (constraint,) = cs.constraints
         assert constraint.required_sign == -1
 
     def test_contradiction_settings_are_jointly_satisfiable_here(self):
         alpha, beta = 0.5, 2.2
-        cs = compile_double_bell(list(contradiction_settings(alpha, beta, +1)), CTX_PLUS)
+        cs = compile_double_bell(contradiction_settings(alpha, beta, +1), CTX_PLUS)
         assert cs.n_variables == 4
         result = enumerate_solve(cs)
         assert result.status is SolveStatus.SAT
 
     def test_never_emits_a_or_d(self):
         rng = np.random.default_rng(2)
-        settings_list = [
-            AngleSettings(a, a, b, b) for a, b in rng.uniform(0, 2 * PI, size=(10, 2))
-        ]
+        settings_list = [(a, a, b, b) for a, b in rng.uniform(0, 2 * PI, size=(10, 2))]
         cs = compile_double_bell(settings_list, CTX_MINUS)
         assert all(tag in ("F", "G") for tag, _ in cs.unknowns)
 
@@ -364,9 +394,7 @@ class TestCompileDoubleBell:
 class TestFactorization:
     def test_adds_definition_per_f_variable(self):
         alpha, beta = 0.4, 1.0
-        cs = compile_bell_polarization(
-            [AngleSettings(alpha, alpha + PI / 4, beta, beta + PI / 4)], CTX_MINUS
-        )
+        cs = compile_bell_polarization([(alpha, alpha + PI / 4, beta, beta + PI / 4)], CTX_MINUS)
         out = apply_factorization(cs)
         assert len(cs.constraints) == 1  # input untouched
         assert len(out.constraints) == 2
@@ -381,7 +409,7 @@ class TestFactorization:
     @pytest.mark.parametrize("context", [CTX_PLUS, CTX_MINUS])
     def test_huge_f_angles_register_no_new_f_unknown(self, context):
         points = [(1e7 + 0.3, 1.7e299), (-1.7e299, -1e7 - 0.7), (1.7e299, 1e7 + 0.3)]
-        cs = compile_double_bell([AngleSettings(x, x, y, y) for x, y in points], context)
+        cs = compile_double_bell([(x, x, y, y) for x, y in points], context)
         f_ids = [vid for vid, (tag, _) in enumerate(cs.unknowns) if tag == "F"]
         out = apply_factorization(cs)
         assert len(f_ids) == 3
@@ -392,7 +420,7 @@ class TestFactorization:
         assert out.n_variables == cs.n_variables + 6  # A(x) and D(y) per point
 
     def test_no_f_variables_is_a_fixed_point(self):
-        cs = compile_factored([AngleSettings(0.1, 0.1, 0.2, 0.2)], CTX_PLUS)
+        cs = compile_factored([(0.1, 0.1, 0.2, 0.2)], CTX_PLUS)
         assert apply_factorization(cs) == cs
 
     def test_factorized_system_is_equisatisfiable_with_factored_one(self):
@@ -406,9 +434,7 @@ class TestFactorization:
                 a = float(rng.choice(alphas))
                 b = float(rng.choice(betas))
                 settings_list.append(
-                    AngleSettings(
-                        a, a + float(rng.choice(offsets)), b + float(rng.choice(offsets)), b
-                    )
+                    (a, a + float(rng.choice(offsets)), b + float(rng.choice(offsets)), b)
                 )
             kappa = int(rng.choice([-1, 1]))
             context = HiddenContext(kappa=kappa)

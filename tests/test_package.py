@@ -18,6 +18,11 @@ def test_phase_and_report_types_are_not_exported():
         assert name not in bellswap.__all__ and not hasattr(bellswap, name)
 
 
+def test_settings_type_is_not_exported():
+    # a setting is a row of the (N, 4) angle array, not a dataclass
+    assert "AngleSettings" not in bellswap.__all__ and not hasattr(bellswap, "AngleSettings")
+
+
 def test_every_module_exported_name_resolves():
     # a name deleted from a module but left in its __all__ breaks star imports
     modules = [

@@ -8,7 +8,6 @@ from reference_qm import reference_coefficients
 from bellswap.quantum import (
     BELL_INDEX,
     BELL_ORDER,
-    AngleSettings,
     BellOutcome,
     _project,
     _rotate_all,
@@ -73,7 +72,7 @@ class TestVwState:
             state[0] = 1.0
 
     def test_state_and_its_rotations_are_real(self):
-        angles = AngleSettings(0.3, -1.1, 2.5, 4.0)
+        angles = (0.3, -1.1, 2.5, 4.0)
         assert make_vw_state().dtype == np.float64
         assert apply_all_rotations(make_vw_state(), angles).dtype == np.float64
         assert rotate_photon(make_vw_state(), 2, 0.7).dtype == np.float64
@@ -121,27 +120,25 @@ class TestRotation:
 class TestApplyAllRotations:
     def test_zeros_leave_state_unchanged(self):
         state = make_vw_state()
-        out = apply_all_rotations(state, AngleSettings(0, 0, 0, 0))
+        out = apply_all_rotations(state, (0, 0, 0, 0))
         np.testing.assert_allclose(out, state, atol=1e-15)
 
     def test_order_independent(self):
         rng = np.random.default_rng(3)
-        angles = AngleSettings(*rng.uniform(-5, 5, size=4))
+        angles = rng.uniform(-5, 5, size=4)
         state = make_vw_state()
         forward = apply_all_rotations(state, angles)
         backward = state
-        for photon, phi in reversed(list(enumerate(angles.as_tuple()))):
+        for photon, phi in reversed(list(enumerate(angles))):
             backward = rotate_photon(backward, photon, phi)
         assert np.max(np.abs(forward - backward)) < 1e-14
 
     def test_pairwise_shift_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            base = AngleSettings(*rng.uniform(0, 2 * PI, size=4))
+            base = rng.uniform(0, 2 * PI, size=4)
             delta, delta2 = rng.uniform(-PI, PI, size=2)
-            shifted = AngleSettings(
-                base.phi1 + delta, base.phi2 + delta, base.phi3 + delta2, base.phi4 + delta2
-            )
+            shifted = base + [delta, delta, delta2, delta2]
             a = bell_bell_amplitudes_numeric(apply_all_rotations(make_vw_state(), base))
             b = bell_bell_amplitudes_numeric(apply_all_rotations(make_vw_state(), shifted))
             assert np.max(np.abs(a - b)) < 1e-12
@@ -149,24 +146,37 @@ class TestApplyAllRotations:
 
 class TestPhases:
     def test_quarter_wave_plates(self):
-        xi, eta = compute_phases(AngleSettings(0, PI / 4, 0, PI / 4))
+        xi, eta = compute_phases((0, PI / 4, 0, PI / 4))
         assert xi == pytest.approx(-PI / 2)
         assert eta == pytest.approx(0.0)
 
     def test_zeros(self):
-        assert compute_phases(AngleSettings(0, 0, 0, 0)) == (0.0, 0.0)
+        assert compute_phases((0, 0, 0, 0)) == (0.0, 0.0)
 
     def test_equal_pairs_cancel_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             a, b = rng.uniform(-10, 10, size=2)
-            assert compute_phases(AngleSettings(a, a, b, b)) == (0.0, 0.0)
+            assert compute_phases((a, a, b, b)) == (0.0, 0.0)
 
-    def test_angles_must_be_finite(self):
-        with pytest.raises(ValueError):
-            AngleSettings(0.0, math.nan, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            AngleSettings(math.inf, 0.0, 0.0, 0.0)
+    def test_phases_are_python_floats(self):
+        phases = compute_phases(np.array([0.1, 0.2, 0.3, 0.4]))
+        assert [type(phase) for phase in phases] == [float, float]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            compute_phases,
+            lambda angles: bell_bell_coefficients([angles]),
+            lambda angles: bell_bell_coefficients_closed_form(np.array([[0.0] * 4, angles])),
+        ],
+        ids=["one-setting", "batch", "batch-with-a-good-row"],
+    )
+    def test_angles_must_be_finite(self, call):
+        with pytest.raises(ValueError, match=r"^phi2 must be a finite real, got nan$"):
+            call((0.0, math.nan, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"^phi1 must be a finite real, got inf$"):
+            call((math.inf, 0.0, 0.0, 0.0))
 
 
 class TestDoubleBellDecomposition:
@@ -181,12 +191,12 @@ class TestDoubleBellDecomposition:
         assert np.max(np.abs(off_diagonal)) < 1e-15
 
     def test_zero_angles_closed_form_matches_numeric(self):
-        closed = bell_bell_amplitudes_closed_form(AngleSettings(0, 0, 0, 0))
+        closed = bell_bell_amplitudes_closed_form((0, 0, 0, 0))
         numeric = bell_bell_amplitudes_numeric(make_vw_state())
         assert np.max(np.abs(closed - numeric)) < 1e-10
 
     def test_quarter_wave_swaps_kappa_plus_block(self):
-        closed = bell_bell_amplitudes_closed_form(AngleSettings(0, PI / 4, 0, PI / 4))
+        closed = bell_bell_amplitudes_closed_form((0, PI / 4, 0, PI / 4))
         assert coeff(closed, BellOutcome.PHI_PLUS, BellOutcome.PHI_PLUS) == pytest.approx(
             0.0, abs=1e-15
         )
@@ -195,7 +205,7 @@ class TestDoubleBellDecomposition:
     def test_closed_form_matches_numeric_on_random_settings(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
-            angles = AngleSettings(*rng.uniform(-2 * PI, 2 * PI, size=4))
+            angles = rng.uniform(-2 * PI, 2 * PI, size=4)
             closed = bell_bell_amplitudes_closed_form(angles)
             numeric = bell_bell_amplitudes_numeric(
                 apply_all_rotations(make_vw_state(), angles)
@@ -205,7 +215,7 @@ class TestDoubleBellDecomposition:
     def test_basis_is_complete(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            angles = AngleSettings(*rng.uniform(0, 2 * PI, size=4))
+            angles = rng.uniform(0, 2 * PI, size=4)
             numeric = bell_bell_amplitudes_numeric(
                 apply_all_rotations(make_vw_state(), angles)
             )
@@ -218,14 +228,14 @@ class TestDoubleBellDecomposition:
 class TestBatchedKernel:
     def settings(self):
         rng = np.random.default_rng(41)
-        rows = [AngleSettings(*rng.uniform(-2 * PI, 2 * PI, size=4)) for _ in range(500)]
+        rows = list(rng.uniform(-2 * PI, 2 * PI, size=(500, 4)))
         for _, build in _FAMILIES:
             rows += [build(*rng.uniform(0, 2 * PI, size=2)) for _ in range(10)]
         return rows
 
     def test_matches_per_setting_reference(self):
         settings = self.settings()
-        batch = np.array([angles.as_tuple() for angles in settings])
+        batch = np.array(settings)
         reference = np.array([reference_coefficients(angles) for angles in settings])
         assert np.max(np.abs(bell_bell_coefficients(batch) - reference)) < 1e-14
         assert np.max(np.abs(bell_bell_coefficients_closed_form(batch) - reference)) < 1e-14
@@ -237,7 +247,7 @@ class TestBatchedKernel:
 
     def test_one_setting_functions_give_the_rows_of_a_batch(self):
         settings = self.settings()[::7]
-        batch = np.array([angles.as_tuple() for angles in settings])
+        batch = np.array(settings)
         numeric, closed = bell_bell_coefficients(batch), bell_bell_coefficients_closed_form(batch)
         for i, angles in enumerate(settings):
             state = apply_all_rotations(make_vw_state(), angles)
@@ -245,7 +255,7 @@ class TestBatchedKernel:
             assert np.array_equal(bell_bell_amplitudes_closed_form(angles), closed[i])
 
     def test_one_setting_results_are_read_only(self):
-        angles = AngleSettings(0.1, 0.2, 0.3, 0.4)
+        angles = (0.1, 0.2, 0.3, 0.4)
         state = apply_all_rotations(make_vw_state(), angles)
         results = (
             make_vw_state(),

@@ -26,7 +26,6 @@ from bellswap.lhv import (
     float_reprs,
     quantize_angle,
 )
-from bellswap.quantum import AngleSettings
 from bellswap.serialize import (
     EVENT_CHUNK,
     EVENT_CSV_COLUMNS,
@@ -142,8 +141,7 @@ class TestConstraintSetJson:
         rng = np.random.default_rng(19)
         for _ in range(10):
             settings_list = [
-                AngleSettings(a, a + PI / 4, b, b + PI / 4)
-                for a, b in rng.uniform(0, 2 * PI, size=(3, 2))
+                (a, a + PI / 4, b, b + PI / 4) for a, b in rng.uniform(0, 2 * PI, size=(3, 2))
             ]
             for compiled in (
                 apply_factorization(
@@ -210,9 +208,7 @@ def compiled_systems(draw):
         base, step = draw(st.sampled_from(bases)), draw(st.integers(0, 3))
         return base + step * PI / 4 if step else base
 
-    settings_list = [
-        AngleSettings(*(angle() for _ in range(4))) for _ in range(draw(st.integers(0, 10)))
-    ]
+    settings_list = [tuple(angle() for _ in range(4)) for _ in range(draw(st.integers(0, 10)))]
     context = HiddenContext(draw(KAPPAS), draw(AWKWARD_TEXT))
     compile_fig = draw(
         st.sampled_from([compile_bell_polarization, compile_double_bell, compile_factored])
@@ -591,9 +587,7 @@ class TestSolveResultJson:
         assert sorted(signs) == [-1, 1]
 
     def test_sat_document_lists_model(self):
-        cs = compile_double_bell(
-            [AngleSettings(0.1, 0.1 + PI / 4, 0.2 + PI / 4, 0.2)], HiddenContext(kappa=+1)
-        )
+        cs = compile_double_bell([(0.1, 0.1 + PI / 4, 0.2 + PI / 4, 0.2)], HiddenContext(kappa=+1))
         result = enumerate_solve(cs)
         doc = solve_result_to_dict(cs, result, verified=True)
         assert doc["status"] == "sat"
@@ -662,7 +656,7 @@ class TestEventCsv:
         )
 
     def test_golden_bytes(self):
-        angles = AngleSettings(0, 0, 0, 0)
+        angles = (0, 0, 0, 0)
         events = sample_events(angles, 5, seed=42)
         buffer = io.StringIO()
         assert write_events_csv(buffer, angles, events) == 5
@@ -670,11 +664,11 @@ class TestEventCsv:
 
     def test_empty_event_list_writes_header_only(self):
         buffer = io.StringIO()
-        assert write_events_csv(buffer, AngleSettings(0, 0, 0, 0), []) == 0
+        assert write_events_csv(buffer, (0, 0, 0, 0), []) == 0
         assert buffer.getvalue() == ",".join(EVENT_CSV_COLUMNS) + "\n"
 
     def test_every_outcome_row_follows_from_the_outcome(self):
-        angles = AngleSettings(0.1, PI / 4, -2.5, 1e-9)
+        angles = (0.1, PI / 4, -2.5, 1e-9)
         buffer = io.StringIO()
         assert write_events_csv(buffer, angles, range(16)) == 16
         rows = buffer.getvalue().splitlines()[1:]
@@ -689,7 +683,7 @@ class TestEventCsv:
     def test_one_call_writes_a_chunk_at_a_time(self):
         # memory is bounded for every caller: each write holds at most one
         # chunk of rows, and the ids continue from start across the chunks
-        angles, n, start = AngleSettings(0.1, PI / 4, -2.5, 1e-9), 2 * EVENT_CHUNK + 3, 7
+        angles, n, start = (0.1, PI / 4, -2.5, 1e-9), 2 * EVENT_CHUNK + 3, 7
         outcomes = [k % 16 for k in range(n)]
         writes = []
         buffer = io.StringIO()
@@ -706,13 +700,13 @@ class TestEventCsv:
         assert array.getvalue() == "".join(writes)
 
     def test_angles_round_trip_through_repr(self):
-        angles = AngleSettings(0.1, PI / 4, -2.5, 1e-9)
+        angles = (0.1, PI / 4, -2.5, 1e-9)
         events = sample_events(angles, 3, seed=0)
         buffer = io.StringIO()
         write_events_csv(buffer, angles, events)
         lines = buffer.getvalue().splitlines()
         _, phi1, phi2, phi3, phi4, *_ = lines[1].split(",")
-        assert (float(phi1), float(phi2), float(phi3), float(phi4)) == angles.as_tuple()
+        assert (float(phi1), float(phi2), float(phi3), float(phi4)) == angles
 
     def test_format_version_constant(self):
         assert FORMAT_VERSION == 1

@@ -12,7 +12,6 @@ from bellswap.lhv import (
     compile_double_bell,
     contradiction_instance,
 )
-from bellswap.quantum import AngleSettings
 from bellswap.serialize import constraint_set_from_dict, constraint_set_to_dict
 from bellswap.solver import (
     SolveResult,
@@ -144,8 +143,8 @@ class TestGf2Solve:
 
     def test_double_bell_two_setting_instance_is_sat(self):
         settings_list = [
-            AngleSettings(0.5, 0.5 + PI / 4, 2.2 + PI / 4, 2.2),
-            AngleSettings(0.5, 0.5 + PI / 4, 2.2, 2.2 + PI / 4),
+            (0.5, 0.5 + PI / 4, 2.2 + PI / 4, 2.2),
+            (0.5, 0.5 + PI / 4, 2.2, 2.2 + PI / 4),
         ]
         cs = compile_double_bell(settings_list, HiddenContext(kappa=+1))
         result = gf2_solve(cs)

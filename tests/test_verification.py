@@ -6,7 +6,7 @@ from reference_qm import reference_family_settings, reference_qm_verification
 
 from bellswap import quantum, verification
 from bellswap.correlations import classify_zeta
-from bellswap.quantum import AngleSettings, BellOutcome
+from bellswap.quantum import BellOutcome
 from bellswap.verification import run_qm_verification, special_family_settings
 
 
@@ -45,8 +45,8 @@ def phi3_moved_off_phase(monkeypatch, offset):
 
     def moved(build):
         def build_moved(alpha, beta):
-            phi1, phi2, phi3, phi4 = build(alpha, beta).as_tuple()
-            return AngleSettings(phi1, phi2, phi3 + offset, phi4)
+            phi1, phi2, phi3, phi4 = build(alpha, beta)
+            return (phi1, phi2, phi3 + offset, phi4)
 
         return build_moved
 
@@ -100,7 +100,7 @@ class TestSweepMatchesPerSettingLoop:
         monkeypatch.setattr(verification, "bell_bell_coefficients_closed_form", xi_eta_swapped)
         report = run_qm_verification(grid=grid, seed=seed)
         reference = reference_qm_verification(
-            grid, 1e-9, seed, closed_form=lambda angles: xi_eta_swapped([angles.as_tuple()])[0]
+            grid, 1e-9, seed, closed_form=lambda angles: xi_eta_swapped([angles])[0]
         )
         checks = [v["check"] for v in reference["violations"]]
         # settings with xi = eta (mod 2 pi) pass, the others fail
@@ -128,7 +128,7 @@ class TestSweepMatchesPerSettingLoop:
         rng = np.random.default_rng(seed)
         rng.uniform(0.0, 2.0 * math.pi, size=(1, 4))  # the grid-1 sweep's setting
         dropped = [
-            (list(angles.as_tuple()), f"family {name}, kappa {kappa:+d}")
+            (list(angles), f"family {name}, kappa {kappa:+d}")
             for name, angles in special_family_settings(rng, 20)
             for kappa in (+1, -1)
             if classify_zeta(angles, kappa, tol) == 0

@@ -215,10 +215,11 @@ def cli_round(settings_text: str, repeat: int) -> tuple[dict[str, float], dict[s
 
 def event_stages(repeat: int) -> dict[str, float]:
     """Best time of sampling and of writing EVENTS events."""
-    angles = quantum.AngleSettings(*EVENT_ANGLES)
-    sample_ms, outcomes = best_ms(repeat, lambda: correlations.sample_events(angles, EVENTS, SEED))
+    sample_ms, outcomes = best_ms(
+        repeat, lambda: correlations.sample_events(EVENT_ANGLES, EVENTS, SEED)
+    )
     write_ms, _ = best_ms(
-        repeat, lambda: serialize.write_events_csv(io.StringIO(), angles, outcomes)
+        repeat, lambda: serialize.write_events_csv(io.StringIO(), EVENT_ANGLES, outcomes)
     )
     return {"sample_events": sample_ms, "write_events_csv": write_ms}
 
@@ -229,7 +230,7 @@ def qm_batch() -> np.ndarray:
     rng = np.random.default_rng(SEED)
     random = rng.uniform(0.0, 2 * math.pi, size=(QM_GRID**4, 4))
     families = verification.special_family_settings(rng, verification._PER_FAMILY)
-    return np.concatenate([random, [angles.as_tuple() for _, angles in families]])
+    return np.concatenate([random, [angles for _, angles in families]])
 
 
 def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
@@ -251,12 +252,11 @@ def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
             batch[family], numeric[family], correlations.DEFAULT_ANGLE_TOL
         ),
     )
-    first = quantum.AngleSettings(*batch[family.start])
     stage(
         "_correlation_report",
         lambda: json.dumps(
             correlations._correlation_report(
-                first, numeric[family.start], correlations.DEFAULT_ANGLE_TOL
+                batch[family.start], numeric[family.start], correlations.DEFAULT_ANGLE_TOL
             ),
             indent=2,
         ),
