@@ -17,14 +17,17 @@ Subcommands:
 
 Exit codes: 0 = checks passed / expected result, 1 = violation or unexpected
 result, 2 = usage error, unreadable input or unwritable output (an --out path,
-or a standard output whose reader has gone).  Angles are radians unless
+or a standard output whose reader has gone or whose disk is full).  Angles are radians unless
 --degrees is given.  ``serialize`` reads input files and raises only
-ValueError on a malformed one.  ``main`` builds the parser once per
-process and finds each command's ``cmd_*`` by name at call time, so a wrapped
-or patched one is the one that runs.  It pauses the cyclic garbage collector
-while the command runs, since commands build large acyclic data (parsed JSON,
-columns, tuples) that collector passes would only rescan, and leaves it as it
-found it; the library functions do not pause it.
+ValueError on a malformed one.  A command reports an unreadable input where
+it reads it, and opens its --out file before its work; the OSError of any
+write reaches ``main``, which alone turns it into exit 2 with one line.
+``main`` builds the parser once per process and finds each command's
+``cmd_*`` by name at call time, so a wrapped or patched one is the one that
+runs.  It pauses the cyclic garbage collector while the command runs, since
+commands build large acyclic data (parsed JSON, columns, tuples) that
+collector passes would only rescan, and leaves it as it found it; the
+library functions do not pause it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .correlations import (
     violating_outcomes,
 )
 from .lhv import (
+    _MAX_NUMBER,
     ConstraintSet,
     HiddenContext,
     apply_factorization,
@@ -61,7 +65,6 @@ from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_
 from .serialize import (
     EVENT_CHUNK,
     FORMAT_VERSION,
-    _MAX_NUMBER,
     dump_constraint_set,
     load_constraint_set,
     load_settings,
@@ -107,11 +110,6 @@ _COMPILE_TOL = _checked(
 )
 
 
-def _cannot_write(exc: OSError) -> int:
-    print(f"error: cannot write output: {exc}", file=sys.stderr)
-    return 2
-
-
 def _angles_from_args(args: argparse.Namespace) -> tuple[float, float, float, float] | None:
     """The angle flags in radians, as one setting's row of Python floats;
     None, after one line on stderr, if one is beyond the bound that a
@@ -142,7 +140,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     closed = bell_bell_coefficients_closed_form([angles])[0]
     deviation = float(np.max(np.abs(closed - numeric)))
     probabilities = np.abs(numeric) ** 2
-    correlations = _correlation_report(angles, numeric, args.tol)
+    # argparse and _angles_from_args checked the flags: finite and in bounds
+    correlations = _correlation_report(np.array(angles), numeric, args.tol)
     xi, eta = (sector["zeta"] for sector in correlations["sectors"])  # kappa +1, then -1
     if args.json:
         _print_json(
@@ -185,14 +184,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify_qm(args: argparse.Namespace) -> int:
     # --out is opened before the sweep, so an unwritable path fails at once
-    try:
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fp:
-            report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
-            text = json.dumps(report, indent=2)
-            if fp is not None:
-                fp.write(text + "\n")
-    except OSError as exc:
-        return _cannot_write(exc)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fp:
+        report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
+        text = json.dumps(report, indent=2)
+        if fp is not None:
+            fp.write(text + "\n")
     print(text)
     return 0 if report["passed"] else 1
 
@@ -201,17 +197,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (angles := _angles_from_args(args)) is None:
         return 2
     violations = 0
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            rng = np.random.default_rng(args.seed)
-            violating = violating_outcomes(angles, args.tol)
-            # one chunk at --events 0 too: it writes the header row
-            for start in range(0, args.events, EVENT_CHUNK) or [0]:
-                outcomes = sample_events(angles, min(EVENT_CHUNK, args.events - start), rng)
-                write_events_csv(fp, angles, outcomes, start)
-                violations += int(np.count_nonzero(violating[outcomes]))
-    except OSError as exc:
-        return _cannot_write(exc)
+    with open(args.out, "w", encoding="utf-8", newline="") as fp:
+        rng = np.random.default_rng(args.seed)
+        violating = violating_outcomes(angles, args.tol)
+        # one chunk at --events 0 too: it writes the header row
+        for start in range(0, args.events, EVENT_CHUNK) or [0]:
+            outcomes = sample_events(angles, min(EVENT_CHUNK, args.events - start), rng)
+            write_events_csv(fp, angles, outcomes, start)
+            violations += int(np.count_nonzero(violating[outcomes]))
     print(f"wrote {args.events} events to {args.out}; sector-product violations: {violations}")
     return 0 if violations == 0 else 1
 
@@ -273,14 +266,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return 2
     context = HiddenContext(kappa=args.kappa, label=args.label)
     compile_fig = compile_bell_polarization if args.fig == 1 else compile_double_bell
-    try:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            cs = compile_fig(settings, context, tol=args.tol)
-            if args.factorize:
-                cs = apply_factorization(cs)
-            dump_constraint_set(cs, fp)
-    except OSError as exc:
-        return _cannot_write(exc)
+    with open(args.out, "w", encoding="utf-8") as fp:
+        cs = compile_fig(settings, context, tol=args.tol)
+        if args.factorize:
+            cs = apply_factorization(cs)
+        dump_constraint_set(cs, fp)
     print(
         f"compiled {len(settings)} settings (fig {args.fig}, kappa {args.kappa:+d})"
         f" -> {cs.n_variables} variables, {len(cs.var_ids)} constraints: {args.out}"
@@ -396,13 +386,15 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except BrokenPipeError as exc:  # the reader closed stdout early (e.g. `| head`)
-        # what is still buffered, and the interpreter's final flush, go to devnull
-        # instead of raising into the closed pipe once more at exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return _cannot_write(exc)
+    except OSError as exc:  # a write to --out or stdout (closed by `| head`, a full disk)
+        if isinstance(exc, BrokenPipeError):
+            # what is still buffered, and the interpreter's final flush, go to
+            # devnull instead of raising into the closed pipe once more at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     finally:
         if collecting:
             gc.enable()

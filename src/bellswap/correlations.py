@@ -16,12 +16,13 @@ analyzer's polarization product F is +1 with certainty, and at zeta = +-pi/2
 it is -1 with certainty.
 
 A setting is a row of four angles, a (4,) array-like, and a batch of them
-an (N, 4) one; both go through quantum._angle_rows, and every sector phase
-comes from quantum._zetas.  Every prediction for a setting derives from one
-numeric decomposition: the rotated state is brute-force projected onto the
-double Bell basis, giving the 4x4 coefficient matrix C
-(quantum.bell_bell_coefficients, which does a whole batch of settings in one
-pass).  The double Bell probabilities are |C|^2; row X of C, expanded in the
+an (N, 4) one; a public function checks its settings once, through
+quantum._angle_row or _angle_rows, and the private ones take the checked
+arrays.  Every sector phase comes from quantum._zetas.  Every prediction for
+a setting derives from one numeric decomposition: the rotated state is
+brute-force projected onto the double Bell basis, giving the 4x4 coefficient
+matrix C (quantum.bell_bell_coefficients, which does a whole batch of
+settings in one pass).  The double Bell probabilities are |C|^2; row X of C, expanded in the
 Bell vectors, gives the (a, d) amplitudes of Bell outcome X and so the
 Bell/polarization distribution.  The sector reports read both in one array
 pass over a batch of settings and their C; one report is a batch of one.
@@ -47,11 +48,11 @@ from .quantum import (
     BELL_VECTORS,
     BellOutcome,
     Polarization,
-    _angle_rows,
+    _angle_row,
+    _coefficients,
     _read_only,
     _zetas,
     apply_all_rotations,
-    bell_bell_coefficients,
     make_vw_state,
 )
 
@@ -161,7 +162,7 @@ def zeta(angles, kappa: int) -> float:
     """Sector phase (phi1 - phi2) + kappa * (phi3 - phi4) of one setting."""
     if kappa not in (-1, +1):
         raise ValueError(f"kappa must be +1 or -1, got {kappa}")
-    return _zetas(_angle_rows([angles]), (kappa,)).item()
+    return _zetas(_angle_row(angles)[None], (kappa,)).item()
 
 
 def _predicted_product(zeta_value, tol: float):
@@ -194,12 +195,6 @@ def rotated_vw_state(angles) -> np.ndarray:
     return apply_all_rotations(make_vw_state(), angles)
 
 
-def _decompose(angles) -> np.ndarray:
-    """The numeric double Bell coefficients C of the rotated state, 4x4:
-    the one-setting case of quantum.bell_bell_coefficients."""
-    return bell_bell_coefficients([angles])[0]
-
-
 def _outcome_probabilities(coeffs: np.ndarray) -> np.ndarray:
     """Bell/polarization probabilities from C (or a stack of them), shaped
     (..., bell, pol_a, pol_d) in OUTCOME_ORDER: row X of C expanded in the
@@ -216,14 +211,14 @@ def joint_bell_probabilities(angles) -> np.ndarray:
     closed form, so cross-sector entries vanish as a prediction rather
     than by construction.
     """
-    return np.abs(_decompose(angles)) ** 2
+    return np.abs(_coefficients(_angle_row(angles)[None])[0]) ** 2
 
 
 def bell_polarization_distribution(
     angles,
 ) -> dict[tuple[BellOutcome, Polarization, Polarization], float]:
     """Joint probabilities of the Bell/polarization arrangement (16 entries)."""
-    probs = _outcome_probabilities(_decompose(angles))
+    probs = _outcome_probabilities(_coefficients(_angle_row(angles)[None]))
     return dict(zip(OUTCOME_ORDER, probs.ravel().tolist()))
 
 
@@ -232,7 +227,7 @@ def violating_outcomes(angles, tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
     the certain value of their sector at this setting.  A generic sector
     claims no value, so none of its outcomes violate."""
     mask = np.zeros(len(OUTCOME_ORDER), dtype=bool)
-    claims = _predicted_product(_zetas(_angle_rows([angles]), _SECTORS)[:, 0], tol).tolist()
+    claims = _predicted_product(_zetas(_angle_row(angles)[None], _SECTORS)[:, 0], tol).tolist()
     for sector, claim in enumerate(claims):
         if claim:
             mask[_SUMMED_CELLS[sector, claim, _SUMS[1]]] = True
@@ -248,7 +243,7 @@ def _outcome_cdf(angles: tuple[float, float, float, float]) -> np.ndarray:
     it too (a benchmark that repeats one setting skips its decomposition
     after the first command), while a one-command process computes it once
     either way."""
-    return _read_only(np.cumsum(_outcome_probabilities(_decompose(angles))))
+    return _read_only(np.cumsum(_outcome_probabilities(_coefficients(np.array([angles])))))
 
 
 def sample_events(angles, n: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -262,7 +257,7 @@ def sample_events(angles, n: int, seed: int | np.random.Generator) -> np.ndarray
     """
     if n < 0:
         raise ValueError("event count must be >= 0")
-    cdf = _outcome_cdf(tuple(_angle_rows([angles])[0].tolist()))
+    cdf = _outcome_cdf(tuple(_angle_row(angles).tolist()))
     rng = np.random.default_rng(seed)
     draws = np.searchsorted(cdf, rng.random(n), side="right")
     return np.minimum(draws, len(OUTCOME_ORDER) - 1)
@@ -280,16 +275,18 @@ def perfect_correlation_report(angles, tol: float = DEFAULT_ANGLE_TOL) -> dict:
     ``angles``, one dict per sector (kappa +1, then -1) and ``holds``, true
     unless some claimed certainty fails.
     """
-    return _correlation_report(angles, _decompose(angles), tol)
+    row = _angle_row(angles)
+    return _correlation_report(row, _coefficients(row[None])[0], tol)
 
 
-def _sector_arrays(settings, coeffs: np.ndarray, tol: float) -> tuple:
-    """Both sectors' values for an (N, 4) batch of settings and their (N, 4, 4)
-    coefficients C, in one array pass: zeta, predicted product (0 if generic,
-    whose violations mean nothing), sector probability, product violation and
-    pairing violation, each (N, 2) with columns kappa +1 and -1.  A sum reads
-    the cells in a one-setting sum's order, so it does not depend on the batch."""
-    zetas = _zetas(_angle_rows(settings), _SECTORS).T
+def _sector_arrays(rows: np.ndarray, coeffs: np.ndarray, tol: float) -> tuple:
+    """Both sectors' values for a checked (N, 4) batch of settings and their
+    (N, 4, 4) coefficients C, in one array pass: zeta, predicted product (0
+    if generic, whose violations mean nothing), sector probability, product
+    violation and pairing violation, each (N, 2) with columns kappa +1 and
+    -1.  A sum reads the cells in a one-setting sum's order, so it does not
+    depend on the batch."""
+    zetas = _zetas(rows, _SECTORS).T
     predicted = _predicted_product(zetas, tol)
     outcomes = _outcome_probabilities(coeffs).reshape(-1, 16)
     probs = np.concatenate([outcomes, (np.abs(coeffs) ** 2).reshape(-1, 16)], axis=1)
@@ -298,11 +295,10 @@ def _sector_arrays(settings, coeffs: np.ndarray, tol: float) -> tuple:
     return (zetas, predicted, *(picked[..., cells].sum(axis=2) for cells in _SUMS))
 
 
-def _correlation_report(angles, coeffs: np.ndarray, tol: float) -> dict:
-    """perfect_correlation_report from the setting's numeric coefficients C:
-    the one-setting case of _sector_arrays."""
-    rows = _angle_rows([angles])
-    values = _sector_arrays(rows, coeffs[None], tol)
+def _correlation_report(row: np.ndarray, coeffs: np.ndarray, tol: float) -> dict:
+    """perfect_correlation_report from a checked (4,) row and its numeric
+    coefficients C: the one-setting case of _sector_arrays."""
+    values = _sector_arrays(row[None], coeffs[None], tol)
     sectors = []
     for kappa, zeta_value, claim, probability, violation, pairing_violation in zip(
         _SECTORS, *(array[0].tolist() for array in values)
@@ -327,4 +323,4 @@ def _correlation_report(angles, coeffs: np.ndarray, tol: float) -> dict:
         )
     # generic sectors' None claims neither holds nor fails
     claims = [sector[key] for sector in sectors for key in ("product_certain", "pairing_certain")]
-    return {"angles": rows[0].tolist(), "sectors": sectors, "holds": False not in claims}
+    return {"angles": row.tolist(), "sectors": sectors, "holds": False not in claims}

@@ -15,21 +15,24 @@ a constant of the context, so one ConstraintSet is always compiled for a
 single kappa.
 
 Every constraint is one rule of _RULE_TERMS at one setting: the factorization
-too, as the rule F * A * D at the equal-angle setting (x, x, y, y).  Angles are
-keyed on a 1e-9 rad grid by quantize_angle, so that equal settings share one
-unknown.  The compilers take their settings as one (N, 4) array-like of
-angles in radians, such as the array serialize.load_settings returns or a
-list of 4-angle rows, checked by quantum._angle_rows; contradiction_settings
-returns its two settings as such an array.  A ConstraintSet is its columns,
-filled only by the compiler, in one array pass over the settings, and by
-serialize.constraint_set_from_dict.  An unknown is a (tag code, keys) pair of
-``unknowns``, named by ``labels``; ``constraints`` builds ParityConstraint rows
-(with their Provenance) from the constraint columns on each read.
+too, as the rule F * A * D at the equal-angle setting (x, x, y, y).  Only
+quantize_angle knows the 1e-9 rad grid: it rounds an unknown's angles to it,
+so that equal settings share one unknown.  The compilers take their settings
+as one (N, 4) array-like of angles in radians, such as the array
+serialize.load_settings returns or a list of 4-angle rows, checked by
+quantum._angle_rows; contradiction_settings returns its two settings as such
+an array.  A ConstraintSet is its columns, filled only by the compiler, in
+one array pass over the settings, and by serialize.constraint_set_from_dict.
+An unknown is a (tag code, grid angles) pair of ``unknowns``, the angles its
+file entry holds, named by ``labels``; ``constraints`` builds
+ParityConstraint rows (with their Provenance) from the constraint columns on
+each read.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -58,8 +61,11 @@ __all__ = [
     "contradiction_instance",
 ]
 
-#: Canonicalization grid for angle keys (radians per step).
+#: Canonicalization grid of an unknown's angles (radians per step).
 ANGLE_QUANTUM = 1e-9
+
+#: Largest magnitude whose grid angle is a finite float: the files' bound.
+_MAX_NUMBER = sys.float_info.max * ANGLE_QUANTUM
 
 # Rule tags recorded in constraint provenance.
 RULE_BELL_POLARIZATION = "afd-perfect-correlation"
@@ -89,13 +95,14 @@ class HiddenContext:
 
 
 def quantize_angle(phi) -> np.ndarray:
-    """Angle keys of an array of angles: phi / ANGLE_QUANTUM rounded half to
-    even, as integer-valued floats.  Adding 0.0 turns the -0.0 of a tiny
-    negative angle into 0.0, so a key never prints as -0.0."""
-    keys = np.rint(np.divide(phi, ANGLE_QUANTUM)) + 0.0
-    if not np.isfinite(keys).all():
-        raise OverflowError("angle too large for its key to be a finite float")
-    return keys
+    """Grid angles of an array of angles: phi / ANGLE_QUANTUM rounded half to
+    even, times ANGLE_QUANTUM.  A grid angle is its own grid angle.  Adding
+    0.0 turns the -0.0 of a tiny negative angle into 0.0, so a grid angle
+    never prints as -0.0."""
+    angles = (np.rint(np.divide(phi, ANGLE_QUANTUM)) + 0.0) * ANGLE_QUANTUM
+    if not np.isfinite(angles).all():
+        raise OverflowError("angle too large for its grid angle to be a finite float")
+    return angles
 
 
 def float_reprs(values: Sequence[float]) -> list[str]:
@@ -129,13 +136,12 @@ class ParityConstraint:
 class ConstraintSet:
     """Parity constraints over +-1 unknowns, one context, stored as columns.
 
-    ``unknowns`` holds a (tag code, angle keys) pair per unknown, by id, the
-    keys the integer-valued floats of quantize_angle; ``labels`` names them.
-    ``var_ids``, ``required_signs``, ``angles`` (the 4 of the setting),
-    ``zetas`` and ``equations`` hold an entry per constraint.  A new set is
-    empty; the compiler and serialize.constraint_set_from_dict fill it from
-    checked columns.  ``constraints`` is a list of rows built from those
-    columns on each read.
+    ``unknowns`` holds a (tag code, grid angles) pair per unknown, by id;
+    ``labels`` names them.  ``var_ids``, ``required_signs``, ``angles`` (the
+    4 of the setting), ``zetas`` and ``equations`` hold an entry per
+    constraint.  A new set is empty; the compiler and
+    serialize.constraint_set_from_dict fill it from checked columns.
+    ``constraints`` is a list of rows built from those columns on each read.
     """
 
     def __init__(self, context: HiddenContext) -> None:
@@ -155,11 +161,11 @@ class ConstraintSet:
     def labels(self, vids: Iterable[int]) -> list[str]:
         """The labels, such as ``F(0.1, 0.2)``, of the unknowns with these ids."""
         rows = [self.unknowns[vid] for vid in vids]
-        angles = iter(float_reprs([key * ANGLE_QUANTUM for _, keys in rows for key in keys]))
-        return [f"{tag}({', '.join(islice(angles, len(keys)))})" for tag, keys in rows]
+        text = iter(float_reprs([phi for _, angles in rows for phi in angles]))
+        return [f"{tag}({', '.join(islice(text, len(angles)))})" for tag, angles in rows]
 
     def _register(self, unknowns: Iterable[tuple[str, tuple]]) -> list[int]:
-        """Ids of (tag code, keys) pairs; new ones register in order of first occurrence."""
+        """Ids of (tag code, grid angles) pairs; new ones register in order of first use."""
         ids, known = self._ids, len(self._ids)
         # len(ids) is read before setdefault inserts, so a new pair gets the next id
         found = [ids.setdefault(unknown, len(ids)) for unknown in unknowns]
@@ -200,8 +206,8 @@ def _compile(rule: str, settings, cs: ConstraintSet, tol: float) -> ConstraintSe
 
     One array pass over the (N, 4) array-like of settings: one _zetas call
     gives every sector phase, one _predicted_product call classifies them
-    and one quantize_angle call keys the kept settings, whose unknowns
-    register term by term through one dict."""
+    and one quantize_angle call puts the kept settings on the grid, whose
+    unknowns register term by term through one dict."""
     if not 0 < tol <= MAX_COMPILE_TOL:
         raise ValueError(
             f"tol must be > 0 and <= {MAX_COMPILE_TOL!r}, the widest phase window whose"
@@ -212,8 +218,8 @@ def _compile(rule: str, settings, cs: ConstraintSet, tol: float) -> ConstraintSe
     signs = _predicted_product(zetas, tol)
     kept = signs != 0
     phis = phis[kept]
-    keys = quantize_angle(phis).T.tolist()
-    terms = [zip(repeat(tag), zip(*(keys[i] for i in slots))) for tag, slots in _RULE_TERMS[rule]]
+    grid = quantize_angle(phis).T.tolist()
+    terms = [zip(repeat(tag), zip(*(grid[i] for i in slots))) for tag, slots in _RULE_TERMS[rule]]
     found = iter(cs._register(chain.from_iterable(zip(*terms))))
     var_ids = list(zip(*[found] * len(terms)))
     angles = list(map(tuple, phis.tolist()))
@@ -264,9 +270,8 @@ def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
     F(x, y) keeps its id and A(x), D(y) register in the id order of the F
     unknowns.  The input is untouched.
     """
-    f_keys = np.reshape([keys for tag, keys in cs.unknowns if tag == "F"], (-1, 2))
-    settings = f_keys[:, [0, 0, 1, 1]] * ANGLE_QUANTUM
-    return _compile(RULE_FACTORIZATION, settings, cs.copy(), DEFAULT_ANGLE_TOL)
+    f_angles = np.reshape([angles for tag, angles in cs.unknowns if tag == "F"], (-1, 2))
+    return _compile(RULE_FACTORIZATION, f_angles[:, [0, 0, 1, 1]], cs.copy(), DEFAULT_ANGLE_TOL)
 
 
 def contradiction_settings(alpha: float, beta: float, kappa: int) -> np.ndarray:

@@ -25,10 +25,10 @@ Conventions
 
 A setting is a row of four rotation angles (phi1, phi2, phi3, phi4), in
 radians, applied to photons a..d; angles are carried raw, never normalized.
-A batch of settings is an (N, 4) array-like and one setting a (4,) one;
-every input goes through one check, _angle_rows, which a one-setting
-function passes its setting to as a batch of one, and which rejects any
-other shape and any angle that is not finite.  The sector phases
+A batch of settings is an (N, 4) array-like, checked by _angle_rows, and one
+setting a (4,) one, checked by _angle_row: any other shape, a dtype other
+than integer or float, or an angle that is not finite is rejected.  The
+private kernels take arrays their callers checked.  The sector phases
 zeta_kappa = (phi1 - phi2) + kappa * (phi3 - phi4) of a batch are computed
 in one place, _zetas.
 
@@ -121,8 +121,11 @@ BELL_VECTORS: dict[BellOutcome, np.ndarray] = {
 
 def _angle_rows(angles) -> np.ndarray:
     """The settings of a batch as an (N, 4) float array of finite angles; an
-    empty sequence is the empty batch."""
-    rows = np.asarray(angles, dtype=float)
+    empty sequence is the empty batch.  Only integer and float dtypes are
+    angles, so a string fails but a bool among numbers reads as an int."""
+    if (rows := np.asarray(angles)).dtype.kind not in "iuf":
+        raise ValueError(f"angles must be real numbers, got dtype {rows.dtype}")
+    rows = rows.astype(float, copy=False)
     if rows.shape == (0,):
         rows = rows.reshape(0, 4)
     if rows.ndim != 2 or rows.shape[1] != 4:
@@ -132,6 +135,13 @@ def _angle_rows(angles) -> np.ndarray:
         row, col = np.argwhere(~finite)[0].tolist()
         raise ValueError(f"phi{col + 1} must be a finite real, got {rows[row, col].item()!r}")
     return rows
+
+
+def _angle_row(angles) -> np.ndarray:
+    """One setting as a (4,) float array, checked as _angle_rows checks one."""
+    if (row := np.asarray(angles)).shape != (4,):
+        raise ValueError(f"angles must have shape (4,), got {row.shape}")
+    return _angle_rows(row[None])[0]
 
 
 def _zetas(rows: np.ndarray, kappas) -> np.ndarray:
@@ -147,7 +157,7 @@ def compute_phases(angles) -> tuple[float, float]:
     """(xi, eta) = ((phi1 - phi2) + (phi3 - phi4), (phi1 - phi2) - (phi3 - phi4))
     of one setting, the phases that govern the swapped correlations; exact,
     no wrapping."""
-    return tuple(_zetas(_angle_rows([angles]), (+1, -1))[:, 0].tolist())
+    return tuple(_zetas(_angle_row(angles)[None], (+1, -1))[:, 0].tolist())
 
 
 def make_vw_state() -> np.ndarray:
@@ -158,14 +168,14 @@ def make_vw_state() -> np.ndarray:
     return _read_only((np.outer(singlet, singlet) / 2).reshape(16))
 
 
-def _rotate_all(amplitudes: np.ndarray, angles) -> np.ndarray:
-    """The 16 amplitudes rotated by every setting of an (N, 4) batch: (N, 16).
+def _rotate_all(amplitudes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The 16 amplitudes rotated by every setting of a checked (N, 4) batch:
+    (N, 16).
 
     The state is a 4x4 matrix over (ab, cd), so the rotation of a and b acts
     from the left as the Kronecker product R(phi1) x R(phi2), and that of c
     and d from the right as R(phi3) x R(phi4), transposed.
     """
-    rows = _angle_rows(angles)
     cos, sin = np.cos(rows), np.sin(rows)
     rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 4, 2, 2)
     left = np.einsum("nai,nbj->nabij", rot[:, 0], rot[:, 1]).reshape(-1, 4, 4)
@@ -194,7 +204,12 @@ def bell_bell_coefficients(angles) -> np.ndarray:
     Builds the N rotations, applies them to the two-singlet amplitudes and
     projects onto the Bell vectors; nothing is taken from the closed form.
     """
-    return _project(_rotate_all(make_vw_state(), angles))
+    return _coefficients(_angle_rows(angles))
+
+
+def _coefficients(rows: np.ndarray) -> np.ndarray:
+    """bell_bell_coefficients of a checked (N, 4) float array."""
+    return _project(_rotate_all(make_vw_state(), rows))
 
 
 def bell_bell_coefficients_closed_form(angles) -> np.ndarray:
@@ -226,7 +241,7 @@ def rotate_photon(state: np.ndarray, photon: int, phi: float) -> np.ndarray:
         raise IndexError(f"photon index must be 0..3, got {photon}")
     angles = np.zeros((1, 4))
     angles[0, photon] = phi
-    return _read_only(_rotate_all(state, angles)[0])
+    return _read_only(_rotate_all(state, _angle_rows(angles))[0])
 
 
 def apply_all_rotations(state: np.ndarray, angles) -> np.ndarray:
@@ -235,7 +250,7 @@ def apply_all_rotations(state: np.ndarray, angles) -> np.ndarray:
     The four rotations act on disjoint factors, so the application order
     is irrelevant.
     """
-    return _read_only(_rotate_all(state, [angles])[0])
+    return _read_only(_rotate_all(state, _angle_row(angles)[None])[0])
 
 
 def bell_bell_amplitudes_numeric(state: np.ndarray) -> np.ndarray:
@@ -247,4 +262,4 @@ def bell_bell_amplitudes_numeric(state: np.ndarray) -> np.ndarray:
 def bell_bell_amplitudes_closed_form(angles) -> np.ndarray:
     """Closed form of the rotated two-singlet state's (4, 4) coefficients at
     one setting."""
-    return _read_only(bell_bell_coefficients_closed_form([angles])[0])
+    return _read_only(bell_bell_coefficients_closed_form(_angle_row(angles)[None])[0])

@@ -24,7 +24,6 @@ endings are golden-tested.
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from itertools import chain, islice, repeat
@@ -33,15 +32,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
-from .lhv import (
-    ANGLE_QUANTUM,
-    TAG_ARITY,
-    ConstraintSet,
-    HiddenContext,
-    float_reprs,
-    quantize_angle,
-)
-from .quantum import _angle_rows
+from .lhv import TAG_ARITY, _MAX_NUMBER, ConstraintSet, HiddenContext, float_reprs, quantize_angle
+from .quantum import _angle_row
 from .solver import SolveResult, SolveStatus
 
 __all__ = [
@@ -85,8 +77,8 @@ def constraint_set_to_dict(cs: ConstraintSet) -> dict:
         "format_version": FORMAT_VERSION,
         "context": {"kappa": cs.context.kappa, "label": cs.context.label},
         "variables": [
-            {"id": i, "tag": tag, "angles": [key * ANGLE_QUANTUM for key in keys]}
-            for i, (tag, keys) in enumerate(cs.unknowns)
+            {"id": i, "tag": tag, "angles": list(angles)}
+            for i, (tag, angles) in enumerate(cs.unknowns)
         ],
         "constraints": [
             {
@@ -100,10 +92,6 @@ def constraint_set_to_dict(cs: ConstraintSet) -> dict:
             )
         ],
     }
-
-
-#: Largest magnitude whose angle key (lhv.quantize_angle) is a finite float.
-_MAX_NUMBER = sys.float_info.max * ANGLE_QUANTUM
 
 
 def _parse(fp: IO[str]):
@@ -138,9 +126,9 @@ def _check_ids(entries: list[dict], start: int, kind: str) -> None:
 
 
 def _numbers(values: list, name: str) -> np.ndarray:
-    """Exact JSON numbers up to _MAX_NUMBER, as one float array: float()
-    reads true as 1.0 and "0.5" as 0.5, json reads NaN and Infinity, and an
-    int may overflow a float."""
+    """Exact JSON numbers up to lhv._MAX_NUMBER, whose grid angles are finite,
+    as one float array: float() reads true as 1.0 and "0.5" as 0.5, json
+    reads NaN and Infinity, and an int may overflow a float."""
     if _types(values) <= {int, float}:
         with suppress(OverflowError):  # an int beyond the float range
             array = np.array(values, dtype=float)
@@ -185,11 +173,13 @@ def load_settings(fp: IO[str], degrees: bool) -> np.ndarray:
 
 
 def _variable_columns(entries: list, start: int) -> list[tuple[str, tuple]]:
-    """The (tag code, angle keys) pair of each variable entry."""
+    """The (tag code, grid angles) pair of each variable entry: its angles
+    through lhv.quantize_angle, which leaves the grid angles that every
+    written file holds as they are."""
     if not _types(entries) <= {dict} or not _types(angles := _field(entries, "angles")) <= {list}:
         raise ValueError(f"variable {start} must be an object with an angles list")
     _check_ids(entries, start, "variable")
-    keys = iter(quantize_angle(_numbers(list(chain.from_iterable(angles)), "angle")).tolist())
+    grid = iter(quantize_angle(_numbers(list(chain.from_iterable(angles)), "angle")).tolist())
     tags = _field(entries, "tag")
     if not _types(tags) <= {str} or not set(tags) <= TAG_ARITY.keys():
         # pinned byte for byte: it is the CLI's exit-2 stderr
@@ -197,7 +187,7 @@ def _variable_columns(entries: list, start: int) -> list[tuple[str, tuple]]:
     arities = list(map(TAG_ARITY.get, tags))
     if list(map(len, angles)) != arities:
         raise ValueError(f"{tags[0]} takes {arities[0]} angle(s)")
-    return [(tag, tuple(islice(keys, arity))) for tag, arity in zip(tags, arities)]
+    return [(tag, tuple(islice(grid, arity))) for tag, arity in zip(tags, arities)]
 
 
 def _constraint_columns(entries: list, start: int) -> tuple[list, ...]:
@@ -288,13 +278,8 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
     pure Python and makes one write per token.  Numbers print as json prints
     them (float.__repr__, formatted once per distinct value, and str of an
     int), the two free strings through json.dumps."""
-    text = float_reprs(
-        [
-            *(key * ANGLE_QUANTUM for _, keys in cs.unknowns for key in keys),
-            *chain.from_iterable(cs.angles),
-            *cs.zetas,
-        ]
-    )
+    variables = chain.from_iterable(grid for _, grid in cs.unknowns)
+    text = float_reprs([*variables, *chain.from_iterable(cs.angles), *cs.zetas])
     angles = iter(text)  # the variables' angles, then the settings' angles
     zetas = islice(text, len(text) - len(cs.zetas), None)
     quoted = {equation: json.dumps(equation) for equation in set(cs.equations)}
@@ -307,8 +292,8 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
         fp,
         (
             f'{{\n      "id": {i},\n      "tag": "{tag}",\n'
-            f'      "angles": {_array(islice(angles, len(keys)), "      ")}\n    }}'
-            for i, (tag, keys) in enumerate(cs.unknowns)
+            f'      "angles": {_array(islice(angles, len(grid)), "      ")}\n    }}'
+            for i, (tag, grid) in enumerate(cs.unknowns)
         ),
     )
     fp.write(',\n  "constraints": ')
@@ -381,7 +366,7 @@ def write_events_csv(
     % call per chunk, so the text held at once does not grow with the
     number of events.
     """
-    phis = ",".join(map(repr, _angle_rows([angles])[0].tolist()))
+    phis = ",".join(map(repr, _angle_row(angles).tolist()))
     rows = [f"{phis},{cells}" for cells in _OUTCOME_CELLS]
     if start == 0:
         fp.write(",".join(EVENT_CSV_COLUMNS) + "\n")

@@ -1,3 +1,4 @@
+import errno
 import gc
 import itertools
 import json
@@ -619,6 +620,20 @@ class TestMalformedInput:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: cannot write output:")
+
+    @pytest.mark.parametrize(
+        "argv", [["refute"], ["decompose", "--json"], ["verify-qm", "--grid", "1"]]
+    )
+    def test_full_stdout_exits_2_with_one_line(self, capsys, monkeypatch, argv):
+        # any write error reaches main, not only a reader that went away
+        class FullDevice:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullDevice())
+        assert main(argv) == 2
+        message = "error: cannot write output: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == message
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from bellswap.correlations import (
     joint_bell_probabilities,
     kappa_of,
     perfect_correlation_report,
+    rotated_vw_state,
     sample_events,
+    violating_outcomes,
     zeta,
 )
 from bellswap.quantum import (
@@ -25,6 +28,8 @@ from bellswap.quantum import (
     BellOutcome,
     Polarization,
     apply_all_rotations,
+    bell_bell_amplitudes_closed_form,
+    compute_phases,
     make_vw_state,
 )
 from bellswap.serialize import write_events_csv
@@ -32,6 +37,22 @@ from bellswap.verification import _FAMILIES, run_qm_verification
 
 PI = math.pi
 ZEROS = (0, 0, 0, 0)
+
+#: Every public function of one setting, called with only that setting.
+ONE_SETTING = {
+    "zeta": lambda angles: zeta(angles, 1),
+    "classify_zeta": lambda angles: classify_zeta(angles, 1),
+    "violating_outcomes": violating_outcomes,
+    "sample_events": lambda angles: sample_events(angles, 3, 1),
+    "perfect_correlation_report": perfect_correlation_report,
+    "joint_bell_probabilities": joint_bell_probabilities,
+    "bell_polarization_distribution": bell_polarization_distribution,
+    "rotated_vw_state": rotated_vw_state,
+    "write_events_csv": lambda angles: write_events_csv(io.StringIO(), angles, [0]),
+    "compute_phases": compute_phases,
+    "apply_all_rotations": lambda angles: apply_all_rotations(make_vw_state(), angles),
+    "bell_bell_amplitudes_closed_form": bell_bell_amplitudes_closed_form,
+}
 
 
 class TestOutcomeCodings:
@@ -262,10 +283,15 @@ class TestClassifyZeta:
             phase_class = classify_zeta(angles, -1)
             assert type(phase_class) is int and phase_class == +1
 
-    def test_rejects_a_batch_or_a_short_row(self):
-        for angles in (np.zeros((2, 4)), (0.0, 0.0, 0.0)):
-            with pytest.raises(ValueError, match="must have shape"):
-                zeta(angles, 1)
+    @pytest.mark.parametrize("call", ONE_SETTING.values(), ids=ONE_SETTING.keys())
+    def test_rejects_a_batch_or_a_short_row(self, call):
+        # each one-setting function names the shape of one setting
+        for angles, shape in ((np.zeros((2, 4)), "(2, 4)"), ((0.0, 0.0, 0.0), "(3,)")):
+            message = f"angles must have shape (4,), got {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(angles)
+        with pytest.raises(ValueError, match=r"^angles must be real numbers, got dtype <U"):
+            call(("0.5", True, 0, 0))
 
     def test_zeta_values(self):
         angles = (0.1, 0.5, 1.0, 0.25)

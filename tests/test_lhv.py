@@ -21,6 +21,7 @@ from bellswap.lhv import (
     RULE_BELL_POLARIZATION,
     RULE_DOUBLE_BELL,
     RULE_FACTORIZATION,
+    _MAX_NUMBER,
     ConstraintSet,
     HiddenContext,
     ParityConstraint,
@@ -33,7 +34,7 @@ from bellswap.lhv import (
     contradiction_settings,
     quantize_angle,
 )
-from bellswap.serialize import _MAX_NUMBER, dump_constraint_set
+from bellswap.serialize import dump_constraint_set
 from bellswap.solver import SolveStatus, enumerate_solve
 
 PI = math.pi
@@ -46,7 +47,7 @@ def tags_of(cs: ConstraintSet, constraint_index: int) -> list[str]:
 
 
 def angles_of(cs: ConstraintSet, vid: int) -> tuple[float, ...]:
-    return tuple(key * ANGLE_QUANTUM for key in cs.unknowns[vid][1])
+    return cs.unknowns[vid][1]
 
 
 class TestCompileBellPolarization:
@@ -253,6 +254,11 @@ class TestSettingsInput:
         with pytest.raises(ValueError, match=r"^phi1 must be a finite real, got -inf$"):
             compile_fig([(0.0, 0.0, 0.0, 0.0), (-math.inf, 0.0, 0.0, 0.0)], CTX_PLUS)
 
+    @pytest.mark.parametrize("kappa", [0, 2, -2])
+    def test_contradiction_settings_need_a_sector(self, kappa):
+        with pytest.raises(ValueError, match=rf"^kappa must be \+1 or -1, got {kappa}$"):
+            contradiction_settings(0.0, 0.0, kappa)
+
     def test_contradiction_settings_are_two_rows(self):
         settings = contradiction_settings(0.5, 1.5, -1)
         assert settings.shape == (2, 4) and settings.dtype == np.float64
@@ -317,12 +323,16 @@ class TestArrayQuantizer:
             st.floats(-_MAX_NUMBER, _MAX_NUMBER),
         )
     )
-    def test_key_round_trips_through_its_angle(self, phi):
-        # apply_factorization compiles F(x, y) at the angles key * ANGLE_QUANTUM,
-        # so those must key back to the F unknown's own keys.  Angles are drawn,
-        # not keys: a set only holds keys that quantize_angle made.
-        key = quantize_angle(phi)
-        assert quantize_angle(key * ANGLE_QUANTUM) == key
+    def test_grid_angle_is_its_own_grid_angle(self, phi):
+        # apply_factorization compiles F(x, y) at the F unknown's grid angles,
+        # so those must quantize back to themselves.  Angles are drawn, not
+        # grid angles: a set only holds grid angles that quantize_angle made.
+        grid = quantize_angle(phi)
+        assert quantize_angle(grid) == grid
+        # and two angles share a grid angle exactly when they share a step
+        # count, so the grid tells apart every step that round() tells apart
+        steps = np.rint(np.divide(phi, ANGLE_QUANTUM)) + 0.0
+        assert np.rint(grid / ANGLE_QUANTUM) + 0.0 == steps
 
     def test_tiny_negative_angle_prints_as_zero(self):
         cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)

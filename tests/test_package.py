@@ -4,7 +4,7 @@ import pkgutil
 from pathlib import Path
 
 import bellswap
-from bellswap import cli
+from bellswap import cli, serialize
 
 
 def test_every_exported_name_resolves():
@@ -21,6 +21,13 @@ def test_phase_and_report_types_are_not_exported():
 def test_settings_type_is_not_exported():
     # a setting is a row of the (N, 4) angle array, not a dataclass
     assert "AngleSettings" not in bellswap.__all__ and not hasattr(bellswap, "AngleSettings")
+
+
+def test_only_lhv_knows_the_angle_grid():
+    # an unknown holds its grid angles, so the writer and the CLI never
+    # convert with the grid step
+    for module in (serialize, cli):
+        assert not hasattr(module, "ANGLE_QUANTUM")
 
 
 def test_every_module_exported_name_resolves():

@@ -177,6 +177,9 @@ class TestPhases:
             call((0.0, math.nan, 0.0, 0.0))
         with pytest.raises(ValueError, match=r"^phi1 must be a finite real, got inf$"):
             call((math.inf, 0.0, 0.0, 0.0))
+        # numpy reads a row with a string as strings, which are no angles
+        with pytest.raises(ValueError, match=r"^angles must be real numbers, got dtype <U"):
+            call(("0.5", True, 0.0, 0.0))
 
 
 class TestDoubleBellDecomposition:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from instance_gen import system_document
+from instance_gen import grid_settings, system_document
 
 from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of, sample_events
 from bellswap.lhv import (
@@ -157,6 +157,22 @@ class TestConstraintSetJson:
         dump_constraint_set(cs, buffer)
         buffer.seek(0)
         assert load_constraint_set(buffer) == cs
+
+    @pytest.mark.parametrize("kappa", [+1, -1])
+    @pytest.mark.parametrize("fig", [1, 2])
+    def test_unknowns_hold_the_angles_of_the_file(self, fig, kappa):
+        # an unknown is its tag and the angles its file entry prints, also in
+        # a set loaded back from that file
+        compile_fig = compile_bell_polarization if fig == 1 else compile_double_bell
+        compiled = compile_fig(grid_settings(np.random.default_rng(301), 3), HiddenContext(kappa))
+        factorized = apply_factorization(compiled)
+        loaded = [load_constraint_set(io.StringIO(dumped(cs))) for cs in (compiled, factorized)]
+        for cs in (compiled, factorized, *loaded):
+            doc = json.loads(dumped(cs))
+            assert len(cs.unknowns) == len(doc["variables"]) > 0
+            for (tag, angles), variable in zip(cs.unknowns, doc["variables"], strict=True):
+                assert (tag, angles) == (variable["tag"], tuple(variable["angles"]))
+                assert {type(phi) for phi in angles} == {float}
 
     def test_golden_document(self):
         doc = constraint_set_to_dict(contradiction_instance(0.0, 0.0, +1))

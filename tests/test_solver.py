@@ -12,6 +12,7 @@ from bellswap.lhv import (
     compile_double_bell,
     contradiction_instance,
 )
+from bellswap import solver
 from bellswap.serialize import constraint_set_from_dict, constraint_set_to_dict
 from bellswap.solver import (
     SolveResult,
@@ -127,6 +128,38 @@ class TestEnumerateSolve:
         result = enumerate_solve(cs)
         assert result.status is SolveStatus.SAT
         assert verify_certificate(cs, result)
+
+
+def unsat_instances() -> list[ConstraintSet]:
+    """The contradiction instance in both sectors, then the first 25 UNSAT
+    systems of a seeded random_compiled_instance stream."""
+    instances = [contradiction_instance(0.3, 0.9, kappa) for kappa in (+1, -1)]
+    rng = np.random.default_rng(67)
+    while len(instances) < 27:
+        cs = random_compiled_instance(rng)
+        if gf2_solve(cs).status is SolveStatus.UNSAT:
+            instances.append(cs)
+    return instances
+
+
+class TestDeletionCertificate:
+    """enumerate_solve's fallback when the smallest-subset search runs out of
+    its combination budget: a deletion-minimal unsatisfiable subset."""
+
+    def test_budget_exit_falls_back_to_an_irreducible_certificate(self, monkeypatch):
+        smallest = [enumerate_solve(cs).certificate for cs in unsat_instances()]
+        monkeypatch.setattr(solver, "_SUBSET_BUDGET", 0)
+        for cs, best in zip(unsat_instances(), smallest, strict=True):
+            rows = solver._parity_rows(cs)
+            assert solver._subset_certificate(rows) is None
+            result = enumerate_solve(cs)
+            assert result.status is SolveStatus.UNSAT
+            assert verify_certificate(cs, result)
+            assert len(result.certificate) >= len(best)
+            # irreducible: without any one of its constraints the rest is satisfiable
+            for dropped in result.certificate:
+                kept = [rows[cid] for cid in result.certificate if cid != dropped]
+                assert solver._scan_assignments(kept, cs.n_variables) is not None
 
 
 class TestGf2Solve:
@@ -261,6 +294,15 @@ class TestVerifyCertificate:
         partial = dict(result.model)
         partial.pop(0)
         assert not verify_certificate(cs, SolveResult(SolveStatus.SAT, model=partial))
+
+    def test_sat_result_without_a_model_rejected(self):
+        assert not verify_certificate(chain_set([+1]), SolveResult(SolveStatus.SAT))
+
+    @pytest.mark.parametrize("value", [0, 2, -2, 0.5])
+    def test_model_value_other_than_a_sign_rejected(self, value):
+        cs = chain_set([+1])
+        model = {0: value, 1: value}
+        assert not verify_certificate(cs, SolveResult(SolveStatus.SAT, model=model))
 
     def test_dropped_certificate_constraint_rejected(self):
         cs = contradiction_instance(0.3, 0.9, +1)
