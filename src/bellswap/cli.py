@@ -17,17 +17,17 @@ Subcommands:
 
 Exit codes: 0 = checks passed / expected result, 1 = violation or unexpected
 result, 2 = usage error, unreadable input or unwritable output (an --out path,
-or a standard output whose reader has gone or whose disk is full).  Angles are radians unless
---degrees is given.  ``serialize`` reads input files and raises only
-ValueError on a malformed one.  A command reports an unreadable input where
-it reads it, and opens its --out file before its work; the OSError of any
-write reaches ``main``, which alone turns it into exit 2 with one line.
-``main`` builds the parser once per process and finds each command's
-``cmd_*`` by name at call time, so a wrapped or patched one is the one that
-runs.  It pauses the cyclic garbage collector while the command runs, since
-commands build large acyclic data (parsed JSON, columns, tuples) that
-collector passes would only rescan, and leaves it as it found it; the
-library functions do not pause it.
+or a standard output whose reader has gone or whose disk is full).  Angles are
+radians unless --degrees is given; only this module converts degrees.
+``serialize`` reads input files and raises only ValueError on a malformed
+one.  A command reports an unreadable input where it reads it, and opens its
+--out file before its work; the OSError of any write reaches ``main``, which
+alone turns it into exit 2 with one line.  ``main`` builds the parser once
+per process and finds each command's ``cmd_*`` by name at call time, so a
+wrapped or patched one is the one that runs.  It pauses the cyclic garbage
+collector while the command runs, since commands build large acyclic data
+(parsed JSON, columns, tuples) that collector passes would only rescan, and
+leaves it as it found it; the library functions do not pause it.
 """
 
 from __future__ import annotations
@@ -260,10 +260,11 @@ def cmd_refute(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     try:
         with open(args.settings, "r", encoding="utf-8") as fp:
-            settings = load_settings(fp, args.degrees)
+            settings = load_settings(fp)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read settings file: {exc}", file=sys.stderr)
         return 2
+    settings = np.radians(settings) if args.degrees else settings
     context = HiddenContext(kappa=args.kappa, label=args.label)
     compile_fig = compile_bell_polarization if args.fig == 1 else compile_double_bell
     with open(args.out, "w", encoding="utf-8") as fp:
@@ -301,6 +302,7 @@ def _add_angle_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
             f"--{name}", type=_FINITE_FLOAT, default=0.0, help=f"rotation angle {name}"
         )
+    parser.add_argument("--degrees", action="store_true", help="angles are degrees")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="double Bell coefficients of the rotated state")
     _add_angle_flags(p)
-    p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
     p.add_argument("--json", action="store_true", help="JSON output instead of tables")
 
@@ -325,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample Bell/polarization events to CSV")
     _add_angle_flags(p)
-    p.add_argument("--degrees", action="store_true", help="angles are degrees")
     p.add_argument("--events", type=_NONNEGATIVE_INT, default=1000, help="number of events")
     p.add_argument("--seed", type=_NONNEGATIVE_INT, default=42, help="sampler seed")
     p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)

@@ -158,11 +158,16 @@ def f_value_of(outcome: BellOutcome) -> int:
     return _F_VALUE[outcome]
 
 
+def _kappa(kappa) -> int:
+    """kappa, checked to be the exact int +1 or -1 that a file can hold."""
+    if type(kappa) is not int or kappa not in (-1, +1):
+        raise ValueError(f"kappa must be +1 or -1, got {kappa!r}")
+    return kappa
+
+
 def zeta(angles, kappa: int) -> float:
     """Sector phase (phi1 - phi2) + kappa * (phi3 - phi4) of one setting."""
-    if kappa not in (-1, +1):
-        raise ValueError(f"kappa must be +1 or -1, got {kappa}")
-    return _zetas(_angle_row(angles)[None], (kappa,)).item()
+    return _zetas(_angle_row(angles)[None], (_kappa(kappa),)).item()
 
 
 def _predicted_product(zeta_value, tol: float):

@@ -24,23 +24,22 @@ quantum._angle_rows; contradiction_settings returns its two settings as such
 an array.  A ConstraintSet is its columns, filled only by the compiler, in
 one array pass over the settings, and by serialize.constraint_set_from_dict.
 An unknown is a (tag code, grid angles) pair of ``unknowns``, the angles its
-file entry holds, named by ``labels``; ``constraints`` builds
+file entry holds; serialize renders it as text.  ``constraints`` builds
 ParityConstraint rows (with their Provenance) from the constraint columns on
 each read.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import pi
 
 import numpy as np
 
-from .correlations import DEFAULT_ANGLE_TOL, MAX_COMPILE_TOL, _predicted_product
+from .correlations import DEFAULT_ANGLE_TOL, MAX_COMPILE_TOL, _kappa, _predicted_product
 from .quantum import _angle_rows, _zetas
 
 __all__ = [
@@ -86,10 +85,8 @@ class HiddenContext:
     label: str = ""
 
     def __post_init__(self) -> None:
-        # a bool or float kappa, or a label that is not a string, would write
-        # a file that does not load back
-        if type(self.kappa) is not int or self.kappa not in (-1, +1):
-            raise ValueError(f"kappa must be +1 or -1, got {self.kappa!r}")
+        _kappa(self.kappa)
+        # a label that is not a string would write a file that does not load back
         if type(self.label) is not str:
             raise ValueError(f"label must be a string, got {self.label!r}")
 
@@ -103,16 +100,6 @@ def quantize_angle(phi) -> np.ndarray:
     if not np.isfinite(angles).all():
         raise OverflowError("angle too large for its grid angle to be a finite float")
     return angles
-
-
-def float_reprs(values: Sequence[float]) -> list[str]:
-    """float.__repr__ of each value, computed once per distinct value: most
-    numbers of a compiled system repeat.  Values are told apart by bit
-    pattern, so -0.0 keeps its own repr (a float key would merge it with 0.0)."""
-    bits = struct.unpack(f"{len(values)}q", struct.pack(f"{len(values)}d", *values))
-    distinct = dict(zip(bits, values))
-    table = dict(zip(distinct, map(float.__repr__, distinct.values())))
-    return list(map(table.__getitem__, bits))
 
 
 @dataclass(frozen=True)
@@ -136,12 +123,12 @@ class ParityConstraint:
 class ConstraintSet:
     """Parity constraints over +-1 unknowns, one context, stored as columns.
 
-    ``unknowns`` holds a (tag code, grid angles) pair per unknown, by id;
-    ``labels`` names them.  ``var_ids``, ``required_signs``, ``angles`` (the
-    4 of the setting), ``zetas`` and ``equations`` hold an entry per
-    constraint.  A new set is empty; the compiler and
-    serialize.constraint_set_from_dict fill it from checked columns.
-    ``constraints`` is a list of rows built from those columns on each read.
+    ``unknowns`` holds a (tag code, grid angles) pair per unknown, by id.
+    ``var_ids``, ``required_signs``, ``angles`` (the 4 of the setting),
+    ``zetas`` and ``equations`` hold an entry per constraint.  A new set is
+    empty; the compiler and serialize.constraint_set_from_dict fill it from
+    checked columns.  ``constraints`` is a list of rows built from those
+    columns on each read.
     """
 
     def __init__(self, context: HiddenContext) -> None:
@@ -157,12 +144,6 @@ class ConstraintSet:
     def constraints(self) -> list[ParityConstraint]:
         provenances = map(Provenance, self.angles, self.zetas, self.equations)
         return list(map(ParityConstraint, self.var_ids, self.required_signs, provenances))
-
-    def labels(self, vids: Iterable[int]) -> list[str]:
-        """The labels, such as ``F(0.1, 0.2)``, of the unknowns with these ids."""
-        rows = [self.unknowns[vid] for vid in vids]
-        text = iter(float_reprs([phi for _, angles in rows for phi in angles]))
-        return [f"{tag}({', '.join(islice(text, len(angles)))})" for tag, angles in rows]
 
     def _register(self, unknowns: Iterable[tuple[str, tuple]]) -> list[int]:
         """Ids of (tag code, grid angles) pairs; new ones register in order of first use."""
@@ -282,12 +263,10 @@ def contradiction_settings(alpha: float, beta: float, kappa: int) -> np.ndarray:
     and phi4 moves zeta_kappa between 0 and -pi/2 while involving the same
     four polarizer angles.
     """
-    if kappa not in (-1, +1):
-        raise ValueError(f"kappa must be +1 or -1, got {kappa}")
     # zeta_+1 = 0 at plus, zeta_-1 = 0 at minus
     plus = (alpha, alpha + pi / 4, beta + pi / 4, beta)
     minus = (alpha, alpha + pi / 4, beta, beta + pi / 4)
-    return _angle_rows((plus, minus) if kappa == +1 else (minus, plus))
+    return _angle_rows((plus, minus) if _kappa(kappa) == +1 else (minus, plus))
 
 
 def contradiction_instance(alpha: float, beta: float, kappa: int) -> ConstraintSet:

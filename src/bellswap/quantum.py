@@ -219,7 +219,12 @@ def bell_bell_coefficients_closed_form(angles) -> np.ndarray:
     governed by xi, the kappa = -1 block {phi-, psi+} by eta, each a 2x2
     rotation-like pattern times 1/2.
     """
-    xi, eta = _zetas(_angle_rows(angles), (+1, -1))
+    return _closed_form(_angle_rows(angles))
+
+
+def _closed_form(rows: np.ndarray) -> np.ndarray:
+    """bell_bell_coefficients_closed_form of a checked (N, 4) float array."""
+    xi, eta = _zetas(rows, (+1, -1))
     cos_xi, sin_xi = np.cos(xi) / 2, np.sin(xi) / 2
     cos_eta, sin_eta = np.cos(eta) / 2, np.sin(eta) / 2
     pp, pm, sp, sm = (BELL_INDEX[bell] for bell in BELL_ORDER)
@@ -239,9 +244,9 @@ def rotate_photon(state: np.ndarray, photon: int, phi: float) -> np.ndarray:
     """16 amplitudes with one photon rotated by phi; norm-preserving."""
     if photon not in (0, 1, 2, 3):
         raise IndexError(f"photon index must be 0..3, got {photon}")
-    angles = np.zeros((1, 4))
-    angles[0, photon] = phi
-    return _read_only(_rotate_all(state, _angle_rows(angles))[0])
+    row = [0.0] * 4
+    row[photon] = phi
+    return _read_only(_rotate_all(state, _angle_row(row)[None])[0])
 
 
 def apply_all_rotations(state: np.ndarray, angles) -> np.ndarray:
@@ -262,4 +267,4 @@ def bell_bell_amplitudes_numeric(state: np.ndarray) -> np.ndarray:
 def bell_bell_amplitudes_closed_form(angles) -> np.ndarray:
     """Closed form of the rotated two-singlet state's (4, 4) coefficients at
     one setting."""
-    return _read_only(bell_bell_coefficients_closed_form(_angle_row(angles)[None])[0])
+    return _read_only(_closed_form(_angle_row(angles)[None])[0])

@@ -1,18 +1,18 @@
 """Stable on-disk formats: settings JSON, constraint-set JSON and event CSV.
 
-This is the one module that decides what a valid input is: both JSON loaders
-check each field's exact JSON type and raise only ValueError, with a one-line
-message, also on input nested too deeply to parse.  They check and fill one
-column at a time: load_settings returns the (N, 4) angle array the compiler
-takes, and constraint_set_from_dict fills the columns that are a ConstraintSet
-(see lhv).  Each still raises the error a field-by-field check would raise
-first.  Beside lhv's compiler, that loader is the only way to make a
-ConstraintSet, and floats are written in Python's shortest round-trip repr, so
-every set writes a file that loads back to the same bytes.  The
-constraint-system file is pinned byte for byte: it is what json.dumps with
-indent=2 prints for constraint_set_to_dict, written instead as one f-string
-per variable and per constraint, a chunk of objects per write; each distinct
-float is formatted once (lhv.float_reprs, which keeps -0.0 apart from 0.0).
+This is the one module that decides what a valid input is and how a number
+or an unknown prints: both JSON loaders check each field's exact JSON type
+and raise only ValueError, with a one-line message, also on input nested too
+deeply to parse.  They check and fill one column at a time: load_settings
+returns the (N, 4) array of the file's numbers, and constraint_set_from_dict
+fills the columns that are a ConstraintSet (see lhv), each raising the error
+a field-by-field check would raise first.  That loader and lhv's compiler
+alone make a ConstraintSet, and floats print in Python's shortest round-trip
+repr, so every set writes a file that loads back to the same bytes: what
+json.dumps with indent=2 prints for constraint_set_to_dict, pinned byte for
+byte, but one f-string per variable and constraint, a chunk per write.  Each
+distinct float is formatted once (_float_reprs keeps -0.0 apart from 0.0),
+also in the labels, such as ``F(0.1, 0.2)``, of a result document (_labels).
 The event CSV is written by write_events_csv in chunks of EVENT_CHUNK events:
 each chunk's rows are formatted by one % call over (event id, row text)
 pairs, the header precedes event 0 and the ids continue from the call's
@@ -24,6 +24,7 @@ endings are golden-tested.
 from __future__ import annotations
 
 import json
+import struct
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from itertools import chain, islice, repeat
@@ -32,7 +33,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
-from .lhv import TAG_ARITY, _MAX_NUMBER, ConstraintSet, HiddenContext, float_reprs, quantize_angle
+from .lhv import TAG_ARITY, _MAX_NUMBER, ConstraintSet, HiddenContext, quantize_angle
 from .quantum import _angle_row
 from .solver import SolveResult, SolveStatus
 
@@ -161,15 +162,14 @@ def _setting_columns(entries: list, start: int) -> np.ndarray:
     return _numbers(list(chain.from_iterable(entries)), "angle").reshape(-1, 4)
 
 
-def load_settings(fp: IO[str], degrees: bool) -> np.ndarray:
+def load_settings(fp: IO[str]) -> np.ndarray:
     """Read ``{"settings": [[phi1, phi2, phi3, phi4], ...]}`` or the bare list
-    as the (N, 4) array of radians that lhv's compile_* functions take."""
+    as the (N, 4) array of its numbers, in the file's unit."""
     doc = _parse(fp)
     raw = doc.get("settings") if type(doc) is dict else doc
     if type(raw) is not list:
         raise ValueError(f"settings must be a list of 4-angle lists, got {raw!r}")
-    phis = _checked(_setting_columns, raw)
-    return np.radians(phis) if degrees else phis
+    return _checked(_setting_columns, raw)
 
 
 def _variable_columns(entries: list, start: int) -> list[tuple[str, tuple]]:
@@ -253,6 +253,23 @@ _CHUNK = 128
 EVENT_CHUNK = 4096
 
 
+def _float_reprs(values: Sequence[float]) -> list[str]:
+    """float.__repr__ of each value, computed once per distinct value: most
+    numbers of a compiled system repeat.  Values are told apart by bit
+    pattern, so -0.0 keeps its own repr (a float key would merge it with 0.0)."""
+    bits = struct.unpack(f"{len(values)}q", struct.pack(f"{len(values)}d", *values))
+    distinct = dict(zip(bits, values))
+    table = dict(zip(distinct, map(float.__repr__, distinct.values())))
+    return list(map(table.__getitem__, bits))
+
+
+def _labels(cs: ConstraintSet, vids: Iterable[int]) -> list[str]:
+    """The labels, such as ``F(0.1, 0.2)``, of the unknowns of cs with these ids."""
+    rows = [cs.unknowns[vid] for vid in vids]
+    text = iter(_float_reprs([phi for _, angles in rows for phi in angles]))
+    return [f"{tag}({', '.join(islice(text, len(angles)))})" for tag, angles in rows]
+
+
 def _array(items: Iterable[str], indent: str) -> str:
     """A JSON array of the rendered ``items``, laid out as json.dumps with
     indent=2 lays it out when its opening bracket sits at ``indent``."""
@@ -279,7 +296,7 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
     them (float.__repr__, formatted once per distinct value, and str of an
     int), the two free strings through json.dumps."""
     variables = chain.from_iterable(grid for _, grid in cs.unknowns)
-    text = float_reprs([*variables, *chain.from_iterable(cs.angles), *cs.zetas])
+    text = _float_reprs([*variables, *chain.from_iterable(cs.angles), *cs.zetas])
     angles = iter(text)  # the variables' angles, then the settings' angles
     zetas = islice(text, len(text) - len(cs.zetas), None)
     quoted = {equation: json.dumps(equation) for equation in set(cs.equations)}
@@ -325,13 +342,12 @@ def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool)
         "verified": verified,
     }
     if result.status is SolveStatus.SAT:
-        labels = cs.labels(range(cs.n_variables))
-        doc["model"] = {labels[vid]: value for vid, value in sorted(result.model.items())}
+        doc["model"] = dict(zip(_labels(cs, range(cs.n_variables)), result.model))
         doc["certificate"] = None
     else:
         doc["model"] = None
         lines = [cs.var_ids[cid] for cid in result.certificate]
-        labels = iter(cs.labels(chain.from_iterable(lines)))
+        labels = iter(_labels(cs, chain.from_iterable(lines)))
         doc["certificate"] = [
             {
                 "id": cid,

@@ -22,10 +22,11 @@ Both gf2_solve answers are canonical, independent of pivot choice:
   also the lowest satisfying assignment index, the model enumerate_solve
   returns.
 
-A certificate is a list of constraint ids such that every variable occurs an
-even number of times across them while the required signs multiply to -1;
-verify_certificate re-checks that property (or a SAT model) from scratch,
-trusting nothing the solvers did.
+A model is the tuple of +-1 values by unknown id.  A certificate is a list
+of constraint ids such that every variable occurs an even number of times
+across them while the required signs multiply to -1; verify_certificate
+re-checks that property (or a SAT model) from scratch, trusting nothing the
+solvers did.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class SolveResult:
     """Outcome of a solve: a full model, or an UNSAT certificate."""
 
     status: SolveStatus
-    model: dict[int, int] | None = None
+    model: tuple[int, ...] | None = None
     certificate: tuple[int, ...] | None = None
 
 
@@ -85,12 +86,13 @@ def _parity_rows(cs: ConstraintSet) -> list[tuple[int, int]]:
     return rows
 
 
-def _scan_assignments(rows: list[tuple[int, int]], n_variables: int) -> int | None:
-    """Lowest assignment index satisfying all rows, or None.
+def _model(assignment: int, n: int) -> tuple[int, ...]:
+    """The model of an assignment index: entry i is +1 where bit i is 0, else -1."""
+    return tuple(+1 if ((assignment >> i) & 1) == 0 else -1 for i in range(n))
 
-    Bit i of the index is variable i's exponent: value +1 for bit 0, -1
-    for bit 1.
-    """
+
+def _scan_assignments(rows: list[tuple[int, int]], n_variables: int) -> int | None:
+    """Lowest assignment index (see _model) satisfying all rows, or None."""
     total = 1 << n_variables
     for start in range(0, total, _CHUNK):
         ks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
@@ -150,8 +152,7 @@ def enumerate_solve(cs: ConstraintSet) -> SolveResult:
     rows = _parity_rows(cs)
     assignment = _scan_assignments(rows, n)
     if assignment is not None:
-        model = {i: (+1 if ((assignment >> i) & 1) == 0 else -1) for i in range(n)}
-        return SolveResult(SolveStatus.SAT, model=model)
+        return SolveResult(SolveStatus.SAT, model=_model(assignment, n))
     certificate = _subset_certificate(rows)
     if certificate is None:
         certificate = _deletion_certificate(rows, n)
@@ -220,27 +221,19 @@ def gf2_solve(cs: ConstraintSet) -> SolveResult:
         # the pivot's own bit is still 0 in assignment, so this sums the rest
         if rhs ^ ((mask & assignment).bit_count() & 1):
             assignment |= 1 << pivot
-    model = {i: (+1 if ((assignment >> i) & 1) == 0 else -1) for i in range(cs.n_variables)}
-    return SolveResult(SolveStatus.SAT, model=model)
+    return SolveResult(SolveStatus.SAT, model=_model(assignment, cs.n_variables))
 
 
 def verify_certificate(cs: ConstraintSet, result: SolveResult) -> bool:
     """Re-check a result against its constraint set from first principles.
 
-    SAT results need a total +-1 model satisfying every constraint; UNSAT
-    results need the even-cancellation / odd-sign property.  Ids that do
-    not exist in cs raise ValueError.
+    SAT results need a +-1 value for every unknown of cs satisfying every
+    constraint; UNSAT results need the even-cancellation / odd-sign
+    property.  Certificate ids that do not exist in cs raise ValueError.
     """
     if result.status is SolveStatus.SAT:
         model = result.model
-        if model is None:
-            return False
-        unknown = [vid for vid in model if not 0 <= vid < cs.n_variables]
-        if unknown:
-            raise ValueError(f"model references unknown variable ids {unknown}")
-        if len(model) != cs.n_variables:
-            return False
-        if any(value not in (-1, +1) for value in model.values()):
+        if model is None or len(model) != cs.n_variables or not set(model) <= {-1, +1}:
             return False
         for var_ids, required_sign in zip(cs.var_ids, cs.required_signs):
             product = 1

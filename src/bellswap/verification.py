@@ -29,6 +29,7 @@ from .correlations import (
     kappa_of,
 )
 from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_closed_form
+from .serialize import FORMAT_VERSION
 
 __all__ = ["CLOSED_FORM_TOL", "special_family_settings", "run_qm_verification"]
 
@@ -158,7 +159,7 @@ def run_qm_verification(
     for entry in checks.values():
         entry["passed"] = entry["max_value"] < entry["threshold"]
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "command": "verify-qm",
         "grid": grid,
         "tol": tol,

@@ -457,6 +457,21 @@ class TestCompileSolve:
         code, out = run(capsys, "solve", "--in", str(cs_path), "--method", "gf2", "--expect", "sat")
         assert code == 0
 
+    @pytest.mark.parametrize("fig", ["1", "2"])
+    def test_degrees_file_compiles_as_its_radians(self, capsys, tmp_path, fig):
+        degrees = [list(s) for s in itertools.product([0, 15, 45, 60, 90, 135], repeat=4)]
+        radians = np.radians(degrees).tolist()  # json writes each as its repr
+        outputs = []
+        for name, settings, flags in (("deg", degrees, ["--degrees"]), ("rad", radians, [])):
+            settings_path = tmp_path / f"{name}.json"
+            settings_path.write_text(json.dumps(settings))
+            cs_path = tmp_path / f"{name}-system.json"
+            argv = ["compile", "--settings", str(settings_path), "--kappa", "1", "--fig", fig]
+            code, out = run(capsys, *argv, *flags, "--out", str(cs_path))
+            assert code == 0 and " 0 constraints" not in out
+            outputs.append((out.split(": ")[0], cs_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_expectation_mismatch_fails(self, capsys, tmp_path):
         settings_path = self.write_settings(tmp_path, [[0.0, 0.0, 0.0, 0.0]])
         cs_path = tmp_path / "system.json"

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from bellswap.quantum import (
     bell_bell_amplitudes_closed_form,
     compute_phases,
     make_vw_state,
+    rotate_photon,
 )
 from bellswap.serialize import write_events_csv
 from bellswap.verification import _FAMILIES, run_qm_verification
@@ -290,8 +292,18 @@ class TestClassifyZeta:
             message = f"angles must have shape (4,), got {shape}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(angles)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            *(partial(call, ("0.5", True, 0, 0)) for call in ONE_SETTING.values()),
+            partial(rotate_photon, make_vw_state(), 0, "0.5"),
+        ],
+        ids=[*ONE_SETTING, "rotate_photon"],
+    )
+    def test_rejects_a_string_angle(self, call):
         with pytest.raises(ValueError, match=r"^angles must be real numbers, got dtype <U"):
-            call(("0.5", True, 0, 0))
+            call()
 
     def test_zeta_values(self):
         angles = (0.1, 0.5, 1.0, 0.25)

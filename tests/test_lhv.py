@@ -34,7 +34,7 @@ from bellswap.lhv import (
     contradiction_settings,
     quantize_angle,
 )
-from bellswap.serialize import dump_constraint_set
+from bellswap.serialize import _labels, dump_constraint_set
 from bellswap.solver import SolveStatus, enumerate_solve
 
 PI = math.pi
@@ -336,7 +336,7 @@ class TestArrayQuantizer:
 
     def test_tiny_negative_angle_prints_as_zero(self):
         cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)
-        assert cs.labels(range(cs.n_variables)) == ["F(0.0, 0.0)", "G(0.0, 0.0)"]
+        assert _labels(cs, range(cs.n_variables)) == ["F(0.0, 0.0)", "G(0.0, 0.0)"]
 
 
 class TestCompileTolerance:
@@ -458,7 +458,7 @@ class TestContradictionInstance:
         cs = contradiction_instance(0.0, 0.0, +1)
         assert cs.n_variables == 4
         assert len(cs.constraints) == 2
-        labels = set(cs.labels(range(cs.n_variables)))
+        labels = set(_labels(cs, range(cs.n_variables)))
         assert labels == {"A(0.0)", "A(0.7853981630000001)", "D(0.0)", "D(0.7853981630000001)"}
         first, second = cs.constraints
         assert sorted(first.var_ids) == sorted(second.var_ids)
@@ -488,6 +488,23 @@ class TestConstraintSetInvariants:
         for kappa in (2, 0, True, 1.0):  # a file holds only the int +1 or -1
             with pytest.raises(ValueError):
                 HiddenContext(kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [True, 1.0, np.int64(1)], ids=["bool", "float", "int64"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda kappa: zeta((0, 0, 0, 0), kappa),
+            lambda kappa: classify_zeta((0, 0, 0, 0), kappa),
+            lambda kappa: contradiction_settings(0.0, 0.0, kappa),
+            HiddenContext,
+        ],
+        ids=["zeta", "classify_zeta", "contradiction_settings", "HiddenContext"],
+    )
+    def test_every_kappa_is_an_exact_int(self, call, kappa):
+        # one rule, the context's: a kappa that is not the int +1 or -1 fails
+        message = f"kappa must be +1 or -1, got {kappa!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(kappa)
 
     def test_context_label_validated(self):
         for label in (5, None, b"x"):  # a file holds only a string label

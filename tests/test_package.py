@@ -1,10 +1,11 @@
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
 import bellswap
-from bellswap import cli, serialize
+from bellswap import cli, lhv, serialize, solver, verification
 
 
 def test_every_exported_name_resolves():
@@ -28,6 +29,28 @@ def test_only_lhv_knows_the_angle_grid():
     # convert with the grid step
     for module in (serialize, cli):
         assert not hasattr(module, "ANGLE_QUANTUM")
+
+
+def test_only_serialize_renders_an_unknown():
+    # lhv holds numbers; the labels and float reprs that files print are
+    # rendered where the files are written and read
+    assert not hasattr(lhv, "float_reprs")
+    assert not hasattr(lhv.ConstraintSet, "labels")
+
+
+def test_only_cli_converts_degrees():
+    assert list(inspect.signature(serialize.load_settings).parameters) == ["fp"]
+
+
+def test_a_model_is_the_assignment_tuple():
+    cs = lhv.compile_double_bell(lhv.contradiction_settings(0.0, 0.0, 1), lhv.HiddenContext(1))
+    for solve in (solver.enumerate_solve, solver.gf2_solve):
+        result = solve(cs)
+        assert result.status is solver.SolveStatus.SAT and type(result.model) is tuple
+
+
+def test_every_document_writes_the_format_version_constant():
+    assert '"format_version": 1' not in inspect.getsource(verification)
 
 
 def test_every_module_exported_name_resolves():

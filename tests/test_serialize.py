@@ -23,7 +23,6 @@ from bellswap.lhv import (
     compile_double_bell,
     compile_factored,
     contradiction_instance,
-    float_reprs,
     quantize_angle,
 )
 from bellswap.serialize import (
@@ -37,6 +36,8 @@ from bellswap.serialize import (
     load_settings,
     solve_result_to_dict,
     write_events_csv,
+    _float_reprs,
+    _labels,
 )
 from bellswap.cli import main
 from bellswap.solver import enumerate_solve
@@ -383,12 +384,10 @@ class TestLoaderFuzz:
             JSON_VALUES,
             st.lists(st.lists(JSON_SCALARS, min_size=3, max_size=5), max_size=3),
             st.fixed_dictionaries({"settings": JSON_VALUES}),
-        ),
-        st.booleans(),
+        )
     )
-    def test_settings_loader(self, doc, degrees):
-        text = json.dumps(doc)
-        loads_or_raises_value_error(lambda fp: load_settings(fp, degrees), io.StringIO(text))
+    def test_settings_loader(self, doc):
+        loads_or_raises_value_error(load_settings, io.StringIO(json.dumps(doc)))
 
 
 def edited(*edits):
@@ -568,15 +567,14 @@ class TestLoaderMessages:
     loaders gave when they checked one field at a time: the first offending
     entry, and in it the first failing check, names the error."""
 
-    @pytest.mark.parametrize("degrees", [False, True])
     @pytest.mark.parametrize("doc,message", MALFORMED_SETTINGS.values(), ids=MALFORMED_SETTINGS)
-    def test_settings(self, doc, message, degrees):
+    def test_settings(self, doc, message):
         with pytest.raises(ValueError) as excinfo:
-            load_settings(io.StringIO(json.dumps(doc)), degrees)
+            load_settings(io.StringIO(json.dumps(doc)))
         assert str(excinfo.value) == message
 
     def test_largest_int_is_a_number(self):
-        phis = load_settings(io.StringIO(json.dumps([[LARGEST_INT, 0, 0, -LARGEST_INT]])), False)
+        phis = load_settings(io.StringIO(json.dumps([[LARGEST_INT, 0, 0, -LARGEST_INT]])))
         assert phis.tolist() == [[float(LARGEST_INT), 0.0, 0.0, -float(LARGEST_INT)]]
 
     @pytest.mark.parametrize("doc,message", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS)
@@ -619,7 +617,7 @@ class TestNegativeZero:
     @pytest.mark.parametrize("n", [3, 40])  # distinct values, and each repeated
     def test_repr_table(self, n):
         values = [(-0.0, 0.0, 2.5, -2.5, 5e-324, -0.0)[i % 6] for i in range(n)]
-        assert float_reprs(values) == list(map(repr, values)) == list(map(json.dumps, values))
+        assert _float_reprs(values) == list(map(repr, values)) == list(map(json.dumps, values))
 
     @pytest.mark.parametrize("copies", [1, 4])  # 14 and 44 numbers in the file
     def test_constraint_file(self, capsys, tmp_path, copies):
@@ -641,8 +639,8 @@ class TestNegativeZero:
         row = ((0, 1, 2), +1, ((-0.0, 0.0, -0.0, 0.0), -0.0, "hand-built"))
         cs = constraint_set_from_dict(system_document(+1, variables, [row]))
         labels = ["A(0.0)", "D(0.0)", "F(0.0, 0.0)"]
-        assert cs.labels(range(3)) == labels
-        assert cs.labels([0, 1, 2] * 11) == labels * 11  # through the repr table
+        assert _labels(cs, range(3)) == labels
+        assert _labels(cs, [0, 1, 2] * 11) == labels * 11  # through the repr table
         doc = solve_result_to_dict(cs, enumerate_solve(cs), verified=True)
         assert list(doc["model"]) == labels
         flipped = (row[0], -1, row[2])

@@ -85,6 +85,20 @@ def sector_values(rows: np.ndarray, tol: float) -> tuple:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=shift_settings(), tol=TOLS)
+def test_swap_of_any_draw_swaps_the_sectors(rows, tol):
+    # negating phi3 - phi4 is exact, so no draw needs the edge skip
+    zetas, predicted, *probabilities = sector_values(rows, tol)
+    swapped_zetas, swapped_predicted, *swapped_probabilities = sector_values(
+        rows[:, [0, 1, 3, 2]], tol
+    )
+    assert np.array_equal(swapped_zetas, zetas[:, ::-1])
+    assert np.array_equal(swapped_predicted, predicted[:, ::-1])
+    for swapped_values, values in zip(swapped_probabilities, probabilities, strict=True):
+        assert np.max(np.abs(swapped_values - values[:, ::-1])) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(rows=shift_settings(), t=SHIFTS, s=SHIFTS, tol=TOLS)
 def test_pairwise_shift_keeps_the_sector_values(rows, t, s, tol):
     shifted = rows + [t, t, s, s]

@@ -125,7 +125,7 @@ def round_stages(settings_text: str, repeat: int) -> dict[str, float]:
         compile_fig = lhv.compile_bell_polarization if fig == 1 else lhv.compile_double_bell
         settings = stage(
             f"load_settings_fig{fig}",
-            lambda: serialize.load_settings(io.StringIO(settings_text), False),
+            lambda: serialize.load_settings(io.StringIO(settings_text)),
         )
         cs = stage(f"compile_fig{fig}", lambda: compile_fig(settings, context))
         if fig == 1:
@@ -270,7 +270,7 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     out = []
     for bases in sizes:
         text = json.dumps(grid(bases))
-        settings = serialize.load_settings(io.StringIO(text), False)
+        settings = serialize.load_settings(io.StringIO(text))
         cs = lhv.compile_bell_polarization(settings, lhv.HiddenContext(kappa=+1))
         ms, result = best_ms(repeat, lambda: solver.gf2_solve(cs))
         out.append(
