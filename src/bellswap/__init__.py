@@ -20,7 +20,6 @@ from .correlations import (
 )
 from .lhv import (
     ConstraintSet,
-    HiddenContext,
     ParityConstraint,
     Provenance,
     apply_factorization,
@@ -51,7 +50,6 @@ __all__ = [
     "BellOutcome",
     "BELL_ORDER",
     "ConstraintSet",
-    "HiddenContext",
     "ParityConstraint",
     "Polarization",
     "Provenance",

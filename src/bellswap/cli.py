@@ -54,7 +54,6 @@ from .correlations import (
 from .lhv import (
     _MAX_NUMBER,
     ConstraintSet,
-    HiddenContext,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -239,8 +238,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
         )
         return 2
     if args.fig2:
-        context = HiddenContext(kappa=args.kappa, label="double-bell variant")
-        cs = compile_double_bell(settings, context)
+        cs = compile_double_bell(settings, args.kappa, label="double-bell variant")
         expected, arrangement = "sat", "double-bell"
     else:
         cs = contradiction_instance(alpha, beta, args.kappa)
@@ -265,10 +263,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
         print(f"error: cannot read settings file: {exc}", file=sys.stderr)
         return 2
     settings = np.radians(settings) if args.degrees else settings
-    context = HiddenContext(kappa=args.kappa, label=args.label)
     compile_fig = compile_bell_polarization if args.fig == 1 else compile_double_bell
     with open(args.out, "w", encoding="utf-8") as fp:
-        cs = compile_fig(settings, context, tol=args.tol)
+        cs = compile_fig(settings, args.kappa, args.tol, args.label)
         if args.factorize:
             cs = apply_factorization(cs)
         dump_constraint_set(cs, fp)
@@ -290,7 +287,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "format_version": FORMAT_VERSION,
         "command": "solve",
         "method": args.method,
-        "context": {"kappa": cs.context.kappa, "label": cs.context.label},
+        "context": {"kappa": cs.kappa, "label": cs.label},
         "n_variables": cs.n_variables,
         "n_constraints": len(cs.var_ids),
     }

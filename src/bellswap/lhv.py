@@ -12,7 +12,7 @@ each a function only of the angles its photons encountered.  Every certainty
 predicted by the quantum state then becomes a parity constraint: the product
 of the involved unknowns must equal a fixed sign.  The sector parity kappa is
 a constant of the context, so one ConstraintSet is always compiled for a
-single kappa.
+single kappa, and the set carries that kappa and the context's label.
 
 Every constraint is one rule of _RULE_TERMS at one setting: the factorization
 too, as the rule F * A * D at the equal-angle setting (x, x, y, y).  Only
@@ -44,7 +44,6 @@ from .quantum import _angle_rows, _zetas
 
 __all__ = [
     "ANGLE_QUANTUM",
-    "HiddenContext",
     "Provenance",
     "ParityConstraint",
     "ConstraintSet",
@@ -75,20 +74,6 @@ RULE_FACTORED_PRODUCT = "aadd-perfect-correlation"
 
 #: Number of angles each local function (A, D, F, G above) takes, by tag code.
 TAG_ARITY = {"A": 1, "D": 1, "F": 2, "G": 2}
-
-
-@dataclass(frozen=True)
-class HiddenContext:
-    """One fixed hidden-variable pair, identified only by its sector parity."""
-
-    kappa: int
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        _kappa(self.kappa)
-        # a label that is not a string would write a file that does not load back
-        if type(self.label) is not str:
-            raise ValueError(f"label must be a string, got {self.label!r}")
 
 
 def quantize_angle(phi) -> np.ndarray:
@@ -123,7 +108,9 @@ class ParityConstraint:
 class ConstraintSet:
     """Parity constraints over +-1 unknowns, one context, stored as columns.
 
-    ``unknowns`` holds a (tag code, grid angles) pair per unknown, by id.
+    ``kappa`` (the exact int +1 or -1) and ``label`` (a string) are the
+    context, checked here: the sector parity the set is compiled for and
+    its name.  ``unknowns`` holds a (tag code, grid angles) pair per unknown.
     ``var_ids``, ``required_signs``, ``angles`` (the 4 of the setting),
     ``zetas`` and ``equations`` hold an entry per constraint.  A new set is
     empty; the compiler and serialize.constraint_set_from_dict fill it from
@@ -131,8 +118,12 @@ class ConstraintSet:
     columns on each read.
     """
 
-    def __init__(self, context: HiddenContext) -> None:
-        self.context, self.unknowns, self._ids = context, [], {}
+    def __init__(self, kappa: int, label: str = "") -> None:
+        self.kappa, self.label = _kappa(kappa), label
+        # a label that is not a string would write a file that does not load back
+        if type(label) is not str:
+            raise ValueError(f"label must be a string, got {label!r}")
+        self.unknowns, self._ids = [], {}
         self.var_ids, self.required_signs, self.angles = [], [], []
         self.zetas, self.equations = [], []
 
@@ -162,7 +153,7 @@ class ConstraintSet:
         self.equations += equations
 
     def copy(self) -> "ConstraintSet":
-        out = ConstraintSet(self.context)
+        out = ConstraintSet(self.kappa, self.label)
         out.unknowns, out._ids = list(self.unknowns), dict(self._ids)
         out._extend(self.var_ids, self.required_signs, self.angles, self.zetas, self.equations)
         return out
@@ -195,7 +186,7 @@ def _compile(rule: str, settings, cs: ConstraintSet, tol: float) -> ConstraintSe
             f" constraints stay certain, got {tol}"
         )
     phis = _angle_rows(settings)
-    zetas = _zetas(phis, (cs.context.kappa,))[0]
+    zetas = _zetas(phis, (cs.kappa,))[0]
     signs = _predicted_product(zetas, tol)
     kept = signs != 0
     phis = phis[kept]
@@ -210,35 +201,38 @@ def _compile(rule: str, settings, cs: ConstraintSet, tol: float) -> ConstraintSe
 
 def compile_bell_polarization(
     settings,
-    context: HiddenContext,
+    kappa: int,
     tol: float = DEFAULT_ANGLE_TOL,
+    label: str = "",
 ) -> ConstraintSet:
     """Constraints A(phi1) * F(phi2, phi3) * D(phi4) = +-1 from the
     Bell/polarization arrangement.
 
     The analyzer pair never sees phi1 or phi4, so G plays no role here.
     """
-    return _compile(RULE_BELL_POLARIZATION, settings, ConstraintSet(context), tol)
+    return _compile(RULE_BELL_POLARIZATION, settings, ConstraintSet(kappa, label), tol)
 
 
 def compile_double_bell(
     settings,
-    context: HiddenContext,
+    kappa: int,
     tol: float = DEFAULT_ANGLE_TOL,
+    label: str = "",
 ) -> ConstraintSet:
     """Constraints F(phi2, phi3) * G(phi1, phi4) = +-1 from the double Bell
     arrangement, same phase rule as compile_bell_polarization."""
-    return _compile(RULE_DOUBLE_BELL, settings, ConstraintSet(context), tol)
+    return _compile(RULE_DOUBLE_BELL, settings, ConstraintSet(kappa, label), tol)
 
 
 def compile_factored(
     settings,
-    context: HiddenContext,
+    kappa: int,
     tol: float = DEFAULT_ANGLE_TOL,
+    label: str = "",
 ) -> ConstraintSet:
     """Constraints A(phi1) * A(phi2) * D(phi3) * D(phi4) = +-1: the
     Bell/polarization rule with F already replaced by A * D."""
-    return _compile(RULE_FACTORED_PRODUCT, settings, ConstraintSet(context), tol)
+    return _compile(RULE_FACTORED_PRODUCT, settings, ConstraintSet(kappa, label), tol)
 
 
 def apply_factorization(cs: ConstraintSet) -> ConstraintSet:
@@ -272,5 +266,5 @@ def contradiction_settings(alpha: float, beta: float, kappa: int) -> np.ndarray:
 def contradiction_instance(alpha: float, beta: float, kappa: int) -> ConstraintSet:
     """Two factored constraints over A(alpha), A(alpha + pi/4), D(beta),
     D(beta + pi/4) whose required signs differ: the unsatisfiable core."""
-    context = HiddenContext(kappa=kappa, label=f"contradiction(alpha={alpha!r}, beta={beta!r})")
-    return compile_factored(contradiction_settings(alpha, beta, kappa), context)
+    label = f"contradiction(alpha={alpha!r}, beta={beta!r})"
+    return compile_factored(contradiction_settings(alpha, beta, kappa), kappa, label=label)

@@ -244,9 +244,10 @@ def rotate_photon(state: np.ndarray, photon: int, phi: float) -> np.ndarray:
     """16 amplitudes with one photon rotated by phi; norm-preserving."""
     if photon not in (0, 1, 2, 3):
         raise IndexError(f"photon index must be 0..3, got {photon}")
-    row = [0.0] * 4
-    row[photon] = phi
-    return _read_only(_rotate_all(state, _angle_row(row)[None])[0])
+    # phi is checked alone: among float zeros numpy would read a bool as 1.0
+    row = np.zeros((1, 4))
+    row[0, photon] = _angle_row([phi] * 4)[0]
+    return _read_only(_rotate_all(state, row)[0])
 
 
 def apply_all_rotations(state: np.ndarray, angles) -> np.ndarray:

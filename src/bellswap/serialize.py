@@ -33,7 +33,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
-from .lhv import TAG_ARITY, _MAX_NUMBER, ConstraintSet, HiddenContext, quantize_angle
+from .lhv import TAG_ARITY, _MAX_NUMBER, ConstraintSet, quantize_angle
 from .quantum import _angle_row
 from .solver import SolveResult, SolveStatus
 
@@ -76,7 +76,7 @@ def _provenance_to_dict(angles, zeta: float, equation: str) -> dict:
 def constraint_set_to_dict(cs: ConstraintSet) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "context": {"kappa": cs.context.kappa, "label": cs.context.label},
+        "context": {"kappa": cs.kappa, "label": cs.label},
         "variables": [
             {"id": i, "tag": tag, "angles": list(angles)}
             for i, (tag, angles) in enumerate(cs.unknowns)
@@ -230,7 +230,7 @@ def constraint_set_from_dict(doc) -> ConstraintSet:
     if type(label) is not str or type(var_list) is not list or type(con_list) is not list:
         raise ValueError("need a context with a string label, and variables and constraints lists")
     _integers([ctx.get("kappa")], "kappa")
-    cs = ConstraintSet(HiddenContext(ctx["kappa"], label))
+    cs = ConstraintSet(ctx["kappa"], label)
     unknowns = _checked(_variable_columns, var_list)
     columns = _checked(_constraint_columns, con_list)
     cs._register(unknowns)
@@ -302,7 +302,7 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
     quoted = {equation: json.dumps(equation) for equation in set(cs.equations)}
     fp.write(
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "context": {{\n'
-        f'    "kappa": {cs.context.kappa},\n    "label": {json.dumps(cs.context.label)}\n  }},\n'
+        f'    "kappa": {cs.kappa},\n    "label": {json.dumps(cs.label)}\n  }},\n'
         '  "variables": '
     )
     _write_objects(

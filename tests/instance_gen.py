@@ -8,7 +8,6 @@ import numpy as np
 
 from bellswap.lhv import (
     ConstraintSet,
-    HiddenContext,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -30,7 +29,6 @@ def random_compiled_instance(rng: np.random.Generator, max_variables: int = 16) 
     offsets = [0.0, PI / 4, PI / 2]
     while True:
         kappa = int(rng.choice([-1, 1]))
-        context = HiddenContext(kappa=kappa)
         base_a, base_b = rng.uniform(0, 2 * PI, size=2)
         settings_list = []
         for _ in range(int(rng.integers(2, 7))):
@@ -46,13 +44,13 @@ def random_compiled_instance(rng: np.random.Generator, max_variables: int = 16) 
                 settings_list.append((phi1, phi2, phi4, phi3))
         mode = int(rng.integers(0, 3))
         if mode == 0:
-            cs = compile_bell_polarization(settings_list, context)
+            cs = compile_bell_polarization(settings_list, kappa)
             if rng.random() < 0.7:
                 cs = apply_factorization(cs)
         elif mode == 1:
-            cs = compile_double_bell(settings_list, context)
+            cs = compile_double_bell(settings_list, kappa)
         else:
-            cs = compile_factored(settings_list, context)
+            cs = compile_factored(settings_list, kappa)
         if 0 < cs.n_variables <= max_variables:
             return cs
 

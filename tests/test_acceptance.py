@@ -21,7 +21,6 @@ from bellswap.correlations import (
     sample_events,
 )
 from bellswap.lhv import (
-    HiddenContext,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -196,14 +195,13 @@ def test_criterion_5_factorization_is_the_crux(capsys):
             alpha, beta = rng.uniform(0, 2 * PI, size=2)
             for kappa in (+1, -1):
                 settings = list(contradiction_settings(alpha, beta, kappa))
-                context = HiddenContext(kappa=kappa)
 
-                unfactored = compile_double_bell(settings, context)
+                unfactored = compile_double_bell(settings, kappa)
                 sat_result = enumerate_solve(unfactored)
                 assert sat_result.status is SolveStatus.SAT
                 assert verify_certificate(unfactored, sat_result)
 
-                factored = apply_factorization(compile_bell_polarization(settings, context))
+                factored = apply_factorization(compile_bell_polarization(settings, kappa))
                 unsat_result = enumerate_solve(factored)
                 assert unsat_result.status is SolveStatus.UNSAT
                 assert verify_certificate(factored, unsat_result)

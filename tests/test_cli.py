@@ -24,7 +24,7 @@ from bellswap.correlations import (
     sample_events,
     violating_outcomes,
 )
-from bellswap.lhv import HiddenContext, compile_double_bell, contradiction_instance
+from bellswap.lhv import compile_double_bell, contradiction_instance
 from bellswap.quantum import BellOutcome
 from bellswap.serialize import EVENT_CSV_COLUMNS, constraint_set_to_dict, write_events_csv
 
@@ -472,6 +472,19 @@ class TestCompileSolve:
             outputs.append((out.split(": ")[0], cs_path.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("kappa", ["1", "-1"])
+    def test_label_is_written_and_echoed(self, capsys, tmp_path, kappa):
+        settings_path = self.write_settings(tmp_path, [[0.0, 0.0, 0.0, 0.0]])
+        cs_path = tmp_path / "system.json"
+        argv = ["compile", "--settings", settings_path, "--kappa", kappa, "--label", "grid é"]
+        code, _ = run(capsys, *argv, "--out", str(cs_path))
+        assert code == 0
+        context = {"kappa": int(kappa), "label": "grid é"}
+        assert '"label": "grid \\u00e9"' in cs_path.read_text(encoding="utf-8")
+        assert json.loads(cs_path.read_text(encoding="utf-8"))["context"] == context
+        code, out = run(capsys, "solve", "--in", str(cs_path))
+        assert code == 0 and json.loads(out)["context"] == context
+
     def test_expectation_mismatch_fails(self, capsys, tmp_path):
         settings_path = self.write_settings(tmp_path, [[0.0, 0.0, 0.0, 0.0]])
         cs_path = tmp_path / "system.json"
@@ -849,7 +862,7 @@ class TestClosedStdout:
         )
         path = tmp_path / "system.json"
         with open(path, "w", encoding="utf-8") as fp:
-            serialize.dump_constraint_set(compile_double_bell(settings, HiddenContext(-1)), fp)
+            serialize.dump_constraint_set(compile_double_bell(settings, -1), fp)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.Popen(
             [sys.executable, "-m", "bellswap", "solve", "--in", str(path), "--method", "gf2"],

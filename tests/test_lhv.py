@@ -23,7 +23,6 @@ from bellswap.lhv import (
     RULE_FACTORIZATION,
     _MAX_NUMBER,
     ConstraintSet,
-    HiddenContext,
     ParityConstraint,
     Provenance,
     apply_factorization,
@@ -38,8 +37,6 @@ from bellswap.serialize import _labels, dump_constraint_set
 from bellswap.solver import SolveStatus, enumerate_solve
 
 PI = math.pi
-CTX_PLUS = HiddenContext(kappa=+1)
-CTX_MINUS = HiddenContext(kappa=-1)
 
 
 def tags_of(cs: ConstraintSet, constraint_index: int) -> list[str]:
@@ -53,7 +50,7 @@ def angles_of(cs: ConstraintSet, vid: int) -> tuple[float, ...]:
 class TestCompileBellPolarization:
     def test_equal_pairs_emit_one_positive_constraint(self):
         alpha, beta = 0.37, 1.91
-        cs = compile_bell_polarization([(alpha, alpha, beta, beta)], CTX_PLUS)
+        cs = compile_bell_polarization([(alpha, alpha, beta, beta)], +1)
         assert len(cs.constraints) == 1
         constraint = cs.constraints[0]
         assert constraint.required_sign == +1
@@ -64,7 +61,7 @@ class TestCompileBellPolarization:
         assert d_angles[0] == pytest.approx(beta, abs=1e-9)
 
     def test_generic_setting_emits_nothing(self):
-        cs = compile_bell_polarization([(0, 0.3, 0.7, 0.1)], CTX_PLUS)
+        cs = compile_bell_polarization([(0, 0.3, 0.7, 0.1)], +1)
         assert cs.constraints == []
         assert cs.unknowns == []
 
@@ -73,20 +70,20 @@ class TestCompileBellPolarization:
             (0, PI / 4, PI / 4, 0),
             (0, PI / 4, 0, PI / 4),
         ]
-        cs = compile_bell_polarization(settings_list, CTX_PLUS)
+        cs = compile_bell_polarization(settings_list, +1)
         assert [c.required_sign for c in cs.constraints] == [+1, -1]
 
     def test_variable_dedup_on_repeated_settings(self):
         setting = (0.2, 0.2, 0.9, 0.9)
-        cs = compile_bell_polarization([setting, setting], CTX_PLUS)
+        cs = compile_bell_polarization([setting, setting], +1)
         assert len(cs.constraints) == 2
         assert cs.n_variables == 3
         assert cs.constraints[0].var_ids == cs.constraints[1].var_ids
 
     def test_kappa_flips_the_rule(self):
         setting = (0, PI / 4, 0, PI / 4)
-        plus = compile_bell_polarization([setting], CTX_PLUS)
-        minus = compile_bell_polarization([setting], CTX_MINUS)
+        plus = compile_bell_polarization([setting], +1)
+        minus = compile_bell_polarization([setting], -1)
         assert plus.constraints[0].required_sign == -1
         assert minus.constraints[0].required_sign == +1
 
@@ -96,8 +93,7 @@ class TestCompileBellPolarization:
         kappa=st.sampled_from([-1, +1]),
     )
     def test_emitted_constraints_match_their_provenance(self, phis, kappa):
-        context = HiddenContext(kappa=kappa)
-        cs = compile_bell_polarization([phis], context)
+        cs = compile_bell_polarization([phis], kappa)
         phase_class = classify_zeta(phis, kappa)
         if phase_class == 0:
             assert cs.constraints == []
@@ -121,8 +117,9 @@ class Replay:
     compiler: each angle keyed by its own round(), each unknown registered
     on first use."""
 
-    def __init__(self, context):
-        self.context, self.ids, self.variables, self.constraints = context, {}, [], []
+    def __init__(self, kappa, label):
+        self.kappa, self.label = kappa, label
+        self.ids, self.variables, self.constraints = {}, [], []
 
     def unknown(self, tag, angles):
         keys = tuple(round(phi / ANGLE_QUANTUM) for phi in angles)
@@ -133,22 +130,21 @@ class Replay:
 
     def text(self):
         """The file the rows describe, as json.dumps writes it."""
-        kappa, label = self.context.kappa, self.context.label
-        doc = system_document(kappa, self.variables, self.constraints, label)
+        doc = system_document(self.kappa, self.variables, self.constraints, self.label)
         return json.dumps(doc, indent=2) + "\n"
 
 
-def replay_compile(rule, settings_list, context, tol):
+def replay_compile(rule, settings_list, kappa, tol, label=""):
     """The compiler one setting at a time: one classify_zeta call each."""
-    replay = Replay(context)
+    replay = Replay(kappa, label)
     for setting in settings_list:
-        sign = classify_zeta(setting, context.kappa, tol)
+        sign = classify_zeta(setting, kappa, tol)
         if sign == 0:
             continue
         angles = tuple(map(float, setting))
         terms = REPLAY_TERMS[rule]
         var_ids = [replay.unknown(tag, [angles[i] for i in slots]) for tag, slots in terms]
-        replay.constraints.append((var_ids, sign, (angles, zeta(setting, context.kappa), rule)))
+        replay.constraints.append((var_ids, sign, (angles, zeta(setting, kappa), rule)))
     return replay
 
 
@@ -183,15 +179,16 @@ class TestArrayPassCompiler:
     @pytest.mark.parametrize("kappa", [+1, -1])
     @pytest.mark.parametrize("fig", [1, 2])
     def test_matches_per_setting_replay(self, fig, kappa, tol):
-        context = HiddenContext(kappa=kappa, label="grid")
         if fig == 1:
-            compiled = apply_factorization(compile_bell_polarization(self.GRID, context, tol))
+            compiled = apply_factorization(
+                compile_bell_polarization(self.GRID, kappa, tol, label="grid")
+            )
             replayed = replay_factorization(
-                replay_compile(RULE_BELL_POLARIZATION, self.GRID, context, tol)
+                replay_compile(RULE_BELL_POLARIZATION, self.GRID, kappa, tol, "grid")
             )
         else:
-            compiled = compile_double_bell(self.GRID, context, tol)
-            replayed = replay_compile(RULE_DOUBLE_BELL, self.GRID, context, tol)
+            compiled = compile_double_bell(self.GRID, kappa, tol, label="grid")
+            replayed = replay_compile(RULE_DOUBLE_BELL, self.GRID, kappa, tol, "grid")
         assert compiled.constraints  # the grid has special settings in every case
         assert compiled.n_variables == len(replayed.variables)
         assert len(compiled.constraints) == len(replayed.constraints)
@@ -202,7 +199,7 @@ class TestArrayPassCompiler:
             assert type(constraint.provenance.zeta) is float
 
     def test_empty_settings(self):
-        cs = compile_double_bell([], CTX_MINUS)
+        cs = compile_double_bell([], -1)
         assert cs.unknowns == [] and cs.constraints == []
 
     @pytest.mark.parametrize("shape", [(4, 3), (8,), (2, 2, 4)])
@@ -213,11 +210,11 @@ class TestArrayPassCompiler:
         # reshaping would compile settings that nobody gave
         message = f"angles must have shape (N, 4), got {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            compile_fig(np.zeros(shape), CTX_PLUS)
+            compile_fig(np.zeros(shape), +1)
 
     @pytest.mark.parametrize("settings_arg", [np.zeros((0, 4)), []], ids=["array", "list"])
     def test_no_settings_compile_to_no_constraints(self, settings_arg):
-        cs = compile_bell_polarization(settings_arg, CTX_PLUS)
+        cs = compile_bell_polarization(settings_arg, +1)
         assert cs.unknowns == [] and cs.var_ids == []
 
 
@@ -241,18 +238,18 @@ class TestSettingsInput:
     )
     @pytest.mark.parametrize("compile_fig", COMPILERS)
     def test_plain_rows_compile_as_their_array(self, compile_fig, rows):
-        from_rows = compile_fig(rows, CTX_PLUS)
+        from_rows = compile_fig(rows, +1)
         assert from_rows.var_ids  # each input has a special setting
-        assert file_text(from_rows) == file_text(compile_fig(np.array(rows, dtype=float), CTX_PLUS))
+        assert file_text(from_rows) == file_text(compile_fig(np.array(rows, dtype=float), +1))
 
     @pytest.mark.parametrize("compile_fig", COMPILERS)
     def test_non_finite_angles_are_rejected(self, compile_fig):
         # the two bad rows are not dropped: the whole input is refused
         settings = np.array([[0, math.nan, 0, 0], [math.inf, 0, 0, 0], [0, 0, 0, 0]])
         with pytest.raises(ValueError, match=r"^phi2 must be a finite real, got nan$"):
-            compile_fig(settings, CTX_PLUS)
+            compile_fig(settings, +1)
         with pytest.raises(ValueError, match=r"^phi1 must be a finite real, got -inf$"):
-            compile_fig([(0.0, 0.0, 0.0, 0.0), (-math.inf, 0.0, 0.0, 0.0)], CTX_PLUS)
+            compile_fig([(0.0, 0.0, 0.0, 0.0), (-math.inf, 0.0, 0.0, 0.0)], +1)
 
     @pytest.mark.parametrize("kappa", [0, 2, -2])
     def test_contradiction_settings_need_a_sector(self, kappa):
@@ -305,11 +302,10 @@ class TestArrayQuantizer:
         factorize=st.booleans(),
     )
     def test_matches_round(self, rows, kappa, fig, factorize):
-        context = HiddenContext(kappa=kappa)
         rule = RULE_BELL_POLARIZATION if fig == 1 else RULE_DOUBLE_BELL
         compile_fig = compile_bell_polarization if fig == 1 else compile_double_bell
-        compiled = compile_fig(np.array(rows, dtype=float).reshape(-1, 4), context, 1e-9)
-        replayed = replay_compile(rule, rows, context, 1e-9)
+        compiled = compile_fig(np.array(rows, dtype=float).reshape(-1, 4), kappa, 1e-9)
+        replayed = replay_compile(rule, rows, kappa, 1e-9)
         if factorize:
             compiled, replayed = apply_factorization(compiled), replay_factorization(replayed)
         assert file_text(compiled) == replayed.text()
@@ -335,7 +331,7 @@ class TestArrayQuantizer:
         assert np.rint(grid / ANGLE_QUANTUM) + 0.0 == steps
 
     def test_tiny_negative_angle_prints_as_zero(self):
-        cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), CTX_PLUS)
+        cs = compile_double_bell(np.array([[-1e-10, -1e-10, -4e-10, -4e-10]]), +1)
         assert _labels(cs, range(cs.n_variables)) == ["F(0.0, 0.0)", "G(0.0, 0.0)"]
 
 
@@ -352,7 +348,7 @@ class TestCompileTolerance:
     def test_setting_at_the_window_edge_is_certain(self, kappa):
         edge = float(np.nextafter(MAX_COMPILE_TOL, 0))  # the window is open
         setting = (edge, 0.0, 0.0, 0.0)
-        cs = compile_bell_polarization([setting], HiddenContext(kappa), MAX_COMPILE_TOL)
+        cs = compile_bell_polarization([setting], kappa, MAX_COMPILE_TOL)
         assert cs.required_signs == [+1]
         report = perfect_correlation_report(setting, MAX_COMPILE_TOL)
         sector = next(sector for sector in report["sectors"] if sector["kappa"] == kappa)
@@ -367,13 +363,13 @@ class TestCompileTolerance:
     )
     def test_wider_tolerance_is_rejected(self, compile_fig, tol):
         with pytest.raises(ValueError, match="the widest phase window whose constraints stay"):
-            compile_fig(contradiction_settings(0.1, 0.2, 1), CTX_PLUS, tol)
+            compile_fig(contradiction_settings(0.1, 0.2, 1), +1, tol)
 
 
 class TestCompileDoubleBell:
     def test_zero_phase_setting(self):
         alpha, beta = 0.5, 2.2
-        cs = compile_double_bell([(alpha, alpha + PI / 4, beta + PI / 4, beta)], CTX_PLUS)
+        cs = compile_double_bell([(alpha, alpha + PI / 4, beta + PI / 4, beta)], +1)
         (constraint,) = cs.constraints
         assert constraint.required_sign == +1
         assert tags_of(cs, 0) == ["F", "G"]
@@ -383,13 +379,13 @@ class TestCompileDoubleBell:
 
     def test_half_pi_setting(self):
         alpha, beta = 0.5, 2.2
-        cs = compile_double_bell([(alpha, alpha + PI / 4, beta, beta + PI / 4)], CTX_PLUS)
+        cs = compile_double_bell([(alpha, alpha + PI / 4, beta, beta + PI / 4)], +1)
         (constraint,) = cs.constraints
         assert constraint.required_sign == -1
 
     def test_contradiction_settings_are_jointly_satisfiable_here(self):
         alpha, beta = 0.5, 2.2
-        cs = compile_double_bell(contradiction_settings(alpha, beta, +1), CTX_PLUS)
+        cs = compile_double_bell(contradiction_settings(alpha, beta, +1), +1)
         assert cs.n_variables == 4
         result = enumerate_solve(cs)
         assert result.status is SolveStatus.SAT
@@ -397,14 +393,14 @@ class TestCompileDoubleBell:
     def test_never_emits_a_or_d(self):
         rng = np.random.default_rng(2)
         settings_list = [(a, a, b, b) for a, b in rng.uniform(0, 2 * PI, size=(10, 2))]
-        cs = compile_double_bell(settings_list, CTX_MINUS)
+        cs = compile_double_bell(settings_list, -1)
         assert all(tag in ("F", "G") for tag, _ in cs.unknowns)
 
 
 class TestFactorization:
     def test_adds_definition_per_f_variable(self):
         alpha, beta = 0.4, 1.0
-        cs = compile_bell_polarization([(alpha, alpha + PI / 4, beta, beta + PI / 4)], CTX_MINUS)
+        cs = compile_bell_polarization([(alpha, alpha + PI / 4, beta, beta + PI / 4)], -1)
         out = apply_factorization(cs)
         assert len(cs.constraints) == 1  # input untouched
         assert len(out.constraints) == 2
@@ -416,10 +412,10 @@ class TestFactorization:
         assert a_angles[0] == pytest.approx(f_angles[0])
         assert d_angles[0] == pytest.approx(f_angles[1])
 
-    @pytest.mark.parametrize("context", [CTX_PLUS, CTX_MINUS])
-    def test_huge_f_angles_register_no_new_f_unknown(self, context):
+    @pytest.mark.parametrize("kappa", [+1, -1])
+    def test_huge_f_angles_register_no_new_f_unknown(self, kappa):
         points = [(1e7 + 0.3, 1.7e299), (-1.7e299, -1e7 - 0.7), (1.7e299, 1e7 + 0.3)]
-        cs = compile_double_bell([(x, x, y, y) for x, y in points], context)
+        cs = compile_double_bell([(x, x, y, y) for x, y in points], kappa)
         f_ids = [vid for vid, (tag, _) in enumerate(cs.unknowns) if tag == "F"]
         out = apply_factorization(cs)
         assert len(f_ids) == 3
@@ -430,7 +426,7 @@ class TestFactorization:
         assert out.n_variables == cs.n_variables + 6  # A(x) and D(y) per point
 
     def test_no_f_variables_is_a_fixed_point(self):
-        cs = compile_factored([(0.1, 0.1, 0.2, 0.2)], CTX_PLUS)
+        cs = compile_factored([(0.1, 0.1, 0.2, 0.2)], +1)
         assert apply_factorization(cs) == cs
 
     def test_factorized_system_is_equisatisfiable_with_factored_one(self):
@@ -447,9 +443,8 @@ class TestFactorization:
                     (a, a + float(rng.choice(offsets)), b + float(rng.choice(offsets)), b)
                 )
             kappa = int(rng.choice([-1, 1]))
-            context = HiddenContext(kappa=kappa)
-            factorized = apply_factorization(compile_bell_polarization(settings_list, context))
-            direct = compile_factored(settings_list, context)
+            factorized = apply_factorization(compile_bell_polarization(settings_list, kappa))
+            direct = compile_factored(settings_list, kappa)
             assert enumerate_solve(factorized).status is enumerate_solve(direct).status
 
 
@@ -483,11 +478,20 @@ class TestContradictionInstance:
             contradiction_instance(0.0, 0.0, 0)
 
 
+#: Every maker of a system from a kappa and a label: the compilers get no settings.
+MAKERS = {
+    "ConstraintSet": ConstraintSet,
+    "compile_bell_polarization": lambda k, label="": compile_bell_polarization([], k, label=label),
+    "compile_double_bell": lambda k, label="": compile_double_bell([], k, label=label),
+    "compile_factored": lambda k, label="": compile_factored([], k, label=label),
+}
+
+
 class TestConstraintSetInvariants:
     def test_context_kappa_validated(self):
         for kappa in (2, 0, True, 1.0):  # a file holds only the int +1 or -1
             with pytest.raises(ValueError):
-                HiddenContext(kappa=kappa)
+                ConstraintSet(kappa)
 
     @pytest.mark.parametrize("kappa", [True, 1.0, np.int64(1)], ids=["bool", "float", "int64"])
     @pytest.mark.parametrize(
@@ -496,24 +500,26 @@ class TestConstraintSetInvariants:
             lambda kappa: zeta((0, 0, 0, 0), kappa),
             lambda kappa: classify_zeta((0, 0, 0, 0), kappa),
             lambda kappa: contradiction_settings(0.0, 0.0, kappa),
-            HiddenContext,
+            *MAKERS.values(),
         ],
-        ids=["zeta", "classify_zeta", "contradiction_settings", "HiddenContext"],
+        ids=["zeta", "classify_zeta", "contradiction_settings", *MAKERS],
     )
     def test_every_kappa_is_an_exact_int(self, call, kappa):
-        # one rule, the context's: a kappa that is not the int +1 or -1 fails
+        # one rule, the system's: a kappa that is not the int +1 or -1 fails
         message = f"kappa must be +1 or -1, got {kappa!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(kappa)
 
-    def test_context_label_validated(self):
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+    def test_context_label_validated(self, make):
         for label in (5, None, b"x"):  # a file holds only a string label
-            with pytest.raises(ValueError):
-                HiddenContext(kappa=+1, label=label)
+            message = f"label must be a string, got {label!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(+1, label)
 
     def test_constraints_are_rows_of_the_columns(self):
         settings_list = grid_settings(np.random.default_rng(7), 2)
-        cs = apply_factorization(compile_bell_polarization(settings_list, CTX_PLUS))
+        cs = apply_factorization(compile_bell_polarization(settings_list, +1))
         rows = [
             ParityConstraint(var_ids, sign, Provenance(angles, zeta_value, equation))
             for var_ids, sign, angles, zeta_value, equation in zip(
@@ -522,15 +528,16 @@ class TestConstraintSetInvariants:
         ]
         assert type(cs.constraints) is list and cs.constraints == rows
         assert len(rows) == len(cs.var_ids) > 0
-        assert ConstraintSet(CTX_PLUS).constraints == []
+        assert ConstraintSet(+1).constraints == []
 
     def test_equality_compares_context_variables_and_constraints(self):
         cs = contradiction_instance(0.0, 0.0, +1)
         assert cs == contradiction_instance(0.0, 0.0, +1)
         assert cs == cs.copy()
-        flipped, other_kappa = cs.copy(), cs.copy()
+        flipped, other_kappa, other_label = cs.copy(), cs.copy(), cs.copy()
         flipped.required_signs[0] = -flipped.required_signs[0]
-        other_kappa.context = CTX_MINUS
-        assert cs != flipped and cs != other_kappa
+        other_kappa.kappa = -1
+        other_label.label = "x"
+        assert cs != flipped and cs != other_kappa and cs != other_label
         assert cs == contradiction_instance(0.0, 0.0, +1)  # the copies' edits left cs as it was
         assert cs != contradiction_instance(0.0, 0.1, +1)

@@ -24,6 +24,13 @@ def test_settings_type_is_not_exported():
     assert "AngleSettings" not in bellswap.__all__ and not hasattr(bellswap, "AngleSettings")
 
 
+def test_context_type_is_not_exported():
+    # a system carries its own kappa and label, so there is no context object
+    for module in (bellswap, lhv):
+        assert [name for name in dir(module) if name.endswith("Context")] == []
+    assert not hasattr(lhv.ConstraintSet(+1), "context")
+
+
 def test_only_lhv_knows_the_angle_grid():
     # an unknown holds its grid angles, so the writer and the CLI never
     # convert with the grid step
@@ -43,7 +50,7 @@ def test_only_cli_converts_degrees():
 
 
 def test_a_model_is_the_assignment_tuple():
-    cs = lhv.compile_double_bell(lhv.contradiction_settings(0.0, 0.0, 1), lhv.HiddenContext(1))
+    cs = lhv.compile_double_bell(lhv.contradiction_settings(0.0, 0.0, 1), 1)
     for solve in (solver.enumerate_solve, solver.gf2_solve):
         result = solve(cs)
         assert result.status is solver.SolveStatus.SAT and type(result.model) is tuple

@@ -112,6 +112,17 @@ class TestRotation:
                 np.linalg.norm(state), abs=1e-12
             )
 
+    @pytest.mark.parametrize("photon", range(4))
+    def test_phi_is_checked_alone(self, photon):
+        # a bool alone is no angle, though numpy reads it as 1.0 among float zeros
+        with pytest.raises(ValueError, match=r"^angles must be real numbers, got dtype bool$"):
+            rotate_photon(make_vw_state(), photon, True)
+        with pytest.raises(ValueError, match=r"^phi1 must be a finite real, got nan$"):
+            rotate_photon(make_vw_state(), photon, math.nan)
+        as_int = rotate_photon(make_vw_state(), photon, 1)
+        np.testing.assert_array_equal(as_int, rotate_photon(make_vw_state(), photon, 1.0))
+        assert as_int.dtype == np.float64
+
     def test_bad_photon_index(self):
         with pytest.raises(IndexError):
             rotate_photon(make_vw_state(), 4, 0.1)

@@ -17,7 +17,6 @@ from bellswap.lhv import (
     ANGLE_QUANTUM,
     TAG_ARITY,
     ConstraintSet,
-    HiddenContext,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -145,10 +144,8 @@ class TestConstraintSetJson:
                 (a, a + PI / 4, b, b + PI / 4) for a, b in rng.uniform(0, 2 * PI, size=(3, 2))
             ]
             for compiled in (
-                apply_factorization(
-                    compile_bell_polarization(settings_list, HiddenContext(kappa=+1))
-                ),
-                compile_double_bell(settings_list, HiddenContext(kappa=-1, label="x")),
+                apply_factorization(compile_bell_polarization(settings_list, +1)),
+                compile_double_bell(settings_list, -1, label="x"),
             ):
                 assert constraint_set_from_dict(constraint_set_to_dict(compiled)) == compiled
 
@@ -165,7 +162,7 @@ class TestConstraintSetJson:
         # an unknown is its tag and the angles its file entry prints, also in
         # a set loaded back from that file
         compile_fig = compile_bell_polarization if fig == 1 else compile_double_bell
-        compiled = compile_fig(grid_settings(np.random.default_rng(301), 3), HiddenContext(kappa))
+        compiled = compile_fig(grid_settings(np.random.default_rng(301), 3), kappa)
         factorized = apply_factorization(compiled)
         loaded = [load_constraint_set(io.StringIO(dumped(cs))) for cs in (compiled, factorized)]
         for cs in (compiled, factorized, *loaded):
@@ -226,11 +223,11 @@ def compiled_systems(draw):
         return base + step * PI / 4 if step else base
 
     settings_list = [tuple(angle() for _ in range(4)) for _ in range(draw(st.integers(0, 10)))]
-    context = HiddenContext(draw(KAPPAS), draw(AWKWARD_TEXT))
+    kappa, label = draw(KAPPAS), draw(AWKWARD_TEXT)
     compile_fig = draw(
         st.sampled_from([compile_bell_polarization, compile_double_bell, compile_factored])
     )
-    cs = compile_fig(settings_list, context)
+    cs = compile_fig(settings_list, kappa, label=label)
     return apply_factorization(cs) if draw(st.booleans()) else cs
 
 
@@ -275,7 +272,7 @@ class TestWriter:
     @given(
         compiled_systems()
         | hand_built_systems()
-        | st.builds(ConstraintSet, st.builds(HiddenContext, KAPPAS, AWKWARD_TEXT))
+        | st.builds(ConstraintSet, KAPPAS, AWKWARD_TEXT)
     )
     def test_bytes_match_the_json_module(self, cs):
         text = dumped(cs)
@@ -601,7 +598,7 @@ class TestSolveResultJson:
         assert sorted(signs) == [-1, 1]
 
     def test_sat_document_lists_model(self):
-        cs = compile_double_bell([(0.1, 0.1 + PI / 4, 0.2 + PI / 4, 0.2)], HiddenContext(kappa=+1))
+        cs = compile_double_bell([(0.1, 0.1 + PI / 4, 0.2 + PI / 4, 0.2)], +1)
         result = enumerate_solve(cs)
         doc = solve_result_to_dict(cs, result, verified=True)
         assert doc["status"] == "sat"

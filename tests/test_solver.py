@@ -6,7 +6,6 @@ from instance_gen import grid_settings, random_compiled_instance, system_documen
 
 from bellswap.lhv import (
     ConstraintSet,
-    HiddenContext,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -94,7 +93,7 @@ def dense_gauss_jordan(cs: ConstraintSet) -> SolveResult:
 
 class TestEnumerateSolve:
     def test_empty_set_is_sat_with_empty_model(self):
-        result = enumerate_solve(ConstraintSet(context=HiddenContext(kappa=+1)))
+        result = enumerate_solve(ConstraintSet(+1))
         assert result.status is SolveStatus.SAT
         assert result.model == ()
 
@@ -179,7 +178,7 @@ class TestGf2Solve:
             (0.5, 0.5 + PI / 4, 2.2 + PI / 4, 2.2),
             (0.5, 0.5 + PI / 4, 2.2, 2.2 + PI / 4),
         ]
-        cs = compile_double_bell(settings_list, HiddenContext(kappa=+1))
+        cs = compile_double_bell(settings_list, +1)
         result = gf2_solve(cs)
         assert result.status is SolveStatus.SAT
         assert verify_certificate(cs, result)
@@ -252,10 +251,10 @@ class TestGf2Contracts:
         settings = grid_settings(np.random.default_rng(97), 4)
         assert len(settings) == 784
         if fig == 1:
-            cs = apply_factorization(compile_bell_polarization(settings, HiddenContext(kappa=+1)))
+            cs = apply_factorization(compile_bell_polarization(settings, +1))
             expected = SolveStatus.UNSAT
         else:
-            cs = compile_double_bell(settings, HiddenContext(kappa=-1))
+            cs = compile_double_bell(settings, -1)
             expected = SolveStatus.SAT
         result = gf2_solve(cs)
         assert result.status is expected
@@ -272,7 +271,7 @@ class TestGf2Contracts:
 
     def test_large_factorized_grid_is_refuted(self):
         settings = grid_settings(np.random.default_rng(103), 18)
-        cs = apply_factorization(compile_bell_polarization(settings, HiddenContext(kappa=+1)))
+        cs = apply_factorization(compile_bell_polarization(settings, +1))
         assert cs.n_variables >= 4000
         result = gf2_solve(cs)
         assert result.status is SolveStatus.UNSAT

@@ -121,13 +121,12 @@ def round_stages(settings_text: str, repeat: int) -> dict[str, float]:
     stages: dict[str, float] = {}
     stage = stage_timer(stages, repeat)
     for fig, kappa in ((1, +1), (2, -1)):
-        context = lhv.HiddenContext(kappa=kappa, label="grid")
         compile_fig = lhv.compile_bell_polarization if fig == 1 else lhv.compile_double_bell
         settings = stage(
             f"load_settings_fig{fig}",
             lambda: serialize.load_settings(io.StringIO(settings_text)),
         )
-        cs = stage(f"compile_fig{fig}", lambda: compile_fig(settings, context))
+        cs = stage(f"compile_fig{fig}", lambda: compile_fig(settings, kappa, label="grid"))
         if fig == 1:
             cs = stage("apply_factorization", lambda: lhv.apply_factorization(cs))
         text = stage(f"dump_constraint_set_fig{fig}", lambda: dump_text(cs))
@@ -271,7 +270,7 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     for bases in sizes:
         text = json.dumps(grid(bases))
         settings = serialize.load_settings(io.StringIO(text))
-        cs = lhv.compile_bell_polarization(settings, lhv.HiddenContext(kappa=+1))
+        cs = lhv.compile_bell_polarization(settings, +1)
         ms, result = best_ms(repeat, lambda: solver.gf2_solve(cs))
         out.append(
             {
