@@ -12,13 +12,13 @@ repr, so every set writes a file that loads back to the same bytes: what
 json.dumps with indent=2 prints for constraint_set_to_dict, pinned byte for
 byte, but one f-string per variable and constraint, a chunk per write.  Each
 distinct float is formatted once (_float_reprs keeps -0.0 apart from 0.0),
-also in the labels, such as ``F(0.1, 0.2)``, of a result document (_labels).
-The event CSV is written by write_events_csv in chunks of EVENT_CHUNK events:
-each chunk's rows are formatted by one % call over (event id, row text)
-pairs, the header precedes event 0 and the ids continue from the call's
-start, so a file can be written in several calls.  The CSV schema is
-versioned by its pinned header row; its columns, vocabulary and LF line
-endings are golden-tested.
+also in the labels, such as ``F(0.1, 0.2)``, of a result document (_labels),
+and a load decodes each distinct number text once (_parse).  The event CSV
+is written by write_events_csv in chunks of EVENT_CHUNK events: each chunk's
+rows are formatted by one % call over (event id, row text) pairs, the header
+precedes event 0 and the ids continue from the call's start, so a file can
+be written in several calls.  The CSV schema is versioned by its pinned
+header row; its columns, vocabulary and LF line endings are golden-tested.
 """
 
 from __future__ import annotations
@@ -95,10 +95,19 @@ def constraint_set_to_dict(cs: ConstraintSet) -> dict:
     }
 
 
+class _FloatMemo(dict):
+    """float(text) of each distinct number text; text keys keep -0.0 apart from 0.0."""
+
+    def __missing__(self, text: str) -> float:
+        return self.setdefault(text, float(text))
+
+
 def _parse(fp: IO[str]):
-    """json.load, raising ValueError also on input nested too deeply to parse."""
+    """json.load, raising ValueError also on input nested too deeply to
+    parse, that decodes each distinct number text once per load (the mirror
+    of _float_reprs)."""
     try:
-        return json.load(fp)
+        return json.load(fp, parse_float=_FloatMemo().__getitem__)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 

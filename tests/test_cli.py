@@ -594,6 +594,32 @@ class TestMalformedInput:
         assert captured.err.startswith("error: cannot read")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,kind", [("compile", "settings"), ("solve", "constraint")])
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (
+                b'\xef\xbb\xbf{"settings": []}',
+                "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+            ),
+            (b"{} {}", "Extra data: line 1 column 4 (char 3)"),
+        ],
+        ids=["utf-8-bom", "extra-data"],
+    )
+    def test_json_module_messages(self, capsys, tmp_path, command, kind, content, message):
+        """The loaders parse with json.load itself, whose messages name the
+        malformed text."""
+        infile, out = tmp_path / "in.json", tmp_path / "out.json"
+        infile.write_bytes(content)
+        if command == "compile":
+            argv = ["compile", "--settings", str(infile), "--kappa", "1", "--out", str(out)]
+        else:
+            argv = ["solve", "--in", str(infile)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: cannot read {kind} file: {message}\n")
+        assert not out.exists()
+
     def test_loader_bug_is_not_reported_as_malformed_input(self, monkeypatch, tmp_path):
         infile = tmp_path / "system.json"
         infile.write_text(json.dumps(constraint_set_to_dict(contradiction_instance(0.0, 0.0, +1))))

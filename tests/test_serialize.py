@@ -2,13 +2,14 @@ import copy
 import io
 import json
 import math
+import struct
 import sys
 from itertools import cycle
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from instance_gen import grid_settings, system_document
 
@@ -37,6 +38,7 @@ from bellswap.serialize import (
     write_events_csv,
     _float_reprs,
     _labels,
+    _parse,
 )
 from bellswap.cli import main
 from bellswap.solver import enumerate_solve
@@ -582,6 +584,54 @@ class TestLoaderMessages:
         with pytest.raises(ValueError) as excinfo:
             load_constraint_set(io.StringIO(json.dumps(doc)))
         assert str(excinfo.value) == message
+
+
+#: Number texts that repeat within a file: one value in four spellings, -0.0
+#: beside 0.0, the smallest subnormal, a large float, two texts that overflow
+#: to infinity and one that underflows to 0.0, the int -0 and ints beyond
+#: 2**64, among any float's repr and any int.
+NUMBER_TEXTS = (
+    st.sampled_from(
+        ["0.5", "5e-1", "0.50", "5E-1", "-0.0", "0.0", "5e-324", "1.7e299", "1e400", "-1e400"]
+        + [str(2**64 + 1), str(-(2**70)), "-0", "1e-400"]
+    )
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers().map(str)
+)
+JSON_TEXTS = st.recursive(
+    NUMBER_TEXTS,
+    lambda inner: st.lists(inner, max_size=8).map(lambda items: f"[{', '.join(items)}]")
+    | st.dictionaries(st.text(max_size=2).map(json.dumps), inner, max_size=4).map(
+        lambda members: f"{{{', '.join(map(': '.join, members.items()))}}}"
+    ),
+    max_leaves=40,
+)
+
+
+def same_leaves(parsed, expected) -> bool:
+    """The same JSON value leaf by leaf: the same types, equal ints and
+    strings, and floats equal bit for bit (-0.0 == 0.0 as floats)."""
+    if type(parsed) is not type(expected):
+        return False
+    if type(parsed) is dict:
+        values = zip(parsed.values(), expected.values())
+        return list(parsed) == list(expected) and all(same_leaves(*pair) for pair in values)
+    if type(parsed) is list:
+        return len(parsed) == len(expected) and all(map(same_leaves, parsed, expected))
+    if type(parsed) is float:
+        return struct.pack("<d", parsed) == struct.pack("<d", expected)
+    return parsed == expected
+
+
+class TestParse:
+    """_parse decodes each distinct number text once per load, into exactly
+    the values json.loads gives."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JSON_TEXTS)
+    @example(f"[0.5, 5e-1, 0.50, 5E-1, 0.0, -0.0, 0.0, 5e-324, 1.7e299, 1e400, {2**64 + 1}]")
+    def test_values_match_the_json_module(self, text):
+        assert same_leaves(_parse(io.StringIO(text)), json.loads(text))
 
 
 class TestSolveResultJson:

@@ -7,8 +7,7 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def test_stage_times_smallest_size():
-    argv = ["--bases", "1", "--repeat", "1", "--solve-bases", "1"]
+def stage_times(*argv: str) -> dict:
     proc = subprocess.run(
         [sys.executable, str(TOOLS / "stage_times.py"), *argv],
         capture_output=True,
@@ -16,14 +15,19 @@ def test_stage_times_smallest_size():
         timeout=120,
         check=True,
     )
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_stage_times_smallest_size():
+    report = stage_times("--bases", "1", "--repeat", "1", "--solve-bases", "1")
+    assert "runs" not in report and "quartiles_ms" not in report
     assert report["settings"] == 49
     stages = report["stages_ms"]
     for name in (
         "load_settings_fig1",
         "compile_fig1",
         "apply_factorization",
-        "json_loads_fig1",
+        "parse_fig1",
         "constraint_set_from_dict_fig1",
         "compile_fig2",
         "constraint_set_from_dict_fig2",
@@ -55,6 +59,32 @@ def test_stage_times_smallest_size():
     total = lines.pop("total")
     assert {"lhv.py", "serialize.py"} <= set(lines) and min(lines.values()) > 0
     assert total == sum(lines.values())
+
+
+def test_stage_times_runs_report_quartiles_beside_the_best():
+    report = stage_times("--bases", "1", "--repeat", "1", "--solve-bases", "1", "2", "--runs", "3")
+    assert report["runs"] == 3
+    spread = report["quartiles_ms"]
+    assert set(spread) == {
+        "stages_ms",
+        "round_ms",
+        "cli_ms",
+        "event_stages_ms",
+        "qm_stages_ms",
+        "gf2_unfactorized_fig1",
+    }
+    for key in ("stages_ms", "cli_ms", "event_stages_ms", "qm_stages_ms"):
+        assert set(spread[key]) == set(report[key])
+        for name, (q1, median, q3) in spread[key].items():
+            # the best of three runs is at most their first quartile
+            assert 0.0 <= report[key][name] <= q1 <= median <= q3
+    assert report["round_ms"] == sum(report["stages_ms"].values())
+    assert report["round_ms"] <= spread["round_ms"][0] <= spread["round_ms"][2]
+    solves = report["gf2_unfactorized_fig1"]
+    assert [solve["bases"] for solve in solves] == [1, 2]
+    for solve, (q1, median, q3) in zip(solves, spread["gf2_unfactorized_fig1"]):
+        assert 0.0 < solve["ms"] <= q1 <= median <= q3
+    assert set(report["cli_collections"]) == {"gen0", "gen1", "gen2"}
 
 
 def test_stage_times_draws_the_refute_grid_workload_settings(monkeypatch):

@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 tools/stage_times.py
     python3 tools/stage_times.py --bases 2 --repeat 1 --solve-bases 1 2
+    python3 tools/stage_times.py --repeat 5 --runs 5
 
 A round compiles the refute_grid benchmark workload's settings grid, made by
 its ``benchmarks/workloads.py`` code from its seed (``--bases`` random base
@@ -12,9 +13,11 @@ every right base), twice, as that workload does: figure 1 with the
 factorization in sector kappa = +1 (unsatisfiable) and figure 2 in sector
 kappa = -1 (satisfiable).  Each figure's system goes through every stage of
 ``compile`` and ``solve --method gf2``: load the settings file, compile,
-factorize (figure 1), write the constraint file, parse it, load it, solve,
-verify and build the result document.  Each stage is timed alone, and its
-best of ``--repeat`` runs is reported in milliseconds.
+factorize (figure 1), write the constraint file, parse it as
+``load_constraint_set`` parses it (``parse_fig1``, ``serialize._parse``),
+fill its columns, solve, verify and build the result document.  Each stage
+is timed alone, and its best of ``--repeat`` runs is reported in
+milliseconds.
 
 ``cli_ms`` times the same round as the workload runs it: its four commands
 (``compile --factorize`` and ``solve --method gf2`` of figure 1 in kappa = +1,
@@ -52,6 +55,14 @@ settings are the refute_grid grid of that size, drawn the same way.
 It also reports ``src_lines``: the line count of each module of the
 package, as ``wc -l`` counts them, and their total.
 
+``--runs K`` makes the whole measurement K times.  Each timing is then the
+best of its K best-of-``--repeat`` values (``round_ms`` the sum of the best
+stages, ``cli_collections`` the mean of the K counts), and, for K > 1,
+``quartiles_ms`` gives the first quartile, median and third quartile of the
+K values of each timing, in the report's layout (the unfactorized solves as
+a list in ``--solve-bases`` order), beside ``runs``.  ``--runs 1``, the
+default, reports only the best-of keys.
+
 The output is one JSON object on standard output.
 """
 
@@ -63,6 +74,7 @@ import io
 import json
 import math
 import platform
+import statistics
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -130,7 +142,7 @@ def round_stages(settings_text: str, repeat: int) -> dict[str, float]:
         if fig == 1:
             cs = stage("apply_factorization", lambda: lhv.apply_factorization(cs))
         text = stage(f"dump_constraint_set_fig{fig}", lambda: dump_text(cs))
-        doc = stage(f"json_loads_fig{fig}", lambda: json.loads(text))
+        doc = stage(f"parse_fig{fig}", lambda: serialize._parse(io.StringIO(text)))
         loaded = stage(
             f"constraint_set_from_dict_fig{fig}", lambda: serialize.constraint_set_from_dict(doc)
         )
@@ -284,6 +296,58 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     return out
 
 
+#: The report's sections of timings, in milliseconds, besides the
+#: unfactorized solves.
+TIMED = ("stages_ms", "round_ms", "cli_ms", "event_stages_ms", "qm_stages_ms")
+
+
+def timings(settings_text: str, batch: np.ndarray, args: argparse.Namespace) -> dict:
+    """One run of every measurement of the report."""
+    stages = round_stages(settings_text, args.repeat)
+    cli_ms, cli_collections = cli_round(settings_text, args.repeat)
+    return {
+        "stages_ms": stages,
+        "round_ms": sum(stages.values()),
+        "cli_ms": cli_ms,
+        "cli_collections": cli_collections,
+        "event_stages_ms": event_stages(args.repeat),
+        "qm_stages_ms": qm_stages(batch, args.repeat),
+        "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
+    }
+
+
+def across(runs: list, reduce):
+    """``reduce`` of each leaf's values over runs of one layout: dicts by
+    key, lists by index."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: across([run[key] for run in runs], reduce) for key in first}
+    if isinstance(first, list):
+        return [across(list(items), reduce) for items in zip(*runs)]
+    return reduce(runs)
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile of the values."""
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summary(runs: list[dict]) -> dict:
+    """The runs of ``timings`` as one report: see the module docstring."""
+    report = across(runs, min)
+    report["round_ms"] = sum(report["stages_ms"].values())
+    report["cli_collections"] = across([run["cli_collections"] for run in runs], statistics.mean)
+    if len(runs) > 1:
+        timed = [
+            {key: run[key] for key in TIMED}
+            | {"gf2_unfactorized_fig1": [solve["ms"] for solve in run["gf2_unfactorized_fig1"]]}
+            for run in runs
+        ]
+        report["runs"] = len(runs)
+        report["quartiles_ms"] = across(timed, quartiles)
+    return report
+
+
 def src_lines() -> dict[str, int]:
     """Newlines in each src/bellswap/*.py, by file name, and their total."""
     paths = sorted(SRC.glob("bellswap/*.py"))
@@ -302,14 +366,15 @@ def main(argv: list[str] | None = None) -> int:
         default=[9, 14, 20],
         help="grid sizes of the unfactorized figure-1 gf2_solve timings",
     )
+    parser.add_argument(
+        "--runs", type=int, default=1, help="whole measurements; reports their quartiles too"
+    )
     args = parser.parse_args(argv)
-    if min([args.bases, args.repeat, *args.solve_bases]) < 1:
-        parser.error("sizes and --repeat must be >= 1")
+    if min([args.bases, args.repeat, args.runs, *args.solve_bases]) < 1:
+        parser.error("sizes, --repeat and --runs must be >= 1")
 
     settings = grid(args.bases)
     settings_text = json.dumps({"settings": settings})
-    stages = round_stages(settings_text, args.repeat)
-    cli_ms, cli_collections = cli_round(settings_text, args.repeat)
     batch = qm_batch()
     report = {
         "python": platform.python_version(),
@@ -318,16 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         "bases": args.bases,
         "settings": len(settings),
         "repeat": args.repeat,
-        "stages_ms": stages,
-        "round_ms": sum(stages.values()),
-        "cli_ms": cli_ms,
-        "cli_collections": cli_collections,
         "events": EVENTS,
-        "event_stages_ms": event_stages(args.repeat),
         "qm_grid": QM_GRID,
         "qm_settings": len(batch),
-        "qm_stages_ms": qm_stages(batch, args.repeat),
-        "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
+        **summary([timings(settings_text, batch, args) for _ in range(args.runs)]),
         "src_lines": src_lines(),
     }
     print(json.dumps(report, indent=2))
