@@ -47,7 +47,6 @@ from .correlations import (
     MAX_ANGLE_TOL,
     MAX_COMPILE_TOL,
     _correlation_report,
-    classify_zeta,
     sample_events,
     violating_outcomes,
 )
@@ -185,7 +184,8 @@ def cmd_verify_qm(args: argparse.Namespace) -> int:
     # --out is opened before the sweep, so an unwritable path fails at once
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fp:
         report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
-        text = json.dumps(report, indent=2)
+        doc = {"format_version": FORMAT_VERSION, "command": "verify-qm", **report}
+        text = json.dumps(doc, indent=2)
         if fp is not None:
             fp.write(text + "\n")
     print(text)
@@ -227,15 +227,10 @@ def _solve_and_print(cs: ConstraintSet, doc: dict, expect: str | None) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     alpha = _to_radians(args.alpha, args.degrees)
     beta = _to_radians(args.beta, args.degrees)
-    settings = contradiction_settings(alpha, beta, args.kappa)
-    # at large angles the pi/4 offsets are lost in rounding and the settings
-    # no longer sit at zeta = 0 and -pi/2
-    if [classify_zeta(s, args.kappa) for s in settings] != [+1, -1]:
-        print(
-            f"error: at alpha={alpha!r}, beta={beta!r} rad the contradiction settings"
-            " lose their pi/4 offsets in rounding; use angles of smaller magnitude",
-            file=sys.stderr,
-        )
+    try:
+        settings = contradiction_settings(alpha, beta, args.kappa)
+    except ValueError as exc:  # the pi/4 offsets lost in rounding at large angles
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.fig2:
         cs = compile_double_bell(settings, args.kappa, label="double-bell variant")

@@ -80,11 +80,12 @@ def quantize_angle(phi) -> np.ndarray:
     """Grid angles of an array of angles: phi / ANGLE_QUANTUM rounded half to
     even, times ANGLE_QUANTUM.  A grid angle is its own grid angle.  Adding
     0.0 turns the -0.0 of a tiny negative angle into 0.0, so a grid angle
-    never prints as -0.0."""
-    angles = (np.rint(np.divide(phi, ANGLE_QUANTUM)) + 0.0) * ANGLE_QUANTUM
-    if not np.isfinite(angles).all():
-        raise OverflowError("angle too large for its grid angle to be a finite float")
-    return angles
+    never prints as -0.0.  An angle beyond +-_MAX_NUMBER raises ValueError."""
+    phi = np.asarray(phi, dtype=float)
+    if not (bounded := np.abs(phi) <= _MAX_NUMBER).all():
+        bad = phi[~bounded][0].item()
+        raise ValueError(f"angle must be a number within +-{_MAX_NUMBER:.2g}, got {bad!r}")
+    return (np.rint(phi / ANGLE_QUANTUM) + 0.0) * ANGLE_QUANTUM
 
 
 @dataclass(frozen=True)
@@ -255,16 +256,23 @@ def contradiction_settings(alpha: float, beta: float, kappa: int) -> np.ndarray:
 
     Both use phi1 = alpha, phi2 = alpha + pi/4; swapping pi/4 between phi3
     and phi4 moves zeta_kappa between 0 and -pi/2 while involving the same
-    four polarizer angles.
+    four polarizer angles.  Raises ValueError if rounding ate the pi/4 offsets.
     """
     # zeta_+1 = 0 at plus, zeta_-1 = 0 at minus
     plus = (alpha, alpha + pi / 4, beta + pi / 4, beta)
     minus = (alpha, alpha + pi / 4, beta, beta + pi / 4)
-    return _angle_rows((plus, minus) if _kappa(kappa) == +1 else (minus, plus))
+    rows = _angle_rows((plus, minus) if _kappa(kappa) == +1 else (minus, plus))
+    if _predicted_product(_zetas(rows, (kappa,))[0], DEFAULT_ANGLE_TOL).tolist() != [+1, -1]:
+        raise ValueError(
+            f"at alpha={alpha!r}, beta={beta!r} rad the contradiction settings"
+            " lose their pi/4 offsets in rounding; use angles of smaller magnitude"
+        )
+    return rows
 
 
 def contradiction_instance(alpha: float, beta: float, kappa: int) -> ConstraintSet:
     """Two factored constraints over A(alpha), A(alpha + pi/4), D(beta),
-    D(beta + pi/4) whose required signs differ: the unsatisfiable core."""
+    D(beta + pi/4) whose required signs differ: the unsatisfiable core.
+    Raises contradiction_settings' ValueError where it does."""
     label = f"contradiction(alpha={alpha!r}, beta={beta!r})"
     return compile_factored(contradiction_settings(alpha, beta, kappa), kappa, label=label)

@@ -2,8 +2,8 @@
 
 Runs the closed form against the brute-force decomposition, checks sector
 conservation and normalization on random settings, and checks every claimed
-certainty on the special-phase angle families.  Used by the verify-qm
-command; any violation is reported with the offending setting.
+certainty on the special-phase angle families.  The report lists any violation
+with its setting; ``cli`` puts verify-qm's document envelope in front of it.
 
 The sweep is batched: random settings are drawn from one stream a chunk at a
 time, and each chunk is decomposed and checked as an (N, 4) array, so memory
@@ -29,7 +29,6 @@ from .correlations import (
     kappa_of,
 )
 from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_closed_form
-from .serialize import FORMAT_VERSION
 
 __all__ = ["CLOSED_FORM_TOL", "special_family_settings", "run_qm_verification"]
 
@@ -101,7 +100,7 @@ def run_qm_verification(
     tol: float = DEFAULT_ANGLE_TOL,
     seed: int = 12345,
 ) -> dict:
-    """Run every analytic check; returns a JSON-ready report.
+    """Run every analytic check; returns the JSON-ready report body.
 
     ``grid`` controls the random sweep size (grid**4 settings).  The report's
     ``passed`` field is True iff no check produced a violation.  Violations
@@ -159,8 +158,6 @@ def run_qm_verification(
     for entry in checks.values():
         entry["passed"] = entry["max_value"] < entry["threshold"]
     return {
-        "format_version": FORMAT_VERSION,
-        "command": "verify-qm",
         "grid": grid,
         "tol": tol,
         "seed": seed,

@@ -251,6 +251,14 @@ class TestSettingsInput:
         with pytest.raises(ValueError, match=r"^phi1 must be a finite real, got -inf$"):
             compile_fig([(0.0, 0.0, 0.0, 0.0), (-math.inf, 0.0, 0.0, 0.0)], +1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("compile_fig", COMPILERS)
+    def test_kept_angles_beyond_the_file_bound_are_rejected(self, compile_fig):
+        # the loaders' message, raised before numpy divides and overflows
+        message = r"^angle must be a number within \+-1\.8e\+299, got 1e\+300$"
+        with pytest.raises(ValueError, match=message):
+            compile_fig([[1e300, 1e300, 0, 0]], +1)
+
     @pytest.mark.parametrize("kappa", [0, 2, -2])
     def test_contradiction_settings_need_a_sector(self, kappa):
         with pytest.raises(ValueError, match=rf"^kappa must be \+1 or -1, got {kappa}$"):
@@ -476,6 +484,26 @@ class TestContradictionInstance:
     def test_kappa_validated(self):
         with pytest.raises(ValueError):
             contradiction_instance(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("kappa", [+1, -1])
+    @pytest.mark.parametrize("alpha,beta", [(1e8, 0.5), (0.5, 1e8), (1e300, 1e300)])
+    def test_angles_that_lose_the_offsets_raise(self, alpha, beta, kappa):
+        # rounding moves a phase off 0 or -pi/2: no system, not an empty SAT one
+        message = (
+            f"at alpha={alpha!r}, beta={beta!r} rad the contradiction settings"
+            " lose their pi/4 offsets in rounding; use angles of smaller magnitude"
+        )
+        for make in (contradiction_settings, contradiction_instance):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(alpha, beta, kappa)
+
+    @pytest.mark.parametrize("kappa", [+1, -1])
+    def test_large_angles_that_keep_the_offsets_still_refute(self, kappa):
+        settings = contradiction_settings(1e7, 0.5, kappa)
+        assert [classify_zeta(row, kappa) for row in settings] == [+1, -1]
+        cs = contradiction_instance(1e7, 0.5, kappa)
+        assert len(cs.var_ids) == 2
+        assert enumerate_solve(cs).status is SolveStatus.UNSAT
 
 
 #: Every maker of a system from a kappa and a label: the compilers get no settings.

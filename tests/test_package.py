@@ -1,6 +1,8 @@
+import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
@@ -57,7 +59,31 @@ def test_a_model_is_the_assignment_tuple():
 
 
 def test_every_document_writes_the_format_version_constant():
-    assert '"format_version": 1' not in inspect.getsource(verification)
+    for module in (cli, verification):
+        assert '"format_version": 1' not in inspect.getsource(module)
+
+
+def test_only_lhv_checks_the_contradiction_phases():
+    # contradiction_settings raises where rounding moves a phase, so refute
+    # does not classify its settings again
+    assert not hasattr(cli, "classify_zeta")
+
+
+def test_verification_does_not_depend_on_the_file_format():
+    # the physics self-check returns the report body; cli adds the envelope
+    assert not hasattr(verification, "FORMAT_VERSION")
+    tree = ast.parse(inspect.getsource(verification))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "correlations", "quantum"}
+
+
+def test_cli_builds_the_verify_qm_envelope(capsys):
+    report = verification.run_qm_verification(grid=1)
+    assert "format_version" not in report and "command" not in report
+    assert cli.main(["verify-qm", "--grid", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc)[:2] == ["format_version", "command"]
+    assert doc == {"format_version": serialize.FORMAT_VERSION, "command": "verify-qm", **report}
 
 
 def test_every_module_exported_name_resolves():

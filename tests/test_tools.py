@@ -22,6 +22,7 @@ def test_stage_times_smallest_size():
     report = stage_times("--bases", "1", "--repeat", "1", "--solve-bases", "1")
     assert "runs" not in report and "quartiles_ms" not in report
     assert report["settings"] == 49
+    assert report["gc_paused"] is True
     stages = report["stages_ms"]
     for name in (
         "load_settings_fig1",

@@ -17,14 +17,15 @@ factorize (figure 1), write the constraint file, parse it as
 ``load_constraint_set`` parses it (``parse_fig1``, ``serialize._parse``),
 fill its columns, solve, verify and build the result document.  Each stage
 is timed alone, and its best of ``--repeat`` runs is reported in
-milliseconds.
+milliseconds.  Every library stage of this tool runs with the cyclic
+collector paused, as ``cli.main`` pauses it around a command, and the report
+says so with ``"gc_paused": true``.
 
 ``cli_ms`` times the same round as the workload runs it: its four commands
 (``compile --factorize`` and ``solve --method gf2`` of figure 1 in kappa = +1,
 ``compile`` and ``solve`` of figure 2 in kappa = -1) through ``cli.main``, on
-files in a temporary directory, each the best of ``--repeat`` runs.  Unlike
-the stages above, which call the library functions, these run with the
-collector paused as ``main`` pauses it.  ``cli_collections`` counts the
+files in a temporary directory, each the best of ``--repeat`` runs; here
+``main`` pauses the collector itself.  ``cli_collections`` counts the
 collector passes per generation (``gc.callbacks``) over those ``--repeat``
 four-command windows, divided by ``--repeat``; each window includes the pass
 that ``main`` puts off until it turns the collector back on.
@@ -108,12 +109,19 @@ def grid(bases: int) -> list[list[float]]:
 
 
 def best_ms(repeat: int, fn):
-    """Best wall time of ``repeat`` calls in milliseconds, and the last result."""
-    times = []
-    for _ in range(repeat):
-        start = perf_counter()
-        result = fn()
-        times.append(perf_counter() - start)
+    """Best wall time of ``repeat`` calls in milliseconds, and the last
+    result, with the cyclic collector paused as ``cli.main`` pauses it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        times = []
+        for _ in range(repeat):
+            start = perf_counter()
+            result = fn()
+            times.append(perf_counter() - start)
+    finally:
+        if collecting:
+            gc.enable()
     return 1e3 * min(times), result
 
 
@@ -383,6 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         "bases": args.bases,
         "settings": len(settings),
         "repeat": args.repeat,
+        "gc_paused": True,
         "events": EVENTS,
         "qm_grid": QM_GRID,
         "qm_settings": len(batch),
