@@ -45,10 +45,10 @@ import numpy as np
 from .quantum import (
     BELL_INDEX,
     BELL_ORDER,
-    BELL_VECTORS,
     BellOutcome,
     Polarization,
     _angle_row,
+    _bell_sum,
     _coefficients,
     _read_only,
     _zetas,
@@ -200,12 +200,18 @@ def rotated_vw_state(angles) -> np.ndarray:
     return apply_all_rotations(make_vw_state(), angles)
 
 
+def _ket(vectors: np.ndarray) -> np.ndarray:
+    """The (a, d) amplitudes of a (4, 2, 2) stack of Bell vectors as a
+    (4, 4) matrix: row 2*pol_a + pol_d, column the Bell vector."""
+    return vectors.reshape(4, 4).T
+
+
 def _outcome_probabilities(coeffs: np.ndarray) -> np.ndarray:
     """Bell/polarization probabilities from C (or a stack of them), shaped
     (..., bell, pol_a, pol_d) in OUTCOME_ORDER: row X of C expanded in the
-    (a, d) Bell vectors."""
-    ket = np.array([BELL_VECTORS[bell] for bell in BELL_ORDER])
-    return np.abs(np.einsum("...xy,yad->...xad", coeffs, ket)) ** 2
+    (a, d) Bell vectors, two nonzero terms per amplitude, summed in a fixed
+    order by quantum._bell_sum."""
+    return np.abs(_bell_sum(coeffs, _ket).reshape(coeffs.shape[:-1] + (2, 2))) ** 2
 
 
 def joint_bell_probabilities(angles) -> np.ndarray:

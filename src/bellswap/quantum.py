@@ -8,11 +8,15 @@ Conventions
   every rotation matrix are real, so make_vw_state and its rotations are
   real float64 arrays, rotated in real arithmetic (a complex state passed
   in stays complex).
-- The complex dtype enters only at the projection onto BELL_VECTORS, which
-  stays complex: a real einsum sums in another order than a complex one, so
-  a real projection would change the last bits of the coefficients that
-  decompose, verify-qm and simulate print.  The real rotation gives the
-  bits the complex one gave.
+- The Bell vectors' entries are real too (BELL_VECTORS holds them as
+  complex arrays), so the projection onto them and the double Bell
+  coefficients C are real float64.  Both changes of basis (onto
+  the double Bell basis, and of a row of C onto the (a, d) polarizations)
+  go through one kernel, _bell_sum: each output is the sum of its nonzero
+  terms in increasing column order, started from +0.0, which is the order
+  of the dense complex einsum these once were, so the coefficients that
+  decompose, verify-qm and simulate print keep their last bits.  A complex
+  vector or state runs through the same kernel in complex arithmetic.
 - The two-photon Bell basis is
       phi+ = (HH + VV)/sqrt(2),   phi- = (HH - VV)/sqrt(2),
       psi+ = (HV + VH)/sqrt(2),   psi- = (HV - VH)/sqrt(2),
@@ -45,7 +49,9 @@ read-only.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,18 +189,65 @@ def _rotate_all(amplitudes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (left @ np.reshape(amplitudes, (4, 4)) @ right).reshape(-1, 16)
 
 
+def _projector(vectors: np.ndarray) -> np.ndarray:
+    """The (16, 16) basis change onto every |X_bc> x |Y_ad> of a (4, 2, 2)
+    stack of Bell vectors: row 4*X + Y, column the flat product index."""
+    bra = vectors.conj()
+    return np.einsum("xbc,yad->xyabcd", bra, bra).reshape(16, 16)
+
+
+@lru_cache(maxsize=8)
+def _terms(
+    matrix_of: Callable[[np.ndarray], np.ndarray], dtype: str, shape: tuple, raw: bytes
+) -> tuple:
+    """The terms of matrix_of(vectors), the vectors given by their bytes, as
+    (columns, weights) pairs of (rows,) arrays: pair t holds each row's t-th
+    nonzero entry in increasing column order, and rows with fewer nonzero
+    entries (at least one pair, so a sum is always an array) are padded with
+    their zero ones.  The weights are real when no entry has an imaginary
+    part."""
+    matrix = matrix_of(np.frombuffer(raw, dtype).reshape(shape))
+    if not matrix.imag.any():
+        matrix = matrix.real
+    width = (matrix != 0).sum(axis=1).max(initial=1)
+    # a stable sort puts each row's nonzero columns first, in increasing order
+    columns = np.argsort(matrix == 0, axis=1, kind="stable")[:, :width]
+    weights = np.take_along_axis(matrix, columns, axis=1)
+    return tuple(zip(_read_only(columns.T.copy()), _read_only(weights.T.copy())))
+
+
+def _bell_sum(values: np.ndarray, matrix_of: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """values (..., K) times matrix_of(vectors).T, vectors the (4, 2, 2)
+    stack of BELL_VECTORS in BELL_ORDER: (..., J), C-contiguous.
+
+    BELL_VECTORS is read on every call; the terms of the matrix are kept by
+    the vectors' bytes.  Each output is the sum of its row's nonzero terms
+    in increasing column order, started from +0.0, one (..., J) step per
+    term: the order, and so the bits, of a complex einsum over the dense
+    matrix, whose zero terms change no sum that starts from +0.0.  Real
+    values and weights stay real.
+    """
+    vectors = np.array([BELL_VECTORS[bell] for bell in BELL_ORDER])
+    out = 0.0
+    for column, weight in _terms(matrix_of, vectors.dtype.str, vectors.shape, vectors.tobytes()):
+        out = out + values[..., column] * weight
+    # the gathers put the output axis outermost in memory; a strided C would
+    # change the order, and so the bits, of sums over its cells
+    return np.ascontiguousarray(out)
+
+
 def _project(amplitudes: np.ndarray) -> np.ndarray:
     """Brute-force basis change of (N, 16) amplitudes onto every
-    |X_bc> x |Y_ad>: the (N, 4, 4) double Bell coefficients.
+    |X_bc> x |Y_ad>: the (N, 4, 4) double Bell coefficients, real when the
+    amplitudes and BELL_VECTORS are.
 
-    BELL_VECTORS is read on every call, so this stays independent of the
-    closed form even when the vectors are replaced.
+    The projector follows BELL_VECTORS as they are at the call, so this
+    stays independent of the closed form even when the vectors are
+    replaced.  Its rows have four nonzero entries each, summed by _bell_sum
+    in a fixed order, so a setting's coefficients do not depend on its
+    batch.
     """
-    bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).conj()
-    projector = np.einsum("xbc,yad->xyabcd", bra, bra).reshape(16, 16)
-    # einsum, not matmul: BLAS sums a lone row in another order than a block
-    # of rows, and a setting's coefficients must not depend on its batch.
-    return np.einsum("nk,jk->nj", amplitudes, projector).reshape(-1, 4, 4)
+    return _bell_sum(amplitudes, _projector).reshape(-1, 4, 4)
 
 
 def bell_bell_coefficients(angles) -> np.ndarray:

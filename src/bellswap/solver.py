@@ -86,9 +86,15 @@ def _parity_rows(cs: ConstraintSet) -> list[tuple[int, int]]:
     return rows
 
 
+def _low_bits(x: int, n: int) -> str:
+    """Bits 0 to n - 1 of x, bit 0 first, as '0' and '1' characters: one
+    conversion, where a shift per bit would copy x once per bit."""
+    return format(x, f"0{n}b")[::-1][:n]
+
+
 def _model(assignment: int, n: int) -> tuple[int, ...]:
     """The model of an assignment index: entry i is +1 where bit i is 0, else -1."""
-    return tuple(+1 if ((assignment >> i) & 1) == 0 else -1 for i in range(n))
+    return tuple(-1 if bit == "1" else +1 for bit in _low_bits(assignment, n))
 
 
 def _scan_assignments(rows: list[tuple[int, int]], n_variables: int) -> int | None:
@@ -160,18 +166,21 @@ def enumerate_solve(cs: ConstraintSet) -> SolveResult:
 
 
 def _eliminate(
-    rows: list[tuple[int, int]], pivot_of: Callable[[int], int]
+    rows: list[tuple[int, int]], pivot_of: Callable[[int], int], pedigrees: bool
 ) -> tuple[dict[int, tuple[int, int, int]], int | None]:
     """Insert rows in id order into a basis {pivot variable: (mask, rhs,
     pedigree)}, reducing each new row by the basis rows of its pivot_of
-    variable until that variable is free or the row is empty.
+    variable until that variable is free or the row is empty.  With
+    ``pedigrees``, row i starts from the pedigree 1 << i, so a pedigree is
+    the bitmask of the constraints its row sums; without, every pedigree
+    stays 0 and costs no big-int XOR.
 
     Returns the basis and, if some row reduced to "0 = 1", that row's
-    pedigree (the bitmask of the constraints it sums); elimination stops there.
+    pedigree; elimination stops there.
     """
     basis: dict[int, tuple[int, int, int]] = {}
     for i, (mask, rhs) in enumerate(rows):
-        pedigree = 1 << i
+        pedigree = 1 << i if pedigrees else 0
         while mask:
             pivot = pivot_of(mask)
             row = basis.get(pivot)
@@ -210,11 +219,12 @@ def gf2_solve(cs: ConstraintSet) -> SolveResult:
     +1, gives the canonical model: the lowest satisfying assignment index.
     """
     rows = _parity_rows(cs)
-    basis, pedigree = _eliminate(rows, _highest_variable)
+    basis, pedigree = _eliminate(rows, _highest_variable, pedigrees=True)
     if pedigree is not None:
-        certificate = tuple(i for i in range(len(rows)) if (pedigree >> i) & 1)
+        bits = _low_bits(pedigree, len(rows))
+        certificate = tuple(i for i, bit in enumerate(bits) if bit == "1")
         return SolveResult(SolveStatus.UNSAT, certificate=certificate)
-    basis, _ = _eliminate([row[:2] for row in basis.values()], _lowest_variable)
+    basis, _ = _eliminate([row[:2] for row in basis.values()], _lowest_variable, pedigrees=False)
     assignment = 0
     for pivot in sorted(basis, reverse=True):
         mask, rhs, _ = basis[pivot]

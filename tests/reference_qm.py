@@ -5,8 +5,10 @@ the two-singlet tensor, one einsum projection onto the Bell vectors (read at
 call time), the per-pair draw of the special-family settings, the
 perfect-correlation check of one setting (phase classes, violation masks,
 Bell pairing and sums), and the verify-qm loop that checked each setting in
-turn.  Tests compare the batched code against it; it is not used by the
-package.
+turn.  It also keeps the batched kernels' earlier dense complex einsums,
+reference_project and reference_outcome_probabilities, whose real parts the
+sparse real sums must give bit for bit.  Tests compare the package against
+it; it is not used by the package.
 """
 
 import math
@@ -35,6 +37,26 @@ def reference_coefficients(angles):
         tensor = np.moveaxis(np.tensordot(rotation, tensor, axes=([1], [photon])), 0, photon)
     bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).conj()
     return np.einsum("xbc,yad,abcd->xy", bra, bra, tensor)
+
+
+def reference_project(amplitudes):
+    """(N, 16) amplitudes projected onto every |X_bc> x |Y_ad> by one dense
+    complex einsum: (N, 4, 4), complex whatever the input."""
+    bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).conj()
+    projector = np.einsum("xbc,yad->xyabcd", bra, bra).reshape(16, 16)
+    return np.einsum("nk,jk->nj", amplitudes, projector).reshape(-1, 4, 4)
+
+
+def reference_outcome_amplitudes(coeffs):
+    """Row X of C (or of a stack of them) expanded in the (a, d) Bell
+    vectors by one dense complex einsum: (..., bell, pol_a, pol_d)."""
+    ket = np.array([BELL_VECTORS[bell] for bell in BELL_ORDER])
+    return np.einsum("...xy,yad->...xad", coeffs, ket)
+
+
+def reference_outcome_probabilities(coeffs):
+    """|reference_outcome_amplitudes(coeffs)|^2."""
+    return np.abs(reference_outcome_amplitudes(coeffs)) ** 2
 
 
 def reference_family_settings(rng, per_family):

@@ -3,8 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from reference_qm import reference_coefficients
+from reference_qm import (
+    reference_coefficients,
+    reference_outcome_amplitudes,
+    reference_outcome_probabilities,
+    reference_project,
+)
 
+from bellswap import quantum
+from bellswap.correlations import _outcome_probabilities
 from bellswap.quantum import (
     BELL_INDEX,
     BELL_ORDER,
@@ -289,35 +296,109 @@ class TestBatchedKernel:
                 kernel(np.zeros(shape))
 
 
-def complex_state_coefficients(batch) -> np.ndarray:
-    """bell_bell_coefficients with the source state cast to complex first."""
-    return _project(_rotate_all(make_vw_state().astype(complex), batch))
+def complex_state_oracle(batch) -> np.ndarray:
+    """The frozen dense complex projection of the source state rotated as a
+    complex state: the coefficients the package printed when C was complex."""
+    return reference_project(_rotate_all(make_vw_state().astype(complex), batch))
+
+
+def assert_real_part_bits(result: np.ndarray, oracle: np.ndarray) -> None:
+    """result is real and C-contiguous, holds the bytes of the oracle's real
+    part, and every oracle imaginary part is +0.0, so nothing was dropped."""
+    assert result.dtype == np.float64
+    assert result.flags.c_contiguous
+    assert result.tobytes() == oracle.real.tobytes()
+    assert oracle.imag.tobytes() == bytes(oracle.imag.nbytes)
+
+
+def awkward_batch(rows: int) -> np.ndarray:
+    """Settings from 1e-3 to 1e6 rad, a quarter of them on multiples of
+    pi/4 and a tenth of them signed zeros."""
+    rng = np.random.default_rng(rows)
+    magnitude = 10.0 ** rng.uniform(-3, 6, size=(rows, 1))
+    batch = rng.uniform(-1, 1, size=(rows, 4)) * magnitude
+    quarter = rng.random(rows) < 0.25
+    batch[quarter] = rng.integers(-16, 17, size=(quarter.sum(), 4)) * (PI / 4)
+    zero = rng.random(rows) < 0.1
+    batch[zero] = rng.choice([0.0, -0.0], size=(zero.sum(), 4))
+    return batch
+
+
+def zeros_and_quarter_turns() -> np.ndarray:
+    signed_zeros = list(itertools.product([0.0, -0.0], repeat=4))
+    quarter_turns = np.random.default_rng(5).integers(-8, 9, size=(200, 4)) * (PI / 4)
+    return np.concatenate([signed_zeros, quarter_turns])
 
 
 class TestRealRotation:
-    """Rotating the real source state in real arithmetic must give, bit for
-    bit, the complex coefficients that rotating it as a complex state gave:
-    full complex bytes, signed zeros and imaginary parts included."""
+    """The real rotation and the sparse real projection must give, bit for
+    bit, the real parts of the coefficients that the complex state and the
+    dense complex einsum gave (tests/reference_qm.py keeps that einsum),
+    with every imaginary part +0.0 there."""
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 100, 725, 2000])
     def test_random_batches(self, rows):
-        rng = np.random.default_rng(rows)
-        magnitude = 10.0 ** rng.uniform(-3, 6, size=(rows, 1))  # 1e-3 to 1e6 rad
-        batch = rng.uniform(-1, 1, size=(rows, 4)) * magnitude
-        quarter = rng.random(rows) < 0.25
-        batch[quarter] = rng.integers(-16, 17, size=(quarter.sum(), 4)) * (PI / 4)
-        zero = rng.random(rows) < 0.1
-        batch[zero] = rng.choice([0.0, -0.0], size=(zero.sum(), 4))
-        numeric = bell_bell_coefficients(batch)
-        assert numeric.dtype == complex
-        assert numeric.tobytes() == complex_state_coefficients(batch).tobytes()
+        batch = awkward_batch(rows)
+        assert_real_part_bits(bell_bell_coefficients(batch), complex_state_oracle(batch))
 
     def test_zeros_and_quarter_turns(self):
-        signed_zeros = list(itertools.product([0.0, -0.0], repeat=4))
-        quarter_turns = np.random.default_rng(5).integers(-8, 9, size=(200, 4)) * (PI / 4)
-        batch = np.concatenate([signed_zeros, quarter_turns])
-        expected = complex_state_coefficients(batch).tobytes()
-        assert bell_bell_coefficients(batch).tobytes() == expected
+        batch = zeros_and_quarter_turns()
+        oracle = complex_state_oracle(batch)
+        assert_real_part_bits(bell_bell_coefficients(batch), oracle)
         # each row alone: a setting's bits do not depend on its batch
         rows = b"".join(bell_bell_coefficients(row[None]).tobytes() for row in batch)
-        assert rows == expected
+        assert rows == oracle.real.tobytes()
+
+    def test_signed_zero_amplitudes(self):
+        # every sum starts from +0.0, so four -0.0 terms give +0.0 as the
+        # einsum did; the first row is the zero state, all -0.0
+        choices = [0.0, -0.0, 0.5, -0.5, 1e-300]
+        amplitudes = np.random.default_rng(9).choice(choices, size=(500, 16))
+        amplitudes[0] = -0.0
+        assert_real_part_bits(_project(amplitudes), reference_project(amplitudes))
+
+    def test_complex_amplitudes_give_the_einsum_bits(self):
+        state = random_state(np.random.default_rng(8))
+        amplitudes = _rotate_all(state, awkward_batch(300))
+        result = _project(amplitudes)
+        assert result.dtype == complex
+        assert result.tobytes() == reference_project(amplitudes).tobytes()
+        assert bell_bell_amplitudes_numeric(state).tobytes() == (
+            reference_project(state[None])[0].tobytes()
+        )
+
+    @pytest.mark.parametrize("phase", [1j, -1j, (1 + 1j) / math.sqrt(2)])
+    def test_complex_bell_vectors_give_the_einsum_bits(self, monkeypatch, phase):
+        # a complex vector runs through the same kernel, with complex weights
+        vector = quantum.BELL_VECTORS[BellOutcome.PSI_MINUS] * phase
+        monkeypatch.setitem(quantum.BELL_VECTORS, BellOutcome.PSI_MINUS, vector)
+        amplitudes = _rotate_all(make_vw_state(), awkward_batch(300))
+        result = _project(amplitudes)
+        assert result.dtype == complex
+        assert result.tobytes() == reference_project(amplitudes).tobytes()
+
+
+class TestOutcomeProbabilities:
+    """The Bell/polarization probabilities of a real C must be the bytes the
+    dense complex einsum gave, whose imaginary parts were all +0.0."""
+
+    @pytest.mark.parametrize("batch", [awkward_batch(725), zeros_and_quarter_turns()])
+    def test_equal_the_einsum_bits(self, batch):
+        coeffs = bell_bell_coefficients(batch)
+        result = _outcome_probabilities(coeffs)
+        assert result.dtype == np.float64
+        assert result.flags.c_contiguous
+        assert result.shape == (len(batch), 4, 2, 2)
+        assert result.tobytes() == reference_outcome_probabilities(coeffs).tobytes()
+        amplitudes = reference_outcome_amplitudes(coeffs)
+        assert amplitudes.imag.tobytes() == bytes(amplitudes.imag.nbytes)
+        # each row alone, and one (4, 4) C without a batch axis
+        rows = b"".join(_outcome_probabilities(c[None]).tobytes() for c in coeffs)
+        assert rows == result.tobytes()
+        assert _outcome_probabilities(coeffs[0]).tobytes() == result[0].tobytes()
+
+    def test_complex_coefficients_give_the_einsum_bits(self):
+        coeffs = complex_state_oracle(awkward_batch(100)) * np.exp(0.3j)
+        assert _outcome_probabilities(coeffs).tobytes() == (
+            reference_outcome_probabilities(coeffs).tobytes()
+        )

@@ -47,6 +47,7 @@ def test_stage_times_smallest_size():
     assert set(report["qm_stages_ms"]) == {
         "_rotate_all",
         "_project",
+        "_outcome_probabilities",
         "bell_bell_coefficients_closed_form",
         "_sweep_values",
         "_sector_arrays",
@@ -54,6 +55,8 @@ def test_stage_times_smallest_size():
         "run_qm_verification",
     }
     assert min(report["qm_stages_ms"].values()) >= 0.0
+    assert set(report["one_setting_ms"]) == {"bell_bell_coefficients", "_correlation_report"}
+    assert min(report["one_setting_ms"].values()) > 0.0
     (solve,) = report["gf2_unfactorized_fig1"]
     assert solve["bases"] == 1 and solve["status"] == "sat" and solve["unknowns"] > 0
     lines = report["src_lines"]
@@ -72,9 +75,10 @@ def test_stage_times_runs_report_quartiles_beside_the_best():
         "cli_ms",
         "event_stages_ms",
         "qm_stages_ms",
+        "one_setting_ms",
         "gf2_unfactorized_fig1",
     }
-    for key in ("stages_ms", "cli_ms", "event_stages_ms", "qm_stages_ms"):
+    for key in ("stages_ms", "cli_ms", "event_stages_ms", "qm_stages_ms", "one_setting_ms"):
         assert set(spread[key]) == set(report[key])
         for name, (q1, median, q3) in spread[key].items():
             # the best of three runs is at most their first quartile

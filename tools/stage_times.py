@@ -41,12 +41,16 @@ benchmark workload's, on that sweep's batch of 725 settings (625 random,
 then the 100 special-family ones, drawn as ``run_qm_verification`` draws
 them, here from SEED): ``_rotate_all`` (the rotated two-singlet
 amplitudes), ``_project`` (their projection onto the Bell vectors),
-``bell_bell_coefficients_closed_form``, ``_sweep_values`` (the per-setting
-checks), ``_sector_arrays`` (both sectors' perfect-correlation values of the
-100 family settings), ``_correlation_report`` (the one-setting report of
-the first family setting from its row of C, and its JSON document as
-``decompose --json`` indents it) and the whole ``run_qm_verification``
-call, each the best of ``--repeat`` runs.
+``_outcome_probabilities`` (the Bell/polarization probabilities of the
+batch's C), ``bell_bell_coefficients_closed_form``, ``_sweep_values`` (the
+per-setting checks), ``_sector_arrays`` (both sectors' perfect-correlation
+values of the 100 family settings), ``_correlation_report`` (the one-setting
+report of the first family setting from its row of C, and its JSON document
+as ``decompose --json`` indents it) and the whole ``run_qm_verification``
+call, each the best of ``--repeat`` runs.  ``one_setting_ms`` times what
+every ``decompose`` command pays in the library on that first family
+setting alone: ``bell_bell_coefficients`` of its one row and
+``_correlation_report`` from that row's C, without the JSON document.
 
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
@@ -259,6 +263,7 @@ def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
     state = quantum.make_vw_state()
     rotated = stage("_rotate_all", lambda: quantum._rotate_all(state, batch))
     numeric = stage("_project", lambda: quantum._project(rotated))
+    stage("_outcome_probabilities", lambda: correlations._outcome_probabilities(numeric))
     closed = stage(
         "bell_bell_coefficients_closed_form",
         lambda: quantum.bell_bell_coefficients_closed_form(batch),
@@ -284,6 +289,19 @@ def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
     return stages
 
 
+def one_setting_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
+    """Best time of decompose's library work on the first family setting."""
+    stages: dict[str, float] = {}
+    stage = stage_timer(stages, repeat)
+    row = batch[QM_GRID**4]
+    coeffs = stage("bell_bell_coefficients", lambda: quantum.bell_bell_coefficients(row[None]))
+    stage(
+        "_correlation_report",
+        lambda: correlations._correlation_report(row, coeffs[0], correlations.DEFAULT_ANGLE_TOL),
+    )
+    return stages
+
+
 def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
     """gf2_solve on the unfactorized figure-1 system of each grid size."""
     out = []
@@ -306,7 +324,7 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
 
 #: The report's sections of timings, in milliseconds, besides the
 #: unfactorized solves.
-TIMED = ("stages_ms", "round_ms", "cli_ms", "event_stages_ms", "qm_stages_ms")
+TIMED = ("stages_ms", "round_ms", "cli_ms", "event_stages_ms", "qm_stages_ms", "one_setting_ms")
 
 
 def timings(settings_text: str, batch: np.ndarray, args: argparse.Namespace) -> dict:
@@ -320,6 +338,7 @@ def timings(settings_text: str, batch: np.ndarray, args: argparse.Namespace) -> 
         "cli_collections": cli_collections,
         "event_stages_ms": event_stages(args.repeat),
         "qm_stages_ms": qm_stages(batch, args.repeat),
+        "one_setting_ms": one_setting_stages(batch, args.repeat),
         "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
     }
 
