@@ -1,11 +1,12 @@
 """Shared generators of random compiled constraint systems and of the
-refute_grid benchmark's dense settings grid, and the document of a
-hand-built system."""
+refute_grid benchmark's dense settings grid, the document of a hand-built
+system, and the event CSV built one row at a time."""
 
 import math
 
 import numpy as np
 
+from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of
 from bellswap.lhv import (
     ConstraintSet,
     apply_factorization,
@@ -13,7 +14,7 @@ from bellswap.lhv import (
     compile_double_bell,
     compile_factored,
 )
-from bellswap.serialize import FORMAT_VERSION
+from bellswap.serialize import EVENT_CSV_COLUMNS, FORMAT_VERSION
 
 PI = math.pi
 
@@ -99,3 +100,19 @@ def grid_settings(rng: np.random.Generator, bases: int) -> list[tuple[float, ...
         for left in arm_pairs(alpha)
         for right in arm_pairs(beta)
     ]
+
+
+def per_row_csv(angles, outcomes, start: int = 0) -> str:
+    """The event CSV of events start, start + 1, ... built one row at a time,
+    after the header row when start is 0: the bytes the chunked writer must
+    match."""
+    phis = ",".join(repr(float(phi)) for phi in angles)
+    lines = [",".join(EVENT_CSV_COLUMNS) + "\n"] if start == 0 else []
+    for i, k in enumerate(outcomes, start):
+        bell, pol_a, pol_d = OUTCOME_ORDER[k]
+        f, a, d = f_value_of(bell), pol_a.sign, pol_d.sign
+        lines.append(
+            f"{i},{phis},{bell.value},{pol_a.value},{pol_d.value},"
+            f"{kappa_of(bell)},{f},{a},{d},{a * f * d}\n"
+        )
+    return "".join(lines)

@@ -11,22 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from instance_gen import grid_settings
+from instance_gen import grid_settings, per_row_csv
 
 from bellswap import cli, quantum, serialize
 from bellswap.cli import main
 from bellswap.correlations import (
     MAX_COMPILE_TOL,
-    OUTCOME_ORDER,
     classify_zeta,
-    f_value_of,
-    kappa_of,
     sample_events,
     violating_outcomes,
 )
 from bellswap.lhv import compile_double_bell, contradiction_instance
 from bellswap.quantum import BellOutcome
-from bellswap.serialize import EVENT_CSV_COLUMNS, constraint_set_to_dict, write_events_csv
+from bellswap.serialize import constraint_set_to_dict, write_events_csv
 
 PI = math.pi
 COMPILE_TOL_BOUND = (
@@ -169,20 +166,6 @@ class TestRealSourceState:
         monkeypatch.setattr(quantum, "make_vw_state", make_complex)
         assert run(capsys, *argv) == real
         assert calls
-
-
-def per_row_csv(angles, outcomes) -> str:
-    """The event CSV built one row at a time: the bytes the chunked writer must match."""
-    phis = ",".join(repr(float(phi)) for phi in angles)
-    lines = [",".join(EVENT_CSV_COLUMNS)]
-    for i, k in enumerate(outcomes):
-        bell, pol_a, pol_d = OUTCOME_ORDER[k]
-        f, a, d = f_value_of(bell), pol_a.sign, pol_d.sign
-        lines.append(
-            f"{i},{phis},{bell.value},{pol_a.value},{pol_d.value},"
-            f"{kappa_of(bell)},{f},{a},{d},{a * f * d}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 class TestSimulate:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from instance_gen import grid_settings, system_document
+from instance_gen import grid_settings, per_row_csv, system_document
 
 from bellswap.correlations import OUTCOME_ORDER, f_value_of, kappa_of, sample_events
 from bellswap.lhv import (
@@ -759,6 +759,80 @@ class TestEventCsv:
         array = io.StringIO()
         write_events_csv(array, angles, np.array(outcomes), start)
         assert array.getvalue() == "".join(writes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.one_of(
+            st.integers(0, 3 * EVENT_CHUNK),
+            # a chunk ending just past 999, 9999, ... crosses a thousands and
+            # a digit-count boundary
+            st.builds(
+                lambda edge, back: max(0, edge - back),
+                st.sampled_from([1000, 10_000, 1_000_000, 10**12]),
+                st.integers(0, EVENT_CHUNK + 1),
+            ),
+        ),
+        n=st.sampled_from([0, 1, EVENT_CHUNK - 1, EVENT_CHUNK, EVENT_CHUNK + 1]),
+        form=st.sampled_from([list, range, np.int8, np.uint8, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_row_writer(self, start, n, form, seed):
+        angles = (0.1, PI / 4, -2.5, 1e-9)
+        if form is range:  # a range of indices is at most the 16 outcomes
+            outcomes = range(seed % 17, 16)
+        else:
+            keys = np.random.default_rng(seed).integers(0, 16, n)
+            outcomes = keys.tolist() if form is list else keys.astype(form)
+        buffer = io.StringIO()
+        assert write_events_csv(buffer, angles, outcomes, start) == len(outcomes)
+        # as lists of rows: a failure then names the first bad row, where a
+        # diff of the two texts takes minutes
+        rows = per_row_csv(angles, outcomes, start).splitlines(keepends=True)
+        assert buffer.getvalue().splitlines(keepends=True) == rows
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            [-1],
+            [-16],
+            [16],
+            [0.7],
+            [True],
+            [2**70],
+            ["3"],
+            np.array([3.0]),
+            np.array([16], dtype=np.uint8),
+            np.array([-1], dtype=np.int8),
+            np.zeros((2, 2), dtype=int),
+        ],
+        ids=repr,
+    )
+    def test_rejects_what_is_not_an_outcome_index(self, outcomes):
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=r"^outcomes must be integers in 0\.\.15"):
+            write_events_csv(buffer, (0, 0, 0, 0), outcomes)
+        assert buffer.getvalue() == ""  # not even the header
+
+    def test_a_bad_chunk_writes_none_of_its_rows(self):
+        angles, outcomes = (0, 0, 0, 0), [3] * EVENT_CHUNK + [1, 16]
+        buffer = io.StringIO()
+        with pytest.raises(ValueError):
+            write_events_csv(buffer, angles, outcomes)
+        assert buffer.getvalue() == per_row_csv(angles, outcomes[:EVENT_CHUNK])
+
+    @pytest.mark.parametrize("start", [-1, 2**63 - 1, 2**64, 7.0])
+    def test_rejects_a_start_out_of_range(self, start):
+        # the ids are int64: 2**63 - 1 leaves no room for the one event
+        buffer = io.StringIO()
+        message = r"^start must be an integer >= 0, and every event id below 2\*\*63$"
+        with pytest.raises(ValueError, match=message):
+            write_events_csv(buffer, (0, 0, 0, 0), [1], start)
+        assert buffer.getvalue() == ""
+
+    def test_empty_float_array_writes_header_only(self):
+        buffer = io.StringIO()
+        assert write_events_csv(buffer, (0, 0, 0, 0), np.asarray([])) == 0
+        assert buffer.getvalue() == ",".join(EVENT_CSV_COLUMNS) + "\n"
 
     def test_angles_round_trip_through_repr(self):
         angles = (0.1, PI / 4, -2.5, 1e-9)

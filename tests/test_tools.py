@@ -41,8 +41,9 @@ def test_stage_times_smallest_size():
     assert set(report["cli_collections"]) == {"gen0", "gen1", "gen2"}
     assert min(report["cli_collections"].values()) >= 0.0
     assert report["events"] == 100_000
-    assert set(report["event_stages_ms"]) == {"sample_events", "write_events_csv"}
+    assert set(report["event_stages_ms"]) == {"sample_events", "write_events_csv", "simulate_cli"}
     assert min(report["event_stages_ms"].values()) >= 0.0
+    assert report["event_stages_ms"]["simulate_cli"] > 0.0
     assert (report["qm_grid"], report["qm_settings"]) == (5, 725)
     assert set(report["qm_stages_ms"]) == {
         "_rotate_all",
