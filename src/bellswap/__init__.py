@@ -21,7 +21,6 @@ from .correlations import (
 from .lhv import (
     ConstraintSet,
     ParityConstraint,
-    Provenance,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -52,7 +51,6 @@ __all__ = [
     "ConstraintSet",
     "ParityConstraint",
     "Polarization",
-    "Provenance",
     "SolveResult",
     "SolveStatus",
     "apply_all_rotations",

@@ -56,7 +56,7 @@ from .lhv import (
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
-    contradiction_instance,
+    compile_factored,
     contradiction_settings,
 )
 from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_closed_form
@@ -73,6 +73,11 @@ from .solver import enumerate_solve, gf2_solve, verify_certificate
 from .verification import CLOSED_FORM_TOL, run_qm_verification
 
 _METHODS = {"enumerate": enumerate_solve, "gf2": gf2_solve}
+#: refute's compiler (by name), expected status and arrangement name, keyed by --fig2.
+_REFUTE_ARRANGEMENTS = {
+    False: ("compile_factored", "unsat", "bell-polarization-factored"),
+    True: ("compile_double_bell", "sat", "double-bell"),
+}
 _parser: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
@@ -232,12 +237,9 @@ def cmd_refute(args: argparse.Namespace) -> int:
     except ValueError as exc:  # the pi/4 offsets lost in rounding at large angles
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.fig2:
-        cs = compile_double_bell(settings, args.kappa, label="double-bell variant")
-        expected, arrangement = "sat", "double-bell"
-    else:
-        cs = contradiction_instance(alpha, beta, args.kappa)
-        expected, arrangement = "unsat", "bell-polarization-factored"
+    compiler, expected, arrangement = _REFUTE_ARRANGEMENTS[args.fig2]
+    # found by name at call time, as main finds cmd_*, so a wrapped one runs
+    cs = globals()[compiler](settings, args.kappa)
     doc = {
         "format_version": FORMAT_VERSION,
         "command": "refute",

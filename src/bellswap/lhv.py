@@ -24,9 +24,10 @@ quantum._angle_rows; contradiction_settings returns its two settings as such
 an array.  A ConstraintSet is its columns, filled only by the compiler, in
 one array pass over the settings, and by serialize.constraint_set_from_dict.
 An unknown is a (tag code, grid angles) pair of ``unknowns``, the angles its
-file entry holds; serialize renders it as text.  ``constraints`` builds
-ParityConstraint rows (with their Provenance) from the constraint columns on
-each read.
+file entry holds; serialize renders it as text.  A constraint's provenance
+(its setting, sector phase and rule) is held only in the ``angles``,
+``zetas`` and ``equations`` columns; ``constraints`` builds (var_ids,
+required_sign) ParityConstraint rows from two columns on each read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .quantum import _angle_rows, _zetas
 
 __all__ = [
     "ANGLE_QUANTUM",
-    "Provenance",
     "ParityConstraint",
     "ConstraintSet",
     "RULE_BELL_POLARIZATION",
@@ -89,21 +89,11 @@ def quantize_angle(phi) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where a constraint came from: the setting, its phase, the rule."""
-
-    angles: tuple[float, float, float, float]
-    zeta: float
-    equation: str
-
-
-@dataclass(frozen=True)
 class ParityConstraint:
     """Product of the referenced unknowns must equal required_sign."""
 
     var_ids: tuple[int, ...]
     required_sign: int
-    provenance: Provenance
 
 
 class ConstraintSet:
@@ -115,8 +105,8 @@ class ConstraintSet:
     ``var_ids``, ``required_signs``, ``angles`` (the 4 of the setting),
     ``zetas`` and ``equations`` hold an entry per constraint.  A new set is
     empty; the compiler and serialize.constraint_set_from_dict fill it from
-    checked columns.  ``constraints`` is a list of rows built from those
-    columns on each read.
+    checked columns.  ``constraints`` is a list of (var_ids, required_sign)
+    rows built from those two columns on each read.
     """
 
     def __init__(self, kappa: int, label: str = "") -> None:
@@ -134,8 +124,7 @@ class ConstraintSet:
 
     @property
     def constraints(self) -> list[ParityConstraint]:
-        provenances = map(Provenance, self.angles, self.zetas, self.equations)
-        return list(map(ParityConstraint, self.var_ids, self.required_signs, provenances))
+        return list(map(ParityConstraint, self.var_ids, self.required_signs))
 
     def _register(self, unknowns: Iterable[tuple[str, tuple]]) -> list[int]:
         """Ids of (tag code, grid angles) pairs; new ones register in order of first use."""

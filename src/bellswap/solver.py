@@ -37,6 +37,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -237,13 +238,17 @@ def gf2_solve(cs: ConstraintSet) -> SolveResult:
 def verify_certificate(cs: ConstraintSet, result: SolveResult) -> bool:
     """Re-check a result against its constraint set from first principles.
 
-    SAT results need a +-1 value for every unknown of cs satisfying every
-    constraint; UNSAT results need the even-cancellation / odd-sign
-    property.  Certificate ids that do not exist in cs raise ValueError.
+    SAT results need a tuple holding the int +1 or -1 (not a float or bool
+    equal to it) for every unknown of cs and satisfying every constraint;
+    UNSAT results need the even-cancellation / odd-sign property.  A
+    certificate id that is not an integer (a bool or a float is not) or does
+    not exist in cs raises ValueError.
     """
     if result.status is SolveStatus.SAT:
         model = result.model
-        if model is None or len(model) != cs.n_variables or not set(model) <= {-1, +1}:
+        if type(model) is not tuple or len(model) != cs.n_variables:
+            return False
+        if not set(map(type, model)) <= {int} or not set(model) <= {-1, +1}:
             return False
         for var_ids, required_sign in zip(cs.var_ids, cs.required_signs):
             product = 1
@@ -258,7 +263,8 @@ def verify_certificate(cs: ConstraintSet, result: SolveResult) -> bool:
     counts: Counter[int] = Counter()
     sign = 1
     for cid in certificate:
-        if not 0 <= cid < len(cs.var_ids):
+        # a bool is an Integral, but no solver writes one as an id
+        if type(cid) is bool or not isinstance(cid, Integral) or not 0 <= cid < len(cs.var_ids):
             raise ValueError(f"certificate references unknown constraint id {cid}")
         sign *= cs.required_signs[cid]
         counts.update(cs.var_ids[cid])

@@ -24,7 +24,6 @@ from bellswap.lhv import (
     _MAX_NUMBER,
     ConstraintSet,
     ParityConstraint,
-    Provenance,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -100,7 +99,7 @@ class TestCompileBellPolarization:
         else:
             (constraint,) = cs.constraints
             assert constraint.required_sign == phase_class
-            replayed = classify_zeta(constraint.provenance.angles, kappa)
+            replayed = classify_zeta(cs.angles[0], kappa)
             assert replayed == phase_class
 
 
@@ -196,7 +195,7 @@ class TestArrayPassCompiler:
         assert file_text(compiled) == replayed.text()
         for constraint in compiled.constraints:
             assert type(constraint.required_sign) is int
-            assert type(constraint.provenance.zeta) is float
+        assert {type(zeta_value) for zeta_value in compiled.zetas} == {float}
 
     def test_empty_settings(self):
         cs = compile_double_bell([], -1)
@@ -414,7 +413,7 @@ class TestFactorization:
         assert len(out.constraints) == 2
         definition = out.constraints[1]
         assert definition.required_sign == +1
-        assert definition.provenance.equation == RULE_FACTORIZATION
+        assert out.equations[1] == RULE_FACTORIZATION
         assert tags_of(out, 1) == ["F", "A", "D"]
         f_angles, a_angles, d_angles = (angles_of(out, v) for v in definition.var_ids)
         assert a_angles[0] == pytest.approx(f_angles[0])
@@ -470,8 +469,8 @@ class TestContradictionInstance:
     @pytest.mark.parametrize("kappa", [+1, -1])
     def test_zeta_values_in_provenance(self, kappa):
         cs = contradiction_instance(0.17, 1.2, kappa)
-        assert cs.constraints[0].provenance.zeta == pytest.approx(0.0, abs=1e-12)
-        assert cs.constraints[1].provenance.zeta == pytest.approx(-PI / 2, abs=1e-12)
+        assert cs.zetas[0] == pytest.approx(0.0, abs=1e-12)
+        assert cs.zetas[1] == pytest.approx(-PI / 2, abs=1e-12)
 
     def test_unsat_for_any_angles(self):
         rng = np.random.default_rng(41)
@@ -549,10 +548,7 @@ class TestConstraintSetInvariants:
         settings_list = grid_settings(np.random.default_rng(7), 2)
         cs = apply_factorization(compile_bell_polarization(settings_list, +1))
         rows = [
-            ParityConstraint(var_ids, sign, Provenance(angles, zeta_value, equation))
-            for var_ids, sign, angles, zeta_value, equation in zip(
-                cs.var_ids, cs.required_signs, cs.angles, cs.zetas, cs.equations
-            )
+            ParityConstraint(var_ids, sign) for var_ids, sign in zip(cs.var_ids, cs.required_signs)
         ]
         assert type(cs.constraints) is list and cs.constraints == rows
         assert len(rows) == len(cs.var_ids) > 0

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -67,6 +68,20 @@ def test_only_lhv_checks_the_contradiction_phases():
     # contradiction_settings raises where rounding moves a phase, so refute
     # does not classify its settings again
     assert not hasattr(cli, "classify_zeta")
+
+
+def test_only_the_columns_hold_provenance():
+    # a constraint's setting, phase and rule are cs.angles, cs.zetas and
+    # cs.equations; a row is its unknowns and sign
+    assert "Provenance" not in bellswap.__all__ and not hasattr(lhv, "Provenance")
+    fields = [field.name for field in dataclasses.fields(lhv.ParityConstraint)]
+    assert fields == ["var_ids", "required_sign"]
+
+
+def test_only_contradiction_settings_builds_the_refute_settings():
+    # refute compiles the two settings it has checked instead of having
+    # contradiction_instance build and classify them again
+    assert not hasattr(cli, "contradiction_instance")
 
 
 def test_verification_does_not_depend_on_the_file_format():
@@ -138,3 +153,13 @@ def test_tracer_attributes_commands_run_by_a_cached_parser(capsys):
     assert [name for name, *_ in spans].count("cli.main") == 2
     parents = [spans[parent][0] for name, _, _, parent, _ in spans if name == "cli.cmd_refute"]
     assert parents == ["cli.main", "cli.main"]
+    # refute's compiler is traced too, as a child of the command
+    compiles = [
+        (name, spans[parent][0])
+        for name, _, _, parent, _ in spans
+        if name.startswith("lhv.compile")
+    ]
+    assert compiles == [
+        ("lhv.compile_factored", "cli.cmd_refute"),
+        ("lhv.compile_double_bell", "cli.cmd_refute"),
+    ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bellswap.lhv import (
     compile_bell_polarization,
     compile_double_bell,
     contradiction_instance,
+    contradiction_settings,
 )
 from bellswap import solver
 from bellswap.serialize import constraint_set_from_dict, constraint_set_to_dict
@@ -303,6 +305,35 @@ class TestVerifyCertificate:
         cs = chain_set([+1])
         model = (value, value)
         assert not verify_certificate(cs, SolveResult(SolveStatus.SAT, model=model))
+
+    @pytest.mark.parametrize(
+        "model",
+        [(1.0, 1.0, -1.0, 1.0), (True, True, -1, True), [1, 1, -1, 1], (1, 1, np.int64(-1), 1)],
+        ids=["floats", "bools", "list", "numpy-int"],
+    )
+    def test_model_values_equal_to_signs_rejected(self, model):
+        """A model read from JSON can hold true or 1.0, which equal +1 but
+        are not the int sign a solver returns."""
+        cs = compile_double_bell(contradiction_settings(0, 0, +1), +1)
+        assert verify_certificate(cs, SolveResult(SolveStatus.SAT, model=(1, 1, -1, 1)))
+        assert not verify_certificate(cs, SolveResult(SolveStatus.SAT, model=model))
+
+    @pytest.mark.parametrize(
+        "certificate",
+        [(0.0, 1.0), (0, 1.0), (False, True), (0, np.float64(1.0)), (0, "1")],
+        ids=["floats", "one-float", "bools", "numpy-float", "string"],
+    )
+    def test_non_integer_ids_raise(self, certificate):
+        cs = contradiction_instance(0, 0, +1)
+        bad = next(cid for cid in certificate if type(cid) is not int)
+        message = f"certificate references unknown constraint id {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_certificate(cs, SolveResult(SolveStatus.UNSAT, certificate=certificate))
+
+    def test_numpy_int_ids_accepted(self):
+        cs = contradiction_instance(0, 0, +1)
+        certificate = (np.int64(0), np.int32(1))
+        assert verify_certificate(cs, SolveResult(SolveStatus.UNSAT, certificate=certificate))
 
     def test_dropped_certificate_constraint_rejected(self):
         cs = contradiction_instance(0.3, 0.9, +1)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -60,6 +62,9 @@ def test_stage_times_smallest_size():
     assert min(report["one_setting_ms"].values()) > 0.0
     (solve,) = report["gf2_unfactorized_fig1"]
     assert solve["bases"] == 1 and solve["status"] == "sat" and solve["unknowns"] > 0
+    assert solve["verify_ms"] > 0.0
+    assert set(report["enumerate_solve_ms"]) == {"fig1_factorized", "fig2"}
+    assert min(report["enumerate_solve_ms"].values()) > 0.0
     lines = report["src_lines"]
     total = lines.pop("total")
     assert {"lhv.py", "serialize.py"} <= set(lines) and min(lines.values()) > 0
@@ -77,9 +82,19 @@ def test_stage_times_runs_report_quartiles_beside_the_best():
         "event_stages_ms",
         "qm_stages_ms",
         "one_setting_ms",
+        "enumerate_solve_ms",
         "gf2_unfactorized_fig1",
+        "verify_unfactorized_fig1",
     }
-    for key in ("stages_ms", "cli_ms", "event_stages_ms", "qm_stages_ms", "one_setting_ms"):
+    sections = (
+        "stages_ms",
+        "cli_ms",
+        "event_stages_ms",
+        "qm_stages_ms",
+        "one_setting_ms",
+        "enumerate_solve_ms",
+    )
+    for key in sections:
         assert set(spread[key]) == set(report[key])
         for name, (q1, median, q3) in spread[key].items():
             # the best of three runs is at most their first quartile
@@ -90,15 +105,23 @@ def test_stage_times_runs_report_quartiles_beside_the_best():
     assert [solve["bases"] for solve in solves] == [1, 2]
     for solve, (q1, median, q3) in zip(solves, spread["gf2_unfactorized_fig1"]):
         assert 0.0 < solve["ms"] <= q1 <= median <= q3
+    for solve, (q1, median, q3) in zip(solves, spread["verify_unfactorized_fig1"]):
+        assert 0.0 < solve["verify_ms"] <= q1 <= median <= q3
     assert set(report["cli_collections"]) == {"gen0", "gen1", "gen2"}
 
 
-def test_stage_times_draws_the_refute_grid_workload_settings(monkeypatch):
-    # the tool puts src and benchmarks on sys.path; undo that after the test
+def load_stage_times(monkeypatch):
+    """The tool as a module; the src and benchmarks entries it puts on
+    sys.path are undone after the test."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("stage_times", TOOLS / "stage_times.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_stage_times_draws_the_refute_grid_workload_settings(monkeypatch):
+    tool = load_stage_times(monkeypatch)
     import workloads
 
     assert tool.grid_settings is workloads.grid_settings
@@ -106,3 +129,22 @@ def test_stage_times_draws_the_refute_grid_workload_settings(monkeypatch):
         settings = tool.grid(bases)
         assert len(settings) == size
         assert settings == workloads.grid_settings(workloads.rng_for(301, "refute_grid"), bases)
+
+
+def test_stage_times_times_the_verify_qm_batch(monkeypatch):
+    # qm_batch restates run_qm_verification's draws; the sweep's own rows pin it
+    tool = load_stage_times(monkeypatch)
+    from bellswap import verification
+
+    rows = []
+    coefficients = verification.bell_bell_coefficients
+
+    def recording(batch):
+        rows.append(np.array(batch))
+        return coefficients(batch)
+
+    monkeypatch.setattr(verification, "bell_bell_coefficients", recording)
+    verification.run_qm_verification(tool.QM_GRID, seed=tool.SEED)
+    swept, batch = np.concatenate(rows), tool.qm_batch()
+    assert swept.shape == batch.shape == (725, 4)
+    assert swept.tobytes() == batch.tobytes()

@@ -59,8 +59,16 @@ setting alone: ``bell_bell_coefficients`` of its one row and
 
 ``--solve-bases`` also times ``gf2_solve`` on the unfactorized figure-1
 system of a grid with that many bases per side (satisfiable; 9, 14 and 20
-bases give 1044, 2464 and 4960 unknowns), best of ``--repeat`` runs.  Its
-settings are the refute_grid grid of that size, drawn the same way.
+bases give 1044, 2464 and 4960 unknowns), and ``verify_certificate`` on
+its model (``verify_ms``), each best of ``--repeat`` runs.  Its settings
+are the refute_grid grid of that size, drawn the same way.
+
+``enumerate_solve_ms`` times ``enumerate_solve`` at its guard, on the two
+systems of the 1-base grid's round that the guard admits, best of
+``--repeat`` runs: figure 1 factorized in kappa = +1 (``fig1_factorized``,
+20 unknowns and 37 constraints, unsatisfiable, so it also runs the
+certificate search) and figure 2 in kappa = -1 (``fig2``, 24 unknowns and
+25 constraints, satisfiable).
 
 It also reports ``src_lines``: the line count of each module of the
 package, as ``wc -l`` counts them, and their total.
@@ -69,8 +77,9 @@ package, as ``wc -l`` counts them, and their total.
 best of its K best-of-``--repeat`` values (``round_ms`` the sum of the best
 stages, ``cli_collections`` the mean of the K counts), and, for K > 1,
 ``quartiles_ms`` gives the first quartile, median and third quartile of the
-K values of each timing, in the report's layout (the unfactorized solves as
-a list in ``--solve-bases`` order), beside ``runs``.  ``--runs 1``, the
+K values of each timing, in the report's layout (the unfactorized solves'
+``gf2_unfactorized_fig1`` and ``verify_unfactorized_fig1`` as lists in
+``--solve-bases`` order), beside ``runs``.  ``--runs 1``, the
 default, reports only the best-of keys.
 
 The output is one JSON object on standard output.
@@ -322,14 +331,21 @@ def one_setting_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
     return stages
 
 
+def grid_file_settings(bases: int) -> np.ndarray:
+    """The grid of that size as ``load_settings`` reads it from a file."""
+    return serialize.load_settings(io.StringIO(json.dumps(grid(bases))))
+
+
 def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
-    """gf2_solve on the unfactorized figure-1 system of each grid size."""
+    """gf2_solve on the unfactorized figure-1 system of each grid size, and
+    verify_certificate on its model."""
     out = []
     for bases in sizes:
-        text = json.dumps(grid(bases))
-        settings = serialize.load_settings(io.StringIO(text))
-        cs = lhv.compile_bell_polarization(settings, +1)
+        cs = lhv.compile_bell_polarization(grid_file_settings(bases), +1)
         ms, result = best_ms(repeat, lambda: solver.gf2_solve(cs))
+        verify_ms, verified = best_ms(repeat, lambda: solver.verify_certificate(cs, result))
+        if not verified:
+            raise SystemExit(f"unfactorized {bases}-base system: model not verified")
         out.append(
             {
                 "bases": bases,
@@ -337,14 +353,42 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
                 "constraints": len(cs.var_ids),
                 "status": result.status.value,
                 "ms": ms,
+                "verify_ms": verify_ms,
             }
         )
     return out
 
 
+def enumerate_solves(repeat: int) -> dict[str, float]:
+    """enumerate_solve on the two systems of the 1-base round that its guard
+    admits: figure 1 factorized in kappa = +1, figure 2 in kappa = -1."""
+    settings = grid_file_settings(1)
+    systems = {
+        "fig1_factorized": (
+            lhv.apply_factorization(lhv.compile_bell_polarization(settings, +1)),
+            solver.SolveStatus.UNSAT,
+        ),
+        "fig2": (lhv.compile_double_bell(settings, -1), solver.SolveStatus.SAT),
+    }
+    out = {}
+    for name, (cs, expected) in systems.items():
+        out[name], result = best_ms(repeat, lambda: solver.enumerate_solve(cs))
+        if result.status is not expected:
+            raise SystemExit(f"enumerate_solve {name}: unexpected {result.status.value}")
+    return out
+
+
 #: The report's sections of timings, in milliseconds, besides the
 #: unfactorized solves.
-TIMED = ("stages_ms", "round_ms", "cli_ms", "event_stages_ms", "qm_stages_ms", "one_setting_ms")
+TIMED = (
+    "stages_ms",
+    "round_ms",
+    "cli_ms",
+    "event_stages_ms",
+    "qm_stages_ms",
+    "one_setting_ms",
+    "enumerate_solve_ms",
+)
 
 
 def timings(settings_text: str, batch: np.ndarray, args: argparse.Namespace) -> dict:
@@ -359,6 +403,7 @@ def timings(settings_text: str, batch: np.ndarray, args: argparse.Namespace) -> 
         "event_stages_ms": event_stages(args.repeat),
         "qm_stages_ms": qm_stages(batch, args.repeat),
         "one_setting_ms": one_setting_stages(batch, args.repeat),
+        "enumerate_solve_ms": enumerate_solves(args.repeat),
         "gf2_unfactorized_fig1": unfactorized_solves(args.solve_bases, args.repeat),
     }
 
@@ -385,11 +430,14 @@ def summary(runs: list[dict]) -> dict:
     report["round_ms"] = sum(report["stages_ms"].values())
     report["cli_collections"] = across([run["cli_collections"] for run in runs], statistics.mean)
     if len(runs) > 1:
-        timed = [
-            {key: run[key] for key in TIMED}
-            | {"gf2_unfactorized_fig1": [solve["ms"] for solve in run["gf2_unfactorized_fig1"]]}
-            for run in runs
-        ]
+        timed = []
+        for run in runs:
+            solves = run["gf2_unfactorized_fig1"]
+            unfactorized = {
+                "gf2_unfactorized_fig1": [solve["ms"] for solve in solves],
+                "verify_unfactorized_fig1": [solve["verify_ms"] for solve in solves],
+            }
+            timed.append({key: run[key] for key in TIMED} | unfactorized)
         report["runs"] = len(runs)
         report["quartiles_ms"] = across(timed, quartiles)
     return report
