@@ -23,11 +23,12 @@ radians unless --degrees is given; only this module converts degrees.
 one.  A command reports an unreadable input where it reads it, and opens its
 --out file before its work; the OSError of any write reaches ``main``, which
 alone turns it into exit 2 with one line.  ``main`` builds the parser once
-per process and finds each command's ``cmd_*`` by name at call time, so a
-wrapped or patched one is the one that runs.  It pauses the cyclic garbage
-collector while the command runs, since commands build large acyclic data
-(parsed JSON, columns, tuples) that collector passes would only rescan, and
-leaves it as it found it; the library functions do not pause it.
+per process and finds each command's ``cmd_*`` by name at call time, and the
+commands call the library through this module's globals, also at call time,
+so a wrapped or patched function is the one that runs.  ``main`` pauses the
+cyclic garbage collector while the command runs, since commands build large
+acyclic data (parsed JSON, columns, tuples) that collector passes would only
+rescan, and leaves it as it found it; the library functions do not pause it.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ from .solver import enumerate_solve, gf2_solve, verify_certificate
 from .verification import CLOSED_FORM_TOL, run_qm_verification
 
 _METHODS = {"enumerate": enumerate_solve, "gf2": gf2_solve}
-#: refute's compiler (by name), expected status and arrangement name, keyed by --fig2.
-_REFUTE_ARRANGEMENTS = {
-    False: ("compile_factored", "unsat", "bell-polarization-factored"),
-    True: ("compile_double_bell", "sat", "double-bell"),
-}
 _parser: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
@@ -237,9 +233,12 @@ def cmd_refute(args: argparse.Namespace) -> int:
     except ValueError as exc:  # the pi/4 offsets lost in rounding at large angles
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    compiler, expected, arrangement = _REFUTE_ARRANGEMENTS[args.fig2]
-    # found by name at call time, as main finds cmd_*, so a wrapped one runs
-    cs = globals()[compiler](settings, args.kappa)
+    if args.fig2:
+        cs = compile_double_bell(settings, args.kappa)
+        expected, arrangement = "sat", "double-bell"
+    else:
+        cs = compile_factored(settings, args.kappa)
+        expected, arrangement = "unsat", "bell-polarization-factored"
     doc = {
         "format_version": FORMAT_VERSION,
         "command": "refute",

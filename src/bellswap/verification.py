@@ -112,16 +112,14 @@ def run_qm_verification(
     rng = np.random.default_rng(seed)
     n_random = grid**4
 
-    checks = {
-        name: {"max_value": 0.0, "threshold": threshold} for name, threshold in _THRESHOLDS.items()
-    }
+    worst = dict.fromkeys(_THRESHOLDS, 0.0)
     violations: list[dict] = []
 
     def record(names, values: np.ndarray, settings: np.ndarray, detail=lambda row, col: ""):
         """Fold the (N, k) values of the checks ``names`` at N settings in."""
-        for name, worst in zip(names, values.max(axis=0).tolist()):
-            checks[name]["max_value"] = max(checks[name]["max_value"], worst)
-        thresholds = [checks[name]["threshold"] for name in names]
+        for name, value in zip(names, values.max(axis=0).tolist()):
+            worst[name] = max(worst[name], value)
+        thresholds = [_THRESHOLDS[name] for name in names]
         for row, col in zip(*np.nonzero(values >= thresholds)):
             violations.append(
                 {
@@ -136,34 +134,35 @@ def run_qm_verification(
         # one stream, drawn a chunk at a time; the family settings are drawn
         # after every random one and ride in the last chunk
         batch = rng.uniform(0.0, 2.0 * math.pi, size=(min(_CHUNK, n_random - start), 4))
-        if start + _CHUNK >= n_random:
-            family_settings = special_family_settings(rng, _PER_FAMILY)
-            batch = np.concatenate([batch, [angles for _, angles in family_settings]])
+        if last := start + _CHUNK >= n_random:
+            families = special_family_settings(rng, _PER_FAMILY)
+            batch = np.concatenate([batch, [angles for _, angles in families]])
         numeric = bell_bell_coefficients(batch)
         values = _sweep_values(numeric, bell_bell_coefficients_closed_form(batch))
         record(_SWEEP_CHECKS, values, batch)
+        if last:
+            # every family report at once; every family sector is special by
+            # construction, so one that claims nothing (a tol too tight) violates
+            rows = slice(-len(families), None)
+            _, predicted, _, violation, pairing = _sector_arrays(batch[rows], numeric[rows], tol)
+            record(
+                ("perfect_correlations",) * 2,
+                np.where(predicted != 0, np.maximum(violation, pairing), 1.0),
+                batch[rows],
+                lambda row, col: f"family {families[row][0]}, kappa {_SECTORS[col]:+d}",
+            )
 
-    # every family report at once; every family sector is special by
-    # construction, so one that claims nothing (a tol too tight) violates
-    family = slice(len(batch) - len(family_settings), None)
-    _, predicted, _, violation, pairing = _sector_arrays(batch[family], numeric[family], tol)
-    record(
-        ("perfect_correlations",) * 2,
-        np.where(predicted != 0, np.maximum(violation, pairing), 1.0),
-        batch[family],
-        lambda row, col: f"family {family_settings[row][0]}, kappa {_SECTORS[col]:+d}",
-    )
-
-    passed = not violations
-    for entry in checks.values():
-        entry["passed"] = entry["max_value"] < entry["threshold"]
+    checks = {
+        name: {"max_value": worst[name], "threshold": threshold, "passed": worst[name] < threshold}
+        for name, threshold in _THRESHOLDS.items()
+    }
     return {
         "grid": grid,
         "tol": tol,
         "seed": seed,
         "random_settings": n_random,
-        "family_settings": len(family_settings),
+        "family_settings": len(_FAMILIES) * _PER_FAMILY,
         "checks": checks,
         "violations": violations,
-        "passed": passed,
+        "passed": not violations,
     }

@@ -138,28 +138,44 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
-def test_tracer_attributes_commands_run_by_a_cached_parser(capsys):
+def test_only_main_looks_up_cli_globals():
+    # commands call their library functions by name, so a traced one runs
+    # without a table of names; main alone looks up cmd_* by string
+    assert not hasattr(cli, "_REFUTE_ARRANGEMENTS")
+    assert inspect.getsource(cli).count("globals()") == 1
+    assert "globals()" in inspect.getsource(cli.main)
+
+
+def test_tracer_attributes_commands_run_by_a_cached_parser(capsys, tmp_path):
     # the benchmark's warm-up caches the parser before its tracer installs
     tracing = _load_tracing()
     assert cli.main(["refute"]) == 0
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"settings": [[0.0, 0.0, 0.0, 0.0]]}), encoding="utf-8")
+    compile_argv = ["compile", f"--settings={settings}", "--kappa=1", f"--out={tmp_path / 'cs'}"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert cli.main(["refute"]) == 0
         assert cli.main(["refute", "--fig2"]) == 0
+        assert cli.main([*compile_argv, "--factorize"]) == 0
+        assert cli.main([*compile_argv, "--fig=2"]) == 0
     finally:
         tracer.uninstall()
     spans = tracer.spans
-    assert [name for name, *_ in spans].count("cli.main") == 2
+    assert [name for name, *_ in spans].count("cli.main") == 4
     parents = [spans[parent][0] for name, _, _, parent, _ in spans if name == "cli.cmd_refute"]
     assert parents == ["cli.main", "cli.main"]
-    # refute's compiler is traced too, as a child of the command
-    compiles = [
+    # the commands' library calls are traced too, as children of the command
+    library = [
         (name, spans[parent][0])
         for name, _, _, parent, _ in spans
-        if name.startswith("lhv.compile")
+        if name.startswith(("lhv.compile", "lhv.apply"))
     ]
-    assert compiles == [
+    assert library == [
         ("lhv.compile_factored", "cli.cmd_refute"),
         ("lhv.compile_double_bell", "cli.cmd_refute"),
+        ("lhv.compile_bell_polarization", "cli.cmd_compile"),
+        ("lhv.apply_factorization", "cli.cmd_compile"),
+        ("lhv.compile_double_bell", "cli.cmd_compile"),
     ]

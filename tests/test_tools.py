@@ -148,3 +148,28 @@ def test_stage_times_times_the_verify_qm_batch(monkeypatch):
     swept, batch = np.concatenate(rows), tool.qm_batch()
     assert swept.shape == batch.shape == (725, 4)
     assert swept.tobytes() == batch.tobytes()
+
+
+def test_stage_times_draws_the_events_workload_inputs(monkeypatch):
+    tool = load_stage_times(monkeypatch)
+    import workloads
+
+    assert tool.Events is workloads.Events
+    commands, drawn = [], []
+    sample_events = tool.correlations.sample_events
+
+    def sampling(angles, n, rng):
+        drawn.append(angles)
+        return sample_events(angles, n, rng)
+
+    def recording(argv):
+        commands.append(argv)
+        return 0
+
+    monkeypatch.setattr(tool.correlations, "sample_events", sampling)
+    monkeypatch.setattr(tool.cli, "main", recording)
+    assert set(tool.event_stages(1)) == {"sample_events", "write_events_csv", "simulate_cli"}
+    events = workloads.Events(301, False, Path("unused"))
+    ((*argv, out),) = commands
+    assert argv == events.argv[:-1] and out.startswith("--out=") and out.endswith("events.csv")
+    assert drawn == [events.angles]

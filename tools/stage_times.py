@@ -30,16 +30,13 @@ collector passes per generation (``gc.callbacks``) over those ``--repeat``
 four-command windows, divided by ``--repeat``; each window includes the pass
 that ``main`` puts off until it turns the collector back on.
 
-It also times the two stages of ``simulate`` on EVENTS events at a
-special-phase setting: ``sample_events`` draws them in one call (the
-setting's CDF is cached after the first, as it is across simulate's chunks)
-and ``write_events_csv`` writes them in one call, which joins them a chunk
-at a time, to a string buffer, each the best of ``--repeat`` runs.
-``simulate_cli`` times the events benchmark workload's command, ``simulate``
-of SIMULATE_EVENTS events at that setting with ``--seed`` SEED, through
-``cli.main`` into a file in a temporary directory, best of ``--repeat``
-runs: unlike the stages, it pays for opening and truncating the file and
-for the disk writes.
+It times ``simulate`` at the events benchmark workload's setting, made by
+its code from SEED, each the best of ``--repeat`` runs: its two stages on
+EVENTS events, ``sample_events`` in one call (the setting's CDF is cached
+after the first, as it is across simulate's chunks) and ``write_events_csv``
+in one call to a string buffer, and, as ``simulate_cli``, the workload's
+own command through ``cli.main`` into a temporary directory, which also
+pays for opening the file and for the disk writes.
 
 It times the layers of a ``verify-qm --grid 5`` sweep, the qm_sweep
 benchmark workload's, on that sweep's batch of 725 settings (625 random,
@@ -107,18 +104,15 @@ SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "benchmarks")]
 
 from bellswap import cli, correlations, lhv, quantum, serialize, solver, verification  # noqa: E402
-from workloads import grid_settings, rng_for  # noqa: E402
+from workloads import Events, grid_settings, rng_for  # noqa: E402
 
-#: The benchmark seed: of the grids' base angles (drawn as the refute_grid
-#: workload draws them), of the event draws and of the verify-qm batch.
+#: The benchmark seed: of the grids' base angles and of the events setting
+#: and command (made as the refute_grid and events workloads make them), of
+#: the event draws and of the verify-qm batch.
 SEED = 301
 
-#: Events of the simulate stages, and the setting they are drawn at.
+#: Events of the simulate stages.
 EVENTS = 100_000
-EVENT_ANGLES = (0.25, 0.25 + math.pi / 4, 1.0, 1.0 + math.pi / 4)
-
-#: Events of the whole simulate command, as the events workload runs it.
-SIMULATE_EVENTS = 50_000
 
 #: Grid of the verify-qm stages: grid**4 random settings plus the families.
 QM_GRID = 5
@@ -254,23 +248,17 @@ def cli_round(settings_text: str, repeat: int) -> tuple[dict[str, float], dict[s
 
 
 def event_stages(repeat: int) -> dict[str, float]:
-    """Best time of sampling and of writing EVENTS events, and of the
-    simulate command on SIMULATE_EVENTS events."""
-    sample_ms, outcomes = best_ms(
-        repeat, lambda: correlations.sample_events(EVENT_ANGLES, EVENTS, SEED)
-    )
-    write_ms, _ = best_ms(
-        repeat, lambda: serialize.write_events_csv(io.StringIO(), EVENT_ANGLES, outcomes)
-    )
+    """Best time of sampling and of writing EVENTS events at the events
+    workload's setting, and of that workload's simulate command."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
-        argv = [
-            "simulate",
-            *(f"--phi{i}={phi!r}" for i, phi in enumerate(EVENT_ANGLES, start=1)),
-            f"--events={SIMULATE_EVENTS}",
-            f"--seed={SEED}",
-            f"--out={Path(tmp) / 'events.csv'}",
-        ]
-        simulate_ms, code = best_ms(repeat, lambda: cli.main(argv))
+        events = Events(SEED, False, Path(tmp))
+        sample_ms, outcomes = best_ms(
+            repeat, lambda: correlations.sample_events(events.angles, EVENTS, SEED)
+        )
+        write_ms, _ = best_ms(
+            repeat, lambda: serialize.write_events_csv(io.StringIO(), events.angles, outcomes)
+        )
+        simulate_ms, code = best_ms(repeat, lambda: cli.main(events.argv))
     if code != 0:
         raise SystemExit(f"simulate: exit {code}")
     return {"sample_events": sample_ms, "write_events_csv": write_ms, "simulate_cli": simulate_ms}
