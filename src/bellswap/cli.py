@@ -22,13 +22,16 @@ radians unless --degrees is given; only this module converts degrees.
 ``serialize`` reads input files and raises only ValueError on a malformed
 one.  A command reports an unreadable input where it reads it, and opens its
 --out file before its work; the OSError of any write reaches ``main``, which
-alone turns it into exit 2 with one line.  ``main`` builds the parser once
-per process and finds each command's ``cmd_*`` by name at call time, and the
-commands call the library through this module's globals, also at call time,
-so a wrapped or patched function is the one that runs.  ``main`` pauses the
-cyclic garbage collector while the command runs, since commands build large
-acyclic data (parsed JSON, columns, tuples) that collector passes would only
-rescan, and leaves it as it found it; the library functions do not pause it.
+alone turns it into exit 2 with one line.  An --out file is not truncated
+when opened: it is written over in place and then cut at the bytes written
+(``_open_out``), so an existing file keeps its inode, hard links and mode.
+``main`` builds the parser once per process and finds each command's
+``cmd_*`` by name at call time, and the commands call the library through
+this module's globals, also at call time, so a wrapped or patched function
+is the one that runs.  ``main`` pauses the cyclic garbage collector while
+the command runs, since commands build large acyclic data (parsed JSON,
+columns, tuples) that collector passes would only rescan, and leaves it as
+it found it; the library functions do not pause it.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -120,6 +124,30 @@ def _angles_from_args(args: argparse.Namespace) -> tuple[float, float, float, fl
     return tuple(_to_radians(phi, args.degrees) for phi in phis)
 
 
+@contextmanager
+def _open_out(path: str, newline: str | None = None):
+    """An --out path as a UTF-8 text file, written over from its start.
+
+    It is opened without O_TRUNC: freeing an old file's blocks only to
+    allocate them again costs more than the writing.  On every exit, normal
+    or by an exception, a regular file longer than the bytes written is cut
+    at them, so it holds what a truncating open would have left; a new or
+    outgrown file needs no cut, and a FIFO or a device is left alone, as
+    O_TRUNC leaves it.  A process killed before the cut leaves the old tail."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fp:
+        try:
+            yield fp
+        finally:
+            try:
+                fp.flush()
+            finally:  # a flush that failed partway still cuts at what it wrote
+                info = os.fstat(fd)
+                if stat.S_ISREG(info.st_mode):
+                    if info.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                        os.ftruncate(fd, end)
+
+
 def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -183,7 +211,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify_qm(args: argparse.Namespace) -> int:
     # --out is opened before the sweep, so an unwritable path fails at once
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fp:
+    with _open_out(args.out) if args.out else nullcontext() as fp:
         report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
         doc = {"format_version": FORMAT_VERSION, "command": "verify-qm", **report}
         text = json.dumps(doc, indent=2)
@@ -197,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (angles := _angles_from_args(args)) is None:
         return 2
     violations = 0
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
+    with _open_out(args.out, newline="") as fp:
         rng = np.random.default_rng(args.seed)
         violating = violating_outcomes(angles, args.tol)
         # one chunk at --events 0 too: it writes the header row
@@ -260,7 +288,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return 2
     settings = np.radians(settings) if args.degrees else settings
     compile_fig = compile_bell_polarization if args.fig == 1 else compile_double_bell
-    with open(args.out, "w", encoding="utf-8") as fp:
+    with _open_out(args.out) as fp:
         cs = compile_fig(settings, args.kappa, args.tol, args.label)
         if args.factorize:
             cs = apply_factorization(cs)

@@ -10,7 +10,9 @@ Two independent procedures:
   order into an incremental elimination basis keyed by pivot variable, each
   basis row carrying its pedigree (the constraints it was summed from).
   Compiled constraints touch two to four unknowns, so a new row usually
-  needs only a handful of XORs.
+  needs only a handful of XORs.  A satisfiable system's basis is then
+  inserted once more, from its highest pivot down, into a basis pivoting on
+  the lowest variable, from which the model is read.
 
 Both gf2_solve answers are canonical, independent of pivot choice:
 
@@ -169,7 +171,7 @@ def enumerate_solve(cs: ConstraintSet) -> SolveResult:
 def _eliminate(
     rows: list[tuple[int, int]], pivot_of: Callable[[int], int], pedigrees: bool
 ) -> tuple[dict[int, tuple[int, int, int]], int | None]:
-    """Insert rows in id order into a basis {pivot variable: (mask, rhs,
+    """Insert rows in list order into a basis {pivot variable: (mask, rhs,
     pedigree)}, reducing each new row by the basis rows of its pivot_of
     variable until that variable is free or the row is empty.  With
     ``pedigrees``, row i starts from the pedigree 1 << i, so a pedigree is
@@ -218,6 +220,12 @@ def gf2_solve(cs: ConstraintSet) -> SolveResult:
     pivots are the leading columns of the row-reduced system, so
     back-substituting from the highest pivot down, with every free variable
     +1, gives the canonical model: the lowest satisfying assignment index.
+    The leading columns do not depend on the order the rows go in, so pass 2
+    takes them in descending order of their pass-1 pivot, the order that
+    keeps its XOR chains short on compiled grids: 9674 XORs on the
+    unfactorized figure-1 system of the refute_grid benchmark's 20-base grid
+    at seed 301 (4960 unknowns), against 4.18 million in pass 1's insertion
+    order.
     """
     rows = _parity_rows(cs)
     basis, pedigree = _eliminate(rows, _highest_variable, pedigrees=True)
@@ -225,7 +233,8 @@ def gf2_solve(cs: ConstraintSet) -> SolveResult:
         bits = _low_bits(pedigree, len(rows))
         certificate = tuple(i for i, bit in enumerate(bits) if bit == "1")
         return SolveResult(SolveStatus.UNSAT, certificate=certificate)
-    basis, _ = _eliminate([row[:2] for row in basis.values()], _lowest_variable, pedigrees=False)
+    top_down = [basis[pivot][:2] for pivot in sorted(basis, reverse=True)]
+    basis, _ = _eliminate(top_down, _lowest_variable, pedigrees=False)
     assignment = 0
     for pivot in sorted(basis, reverse=True):
         mask, rhs, _ = basis[pivot]

@@ -1,11 +1,14 @@
 import errno
 import gc
+import io
 import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from bellswap.correlations import (
 )
 from bellswap.lhv import compile_double_bell, contradiction_instance
 from bellswap.quantum import BellOutcome
-from bellswap.serialize import constraint_set_to_dict, write_events_csv
+from bellswap.serialize import EVENT_CHUNK, constraint_set_to_dict, write_events_csv
 
 PI = math.pi
 COMPILE_TOL_BOUND = (
@@ -671,6 +674,137 @@ class TestMalformedInput:
         assert main(argv) == 2
         message = "error: cannot write output: [Errno 28] No space left on device\n"
         assert capsys.readouterr().err == message
+
+
+class TestOutFile:
+    """An --out file is written over in place and, if longer, cut at the
+    bytes written: it ends exactly as a truncating open would leave it."""
+
+    COMMANDS = ["simulate", "compile", "verify-qm"]
+
+    @pytest.fixture
+    def argv_for(self, tmp_path):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"settings": grid_settings(np.random.default_rng(5), 1)}))
+        commands = {
+            # two chunks of events
+            "simulate": ["simulate", "--events", str(EVENT_CHUNK + 904), "--seed", "7"],
+            "compile": ["compile", "--settings", str(settings), "--kappa", "1", "--factorize"],
+            "verify-qm": ["verify-qm", "--grid", "1"],
+        }
+        return lambda command, out: [*commands[command], "--out", str(out)]
+
+    @staticmethod
+    def fresh_bytes(capsys, argv_for, command, tmp_path):
+        """What the command writes to a path that does not exist yet."""
+        out = tmp_path / "fresh"
+        assert run(capsys, *argv_for(command, out))[0] == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("extra", [4096 * 3, 0, -1000])
+    def test_old_file_ends_with_exactly_the_new_bytes(
+        self, capsys, tmp_path, argv_for, command, extra
+    ):
+        expected = self.fresh_bytes(capsys, argv_for, command, tmp_path)
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * (len(expected) + extra))
+        assert run(capsys, *argv_for(command, out))[0] == 0
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_file_keeps_its_inode_mode_and_links(self, capsys, tmp_path, argv_for, command):
+        expected = self.fresh_bytes(capsys, argv_for, command, tmp_path)
+        target, hard, symlink = tmp_path / "target", tmp_path / "hard", tmp_path / "symlink"
+        target.write_bytes(b"x" * (2 * len(expected)))
+        target.chmod(0o640)
+        os.link(target, hard)
+        symlink.symlink_to(target)
+        inode = target.stat().st_ino
+        assert run(capsys, *argv_for(command, symlink))[0] == 0
+        assert symlink.is_symlink()
+        assert (target.stat().st_ino, stat.S_IMODE(target.stat().st_mode)) == (inode, 0o640)
+        assert target.read_bytes() == hard.read_bytes() == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dev_null_and_a_fifo(self, capsys, tmp_path, argv_for, command):
+        expected = self.fresh_bytes(capsys, argv_for, command, tmp_path)
+        assert run(capsys, *argv_for(command, os.devnull))[0] == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _ = run(capsys, *argv_for(command, fifo))
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 0 and received == [expected]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failure_partway_exits_2_and_leaves_no_old_byte(
+        self, capsys, monkeypatch, tmp_path, argv_for, command
+    ):
+        expected = self.fresh_bytes(capsys, argv_for, command, tmp_path)
+        written = []
+        full = OSError(errno.ENOSPC, "No space left on device")
+
+        def events_then_full(fp, angles, outcomes, start=0):
+            if start:  # the second chunk
+                raise full
+            buffer = io.StringIO()
+            write_events_csv(buffer, angles, outcomes, start)
+            written.append(buffer.getvalue())
+            fp.write(written[-1])
+
+        def half_then_full(cs, fp):
+            buffer = io.StringIO()
+            serialize.dump_constraint_set(cs, buffer)
+            written.append(buffer.getvalue()[: len(buffer.getvalue()) // 2])
+            fp.write(written[-1])
+            raise full
+
+        def full_before_writing(**kwargs):
+            raise full
+
+        name, failing = {
+            "simulate": ("write_events_csv", events_then_full),
+            "compile": ("dump_constraint_set", half_then_full),
+            "verify-qm": ("run_qm_verification", full_before_writing),
+        }[command]
+        monkeypatch.setattr(cli, name, failing)
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * (len(expected) + 4096 * 3))
+        assert main(argv_for(command, out)) == 2
+        message = "error: cannot write output: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == message
+        data = "".join(written).encode()
+        assert out.read_bytes() == data and expected.startswith(data) and len(data) < len(expected)
+
+    def test_flush_failing_partway_still_cuts_the_old_tail(self, capsys, tmp_path, argv_for):
+        # verify-qm's small report waits in the buffer until the flush, which a
+        # file size limit (ignored SIGXFSZ: writes fail with EFBIG) cuts short
+        expected = self.fresh_bytes(capsys, argv_for, "verify-qm", tmp_path)
+        limit = len(expected) // 2
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * (4 * len(expected)))
+        script = (
+            "import resource, signal, sys\n"
+            "from bellswap import cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv_for("verify-qm", out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: [Errno 27] File too large\n"
+        assert out.read_bytes() == expected[:limit]
 
 
 class TestUsageErrors:

@@ -248,16 +248,26 @@ class TestGf2Contracts:
             assert enumerate_solve(prefix(cs, last)).status is SolveStatus.SAT
             checked += 1
 
-    @pytest.mark.parametrize("fig", [1, 2])
-    def test_same_result_as_dense_gauss_jordan_on_grid(self, fig):
+    @pytest.mark.parametrize(
+        "fig,factorize", [(1, True), (2, False), (1, False)], ids=["1", "2", "1-unfactorized"]
+    )
+    def test_same_result_as_dense_gauss_jordan_on_grid(self, fig, factorize):
         settings = grid_settings(np.random.default_rng(97), 4)
         assert len(settings) == 784
-        if fig == 1:
+        if fig == 2:
+            cs = compile_double_bell(settings, -1)
+            expected = SolveStatus.SAT
+        elif factorize:
             cs = apply_factorization(compile_bell_polarization(settings, +1))
             expected = SolveStatus.UNSAT
         else:
-            cs = compile_double_bell(settings, -1)
+            cs = compile_bell_polarization(settings, +1)
             expected = SolveStatus.SAT
+            # pass 1 inserts its basis rows out of pivot order, so pass 2's
+            # top-down feed is not the insertion order: the model must not care
+            rows = solver._parity_rows(cs)
+            basis, _ = solver._eliminate(rows, solver._highest_variable, pedigrees=False)
+            assert list(basis) != sorted(basis, reverse=True)
         result = gf2_solve(cs)
         assert result.status is expected
         assert result == dense_gauss_jordan(cs)

@@ -1,10 +1,13 @@
 import importlib.util
 import json
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -22,6 +25,10 @@ def stage_times(*argv: str) -> dict:
 
 def test_stage_times_smallest_size():
     report = stage_times("--bases", "1", "--repeat", "1", "--solve-bases", "1")
+    if report["commit"] is None:
+        assert report["dirty"] is None
+    else:
+        assert re.fullmatch("[0-9a-f]{40}", report["commit"]) and report["dirty"] in (True, False)
     assert "runs" not in report and "quartiles_ms" not in report
     assert report["settings"] == 49
     assert report["gc_paused"] is True
@@ -173,3 +180,30 @@ def test_stage_times_draws_the_events_workload_inputs(monkeypatch):
     ((*argv, out),) = commands
     assert argv == events.argv[:-1] and out.startswith("--out=") and out.endswith("events.csv")
     assert drawn == [events.angles]
+
+
+def test_stage_times_checkout_is_null_outside_a_checkout(monkeypatch, tmp_path):
+    tool = load_stage_times(monkeypatch)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    assert tool.checkout() == {"commit": None, "dirty": None}
+
+
+def test_stage_times_checkout_sees_a_changed_tracked_file(monkeypatch, tmp_path):
+    if shutil.which("git") is None:
+        pytest.skip("git is missing")
+
+    def git(*argv):
+        subprocess.run(["git", *argv], cwd=tmp_path, capture_output=True, check=True)
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("a\n", encoding="utf-8")
+    git("add", "tracked.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    tool = load_stage_times(monkeypatch)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    clean = tool.checkout()
+    assert re.fullmatch("[0-9a-f]{40}", clean["commit"]) and clean["dirty"] is False
+    (tmp_path / "untracked.txt").write_text("b\n", encoding="utf-8")
+    assert tool.checkout() == clean
+    (tmp_path / "tracked.txt").write_text("c\n", encoding="utf-8")
+    assert tool.checkout() == {**clean, "dirty": True}

@@ -5,6 +5,7 @@ Run from the repository root:
     python3 tools/stage_times.py
     python3 tools/stage_times.py --bases 2 --repeat 1 --solve-bases 1 2
     python3 tools/stage_times.py --repeat 5 --runs 5
+    python3 tools/stage_times.py --repeat 5 --runs 3 > report.json
 
 A round compiles the refute_grid benchmark workload's settings grid, made by
 its ``benchmarks/workloads.py`` code from its seed (``--bases`` random base
@@ -79,7 +80,10 @@ K values of each timing, in the report's layout (the unfactorized solves'
 ``--solve-bases`` order), beside ``runs``.  ``--runs 1``, the
 default, reports only the best-of keys.
 
-The output is one JSON object on standard output.
+The output is one JSON object on standard output.  It names the code it
+timed: ``commit`` is the ``git rev-parse HEAD`` of the checkout the tool
+runs from, and ``dirty`` says whether tracked files differ from that commit
+(then the numbers are not that commit's); both are null outside a checkout.
 """
 
 from __future__ import annotations
@@ -91,6 +95,7 @@ import json
 import math
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -438,6 +443,23 @@ def src_lines() -> dict[str, int]:
     return {**counts, "total": sum(counts.values())}
 
 
+def checkout() -> dict:
+    """The tool's checkout: its HEAD ``commit`` and whether tracked files are
+    ``dirty`` against it; both None outside a checkout, or where git is
+    missing."""
+
+    def git(*argv: str) -> str:
+        run = subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True, check=True)
+        return run.stdout.strip()
+
+    try:
+        head = git("rev-parse", "HEAD")
+        changed = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None}
+    return {"commit": head, "dirty": bool(changed)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bases", type=int, default=9, help="base angles per side of the round")
@@ -460,6 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     settings_text = json.dumps({"settings": settings})
     batch = qm_batch()
     report = {
+        **checkout(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "seed": SEED,
