@@ -245,16 +245,56 @@ def violating_outcomes(angles, tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
     return mask
 
 
+#: Equal bins of [0, 1) in a sampler lookup: a power of two, so that
+#: u * _BINS and b / _BINS are exact for every float u and bin b.
+_BINS = 4096
+
+
+def _cdf_lookup(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guide table for inverse-CDF sampling over a non-decreasing CDF (Chen
+    and Asau, 1974): the CDF; for each of the _BINS equal bins b of [0, 1),
+    the count of CDF values <= b / _BINS, clamped to the last outcome; and
+    for each bin, whether a CDF value lies strictly inside it."""
+    edges = np.arange(_BINS + 1) / _BINS
+    counts = np.searchsorted(cdf, edges[:-1], side="right")
+    inside = np.searchsorted(cdf, edges[1:], side="left") > counts
+    return (
+        _read_only(cdf),
+        _read_only(np.minimum(counts, len(cdf) - 1)),
+        _read_only(inside),
+    )
+
+
 @lru_cache(maxsize=1)
-def _outcome_cdf(angles: tuple[float, float, float, float]) -> np.ndarray:
-    """Cumulative probabilities over OUTCOME_ORDER at a setting, given as a
-    tuple of Python floats to be a cache key.  simulate samples one setting
-    a chunk at a time, so the last setting's CDF is kept.  The cache
-    is module state: in one process, later draws at the same setting reuse
-    it too (a benchmark that repeats one setting skips its decomposition
-    after the first command), while a one-command process computes it once
-    either way."""
-    return _read_only(np.cumsum(_outcome_probabilities(_coefficients(np.array([angles])))))
+def _outcome_lookup(
+    angles: tuple[float, float, float, float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_cdf_lookup of the cumulative probabilities over OUTCOME_ORDER at a
+    setting, given as a tuple of Python floats to be a cache key.  simulate
+    samples one setting a chunk at a time, so the last setting's lookup is
+    kept.  The cache is module state: in one process, later draws at the
+    same setting reuse it too (a benchmark that repeats one setting skips
+    its decomposition after the first command), while a one-command process
+    builds it once either way."""
+    return _cdf_lookup(np.cumsum(_outcome_probabilities(_coefficients(np.array([angles])))))
+
+
+def _inverse_cdf(lookup: tuple[np.ndarray, np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """For each draw u in [0, 1), the count of CDF values <= u, clamped to
+    the last outcome, from a _cdf_lookup.  A draw u in bin b = floor(u *
+    _BINS) is at least the bin's left edge and below its right one, so if
+    no CDF value lies inside the bin, exactly the values <= b / _BINS are
+    <= u and the bin's count is the answer.  Only draws in the other bins,
+    at most len(cdf) of them, are searched.  _BINS is a power of two, so
+    u * _BINS and b / _BINS are exact and the result equals
+    ``np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)`` for
+    every u: a bin test only picks which of two exact computations runs."""
+    cdf, counts, inside = lookup
+    bins = (u * _BINS).astype(np.intp)
+    draws = counts[bins]
+    searched = np.flatnonzero(inside[bins])
+    draws[searched] = np.minimum(np.searchsorted(cdf, u[searched], side="right"), len(cdf) - 1)
+    return draws
 
 
 def sample_events(angles, n: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -264,14 +304,14 @@ def sample_events(angles, n: int, seed: int | np.random.Generator) -> np.ndarray
     that order with numpy's seeded generator, so a given (angles, n, seed)
     always yields the same array.  A Generator passed as ``seed`` is drawn
     from as it stands, so draws of n1 and then n2 events from one Generator
-    concatenate to the draw of n1 + n2 events from its seed.
+    concatenate to the draw of n1 + n2 events from its seed.  A draw reads
+    the setting's lookup (_outcome_lookup): a binary search over the CDF
+    gives the same events, but costs a search per event.
     """
     if n < 0:
         raise ValueError("event count must be >= 0")
-    cdf = _outcome_cdf(tuple(_angle_row(angles).tolist()))
-    rng = np.random.default_rng(seed)
-    draws = np.searchsorted(cdf, rng.random(n), side="right")
-    return np.minimum(draws, len(OUTCOME_ORDER) - 1)
+    lookup = _outcome_lookup(tuple(_angle_row(angles).tolist()))
+    return _inverse_cdf(lookup, np.random.default_rng(seed).random(n))
 
 
 def perfect_correlation_report(angles, tol: float = DEFAULT_ANGLE_TOL) -> dict:

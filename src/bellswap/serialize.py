@@ -17,7 +17,10 @@ and a load decodes each distinct number text once (_parse).  The event CSV
 is written by write_events_csv in chunks of EVENT_CHUNK events, each one
 str.join over text made before the chunk: an event id as the text of its
 thousands and its last digits (from _ID_DIGITS), then one of 16 row
-tails.  No int is converted to text per event.  The header precedes event 0
+tails.  The ids of a chunk run in order, so their pieces come as slices,
+not per event: one thousands text per run of rows that share it, and the
+last digits as one slice of a repeating table.  No int is converted to
+text per event.  The header precedes event 0
 and the ids continue from the call's start, so a file can be written in
 several calls.  The CSV schema is versioned by its pinned header row; its
 columns, vocabulary and LF line endings are golden-tested.
@@ -26,6 +29,7 @@ columns, vocabulary and LF line endings are golden-tested.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
@@ -386,6 +390,11 @@ _ID_DIGITS = np.array(
     [*(f"{n:03d}" for n in range(1000)), *map(str, range(100))], dtype=object
 )
 
+#: _ID_DIGITS[:1000] repeated to at least EVENT_CHUNK + 999 entries: the
+#: last three digits of a chunk of consecutive ids from i on are the chunk's
+#: slice of it from i % 1000.
+_ID_CYCLE = np.tile(_ID_DIGITS[:1000], EVENT_CHUNK // 1000 + 2)
+
 
 def write_events_csv(
     fp: IO[str], angles, outcomes: Sequence[int], start: int = 0
@@ -395,14 +404,22 @@ def write_events_csv(
 
     ``outcomes`` are integer indices into OUTCOME_ORDER, as drawn by
     sample_events; any other value raises ValueError before its chunk is
-    written.  Angles use shortest round-trip repr and rows get LF endings,
-    so equal inputs serialize to identical bytes.  Successive calls with the
-    next start continue one file.  Rows are written EVENT_CHUNK at a time,
-    one join and one write per chunk, so the text held at once does not
-    grow with the number of events.
+    written.  ``start`` is a Python or numpy int, not a bool.  Angles use
+    shortest round-trip repr and rows get LF endings, so equal inputs
+    serialize to identical bytes.  Successive calls with the next start
+    continue one file.  Rows are written EVENT_CHUNK at a time, one join and
+    one write per chunk, so the text held at once does not grow with the
+    number of events.  The ids of a chunk run in order, so their pieces are
+    slices: a thousands text per run of rows that share it, and their last
+    digits one slice of _ID_CYCLE.
     """
-    if not isinstance(start, (int, np.integer)) or not 0 <= start < 2**63 - len(outcomes):
+    if (
+        isinstance(start, bool)
+        or not isinstance(start, (int, np.integer))
+        or not 0 <= operator.index(start) < 2**63 - len(outcomes)
+    ):
         raise ValueError("start must be an integer >= 0, and every event id below 2**63")
+    start = operator.index(start)
     phis = ",".join(map(repr, _angle_row(angles).tolist()))
     tails = np.array([f",{phis},{cells}" for cells in _OUTCOME_CELLS], dtype=object)
     head = ",".join(EVENT_CSV_COLUMNS) + "\n" if start == 0 else ""
@@ -410,20 +427,19 @@ def write_events_csv(
         keys = np.asarray(outcomes[first : first + EVENT_CHUNK])
         if keys.ndim != 1 or keys.dtype.kind not in "iu" or not 0 <= keys.min() <= keys.max() < 16:
             raise ValueError("outcomes must be integers in 0..15, indices into OUTCOME_ORDER")
-        ids = np.arange(start + first, start + first + len(keys))
-        thousands = ids // 1000
-        low = int(thousands[0])
-        # the text of each thousands the chunk touches, "" for the ids below 1000
-        highs = [str(t) if t else "" for t in range(low, int(thousands[-1]) + 1)]
-        highs = np.array(highs, dtype=object)
-        # the header row or "", then three pieces per event: its thousands,
-        # its last digits and the tail of its outcome's row
-        pieces = np.empty(1 + 3 * len(keys), dtype=object)
-        pieces[0] = head
-        pieces[1::3] = highs[thousands - low]
-        pieces[2::3] = _ID_DIGITS[ids % 1000 + 1000 * (ids < 100)]
-        pieces[3::3] = tails[keys]
-        fp.write("".join(pieces.tolist()))
+        low, n = start + first, len(keys)
+        # three pieces per event: its thousands, its last digits and the
+        # tail of its outcome's row
+        pieces = np.empty((n, 3), dtype=object)
+        for thousands in range(low // 1000, (low + n - 1) // 1000 + 1):
+            rows = slice(max(1000 * thousands - low, 0), 1000 * (thousands + 1) - low)
+            pieces[rows, 0] = str(thousands) if thousands else ""
+        pieces[:, 1] = _ID_CYCLE[low % 1000 : low % 1000 + n]
+        pieces[:, 2] = tails[keys]
+        short = _ID_DIGITS[1000 + low : 1100][:n]  # the ids below 100
+        pieces[: len(short), 1] = short
+        pieces[0, 0] = head + pieces[0, 0]  # the header row rides in the chunk's one write
+        fp.write("".join(pieces.ravel().tolist()))
         head = ""
     if head:
         fp.write(head)

@@ -3,9 +3,12 @@ import json
 import math
 import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellswap import correlations, quantum
 from bellswap.cli import main
@@ -39,6 +42,7 @@ from bellswap.verification import _FAMILIES, run_qm_verification
 
 PI = math.pi
 ZEROS = (0, 0, 0, 0)
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 #: Every public function of one setting, called with only that setting.
 ONE_SETTING = {
@@ -450,3 +454,88 @@ class TestSampler:
                 continue
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[key] - n * p) < 5 * sigma + 1
+
+    # the sampler's lookup against the binary search it stands in for
+
+    @staticmethod
+    def searched(cdf, u):
+        """The draws u by one binary search each over the whole CDF: the reference."""
+        return np.minimum(np.searchsorted(cdf, u, side="right"), 15)
+
+    @staticmethod
+    def edge_draws(cdf):
+        """The draws where the lookup could go wrong: each CDF value, each bin
+        edge, 0.0 and the largest float below 1, and the floats next to them,
+        as far as they lie in [0, 1)."""
+        edges = np.arange(correlations._BINS) / correlations._BINS
+        points = np.concatenate([cdf, edges, [0.0, np.nextafter(1.0, 0.0)]])
+        u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+        return u[(0.0 <= u) & (u < 1.0)]
+
+    def assert_lookup_is_the_search(self, cdf, u):
+        draws = correlations._inverse_cdf(correlations._cdf_lookup(cdf), u)
+        expected = self.searched(cdf, u)
+        assert draws.dtype == expected.dtype
+        bad = np.flatnonzero(draws != expected)
+        assert not bad.size, f"u = {u[bad[0]]!r}: {draws[bad[0]]} != {expected[bad[0]]}"
+
+    def test_lookup_draws_equal_the_search_at_every_setting_kind(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        from workloads import SPECIAL_FAMILIES  # the events workload's settings
+
+        rng = np.random.default_rng(32)
+        builders = [build for _, build in _FAMILIES] + list(SPECIAL_FAMILIES)
+        settings = [tuple(rng.uniform(-2 * PI, 2 * PI, 4)) for _ in range(20)]
+        settings += [build(*rng.uniform(0, 2 * PI, 2)) for build in builders for _ in range(4)]
+        settings += [ZEROS, (PI / 4, 0, 0, 0)]
+        for angles in settings:
+            cdf = np.cumsum(list(bell_polarization_distribution(angles).values()))
+            u = np.concatenate([self.edge_draws(cdf), rng.random(2000)])
+            self.assert_lookup_is_the_search(cdf, u)
+            seed = int(rng.integers(2**32))
+            expected = self.searched(cdf, np.random.default_rng(seed).random(3000))
+            assert np.array_equal(sample_events(angles, 3000, seed), expected)
+
+    @pytest.mark.parametrize(
+        "probabilities",
+        [
+            # ties: zero-probability outcomes, also first and last
+            [0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0],
+            [1.0] + [0.0] * 15,
+            [0.0] * 15 + [1.0],
+            # a first probability of 1e-32, far inside the first bin
+            [1e-32] + [1 / 15] * 15,
+            # a CDF that ends at 0.5: the draws above it clamp to the last outcome
+            [1 / 32] * 16,
+        ],
+        ids=["ties", "all-first", "all-last", "tiny-first", "short"],
+    )
+    def test_lookup_draws_equal_the_search_on_crafted_cdfs(self, probabilities):
+        cdf = np.cumsum(probabilities)
+        self.assert_lookup_is_the_search(cdf, self.edge_draws(cdf))
+
+    @pytest.mark.parametrize(
+        "last", [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)], ids=["1", "1-ulp", "1+ulp"]
+    )
+    @pytest.mark.parametrize("bins", [(1, 2, 3, 2048, 4095), (0, 7, 1000, 4000, 4094)], ids=repr)
+    def test_lookup_draws_equal_the_search_on_bin_edges(self, bins, last):
+        # CDF values exactly on k / 4096 and one ulp either side of it
+        edges = np.array(bins) / 4096
+        values = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        cdf = np.append(np.sort(np.maximum(values, 0.0)), last)
+        assert len(cdf) == 16
+        self.assert_lookup_is_the_search(cdf, self.edge_draws(cdf))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e-3)),
+            min_size=16,
+            max_size=16,
+        ).filter(any),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lookup_draws_equal_the_search_on_any_cdf(self, weights, seed):
+        cdf = np.cumsum(weights) / sum(weights)
+        u = np.concatenate([self.edge_draws(cdf), np.random.default_rng(seed).random(500)])
+        self.assert_lookup_is_the_search(cdf, u)

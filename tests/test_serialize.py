@@ -820,7 +820,29 @@ class TestEventCsv:
             write_events_csv(buffer, angles, outcomes)
         assert buffer.getvalue() == per_row_csv(angles, outcomes[:EVENT_CHUNK])
 
-    @pytest.mark.parametrize("start", [-1, 2**63 - 1, 2**64, 7.0])
+    @pytest.mark.parametrize(
+        "start, n",
+        [
+            *(
+                (form(start), n)
+                for form in (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64)
+                for start, n in ((0, 3), (5, 3), (5, 200), (99, EVENT_CHUNK + 904), (127, 1))
+            ),
+            (np.int16(30000), 5000),
+            (np.int64(2**63 - 2), 1),
+            (np.uint64(2**63 - 2), 1),
+        ],
+        ids=repr,
+    )
+    def test_a_start_of_any_integer_width(self, start, n):
+        # the ids are counted in Python ints, whatever start's width
+        angles = (0.1, PI / 4, -2.5, 1e-9)
+        outcomes = np.random.default_rng(n).integers(0, 16, n)
+        buffer = io.StringIO()
+        assert write_events_csv(buffer, angles, outcomes, start) == n
+        assert buffer.getvalue() == per_row_csv(angles, outcomes, int(start))
+
+    @pytest.mark.parametrize("start", [-1, 2**63 - 1, 2**64, 7.0, True, np.True_], ids=repr)
     def test_rejects_a_start_out_of_range(self, start):
         # the ids are int64: 2**63 - 1 leaves no room for the one event
         buffer = io.StringIO()

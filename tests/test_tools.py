@@ -50,9 +50,10 @@ def test_stage_times_smallest_size():
     assert set(report["cli_collections"]) == {"gen0", "gen1", "gen2"}
     assert min(report["cli_collections"].values()) >= 0.0
     assert report["events"] == 100_000
-    assert set(report["event_stages_ms"]) == {"sample_events", "write_events_csv", "simulate_cli"}
-    assert min(report["event_stages_ms"].values()) >= 0.0
-    assert report["event_stages_ms"]["simulate_cli"] > 0.0
+    events = report["event_stages_ms"]
+    assert set(events) == {"sample_events", "write_events_csv", "simulate_cli", "simulate_cli_fresh"}
+    assert min(events.values()) >= 0.0
+    assert min(events["simulate_cli"], events["simulate_cli_fresh"]) > 0.0
     assert (report["qm_grid"], report["qm_settings"]) == (5, 725)
     assert set(report["qm_stages_ms"]) == {
         "_rotate_all",
@@ -175,11 +176,17 @@ def test_stage_times_draws_the_events_workload_inputs(monkeypatch):
 
     monkeypatch.setattr(tool.correlations, "sample_events", sampling)
     monkeypatch.setattr(tool.cli, "main", recording)
-    assert set(tool.event_stages(1)) == {"sample_events", "write_events_csv", "simulate_cli"}
+    stages = {"sample_events", "write_events_csv", "simulate_cli", "simulate_cli_fresh"}
+    assert set(tool.event_stages(2)) == stages
     events = workloads.Events(301, False, Path("unused"))
-    ((*argv, out),) = commands
+    (*argv, out), again, *fresh = commands
     assert argv == events.argv[:-1] and out.startswith("--out=") and out.endswith("events.csv")
-    assert drawn == [events.angles]
+    assert again == [*argv, out]
+    # each fresh run is the same command writing a new file beside the workload's
+    assert [command[:-1] for command in fresh] == [argv, argv]
+    paths = [Path(command[-1].removeprefix("--out=")) for command in [[out], *fresh]]
+    assert len(set(paths)) == 3 and len({path.parent for path in paths}) == 1
+    assert drawn == [events.angles] * 2
 
 
 def test_stage_times_checkout_is_null_outside_a_checkout(monkeypatch, tmp_path):

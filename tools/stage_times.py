@@ -33,11 +33,14 @@ that ``main`` puts off until it turns the collector back on.
 
 It times ``simulate`` at the events benchmark workload's setting, made by
 its code from SEED, each the best of ``--repeat`` runs: its two stages on
-EVENTS events, ``sample_events`` in one call (the setting's CDF is cached
-after the first, as it is across simulate's chunks) and ``write_events_csv``
-in one call to a string buffer, and, as ``simulate_cli``, the workload's
-own command through ``cli.main`` into a temporary directory, which also
-pays for opening the file and for the disk writes.
+EVENTS events, ``sample_events`` in one call (the setting's sampling lookup
+is cached after the first, as it is across simulate's chunks) and
+``write_events_csv`` in one call to a string buffer, and, as
+``simulate_cli``, the workload's own command through ``cli.main`` into a
+temporary directory, which also pays for opening the file and for the disk
+writes.  Like the workload, ``simulate_cli`` writes over the previous run's
+file; ``simulate_cli_fresh`` is the same command writing to a new path in
+that directory on each run, the first write of a file.
 
 It times the layers of a ``verify-qm --grid 5`` sweep, the qm_sweep
 benchmark workload's, on that sweep's batch of 725 settings (625 random,
@@ -254,7 +257,8 @@ def cli_round(settings_text: str, repeat: int) -> tuple[dict[str, float], dict[s
 
 def event_stages(repeat: int) -> dict[str, float]:
     """Best time of sampling and of writing EVENTS events at the events
-    workload's setting, and of that workload's simulate command."""
+    workload's setting, and of that workload's simulate command, writing
+    over its last output and writing a new file."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         events = Events(SEED, False, Path(tmp))
         sample_ms, outcomes = best_ms(
@@ -264,9 +268,16 @@ def event_stages(repeat: int) -> dict[str, float]:
             repeat, lambda: serialize.write_events_csv(io.StringIO(), events.angles, outcomes)
         )
         simulate_ms, code = best_ms(repeat, lambda: cli.main(events.argv))
-    if code != 0:
-        raise SystemExit(f"simulate: exit {code}")
-    return {"sample_events": sample_ms, "write_events_csv": write_ms, "simulate_cli": simulate_ms}
+        fresh = iter([[*events.argv[:-1], f"--out={tmp}/fresh{i}.csv"] for i in range(repeat)])
+        fresh_ms, fresh_code = best_ms(repeat, lambda: cli.main(next(fresh)))
+    if code != 0 or fresh_code != 0:
+        raise SystemExit(f"simulate: exit {code or fresh_code}")
+    return {
+        "sample_events": sample_ms,
+        "write_events_csv": write_ms,
+        "simulate_cli": simulate_ms,
+        "simulate_cli_fresh": fresh_ms,
+    }
 
 
 def qm_batch() -> np.ndarray:
