@@ -72,10 +72,6 @@ RULE_FACTORIZATION = "f-factorization"
 RULE_FACTORED_PRODUCT = "aadd-perfect-correlation"
 
 
-#: Number of angles each local function (A, D, F, G above) takes, by tag code.
-TAG_ARITY = {"A": 1, "D": 1, "F": 2, "G": 2}
-
-
 def quantize_angle(phi) -> np.ndarray:
     """Grid angles of an array of angles: phi / ANGLE_QUANTUM rounded half to
     even, times ANGLE_QUANTUM.  A grid angle is its own grid angle.  Adding
@@ -160,6 +156,10 @@ _RULE_TERMS = {
     RULE_FACTORIZATION: (("F", (1, 2)), ("A", (0,)), ("D", (3,))),
     RULE_FACTORED_PRODUCT: (("A", (0,)), ("A", (1,)), ("D", (2,)), ("D", (3,))),
 }
+
+#: Number of angles each local function (A, D, F, G above) takes, by tag code.
+TAG_ARITY = {tag: len(slots) for terms in _RULE_TERMS.values() for tag, slots in terms}
+
 
 def _compile(rule: str, settings, cs: ConstraintSet, tol: float) -> ConstraintSet:
     """Fill cs with one constraint per setting whose sector phase is special:

@@ -4,19 +4,16 @@ Conventions
 -----------
 - Photons are labelled a, b, c, d. A pure state is a (16,) numpy array of
   amplitudes over the product basis |p_a p_b p_c p_d> with H = 0, V = 1 and
-  flat index ``8*a + 4*b + 2*c + d``.  The two-singlet source state and
-  every rotation matrix are real, so make_vw_state and its rotations are
-  real float64 arrays, rotated in real arithmetic (a complex state passed
-  in stays complex).
-- The Bell vectors' entries are real too (BELL_VECTORS holds them as
-  complex arrays), so the projection onto them and the double Bell
-  coefficients C are real float64.  Both changes of basis (onto
-  the double Bell basis, and of a row of C onto the (a, d) polarizations)
-  go through one kernel, _bell_sum: each output is the sum of its nonzero
-  terms in increasing column order, started from +0.0, which is the order
-  of the dense complex einsum these once were, so the coefficients that
-  decompose, verify-qm and simulate print keep their last bits.  A complex
-  vector or state runs through the same kernel in complex arithmetic.
+  flat index ``8*a + 4*b + 2*c + d``.
+- The two-singlet source state, every rotation matrix, the Bell vectors of
+  BELL_VECTORS and the double Bell coefficients C are real float64 arrays.
+  Both changes of basis (onto the double Bell basis, and of a row of C
+  onto the (a, d) polarizations) go through one kernel, _bell_sum: each
+  output is the sum of its nonzero terms in increasing column order,
+  started from +0.0, the order of a dense einsum over the whole matrix,
+  so the coefficients that decompose, verify-qm and simulate print keep
+  their last bits.  A complex state or vector a caller passes runs
+  through the same sums in complex arithmetic.
 - The two-photon Bell basis is
       phi+ = (HH + VV)/sqrt(2),   phi- = (HH - VV)/sqrt(2),
       psi+ = (HV + VH)/sqrt(2),   psi- = (HV - VH)/sqrt(2),
@@ -112,8 +109,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _bell_vector(hh: complex, hv: complex, vh: complex, vv: complex) -> np.ndarray:
-    return _read_only(np.array([[hh, hv], [vh, vv]], dtype=complex) / math.sqrt(2.0))
+def _bell_vector(hh: int, hv: int, vh: int, vv: int) -> np.ndarray:
+    return _read_only(np.array([[hh, hv], [vh, vv]]) / math.sqrt(2.0))
 
 
 #: Two-photon Bell vectors as (2, 2) arrays indexed (p1, p2).
@@ -204,11 +201,8 @@ def _terms(
     (columns, weights) pairs of (rows,) arrays: pair t holds each row's t-th
     nonzero entry in increasing column order, and rows with fewer nonzero
     entries (at least one pair, so a sum is always an array) are padded with
-    their zero ones.  The weights are real when no entry has an imaginary
-    part."""
+    their zero ones."""
     matrix = matrix_of(np.frombuffer(raw, dtype).reshape(shape))
-    if not matrix.imag.any():
-        matrix = matrix.real
     width = (matrix != 0).sum(axis=1).max(initial=1)
     # a stable sort puts each row's nonzero columns first, in increasing order
     columns = np.argsort(matrix == 0, axis=1, kind="stable")[:, :width]
@@ -223,9 +217,9 @@ def _bell_sum(values: np.ndarray, matrix_of: Callable[[np.ndarray], np.ndarray])
     BELL_VECTORS is read on every call; the terms of the matrix are kept by
     the vectors' bytes.  Each output is the sum of its row's nonzero terms
     in increasing column order, started from +0.0, one (..., J) step per
-    term: the order, and so the bits, of a complex einsum over the dense
-    matrix, whose zero terms change no sum that starts from +0.0.  Real
-    values and weights stay real.
+    term: the order, and so the bits, of an einsum over the dense matrix,
+    whose zero terms change no sum that starts from +0.0.  Real values and
+    weights stay real.
     """
     vectors = np.array([BELL_VECTORS[bell] for bell in BELL_ORDER])
     out = 0.0

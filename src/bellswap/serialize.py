@@ -349,10 +349,11 @@ def load_constraint_set(fp: IO[str]) -> ConstraintSet:
 
 
 def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool) -> dict:
-    """Result document with human-readable variable labels and, on UNSAT,
-    the full provenance of every certificate line."""
+    """The body of a result document: status, verified, the model with
+    human-readable variable labels and, on UNSAT, the full provenance of
+    every certificate line.  cli puts the envelope (format_version, command
+    and the solve's inputs) in front."""
     doc: dict = {
-        "format_version": FORMAT_VERSION,
         "status": result.status.value,
         "verified": verified,
     }

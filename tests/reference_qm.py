@@ -42,7 +42,7 @@ def reference_coefficients(angles):
 def reference_project(amplitudes):
     """(N, 16) amplitudes projected onto every |X_bc> x |Y_ad> by one dense
     complex einsum: (N, 4, 4), complex whatever the input."""
-    bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).conj()
+    bra = np.stack([BELL_VECTORS[bell] for bell in BELL_ORDER]).astype(complex).conj()
     projector = np.einsum("xbc,yad->xyabcd", bra, bra).reshape(16, 16)
     return np.einsum("nk,jk->nj", amplitudes, projector).reshape(-1, 4, 4)
 
@@ -50,7 +50,7 @@ def reference_project(amplitudes):
 def reference_outcome_amplitudes(coeffs):
     """Row X of C (or of a stack of them) expanded in the (a, d) Bell
     vectors by one dense complex einsum: (..., bell, pol_a, pol_d)."""
-    ket = np.array([BELL_VECTORS[bell] for bell in BELL_ORDER])
+    ket = np.array([BELL_VECTORS[bell] for bell in BELL_ORDER], dtype=complex)
     return np.einsum("...xy,yad->...xad", coeffs, ket)
 
 

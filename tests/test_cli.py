@@ -1022,6 +1022,22 @@ class TestClosedStdout:
         assert stderr.splitlines() == ["error: cannot write output: [Errno 32] Broken pipe"]
 
 
+class TestModuleEntryPoints:
+    def test_the_cli_module_runs_as_the_package_does(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", module, "refute", "--alpha", "0.3"],
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            for module in ("bellswap.cli", "bellswap")
+        ]
+        assert [(run.returncode, run.stdout) for run in runs] == [(0, runs[1].stdout)] * 2
+        assert json.loads(runs[0].stdout)["command"] == "refute"
+
+
 @pytest.fixture
 def restore_collector():
     """Put the collector back as the test found it, whatever the test does."""

@@ -4,11 +4,14 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import bellswap
-from bellswap import cli, lhv, serialize, solver, verification
+from bellswap import cli, lhv, quantum, serialize, solver, verification
 
 
 def test_every_exported_name_resolves():
@@ -99,6 +102,30 @@ def test_cli_builds_the_verify_qm_envelope(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert list(doc)[:2] == ["format_version", "command"]
     assert doc == {"format_version": serialize.FORMAT_VERSION, "command": "verify-qm", **report}
+
+
+def test_the_bell_basis_is_real():
+    # exact identities over the Bell vectors read them as integers over sqrt 2
+    for vector in quantum.BELL_VECTORS.values():
+        assert vector.dtype == np.float64 and not vector.flags.writeable
+        scaled = math.sqrt(2) * vector
+        assert np.array_equal(scaled, np.round(scaled))
+
+
+def test_a_solve_result_is_a_document_body(capsys, tmp_path):
+    # cli puts the envelope in front of every refute and solve document
+    cs = lhv.compile_factored(lhv.contradiction_settings(0.0, 0.0, 1), 1)
+    body = serialize.solve_result_to_dict(cs, solver.gf2_solve(cs), verified=True)
+    assert list(body) == ["status", "verified", "model", "certificate"]
+    path = tmp_path / "system.json"
+    with open(path, "w", encoding="utf-8") as fp:
+        serialize.dump_constraint_set(cs, fp)
+    for argv in (["refute"], ["solve", f"--in={path}"]):
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc)[:2] == ["format_version", "command"]
+        assert doc["format_version"] == serialize.FORMAT_VERSION
+        assert list(doc)[-4:] == list(body)
 
 
 def test_every_module_exported_name_resolves():
