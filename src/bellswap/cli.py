@@ -125,8 +125,8 @@ def _angles_from_args(args: argparse.Namespace) -> tuple[float, float, float, fl
 
 
 @contextmanager
-def _open_out(path: str, newline: str | None = None):
-    """An --out path as a UTF-8 text file, written over from its start.
+def _open_out(path: str):
+    """An --out path as a UTF-8 text file with LF endings, written over from its start.
 
     It is opened without O_TRUNC: freeing an old file's blocks only to
     allocate them again costs more than the writing.  On every exit, normal
@@ -135,7 +135,7 @@ def _open_out(path: str, newline: str | None = None):
     outgrown file needs no cut, and a FIFO or a device is left alone, as
     O_TRUNC leaves it.  A process killed before the cut leaves the old tail."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline=newline) as fp:
+    with open(fd, "w", encoding="utf-8", newline="") as fp:
         try:
             yield fp
         finally:
@@ -225,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (angles := _angles_from_args(args)) is None:
         return 2
     violations = 0
-    with _open_out(args.out, newline="") as fp:
+    with _open_out(args.out) as fp:
         rng = np.random.default_rng(args.seed)
         violating = violating_outcomes(angles, args.tol)
         # one chunk at --events 0 too: it writes the header row

@@ -285,11 +285,11 @@ def _labels(cs: ConstraintSet, vids: Iterable[int]) -> list[str]:
     return [f"{tag}({', '.join(islice(text, len(angles)))})" for tag, angles in rows]
 
 
-def _array(items: Iterable[str], indent: str) -> str:
+def _array(items: Iterable[str]) -> str:
     """A JSON array of the rendered ``items``, laid out as json.dumps with
-    indent=2 lays it out when its opening bracket sits at ``indent``."""
-    text = f",\n  {indent}".join(items)
-    return f"[\n  {indent}{text}\n{indent}]" if text else "[]"
+    indent=2 lays out a list field of a variable or of a constraint."""
+    text = ",\n        ".join(items)
+    return f"[\n        {text}\n      ]" if text else "[]"
 
 
 def _write_objects(fp: IO[str], objects: Iterator[str]) -> None:
@@ -324,7 +324,7 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
         fp,
         (
             f'{{\n      "id": {i},\n      "tag": "{tag}",\n'
-            f'      "angles": {_array(islice(angles, len(grid)), "      ")}\n    }}'
+            f'      "angles": {_array(islice(angles, len(grid)))}\n    }}'
             for i, (tag, grid) in enumerate(cs.unknowns)
         ),
     )
@@ -333,7 +333,7 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
     _write_objects(
         fp,
         (
-            f'{{\n      "id": {i},\n      "vars": {_array(map(str, var_ids), "      ")},\n'
+            f'{{\n      "id": {i},\n      "vars": {_array(map(str, var_ids))},\n'
             f'      "required_sign": {sign},\n      "provenance": {{\n'
             f'        "angles": [\n          {a},\n          {b},\n          {c},\n'
             f'          {d}\n        ],\n        "zeta": {zeta},\n'

@@ -51,11 +51,11 @@ _FAMILIES = (
 
 
 def special_family_settings(
-    rng: np.random.Generator, per_family: int
+    rng: np.random.Generator,
 ) -> list[tuple[str, tuple[float, float, float, float]]]:
-    """Random instantiations of each special-phase family, from one draw of
-    their (alpha, beta) pairs: (family name, row of 4 Python floats) pairs."""
-    pairs = rng.uniform(0.0, 2.0 * math.pi, size=(len(_FAMILIES), per_family, 2)).tolist()
+    """_PER_FAMILY random instantiations of each special-phase family, from one
+    draw of their (alpha, beta) pairs: (family name, row of 4 Python floats) pairs."""
+    pairs = rng.uniform(0.0, 2.0 * math.pi, size=(len(_FAMILIES), _PER_FAMILY, 2)).tolist()
     return [(name, build(*pair)) for (name, build), row in zip(_FAMILIES, pairs) for pair in row]
 
 
@@ -135,7 +135,7 @@ def run_qm_verification(
         # after every random one and ride in the last chunk
         batch = rng.uniform(0.0, 2.0 * math.pi, size=(min(_CHUNK, n_random - start), 4))
         if last := start + _CHUNK >= n_random:
-            families = special_family_settings(rng, _PER_FAMILY)
+            families = special_family_settings(rng)
             batch = np.concatenate([batch, [angles for _, angles in families]])
         numeric = bell_bell_coefficients(batch)
         values = _sweep_values(numeric, bell_bell_coefficients_closed_form(batch))

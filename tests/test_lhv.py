@@ -33,7 +33,7 @@ from bellswap.lhv import (
     quantize_angle,
 )
 from bellswap.serialize import _labels, dump_constraint_set
-from bellswap.solver import SolveStatus, enumerate_solve
+from bellswap.solver import SolveResult, SolveStatus, enumerate_solve, verify_certificate
 
 PI = math.pi
 
@@ -402,6 +402,52 @@ class TestCompileDoubleBell:
         settings_list = [(a, a, b, b) for a, b in rng.uniform(0, 2 * PI, size=(10, 2))]
         cs = compile_double_bell(settings_list, -1)
         assert all(tag in ("F", "G") for tag, _ in cs.unknowns)
+
+
+def pi_lattice(n: int) -> np.ndarray:
+    """Every setting whose four angles are k*pi/n, 0 <= k < n."""
+    grid = np.meshgrid(*[np.arange(n) * PI / n] * 4, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(-1, 4)
+
+
+def local_model_holds(settings, kappa: int, c: float) -> bool:
+    """Whether the local model h(x - kappa*y, c) of every unknown (tag, (x, y))
+    satisfies compile_double_bell(settings, kappa), where h(t, c) = +1 when
+    (t - c + pi/4) mod pi < pi/2 and -1 otherwise.
+
+    zeta = (phi1 - kappa*phi4) - (phi2 - kappa*phi3) is the difference of the
+    arguments of G and F, and h takes equal values at arguments a multiple of
+    pi apart and opposite ones an odd multiple of pi/2 apart, so the model
+    meets every F*G certainty whose arguments stay off h's boundaries."""
+    cs = compile_double_bell(settings, kappa)
+    assert cs.constraints
+    model = tuple(
+        1 if (x - kappa * y - c + PI / 4) % PI < PI / 2 else -1 for _, (x, y) in cs.unknowns
+    )
+    return verify_certificate(cs, SolveResult(SolveStatus.SAT, model=model))
+
+
+class TestDoubleBellLocalModel:
+    """Fig 2 alone never refutes: an explicit local model satisfies every
+    double Bell system, which is why ``refute --fig2`` expects sat."""
+
+    @pytest.mark.parametrize("kappa", [1, -1])
+    @pytest.mark.parametrize("seed", [301, 302, 303, 1, 7])
+    def test_model_satisfies_the_benchmark_grids(self, seed, kappa):
+        for bases in (1, 2, 3, 9):
+            settings = grid_settings(np.random.default_rng(seed), bases)
+            assert local_model_holds(settings, kappa, 0.0), bases
+
+    @pytest.mark.parametrize("kappa", [1, -1])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_shifted_model_satisfies_the_pi_over_n_lattice(self, n, kappa):
+        assert local_model_holds(pi_lattice(n), kappa, PI / (4 * n))
+
+    @pytest.mark.parametrize("kappa", [1, -1])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_unshifted_model_fails_on_the_pi_over_n_lattice(self, n, kappa):
+        # the lattice's arguments sit on h's boundaries at c = 0
+        assert not local_model_holds(pi_lattice(n), kappa, 0.0)
 
 
 class TestFactorization:

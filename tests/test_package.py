@@ -128,6 +128,17 @@ def test_a_solve_result_is_a_document_body(capsys, tmp_path):
         assert list(doc)[-4:] == list(body)
 
 
+def test_no_parameter_takes_one_value():
+    # every --out file has LF endings, both list fields of a file entry sit at
+    # one depth, and every sweep draws _PER_FAMILY settings of each family
+    for function, name in (
+        (cli._open_out, "path"),
+        (serialize._array, "items"),
+        (verification.special_family_settings, "rng"),
+    ):
+        assert list(inspect.signature(function).parameters) == [name]
+
+
 def test_every_module_exported_name_resolves():
     # a name deleted from a module but left in its __all__ breaks star imports
     modules = [

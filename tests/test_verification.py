@@ -116,7 +116,7 @@ class TestSweepMatchesPerSettingLoop:
 
     def test_family_settings_are_one_draw_of_the_same_stream(self):
         per_pair, one_draw = np.random.default_rng(8), np.random.default_rng(8)
-        assert special_family_settings(one_draw, 20) == reference_family_settings(per_pair, 20)
+        assert special_family_settings(one_draw) == reference_family_settings(per_pair, 20)
         assert per_pair.uniform() == one_draw.uniform()
 
     @pytest.mark.parametrize("seed", [3, 7, 99, 301])
@@ -129,7 +129,7 @@ class TestSweepMatchesPerSettingLoop:
         rng.uniform(0.0, 2.0 * math.pi, size=(1, 4))  # the grid-1 sweep's setting
         dropped = [
             (list(angles), f"family {name}, kappa {kappa:+d}")
-            for name, angles in special_family_settings(rng, 20)
+            for name, angles in special_family_settings(rng)
             for kappa in (+1, -1)
             if classify_zeta(angles, kappa, tol) == 0
         ]

@@ -285,7 +285,7 @@ def qm_batch() -> np.ndarray:
     draws them: QM_GRID**4 random ones, then the special families."""
     rng = np.random.default_rng(SEED)
     random = rng.uniform(0.0, 2 * math.pi, size=(QM_GRID**4, 4))
-    families = verification.special_family_settings(rng, verification._PER_FAMILY)
+    families = verification.special_family_settings(rng)
     return np.concatenate([random, [angles for _, angles in families]])
 
 
