@@ -228,11 +228,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with _open_out(args.out) as fp:
         rng = np.random.default_rng(args.seed)
         violating = violating_outcomes(angles, args.tol)
-        # one chunk at --events 0 too: it writes the header row
-        for start in range(0, args.events, EVENT_CHUNK) or [0]:
-            outcomes = sample_events(angles, min(EVENT_CHUNK, args.events - start), rng)
-            write_events_csv(fp, angles, outcomes, start)
-            violations += int(np.count_nonzero(violating[outcomes]))
+
+        def chunks():  # drawn as the writer asks, so draws and writes take turns
+            nonlocal violations
+            for start in range(0, args.events, EVENT_CHUNK):
+                outcomes = sample_events(angles, min(EVENT_CHUNK, args.events - start), rng)
+                violations += int(np.count_nonzero(violating[outcomes]))
+                yield outcomes
+
+        write_events_csv(fp, angles, chunks())
     print(f"wrote {args.events} events to {args.out}; sector-product violations: {violations}")
     return 0 if violations == 0 else 1
 

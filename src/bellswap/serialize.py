@@ -20,16 +20,14 @@ thousands and its last digits (from _ID_DIGITS), then one of 16 row
 tails.  The ids of a chunk run in order, so their pieces come as slices,
 not per event: one thousands text per run of rows that share it, and the
 last digits as one slice of a repeating table.  No int is converted to
-text per event.  The header precedes event 0
-and the ids continue from the call's start, so a file can be written in
-several calls.  The CSV schema is versioned by its pinned header row; its
-columns, vocabulary and LF line endings are golden-tested.
+text per event.  One call writes a whole file, the header and then the rows
+of its chunks, ids from 0.  The CSV schema is versioned by its pinned header
+row; its columns, vocabulary and LF line endings are golden-tested.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import struct
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
@@ -396,52 +394,48 @@ _ID_DIGITS = np.array(
 #: slice of it from i % 1000.
 _ID_CYCLE = np.tile(_ID_DIGITS[:1000], EVENT_CHUNK // 1000 + 2)
 
+#: The error of a chunk that is not a 1-D sequence of outcome indices.
+_NOT_OUTCOMES = "outcomes must be integers in 0..15, indices into OUTCOME_ORDER"
 
-def write_events_csv(
-    fp: IO[str], angles, outcomes: Sequence[int], start: int = 0
-) -> int:
-    """Write the rows of events start, start + 1, ... in the pinned event
-    schema, after the header row when start is 0; returns the number of rows.
 
-    ``outcomes`` are integer indices into OUTCOME_ORDER, as drawn by
-    sample_events; any other value raises ValueError before its chunk is
-    written.  ``start`` is a Python or numpy int, not a bool.  Angles use
-    shortest round-trip repr and rows get LF endings, so equal inputs
-    serialize to identical bytes.  Successive calls with the next start
-    continue one file.  Rows are written EVENT_CHUNK at a time, one join and
-    one write per chunk, so the text held at once does not grow with the
-    number of events.  The ids of a chunk run in order, so their pieces are
-    slices: a thousands text per run of rows that share it, and their last
-    digits one slice of _ID_CYCLE.
+def write_events_csv(fp: IO[str], angles, chunks: Iterable[Sequence[int]]) -> int:
+    """Write a whole event file, the header row and then a row per event of
+    ``chunks`` in order, ids from 0; returns the number of rows.
+
+    A chunk is a 1-D sequence of indices into OUTCOME_ORDER, as drawn by
+    sample_events; anything else raises ValueError before its rows, so a bad
+    first chunk writes nothing, not even the header.  Angles use shortest
+    round-trip repr and rows get LF endings, so equal inputs serialize to
+    identical bytes.  Rows are written EVENT_CHUNK at a time, one join and
+    one write each, as the chunks are drawn, so the text held at once does
+    not grow with the number of events.  The ids of a write run in order, so
+    their pieces are slices: a thousands text per run of rows that share it,
+    and their last digits one slice of _ID_CYCLE.
     """
-    if (
-        isinstance(start, bool)
-        or not isinstance(start, (int, np.integer))
-        or not 0 <= operator.index(start) < 2**63 - len(outcomes)
-    ):
-        raise ValueError("start must be an integer >= 0, and every event id below 2**63")
-    start = operator.index(start)
     phis = ",".join(map(repr, _angle_row(angles).tolist()))
     tails = np.array([f",{phis},{cells}" for cells in _OUTCOME_CELLS], dtype=object)
-    head = ",".join(EVENT_CSV_COLUMNS) + "\n" if start == 0 else ""
-    for first in range(0, len(outcomes), EVENT_CHUNK):
-        keys = np.asarray(outcomes[first : first + EVENT_CHUNK])
-        if keys.ndim != 1 or keys.dtype.kind not in "iu" or not 0 <= keys.min() <= keys.max() < 16:
-            raise ValueError("outcomes must be integers in 0..15, indices into OUTCOME_ORDER")
-        low, n = start + first, len(keys)
-        # three pieces per event: its thousands, its last digits and the
-        # tail of its outcome's row
-        pieces = np.empty((n, 3), dtype=object)
-        for thousands in range(low // 1000, (low + n - 1) // 1000 + 1):
-            rows = slice(max(1000 * thousands - low, 0), 1000 * (thousands + 1) - low)
-            pieces[rows, 0] = str(thousands) if thousands else ""
-        pieces[:, 1] = _ID_CYCLE[low % 1000 : low % 1000 + n]
-        pieces[:, 2] = tails[keys]
-        short = _ID_DIGITS[1000 + low : 1100][:n]  # the ids below 100
-        pieces[: len(short), 1] = short
-        pieces[0, 0] = head + pieces[0, 0]  # the header row rides in the chunk's one write
-        fp.write("".join(pieces.ravel().tolist()))
-        head = ""
+    head, low = ",".join(EVENT_CSV_COLUMNS) + "\n", 0  # low: the next id, a Python int
+    for outcomes in map(np.asarray, chunks):
+        if outcomes.ndim != 1:
+            raise ValueError(_NOT_OUTCOMES)
+        for first in range(0, len(outcomes), EVENT_CHUNK):
+            keys = outcomes[first : first + EVENT_CHUNK]
+            if keys.dtype.kind not in "iu" or not 0 <= keys.min() <= keys.max() < 16:
+                raise ValueError(_NOT_OUTCOMES)
+            n = len(keys)
+            # three pieces per event: its thousands, its last digits and the
+            # tail of its outcome's row
+            pieces = np.empty((n, 3), dtype=object)
+            for thousands in range(low // 1000, (low + n - 1) // 1000 + 1):
+                rows = slice(max(1000 * thousands - low, 0), 1000 * (thousands + 1) - low)
+                pieces[rows, 0] = str(thousands) if thousands else ""
+            pieces[:, 1] = _ID_CYCLE[low % 1000 : low % 1000 + n]
+            pieces[:, 2] = tails[keys]
+            short = _ID_DIGITS[1000 + low : 1100][:n]  # the ids below 100
+            pieces[: len(short), 1] = short
+            pieces[0, 0] = head + pieces[0, 0]  # the header row rides in the first write
+            fp.write("".join(pieces.ravel().tolist()))
+            head, low = "", low + n
     if head:
         fp.write(head)
-    return len(outcomes)
+    return low

@@ -11,6 +11,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -237,28 +238,41 @@ class TestSimulate:
         assert out == f"wrote {n} events to {out_csv}; sector-product violations: {violations}\n"
 
     def test_no_call_sees_more_than_one_chunk(self, capsys, monkeypatch, tmp_path):
-        # memory is bounded by construction: each draw and each write
-        # handles at most one chunk, and the writes continue the event ids
+        # memory is bounded by construction: one writer call is fed chunk by
+        # chunk, each draw handles at most one chunk and is written before
+        # the next draw, and the rows carry the event ids in order
         n, chunk = 3 * cli.EVENT_CHUNK + 5, cli.EVENT_CHUNK
-        draws, writes = [], []
+        steps, generators, calls = [], set(), []
 
         def spy_sample(angles, count, seed):
-            draws.append((count, seed))
+            steps.append(("draw", count))
+            generators.add(seed)
             return sample_events(angles, count, seed)
 
-        def spy_write(fp, angles, outcomes, start=0):
-            writes.append((start, len(outcomes)))
-            return write_events_csv(fp, angles, outcomes, start)
+        def spy_write(fp, angles, chunks):
+            def write(text):
+                steps.append(("write", text.count("\n")))
+                return fp.write(text)
+
+            calls.append(angles)
+            return write_events_csv(SimpleNamespace(write=write), angles, chunks)
 
         monkeypatch.setattr(cli, "sample_events", spy_sample)
         monkeypatch.setattr(cli, "write_events_csv", spy_write)
         out_csv = tmp_path / "events.csv"
         code, _ = run(capsys, "simulate", "--events", str(n), "--seed", "5", "--out", str(out_csv))
-        assert code == 0
-        assert [count for count, _ in draws] == [chunk, chunk, chunk, 5]
-        generators = {id(seed) for _, seed in draws}
-        assert len(generators) == 1 and isinstance(draws[0][1], np.random.Generator)
-        assert writes == [(0, chunk), (chunk, chunk), (2 * chunk, chunk), (3 * chunk, 5)]
+        assert code == 0 and len(calls) == 1
+        assert len(generators) == 1 and isinstance(generators.pop(), np.random.Generator)
+        assert steps == [
+            ("draw", chunk),
+            ("write", chunk + 1),  # the header rides in the first write
+            ("draw", chunk),
+            ("write", chunk),
+            ("draw", chunk),
+            ("write", chunk),
+            ("draw", 5),
+            ("write", 5),
+        ]
         rows = out_csv.read_text().splitlines()[1:]
         assert [int(row.split(",", 1)[0]) for row in rows] == list(range(n))
 
@@ -748,13 +762,14 @@ class TestOutFile:
         written = []
         full = OSError(errno.ENOSPC, "No space left on device")
 
-        def events_then_full(fp, angles, outcomes, start=0):
-            if start:  # the second chunk
-                raise full
-            buffer = io.StringIO()
-            write_events_csv(buffer, angles, outcomes, start)
-            written.append(buffer.getvalue())
-            fp.write(written[-1])
+        def events_then_full(fp, angles, chunks):
+            def first_write_only(text):
+                if written:  # the second chunk
+                    raise full
+                written.append(text)
+                fp.write(text)
+
+            write_events_csv(SimpleNamespace(write=first_write_only), angles, chunks)
 
         def half_then_full(cs, fp):
             buffer = io.StringIO()

@@ -54,7 +54,7 @@ ONE_SETTING = {
     "joint_bell_probabilities": joint_bell_probabilities,
     "bell_polarization_distribution": bell_polarization_distribution,
     "rotated_vw_state": rotated_vw_state,
-    "write_events_csv": lambda angles: write_events_csv(io.StringIO(), angles, [0]),
+    "write_events_csv": lambda angles: write_events_csv(io.StringIO(), angles, [[0]]),
     "compute_phases": compute_phases,
     "apply_all_rotations": lambda angles: apply_all_rotations(make_vw_state(), angles),
     "bell_bell_amplitudes_closed_form": bell_bell_amplitudes_closed_form,
@@ -414,7 +414,7 @@ class TestSampler:
         assert len(outcomes) == 200
         assert all(0 <= k < len(OUTCOME_ORDER) for k in outcomes)
         buffer = io.StringIO()
-        write_events_csv(buffer, angles, outcomes)
+        write_events_csv(buffer, angles, [outcomes])
         for row, k in zip(buffer.getvalue().splitlines()[1:], outcomes):
             bell, pol_a, pol_d, *values = row.split(",")[5:]
             bell, pol_a, pol_d = BellOutcome(bell), Polarization(pol_a), Polarization(pol_d)

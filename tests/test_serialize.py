@@ -720,18 +720,23 @@ class TestEventCsv:
         angles = (0, 0, 0, 0)
         events = sample_events(angles, 5, seed=42)
         buffer = io.StringIO()
-        assert write_events_csv(buffer, angles, events) == 5
+        assert write_events_csv(buffer, angles, [events]) == 5
         assert buffer.getvalue() == GOLDEN_CSV
 
-    def test_empty_event_list_writes_header_only(self):
+    @pytest.mark.parametrize(
+        "chunks",
+        [[], (), [[]], [[], np.asarray([])]],
+        ids=["no chunks", "an empty tuple", "an empty chunk", "two empty chunks"],
+    )
+    def test_no_events_write_the_header_only(self, chunks):
         buffer = io.StringIO()
-        assert write_events_csv(buffer, (0, 0, 0, 0), []) == 0
+        assert write_events_csv(buffer, (0, 0, 0, 0), chunks) == 0
         assert buffer.getvalue() == ",".join(EVENT_CSV_COLUMNS) + "\n"
 
     def test_every_outcome_row_follows_from_the_outcome(self):
         angles = (0.1, PI / 4, -2.5, 1e-9)
         buffer = io.StringIO()
-        assert write_events_csv(buffer, angles, range(16)) == 16
+        assert write_events_csv(buffer, angles, [range(16)]) == 16
         rows = buffer.getvalue().splitlines()[1:]
         assert len(rows) == len(OUTCOME_ORDER) == 16
         for k, (row, (bell, pol_a, pol_d)) in enumerate(zip(rows, OUTCOME_ORDER)):
@@ -743,51 +748,81 @@ class TestEventCsv:
 
     def test_one_call_writes_a_chunk_at_a_time(self):
         # memory is bounded for every caller: each write holds at most one
-        # chunk of rows, and the ids continue from start across the chunks
-        angles, n, start = (0.1, PI / 4, -2.5, 1e-9), 2 * EVENT_CHUNK + 3, 7
+        # chunk of rows, the header rides in the first, and the ids continue
+        # across the chunks
+        angles, n = (0.1, PI / 4, -2.5, 1e-9), 2 * EVENT_CHUNK + 3
         outcomes = [k % 16 for k in range(n)]
         writes = []
         buffer = io.StringIO()
         buffer.write = lambda text: writes.append(text) or len(text)
-        assert write_events_csv(buffer, angles, outcomes, start) == n
-        assert [text.count("\n") for text in writes] == [EVENT_CHUNK, EVENT_CHUNK, 3]
+        assert write_events_csv(buffer, angles, [outcomes]) == n
+        assert [text.count("\n") for text in writes] == [EVENT_CHUNK + 1, EVENT_CHUNK, 3]
         table = io.StringIO()
-        write_events_csv(table, angles, range(16))
+        write_events_csv(table, angles, [range(16)])
         tails = [row.split(",", 1)[1] for row in table.getvalue().splitlines()[1:]]
-        expected = [f"{start + i},{tails[k]}" for i, k in enumerate(outcomes)]
+        expected = [",".join(EVENT_CSV_COLUMNS)] + [f"{i},{tails[k]}" for i, k in enumerate(outcomes)]
         assert "".join(writes).splitlines() == expected
         array = io.StringIO()
-        write_events_csv(array, angles, np.array(outcomes), start)
+        write_events_csv(array, angles, [np.array(outcomes)])
         assert array.getvalue() == "".join(writes)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        start=st.one_of(
-            st.integers(0, 3 * EVENT_CHUNK),
-            # a chunk ending just past 999, 9999, ... crosses a thousands and
-            # a digit-count boundary
-            st.builds(
-                lambda edge, back: max(0, edge - back),
-                st.sampled_from([1000, 10_000, 1_000_000, 10**12]),
-                st.integers(0, EVENT_CHUNK + 1),
-            ),
-        ),
-        n=st.sampled_from([0, 1, EVENT_CHUNK - 1, EVENT_CHUNK, EVENT_CHUNK + 1]),
+        n=st.sampled_from([0, 1, 999, 1001, EVENT_CHUNK - 1, EVENT_CHUNK, 2 * EVENT_CHUNK + 1]),
+        cuts=st.lists(st.floats(0, 1), max_size=4),
         form=st.sampled_from([list, range, np.int8, np.uint8, np.int64]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_the_per_row_writer(self, start, n, form, seed):
+    def test_equals_the_per_row_writer(self, n, cuts, form, seed):
+        # a chunk ending just past 99 or 999 crosses a digit-count or a
+        # thousands boundary inside a write or at a seam between two
         angles = (0.1, PI / 4, -2.5, 1e-9)
         if form is range:  # a range of indices is at most the 16 outcomes
             outcomes = range(seed % 17, 16)
         else:
             keys = np.random.default_rng(seed).integers(0, 16, n)
             outcomes = keys.tolist() if form is list else keys.astype(form)
+        seams = [0, *sorted(round(cut * len(outcomes)) for cut in cuts), len(outcomes)]
+        chunks = [outcomes[a:b] for a, b in zip(seams, seams[1:])]
         buffer = io.StringIO()
-        assert write_events_csv(buffer, angles, outcomes, start) == len(outcomes)
+        assert write_events_csv(buffer, angles, chunks) == len(outcomes)
         # as lists of rows: a failure then names the first bad row, where a
         # diff of the two texts takes minutes
-        rows = per_row_csv(angles, outcomes, start).splitlines(keepends=True)
+        rows = per_row_csv(angles, outcomes).splitlines(keepends=True)
+        assert buffer.getvalue().splitlines(keepends=True) == rows
+
+    def test_ids_past_a_million(self):
+        # the ids are counted in Python ints across the chunks; the last write
+        # of this file starts at 244 * EVENT_CHUNK and crosses 10**6
+        angles, n = (0.1, PI / 4, -2.5, 1e-9), 1_000_100
+        outcomes = np.random.default_rng(7).integers(0, 16, n)
+        writes = []
+        sink = SimpleNamespace(write=lambda text: writes.append(text))
+        chunks = (outcomes[first : first + EVENT_CHUNK] for first in range(0, n, EVENT_CHUNK))
+        assert write_events_csv(sink, angles, chunks) == n
+        start = n - n % EVENT_CHUNK
+        assert (start, len(writes)) == (999_424, n // EVENT_CHUNK + 1)
+        assert writes[-1] == per_row_csv(angles, outcomes[start:], start)
+
+    @pytest.mark.parametrize(
+        "lead, n",
+        [(0, 3), (5, 200), (126, 3), (254, 3), (32766, EVENT_CHUNK + 3), (65534, 3)],
+        ids=lambda value: str(value),
+    )
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64],
+        ids=lambda dtype: dtype.__name__,
+    )
+    def test_ids_past_the_range_of_the_chunk_dtype(self, dtype, lead, n):
+        # the ids are counted in Python ints, whatever the chunks' width: a
+        # lead chunk of `lead` events puts the next chunk's ids just below
+        # the largest int8, uint8, int16 or uint16 and runs them past it
+        angles = (0.1, PI / 4, -2.5, 1e-9)
+        keys = np.random.default_rng(lead + n).integers(0, 16, lead + n).astype(dtype)
+        buffer = io.StringIO()
+        assert write_events_csv(buffer, angles, [keys[:lead], keys[lead:]]) == lead + n
+        rows = per_row_csv(angles, keys.tolist()).splitlines(keepends=True)
         assert buffer.getvalue().splitlines(keepends=True) == rows
 
     @pytest.mark.parametrize(
@@ -804,63 +839,40 @@ class TestEventCsv:
             np.array([16], dtype=np.uint8),
             np.array([-1], dtype=np.int8),
             np.zeros((2, 2), dtype=int),
+            3,
+            np.int64(3),
+            None,
+            {3},
         ],
         ids=repr,
     )
     def test_rejects_what_is_not_an_outcome_index(self, outcomes):
         buffer = io.StringIO()
         with pytest.raises(ValueError, match=r"^outcomes must be integers in 0\.\.15"):
-            write_events_csv(buffer, (0, 0, 0, 0), outcomes)
+            write_events_csv(buffer, (0, 0, 0, 0), [outcomes])
         assert buffer.getvalue() == ""  # not even the header
 
-    def test_a_bad_chunk_writes_none_of_its_rows(self):
-        angles, outcomes = (0, 0, 0, 0), [3] * EVENT_CHUNK + [1, 16]
+    @pytest.mark.parametrize(
+        "chunks, good",
+        [
+            ([[3] * EVENT_CHUNK + [1, 16]], EVENT_CHUNK),  # one chunk, two writes
+            ([[3] * 5, [1, 16]], 5),
+            ([[3] * 5, 1, [2]], 5),  # an event that is not in a chunk
+        ],
+        ids=["one chunk", "two chunks", "no chunk"],
+    )
+    def test_a_bad_chunk_writes_none_of_its_rows(self, chunks, good):
+        angles = (0, 0, 0, 0)
         buffer = io.StringIO()
         with pytest.raises(ValueError):
-            write_events_csv(buffer, angles, outcomes)
-        assert buffer.getvalue() == per_row_csv(angles, outcomes[:EVENT_CHUNK])
-
-    @pytest.mark.parametrize(
-        "start, n",
-        [
-            *(
-                (form(start), n)
-                for form in (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64)
-                for start, n in ((0, 3), (5, 3), (5, 200), (99, EVENT_CHUNK + 904), (127, 1))
-            ),
-            (np.int16(30000), 5000),
-            (np.int64(2**63 - 2), 1),
-            (np.uint64(2**63 - 2), 1),
-        ],
-        ids=repr,
-    )
-    def test_a_start_of_any_integer_width(self, start, n):
-        # the ids are counted in Python ints, whatever start's width
-        angles = (0.1, PI / 4, -2.5, 1e-9)
-        outcomes = np.random.default_rng(n).integers(0, 16, n)
-        buffer = io.StringIO()
-        assert write_events_csv(buffer, angles, outcomes, start) == n
-        assert buffer.getvalue() == per_row_csv(angles, outcomes, int(start))
-
-    @pytest.mark.parametrize("start", [-1, 2**63 - 1, 2**64, 7.0, True, np.True_], ids=repr)
-    def test_rejects_a_start_out_of_range(self, start):
-        # the ids are int64: 2**63 - 1 leaves no room for the one event
-        buffer = io.StringIO()
-        message = r"^start must be an integer >= 0, and every event id below 2\*\*63$"
-        with pytest.raises(ValueError, match=message):
-            write_events_csv(buffer, (0, 0, 0, 0), [1], start)
-        assert buffer.getvalue() == ""
-
-    def test_empty_float_array_writes_header_only(self):
-        buffer = io.StringIO()
-        assert write_events_csv(buffer, (0, 0, 0, 0), np.asarray([])) == 0
-        assert buffer.getvalue() == ",".join(EVENT_CSV_COLUMNS) + "\n"
+            write_events_csv(buffer, angles, chunks)
+        assert buffer.getvalue() == per_row_csv(angles, [3] * good)
 
     def test_angles_round_trip_through_repr(self):
         angles = (0.1, PI / 4, -2.5, 1e-9)
         events = sample_events(angles, 3, seed=0)
         buffer = io.StringIO()
-        write_events_csv(buffer, angles, events)
+        write_events_csv(buffer, angles, [events])
         lines = buffer.getvalue().splitlines()
         _, phi1, phi2, phi3, phi4, *_ = lines[1].split(",")
         assert (float(phi1), float(phi2), float(phi3), float(phi4)) == angles

@@ -6,6 +6,8 @@ import pytest
 from instance_gen import grid_settings, random_compiled_instance, system_document
 
 from bellswap.lhv import (
+    RULE_BELL_POLARIZATION,
+    RULE_FACTORIZATION,
     ConstraintSet,
     apply_factorization,
     compile_bell_polarization,
@@ -43,10 +45,12 @@ def triangle_set() -> ConstraintSet:
     return constraint_set_from_dict(system_document(+1, a_unknowns(3), rows))
 
 
-def prefix(cs: ConstraintSet, k: int) -> ConstraintSet:
-    """Constraints 0..k-1 of cs over the same variables."""
+def subset(cs: ConstraintSet, cids) -> ConstraintSet:
+    """Constraints cids of cs, in that order and numbered from 0, over the
+    same variables."""
     doc = constraint_set_to_dict(cs)
-    doc["constraints"] = doc["constraints"][:k]
+    rows = doc["constraints"]
+    doc["constraints"] = [{**rows[cid], "id": i} for i, cid in enumerate(cids)]
     return constraint_set_from_dict(doc)
 
 
@@ -163,6 +167,40 @@ class TestDeletionCertificate:
                 assert solver._scan_assignments(kept, cs.n_variables) is not None
 
 
+class TestCertificateCircuits:
+    """Every UNSAT certificate is a circuit: an unsatisfiable set whose
+    proper subsets are all satisfiable.  So no assignment satisfies all k of
+    its constraints, one assignment fails just one of them, and the local
+    bound of Σ s_i·Π x_v over them (ROADMAP item 11) is k - 2, attained."""
+
+    def test_certificates_of_drawn_systems(self):
+        fig1 = {RULE_BELL_POLARIZATION, RULE_FACTORIZATION}
+        unsat = all_fig1 = 0
+        for seed in range(400):
+            cs = random_compiled_instance(np.random.default_rng(seed))
+            if gf2_solve(cs).status is SolveStatus.SAT:
+                continue
+            unsat += 1
+            n = cs.n_variables
+            # row j is an assignment: bit v of j set means x_v = -1
+            models = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+            for result in (gf2_solve(cs), enumerate_solve(cs)):
+                certificate, k = result.certificate, len(result.certificate)
+                assert result.status is SolveStatus.UNSAT
+                for dropped in certificate:
+                    kept = subset(cs, [cid for cid in certificate if cid != dropped])
+                    assert enumerate_solve(kept).status is SolveStatus.SAT
+                scores = sum(
+                    cs.required_signs[cid] * models[:, cs.var_ids[cid]].prod(axis=1)
+                    for cid in certificate
+                )
+                assert scores.max() == k - 2
+                if {cs.equations[cid] for cid in certificate} <= fig1:
+                    assert k % 2 == 0 and k >= 4
+                    all_fig1 += 1
+        assert unsat >= 20 and all_fig1 >= 10
+
+
 class TestGf2Solve:
     def test_contradiction_instances_for_random_angles(self):
         rng = np.random.default_rng(53)
@@ -244,8 +282,8 @@ class TestGf2Contracts:
             if result.status is SolveStatus.SAT:
                 continue
             last = max(result.certificate)
-            assert enumerate_solve(prefix(cs, last + 1)).status is SolveStatus.UNSAT
-            assert enumerate_solve(prefix(cs, last)).status is SolveStatus.SAT
+            assert enumerate_solve(subset(cs, range(last + 1))).status is SolveStatus.UNSAT
+            assert enumerate_solve(subset(cs, range(last))).status is SolveStatus.SAT
             checked += 1
 
     @pytest.mark.parametrize(

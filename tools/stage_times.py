@@ -265,7 +265,7 @@ def event_stages(repeat: int) -> dict[str, float]:
             repeat, lambda: correlations.sample_events(events.angles, EVENTS, SEED)
         )
         write_ms, _ = best_ms(
-            repeat, lambda: serialize.write_events_csv(io.StringIO(), events.angles, outcomes)
+            repeat, lambda: serialize.write_events_csv(io.StringIO(), events.angles, [outcomes])
         )
         simulate_ms, code = best_ms(repeat, lambda: cli.main(events.argv))
         fresh = iter([[*events.argv[:-1], f"--out={tmp}/fresh{i}.csv"] for i in range(repeat)])
