@@ -19,8 +19,6 @@ from .correlations import (
     zeta,
 )
 from .lhv import (
-    ConstraintSet,
-    ParityConstraint,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
@@ -28,6 +26,7 @@ from .lhv import (
     contradiction_instance,
     contradiction_settings,
 )
+from .proof import ConstraintSet, ParityConstraint, SolveResult, SolveStatus, verify_certificate
 from .quantum import (
     BELL_ORDER,
     BellOutcome,
@@ -41,7 +40,7 @@ from .quantum import (
     make_vw_state,
     rotate_photon,
 )
-from .solver import SolveResult, SolveStatus, enumerate_solve, gf2_solve, verify_certificate
+from .solver import enumerate_solve, gf2_solve
 
 __version__ = "0.1.0"
 

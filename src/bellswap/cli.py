@@ -56,14 +56,13 @@ from .correlations import (
     violating_outcomes,
 )
 from .lhv import (
-    _MAX_NUMBER,
-    ConstraintSet,
     apply_factorization,
     compile_bell_polarization,
     compile_double_bell,
     compile_factored,
     contradiction_settings,
 )
+from .proof import _MAX_NUMBER, ConstraintSet, verify_certificate
 from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_closed_form
 from .serialize import (
     EVENT_CHUNK,
@@ -74,7 +73,7 @@ from .serialize import (
     solve_result_to_dict,
     write_events_csv,
 )
-from .solver import enumerate_solve, gf2_solve, verify_certificate
+from .solver import enumerate_solve, gf2_solve
 from .verification import CLOSED_FORM_TOL, run_qm_verification
 
 _METHODS = {"enumerate": enumerate_solve, "gf2": gf2_solve}

@@ -42,6 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .proof import _kappa
 from .quantum import (
     BELL_INDEX,
     BELL_ORDER,
@@ -158,13 +159,6 @@ def f_value_of(outcome: BellOutcome) -> int:
     return _F_VALUE[outcome]
 
 
-def _kappa(kappa) -> int:
-    """kappa, checked to be the exact int +1 or -1 that a file can hold."""
-    if type(kappa) is not int or kappa not in (-1, +1):
-        raise ValueError(f"kappa must be +1 or -1, got {kappa!r}")
-    return kappa
-
-
 def zeta(angles, kappa: int) -> float:
     """Sector phase (phi1 - phi2) + kappa * (phi3 - phi4) of one setting."""
     return _zetas(_angle_row(angles)[None], (_kappa(kappa),)).item()
@@ -275,8 +269,12 @@ def _outcome_lookup(
     kept.  The cache is module state: in one process, later draws at the
     same setting reuse it too (a benchmark that repeats one setting skips
     its decomposition after the first command), while a one-command process
-    builds it once either way."""
-    return _cdf_lookup(np.cumsum(_outcome_probabilities(_coefficients(np.array([angles])))))
+    builds it once either way.  Rounding can end the CDF a few ulps below 1,
+    and a draw above its end would land on the last outcome even at
+    probability 0, so the entries from min(end, 1) up are set to 1."""
+    cdf = np.cumsum(_outcome_probabilities(_coefficients(np.array([angles]))))
+    cdf[cdf >= min(cdf[-1], 1.0)] = 1.0
+    return _cdf_lookup(cdf)
 
 
 def _inverse_cdf(lookup: tuple[np.ndarray, np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:

@@ -15,32 +15,37 @@ a constant of the context, so one ConstraintSet is always compiled for a
 single kappa, and the set carries that kappa and the context's label.
 
 Every constraint is one rule of _RULE_TERMS at one setting: the factorization
-too, as the rule F * A * D at the equal-angle setting (x, x, y, y).  Only
-quantize_angle knows the 1e-9 rad grid: it rounds an unknown's angles to it,
-so that equal settings share one unknown.  The compilers take their settings
-as one (N, 4) array-like of angles in radians, such as the array
+too, as the rule F * A * D at the equal-angle setting (x, x, y, y).  The
+rules, the angle grid and ConstraintSet are defined in proof; each name that
+moved there is still bound here.  The compilers take their settings as one
+(N, 4) array-like of angles in radians, such as the array
 serialize.load_settings returns or a list of 4-angle rows, checked by
 quantum._angle_rows; contradiction_settings returns its two settings as such
-an array.  A ConstraintSet is its columns, filled only by the compiler, in
-one array pass over the settings, and by serialize.constraint_set_from_dict.
-An unknown is a (tag code, grid angles) pair of ``unknowns``, the angles its
-file entry holds; serialize renders it as text.  A constraint's provenance
-(its setting, sector phase and rule) is held only in the ``angles``,
-``zetas`` and ``equations`` columns; ``constraints`` builds (var_ids,
-required_sign) ParityConstraint rows from two columns on each read.
+an array.
 """
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Iterable
-from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import pi
 
 import numpy as np
 
-from .correlations import DEFAULT_ANGLE_TOL, MAX_COMPILE_TOL, _kappa, _predicted_product
+from .correlations import DEFAULT_ANGLE_TOL, MAX_COMPILE_TOL, _predicted_product
+from .proof import (
+    ANGLE_QUANTUM,
+    RULE_BELL_POLARIZATION,
+    RULE_DOUBLE_BELL,
+    RULE_FACTORED_PRODUCT,
+    RULE_FACTORIZATION,
+    TAG_ARITY,
+    _MAX_NUMBER,
+    _RULE_TERMS,
+    ConstraintSet,
+    ParityConstraint,
+    _kappa,
+    quantize_angle,
+)
 from .quantum import _angle_rows, _zetas
 
 __all__ = [
@@ -58,107 +63,6 @@ __all__ = [
     "contradiction_settings",
     "contradiction_instance",
 ]
-
-#: Canonicalization grid of an unknown's angles (radians per step).
-ANGLE_QUANTUM = 1e-9
-
-#: Largest magnitude whose grid angle is a finite float: the files' bound.
-_MAX_NUMBER = sys.float_info.max * ANGLE_QUANTUM
-
-# Rule tags recorded in constraint provenance.
-RULE_BELL_POLARIZATION = "afd-perfect-correlation"
-RULE_DOUBLE_BELL = "fg-perfect-correlation"
-RULE_FACTORIZATION = "f-factorization"
-RULE_FACTORED_PRODUCT = "aadd-perfect-correlation"
-
-
-def quantize_angle(phi) -> np.ndarray:
-    """Grid angles of an array of angles: phi / ANGLE_QUANTUM rounded half to
-    even, times ANGLE_QUANTUM.  A grid angle is its own grid angle.  Adding
-    0.0 turns the -0.0 of a tiny negative angle into 0.0, so a grid angle
-    never prints as -0.0.  An angle beyond +-_MAX_NUMBER raises ValueError."""
-    phi = np.asarray(phi, dtype=float)
-    if not (bounded := np.abs(phi) <= _MAX_NUMBER).all():
-        bad = phi[~bounded][0].item()
-        raise ValueError(f"angle must be a number within +-{_MAX_NUMBER:.2g}, got {bad!r}")
-    return (np.rint(phi / ANGLE_QUANTUM) + 0.0) * ANGLE_QUANTUM
-
-
-@dataclass(frozen=True)
-class ParityConstraint:
-    """Product of the referenced unknowns must equal required_sign."""
-
-    var_ids: tuple[int, ...]
-    required_sign: int
-
-
-class ConstraintSet:
-    """Parity constraints over +-1 unknowns, one context, stored as columns.
-
-    ``kappa`` (the exact int +1 or -1) and ``label`` (a string) are the
-    context, checked here: the sector parity the set is compiled for and
-    its name.  ``unknowns`` holds a (tag code, grid angles) pair per unknown.
-    ``var_ids``, ``required_signs``, ``angles`` (the 4 of the setting),
-    ``zetas`` and ``equations`` hold an entry per constraint.  A new set is
-    empty; the compiler and serialize.constraint_set_from_dict fill it from
-    checked columns.  ``constraints`` is a list of (var_ids, required_sign)
-    rows built from those two columns on each read.
-    """
-
-    def __init__(self, kappa: int, label: str = "") -> None:
-        self.kappa, self.label = _kappa(kappa), label
-        # a label that is not a string would write a file that does not load back
-        if type(label) is not str:
-            raise ValueError(f"label must be a string, got {label!r}")
-        self.unknowns, self._ids = [], {}
-        self.var_ids, self.required_signs, self.angles = [], [], []
-        self.zetas, self.equations = [], []
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.unknowns)
-
-    @property
-    def constraints(self) -> list[ParityConstraint]:
-        return list(map(ParityConstraint, self.var_ids, self.required_signs))
-
-    def _register(self, unknowns: Iterable[tuple[str, tuple]]) -> list[int]:
-        """Ids of (tag code, grid angles) pairs; new ones register in order of first use."""
-        ids, known = self._ids, len(self._ids)
-        # len(ids) is read before setdefault inserts, so a new pair gets the next id
-        found = [ids.setdefault(unknown, len(ids)) for unknown in unknowns]
-        self.unknowns.extend(islice(ids, known, None))
-        return found
-
-    def _extend(self, var_ids, required_signs, angles, zetas, equations) -> None:
-        """Append checked entries to the constraint columns."""
-        self.var_ids += var_ids
-        self.required_signs += required_signs
-        self.angles += angles
-        self.zetas += zetas
-        self.equations += equations
-
-    def copy(self) -> "ConstraintSet":
-        out = ConstraintSet(self.kappa, self.label)
-        out.unknowns, out._ids = list(self.unknowns), dict(self._ids)
-        out._extend(self.var_ids, self.required_signs, self.angles, self.zetas, self.equations)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return vars(self) == vars(other) if isinstance(other, ConstraintSet) else NotImplemented
-
-
-#: Unknowns of each compiled rule in registration order: a tag code and the
-#: positions in (phi1, phi2, phi3, phi4) of the angles it takes.
-_RULE_TERMS = {
-    RULE_BELL_POLARIZATION: (("A", (0,)), ("F", (1, 2)), ("D", (3,))),
-    RULE_DOUBLE_BELL: (("F", (1, 2)), ("G", (0, 3))),
-    RULE_FACTORIZATION: (("F", (1, 2)), ("A", (0,)), ("D", (3,))),
-    RULE_FACTORED_PRODUCT: (("A", (0,)), ("A", (1,)), ("D", (2,)), ("D", (3,))),
-}
-
-#: Number of angles each local function (A, D, F, G above) takes, by tag code.
-TAG_ARITY = {tag: len(slots) for terms in _RULE_TERMS.values() for tag, slots in terms}
 
 
 def _compile(rule: str, settings, cs: ConstraintSet, tol: float) -> ConstraintSet:

@@ -5,7 +5,7 @@ or an unknown prints: both JSON loaders check each field's exact JSON type
 and raise only ValueError, with a one-line message, also on input nested too
 deeply to parse.  They check and fill one column at a time: load_settings
 returns the (N, 4) array of the file's numbers, and constraint_set_from_dict
-fills the columns that are a ConstraintSet (see lhv), each raising the error
+fills the columns that are a ConstraintSet (see proof), each raising the error
 a field-by-field check would raise first.  That loader and lhv's compiler
 alone make a ConstraintSet, and floats print in Python's shortest round-trip
 repr, so every set writes a file that loads back to the same bytes: what
@@ -37,9 +37,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .correlations import OUTCOME_ORDER, f_value_of, kappa_of
-from .lhv import TAG_ARITY, _MAX_NUMBER, ConstraintSet, quantize_angle
+from .proof import TAG_ARITY, _MAX_NUMBER, ConstraintSet, SolveResult, SolveStatus, quantize_angle
 from .quantum import _angle_row
-from .solver import SolveResult, SolveStatus
 
 __all__ = [
     "FORMAT_VERSION",
@@ -140,7 +139,7 @@ def _check_ids(entries: list[dict], start: int, kind: str) -> None:
 
 
 def _numbers(values: list, name: str) -> np.ndarray:
-    """Exact JSON numbers up to lhv._MAX_NUMBER, whose grid angles are finite,
+    """Exact JSON numbers up to proof._MAX_NUMBER, whose grid angles are finite,
     as one float array: float() reads true as 1.0 and "0.5" as 0.5, json
     reads NaN and Infinity, and an int may overflow a float."""
     if _types(values) <= {int, float}:
@@ -187,7 +186,7 @@ def load_settings(fp: IO[str]) -> np.ndarray:
 
 def _variable_columns(entries: list, start: int) -> list[tuple[str, tuple]]:
     """The (tag code, grid angles) pair of each variable entry: its angles
-    through lhv.quantize_angle, which leaves the grid angles that every
+    through proof.quantize_angle, which leaves the grid angles that every
     written file holds as they are."""
     if not _types(entries) <= {dict} or not _types(angles := _field(entries, "angles")) <= {list}:
         raise ValueError(f"variable {start} must be an object with an angles list")

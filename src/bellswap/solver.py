@@ -1,10 +1,10 @@
 """Decide +-1 parity-constraint systems and certify the answer.
 
-Two independent procedures:
+Two independent procedures, whose answers proof.verify_certificate checks:
 
 - enumerate_solve tries every assignment (guarded at 24 unknowns) and, on
   failure, searches for the smallest constraint subset whose product reads
-  "+1 = -1".  It is the trusted oracle.
+  "+1 = -1".  It is the reference solver.
 - gf2_solve maps each unknown v to a bit via v = (-1)^bit, turning every
   constraint into a linear parity equation, and inserts the equations in id
   order into an incremental elimination basis keyed by pivot variable, each
@@ -23,27 +23,17 @@ Both gf2_solve answers are canonical, independent of pivot choice:
   columns ordered by variable id) set to +1 and the rest solved for, which is
   also the lowest satisfying assignment index, the model enumerate_solve
   returns.
-
-A model is the tuple of +-1 values by unknown id.  A certificate is a list
-of constraint ids such that every variable occurs an even number of times
-across them while the required signs multiply to -1; verify_certificate
-re-checks that property (or a SAT model) from scratch, trusting nothing the
-solvers did.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
-from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
-from .lhv import ConstraintSet
+from .proof import ConstraintSet, SolveResult, SolveStatus, verify_certificate
 
 __all__ = [
     "SolveStatus",
@@ -58,20 +48,6 @@ ENUMERATION_GUARD = 24
 
 _CHUNK = 1 << 20
 _SUBSET_BUDGET = 500_000
-
-
-class SolveStatus(Enum):
-    SAT = "sat"
-    UNSAT = "unsat"
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of a solve: a full model, or an UNSAT certificate."""
-
-    status: SolveStatus
-    model: tuple[int, ...] | None = None
-    certificate: tuple[int, ...] | None = None
 
 
 def _parity_rows(cs: ConstraintSet) -> list[tuple[int, int]]:
@@ -242,39 +218,3 @@ def gf2_solve(cs: ConstraintSet) -> SolveResult:
         if rhs ^ ((mask & assignment).bit_count() & 1):
             assignment |= 1 << pivot
     return SolveResult(SolveStatus.SAT, model=_model(assignment, cs.n_variables))
-
-
-def verify_certificate(cs: ConstraintSet, result: SolveResult) -> bool:
-    """Re-check a result against its constraint set from first principles.
-
-    SAT results need a tuple holding the int +1 or -1 (not a float or bool
-    equal to it) for every unknown of cs and satisfying every constraint;
-    UNSAT results need the even-cancellation / odd-sign property.  A
-    certificate id that is not an integer (a bool or a float is not) or does
-    not exist in cs raises ValueError.
-    """
-    if result.status is SolveStatus.SAT:
-        model = result.model
-        if type(model) is not tuple or len(model) != cs.n_variables:
-            return False
-        if not set(map(type, model)) <= {int} or not set(model) <= {-1, +1}:
-            return False
-        for var_ids, required_sign in zip(cs.var_ids, cs.required_signs):
-            product = 1
-            for vid in var_ids:
-                product *= model[vid]
-            if product != required_sign:
-                return False
-        return True
-    certificate = result.certificate
-    if not certificate:
-        return False
-    counts: Counter[int] = Counter()
-    sign = 1
-    for cid in certificate:
-        # a bool is an Integral, but no solver writes one as an id
-        if type(cid) is bool or not isinstance(cid, Integral) or not 0 <= cid < len(cs.var_ids):
-            raise ValueError(f"certificate references unknown constraint id {cid}")
-        sign *= cs.required_signs[cid]
-        counts.update(cs.var_ids[cid])
-    return sign == -1 and all(count % 2 == 0 for count in counts.values())

@@ -496,6 +496,23 @@ class TestSampler:
             expected = self.searched(cdf, np.random.default_rng(seed).random(3000))
             assert np.array_equal(sample_events(angles, 3000, seed), expected)
 
+    def test_no_draw_lands_on_an_outcome_of_probability_zero(self, monkeypatch):
+        # rounding ends the CDF a few ulps below 1 at most settings, as at
+        # (0.3, 0.3, 1.1, 1.1), whose last outcome (psi-, V, V) is impossible
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        from workloads import SPECIAL_FAMILIES  # the events workload's settings
+
+        rng = np.random.default_rng(36)
+        builders = [build for _, build in _FAMILIES] + list(SPECIAL_FAMILIES)
+        pairs = [(0.3, 1.1)] + rng.uniform(0, 2 * PI, (8, 2)).tolist()
+        settings = [build(*pair) for build in builders for pair in pairs]
+        for angles in settings:
+            probabilities = np.array(list(bell_polarization_distribution(angles).values()))
+            u = self.edge_draws(np.cumsum(probabilities))
+            assert u.max() == np.nextafter(1.0, 0.0)
+            draws = correlations._inverse_cdf(correlations._outcome_lookup(angles), u)
+            assert probabilities[draws].all(), angles
+
     @pytest.mark.parametrize(
         "probabilities",
         [

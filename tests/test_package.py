@@ -6,12 +6,66 @@ import inspect
 import json
 import math
 import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import bellswap
-from bellswap import cli, lhv, quantum, serialize, solver, verification
+from bellswap import cli, correlations, lhv, proof, quantum, serialize, solver, verification
+
+#: Each name that proof defines, by the module that defined it before and
+#: still binds it.
+MOVED_TO_PROOF = {
+    **dict.fromkeys(
+        [
+            "ANGLE_QUANTUM",
+            "_MAX_NUMBER",
+            "quantize_angle",
+            "RULE_BELL_POLARIZATION",
+            "RULE_DOUBLE_BELL",
+            "RULE_FACTORIZATION",
+            "RULE_FACTORED_PRODUCT",
+            "_RULE_TERMS",
+            "TAG_ARITY",
+            "ParityConstraint",
+            "ConstraintSet",
+        ],
+        lhv,
+    ),
+    "_kappa": correlations,
+    **dict.fromkeys(["SolveStatus", "SolveResult", "verify_certificate"], solver),
+}
+
+
+def _tree(module) -> ast.Module:
+    return ast.parse(inspect.getsource(module))
+
+
+def _defined(module) -> set[str]:
+    """The names a module's source defines at its top level."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets)
+    return names
+
+
+def _package_modules() -> list:
+    """Every bellswap module but __main__, imported."""
+    return [
+        importlib.import_module(f"bellswap.{info.name}")
+        for info in pkgutil.iter_modules(bellswap.__path__)
+        if info.name != "__main__"
+    ]
+
+
+def _siblings(module) -> set[str]:
+    """The bellswap modules a module's source imports from."""
+    nodes = ast.walk(_tree(module))
+    return {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level}
 
 
 def test_every_exported_name_resolves():
@@ -37,11 +91,42 @@ def test_context_type_is_not_exported():
     assert not hasattr(lhv.ConstraintSet(+1), "context")
 
 
-def test_only_lhv_knows_the_angle_grid():
+def test_only_proof_defines_the_angle_grid():
     # an unknown holds its grid angles, so the writer and the CLI never
     # convert with the grid step
+    defining = [module for module in _package_modules() if "ANGLE_QUANTUM" in _defined(module)]
+    assert defining == [proof]
     for module in (serialize, cli):
         assert not hasattr(module, "ANGLE_QUANTUM")
+
+
+def test_proof_imports_nothing_of_bellswap():
+    # the trusted base is read and checked alone: the standard library and numpy
+    roots = set()
+    for node in ast.walk(_tree(proof)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import from .{node.module or ''}"
+            roots.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+    assert "numpy" in roots and roots <= {"__future__", "numpy"} | sys.stdlib_module_names
+
+
+def test_proof_alone_joins_the_loader_and_the_solvers():
+    # a file loads and a result is written without the compiler or a solver,
+    # and the solvers decide a system without the compiler
+    assert "proof" in _siblings(serialize) and not {"lhv", "solver"} & _siblings(serialize)
+    assert "proof" in _siblings(solver) and "lhv" not in _siblings(solver)
+
+
+def test_the_moved_names_are_bound_at_their_old_paths():
+    # proof defines exactly the trusted base, and every old import path
+    # gives the same object, so callers and the benchmark's tracer see one
+    assert _defined(proof) - {"__all__"} == MOVED_TO_PROOF.keys()
+    for name, module in MOVED_TO_PROOF.items():
+        assert getattr(module, name) is getattr(proof, name), f"{module.__name__}.{name}"
+    for name in MOVED_TO_PROOF.keys() & set(bellswap.__all__):
+        assert getattr(bellswap, name) is getattr(proof, name), name
 
 
 def test_only_serialize_renders_an_unknown():
@@ -141,11 +226,7 @@ def test_no_parameter_takes_one_value():
 
 def test_every_module_exported_name_resolves():
     # a name deleted from a module but left in its __all__ breaks star imports
-    modules = [
-        importlib.import_module(f"bellswap.{info.name}")
-        for info in pkgutil.iter_modules(bellswap.__path__)
-        if info.name != "__main__"
-    ]
+    modules = _package_modules()
     assert len(modules) >= 7
     missing = [
         f"{module.__name__}.{name}"
