@@ -271,9 +271,14 @@ def _outcome_lookup(
     its decomposition after the first command), while a one-command process
     builds it once either way.  Rounding can end the CDF a few ulps below 1,
     and a draw above its end would land on the last outcome even at
-    probability 0, so the entries from min(end, 1) up are set to 1."""
+    probability 0, so the entries from min(end, 1) up are set to 1.  It can
+    also start the CDF a hair above 0, as at 9.25e-32, and the draw u = 0.0
+    would land on the first outcome at probability 0, so the entries below
+    2**-53 are set to 0: the generator draws multiples of 2**-53, so no
+    other draw changes its outcome."""
     cdf = np.cumsum(_outcome_probabilities(_coefficients(np.array([angles]))))
     cdf[cdf >= min(cdf[-1], 1.0)] = 1.0
+    cdf[cdf < 2.0**-53] = 0.0
     return _cdf_lookup(cdf)
 
 

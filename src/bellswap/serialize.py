@@ -15,14 +15,16 @@ distinct float is formatted once (_float_reprs keeps -0.0 apart from 0.0),
 also in the labels, such as ``F(0.1, 0.2)``, of a result document (_labels),
 and a load decodes each distinct number text once (_parse).  The event CSV
 is written by write_events_csv in chunks of EVENT_CHUNK events, each one
-str.join over text made before the chunk: an event id as the text of its
-thousands and its last digits (from _ID_DIGITS), then one of 16 row
-tails.  The ids of a chunk run in order, so their pieces come as slices,
-not per event: one thousands text per run of rows that share it, and the
-last digits as one slice of a repeating table.  No int is converted to
-text per event.  One call writes a whole file, the header and then the rows
-of its chunks, ids from 0.  The CSV schema is versioned by its pinned header
-row; its columns, vocabulary and LF line endings are golden-tested.
+str.join over text made before the chunk: per event, the last three digits
+of its id (from _ID_DIGITS), then its row's tail, which ends in the text of
+the next id's thousands.  The two pieces of each event sit in one Python
+list that every write of a call refills.  The ids of a chunk run in order,
+so their pieces come as a slice and a gather, not per event: the last
+digits as one slice of a repeating table, the tails from a table of the 16
+outcomes' tails per thousands block of the chunk.  No int is converted to
+text per event.  One call writes a whole file, the header and then the
+rows of its chunks, ids from 0.  The CSV schema is versioned by its pinned
+header row; its columns, vocabulary and LF line endings are golden-tested.
 """
 
 from __future__ import annotations
@@ -305,13 +307,15 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
     ``json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"``, but one
     f-string per variable and per constraint: json's indenting encoder is
     pure Python and makes one write per token.  Numbers print as json prints
-    them (float.__repr__, formatted once per distinct value, and str of an
-    int), the two free strings through json.dumps."""
+    them: float.__repr__, formatted once per distinct value, and the ids
+    from one table of their str, ``ints``.  The two free strings go through
+    json.dumps."""
     variables = chain.from_iterable(grid for _, grid in cs.unknowns)
     text = _float_reprs([*variables, *chain.from_iterable(cs.angles), *cs.zetas])
     angles = iter(text)  # the variables' angles, then the settings' angles
     zetas = islice(text, len(text) - len(cs.zetas), None)
     quoted = {equation: json.dumps(equation) for equation in set(cs.equations)}
+    ints = list(map(str, range(max(cs.n_variables, len(cs.var_ids)))))  # every id
     fp.write(
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "context": {{\n'
         f'    "kappa": {cs.kappa},\n    "label": {json.dumps(cs.label)}\n  }},\n'
@@ -322,20 +326,20 @@ def dump_constraint_set(cs: ConstraintSet, fp: IO[str]) -> None:
         (
             f'{{\n      "id": {i},\n      "tag": "{tag}",\n'
             f'      "angles": {_array(islice(angles, len(grid)))}\n    }}'
-            for i, (tag, grid) in enumerate(cs.unknowns)
+            for i, (tag, grid) in zip(ints, cs.unknowns)
         ),
     )
     fp.write(',\n  "constraints": ')
-    rows = zip(cs.var_ids, cs.required_signs, zip(*[angles] * 4), zetas, cs.equations)
+    rows = zip(ints, cs.var_ids, cs.required_signs, zip(*[angles] * 4), zetas, cs.equations)
     _write_objects(
         fp,
         (
-            f'{{\n      "id": {i},\n      "vars": {_array(map(str, var_ids))},\n'
+            f'{{\n      "id": {i},\n      "vars": {_array(map(ints.__getitem__, var_ids))},\n'
             f'      "required_sign": {sign},\n      "provenance": {{\n'
             f'        "angles": [\n          {a},\n          {b},\n          {c},\n'
             f'          {d}\n        ],\n        "zeta": {zeta},\n'
             f'        "equation": {quoted[equation]}\n      }}\n    }}'
-            for i, (var_ids, sign, (a, b, c, d), zeta, equation) in enumerate(rows)
+            for i, var_ids, sign, (a, b, c, d), zeta, equation in rows
         ),
     )
     fp.write("\n}\n")
@@ -384,17 +388,25 @@ _OUTCOME_CELLS = [_outcome_cells(*outcome) for outcome in OUTCOME_ORDER]
 
 #: The last three digits of an event id, f"{n:03d}" at index n, then the
 #: ids n below 100, which print fewer digits, str(n) at index 1000 + n.
-_ID_DIGITS = np.array(
-    [*(f"{n:03d}" for n in range(1000)), *map(str, range(100))], dtype=object
-)
+_ID_DIGITS = [*(f"{n:03d}" for n in range(1000)), *map(str, range(100))]
 
 #: _ID_DIGITS[:1000] repeated to at least EVENT_CHUNK + 999 entries: the
 #: last three digits of a chunk of consecutive ids from i on are the chunk's
 #: slice of it from i % 1000.
-_ID_CYCLE = np.tile(_ID_DIGITS[:1000], EVENT_CHUNK // 1000 + 2)
+_ID_CYCLE = _ID_DIGITS[:1000] * (EVENT_CHUNK // 1000 + 2)
+
+#: The offset of event j's row in the table of tails of a write from id i,
+#: 16 tails per thousands block from i's on, as the row's tail ends in the
+#: thousands of id i + j + 1: 16 * ((k + 1) // 1000) at k = i % 1000 + j.
+_NEXT_BLOCK = np.repeat(16 * np.arange(EVENT_CHUNK // 1000 + 2), 1000)[1 : EVENT_CHUNK + 1000]
 
 #: The error of a chunk that is not a 1-D sequence of outcome indices.
 _NOT_OUTCOMES = "outcomes must be integers in 0..15, indices into OUTCOME_ORDER"
+
+
+def _thousands(block: int) -> str:
+    """The text of an event id before its last three digits."""
+    return str(block) if block else ""
 
 
 def write_events_csv(fp: IO[str], angles, chunks: Iterable[Sequence[int]]) -> int:
@@ -407,13 +419,19 @@ def write_events_csv(fp: IO[str], angles, chunks: Iterable[Sequence[int]]) -> in
     round-trip repr and rows get LF endings, so equal inputs serialize to
     identical bytes.  Rows are written EVENT_CHUNK at a time, one join and
     one write each, as the chunks are drawn, so the text held at once does
-    not grow with the number of events.  The ids of a write run in order, so
-    their pieces are slices: a thousands text per run of rows that share it,
-    and their last digits one slice of _ID_CYCLE.
+    not grow with the number of events.  A write joins one list of two
+    pieces per event, kept across the writes of a call (a new one only when
+    a write's length differs, as the last one's may) and refilled by
+    extended-slice assignment: the last three digits of its id, one slice of
+    _ID_CYCLE, and the tail of its row, which ends in the thousands of the
+    next id, one gather from ``ends``, the 16 tails per thousands block of
+    the write.  The first write's first piece carries the header row.
     """
     phis = ",".join(map(repr, _angle_row(angles).tolist()))
-    tails = np.array([f",{phis},{cells}" for cells in _OUTCOME_CELLS], dtype=object)
+    tails = [f",{phis},{cells}" for cells in _OUTCOME_CELLS]
     head, low = ",".join(EVENT_CSV_COLUMNS) + "\n", 0  # low: the next id, a Python int
+    ends = np.empty(16 * (EVENT_CHUNK // 1000 + 2), dtype=object)  # a write's table
+    pieces: list[str] = []  # every slot is refilled for each write
     for outcomes in map(np.asarray, chunks):
         if outcomes.ndim != 1:
             raise ValueError(_NOT_OUTCOMES)
@@ -422,18 +440,19 @@ def write_events_csv(fp: IO[str], angles, chunks: Iterable[Sequence[int]]) -> in
             if keys.dtype.kind not in "iu" or not 0 <= keys.min() <= keys.max() < 16:
                 raise ValueError(_NOT_OUTCOMES)
             n = len(keys)
-            # three pieces per event: its thousands, its last digits and the
-            # tail of its outcome's row
-            pieces = np.empty((n, 3), dtype=object)
-            for thousands in range(low // 1000, (low + n - 1) // 1000 + 1):
-                rows = slice(max(1000 * thousands - low, 0), 1000 * (thousands + 1) - low)
-                pieces[rows, 0] = str(thousands) if thousands else ""
-            pieces[:, 1] = _ID_CYCLE[low % 1000 : low % 1000 + n]
-            pieces[:, 2] = tails[keys]
+            if len(pieces) != 2 * n:
+                pieces = [""] * (2 * n)
+            blocks = range(low // 1000, (low + n - 1) // 1000 + 1)  # of the write's ids
+            ends[: 16 * len(blocks)] = [tail + _thousands(b) for b in blocks for tail in tails]
+            pieces[0::2] = _ID_CYCLE[low % 1000 : low % 1000 + n]
             short = _ID_DIGITS[1000 + low : 1100][:n]  # the ids below 100
-            pieces[: len(short), 1] = short
-            pieces[0, 0] = head + pieces[0, 0]  # the header row rides in the first write
-            fp.write("".join(pieces.ravel().tolist()))
+            pieces[0 : 2 * len(short) : 2] = short
+            # in intp, as numpy sums uint64 and int64 to float64
+            rows = np.add(keys, _NEXT_BLOCK[low % 1000 : low % 1000 + n], dtype=np.intp)
+            pieces[1::2] = ends[rows].tolist()
+            pieces[-1] = tails[keys[-1]]  # the next id's thousands starts the next write
+            pieces[0] = head + _thousands(blocks[0]) + pieces[0]
+            fp.write("".join(pieces))
             head, low = "", low + n
     if head:
         fp.write(head)

@@ -498,7 +498,9 @@ class TestSampler:
 
     def test_no_draw_lands_on_an_outcome_of_probability_zero(self, monkeypatch):
         # rounding ends the CDF a few ulps below 1 at most settings, as at
-        # (0.3, 0.3, 1.1, 1.1), whose last outcome (psi-, V, V) is impossible
+        # (0.3, 0.3, 1.1, 1.1), whose last outcome (psi-, V, V) is impossible;
+        # it can also start the CDF at 9.25e-32, as at the last setting, whose
+        # first outcome (phi+, H, H) is impossible and would take u = 0.0
         monkeypatch.syspath_prepend(str(BENCHMARKS))
         from workloads import SPECIAL_FAMILIES  # the events workload's settings
 
@@ -506,12 +508,15 @@ class TestSampler:
         builders = [build for _, build in _FAMILIES] + list(SPECIAL_FAMILIES)
         pairs = [(0.3, 1.1)] + rng.uniform(0, 2 * PI, (8, 2)).tolist()
         settings = [build(*pair) for build in builders for pair in pairs]
+        settings.append(
+            (1.9096899838877246, 2.6950881472851727, 3.580711272943551, 4.366109436340999)
+        )
         for angles in settings:
             probabilities = np.array(list(bell_polarization_distribution(angles).values()))
             u = self.edge_draws(np.cumsum(probabilities))
-            assert u.max() == np.nextafter(1.0, 0.0)
+            assert u.min() == 0.0 and u.max() == np.nextafter(1.0, 0.0)
             draws = correlations._inverse_cdf(correlations._outcome_lookup(angles), u)
-            assert probabilities[draws].all(), angles
+            assert not violating_outcomes(angles)[draws].any(), angles
 
     @pytest.mark.parametrize(
         "probabilities",

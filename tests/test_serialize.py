@@ -310,6 +310,23 @@ class TestWriter:
         assert dumped(load_constraint_set(io.StringIO(text))) == text
         assert max(write.count('"id"') for write in writes) <= 128
 
+    @pytest.mark.parametrize("n_variables, n_constraints", [(5, 0), (300, 2), (3, 300)])
+    def test_more_variables_than_constraints_or_fewer(self, n_variables, n_constraints):
+        """Every id prints from one table of texts, as long as the longer of
+        the two lists: variables no constraint uses, and many constraints
+        over few variables."""
+        tags = zip(range(n_variables), cycle(TAG_ARITY))
+        variables = [(tag, (0.01 * i,) * TAG_ARITY[tag]) for i, tag in tags]
+        rows = [
+            (sorted({i % n_variables, n_variables - 1}), 1 - 2 * (i % 2), ((0.1 * i,) * 4, i, "r"))
+            for i in range(n_constraints)
+        ]
+        cs = constraint_set_from_dict(system_document(1, variables, rows, "uneven"))
+        assert (cs.n_variables, len(cs.var_ids)) == (n_variables, n_constraints)
+        text = dumped(cs)
+        assert text == json.dumps(constraint_set_to_dict(cs), indent=2) + "\n"
+        assert load_constraint_set(io.StringIO(text)) == cs
+
 
 #: Any JSON scalar, with integers beyond the float range among the numbers.
 JSON_SCALARS = (
@@ -803,6 +820,34 @@ class TestEventCsv:
         start = n - n % EVENT_CHUNK
         assert (start, len(writes)) == (999_424, n // EVENT_CHUNK + 1)
         assert writes[-1] == per_row_csv(angles, outcomes[start:], start)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [EVENT_CHUNK, 3, EVENT_CHUNK, 1],
+            [997, EVENT_CHUNK],
+            [3, 3],
+            [60, 60, 60],
+            [600, 600],
+            [1000, 1, 999, 2000],
+        ],
+        ids=repr,
+    )
+    def test_chunks_of_changing_length_equal_the_per_row_writer(self, sizes):
+        # the writes of one call share one list of pieces: a long chunk after
+        # a short one, and ids that cross 100 or 1000 in a write after an
+        # equal one, must leave nothing of an earlier write, the header least;
+        # a row's tail ends in the next id's thousands, so a write that ends
+        # or starts at a multiple of 1000 must put that text in the next one
+        angles = (0.1, PI / 4, -2.5, 1e-9)
+        keys = np.random.default_rng(len(sizes)).integers(0, 16, sum(sizes))
+        seams = np.cumsum([0, *sizes]).tolist()
+        writes = []
+        sink = SimpleNamespace(write=writes.append)
+        chunks = [keys[a:b] for a, b in zip(seams, seams[1:])]
+        assert write_events_csv(sink, angles, chunks) == len(keys)
+        assert list(map(len, (write.splitlines() for write in writes))) == [sizes[0] + 1, *sizes[1:]]
+        assert "".join(writes) == per_row_csv(angles, keys.tolist())
 
     @pytest.mark.parametrize(
         "lead, n",

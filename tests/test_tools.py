@@ -214,3 +214,29 @@ def test_stage_times_checkout_sees_a_changed_tracked_file(monkeypatch, tmp_path)
     assert tool.checkout() == clean
     (tmp_path / "tracked.txt").write_text("c\n", encoding="utf-8")
     assert tool.checkout() == {**clean, "dirty": True}
+
+
+def test_ab_smoke_runs_one_pair_of_copies():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "ab.py"), str(TOOLS.parent), str(TOOLS.parent)]
+        + ["--workload", "events", "--pairs", "1", "--seed", "5", "--smoke"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert (report["workload"], report["pairs"], report["seed"]) == ("events", 1, 5)
+    assert report["base"] == report["new"] and set(report["new"]) == {"commit", "dirty"}
+    (pair,) = report["runs"]
+    assert 0 <= pair["padding"] <= 4096 and sorted(pair["order"]) == ["base", "new"]
+    for side in ("base", "new"):
+        assert pair[side]["failed"] == 0 and pair[side]["attempted"] > 0
+    end_to_end = {"setup_s", "items_per_s", "request_p50_ms", "peak_rss_mb"}
+    assert set(report["metrics"]) == set(pair["base"]["metrics"]) == end_to_end
+    for name, metric in report["metrics"].items():
+        (ratio,) = metric["ratios"]
+        assert ratio == pair["new"]["metrics"][name] / pair["base"]["metrics"][name]
+        assert metric["new_ahead"] + metric["base_ahead"] <= 1
+        assert metric["ratio_quartiles"] == [ratio] * 3
+        assert metric["base_quartiles"] == [pair["base"]["metrics"][name]] * 3
