@@ -28,17 +28,23 @@ when opened: it is written over in place and then cut at the bytes written
 ``main`` builds the parser once per process and finds each command's
 ``cmd_*`` by name at call time, and the commands call the library through
 this module's globals, also at call time, so a wrapped or patched function
-is the one that runs.  ``main`` pauses the cyclic garbage collector while
-the command runs, since commands build large acyclic data (parsed JSON,
-columns, tuples) that collector passes would only rescan, and leaves it as
-it found it; the library functions do not pause it.
+is the one that runs.  When argv starts with a command's name, ``main``
+hands the rest straight to that command's subparser (``_parse_args``), which
+skips the whole parser's pass over every string and gives the same result,
+error or help text; strings it leaves over are the whole parser's
+"unrecognized arguments" error.  Every JSON document a command prints, on
+stdout or to ``verify-qm --out``, is ``serialize._json_text(doc)``: exactly
+the bytes of ``json.dumps(doc, indent=2)``, made faster.  ``main`` pauses
+the cyclic garbage collector while the command runs, since commands build
+large acyclic data (parsed JSON, columns, tuples) that collector passes
+would only rescan, and leaves it as it found it; the library functions do
+not pause it.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import stat
@@ -67,6 +73,7 @@ from .quantum import BELL_ORDER, bell_bell_coefficients, bell_bell_coefficients_
 from .serialize import (
     EVENT_CHUNK,
     FORMAT_VERSION,
+    _json_text,
     dump_constraint_set,
     load_constraint_set,
     load_settings,
@@ -148,7 +155,7 @@ def _open_out(path: str):
 
 
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
 
 
 def _print_bell_matrix(title: str, matrix: np.ndarray) -> None:
@@ -213,7 +220,7 @@ def cmd_verify_qm(args: argparse.Namespace) -> int:
     with _open_out(args.out) if args.out else nullcontext() as fp:
         report = run_qm_verification(grid=args.grid, tol=args.tol, seed=args.seed)
         doc = {"format_version": FORMAT_VERSION, "command": "verify-qm", **report}
-        text = json.dumps(doc, indent=2)
+        text = _json_text(doc)
         if fp is not None:
             fp.write(text + "\n")
     print(text)
@@ -398,14 +405,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(_METHODS), default="enumerate")
     p.add_argument("--expect", choices=("sat", "unsat"), help="fail unless this status")
 
+    parser.commands = sub.choices  # each command's subparser by name, for _parse_args
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """What the whole parser's ``parse_args(argv)`` returns, prints or exits
+    with.  An argv that starts with a command's name goes straight to that
+    command's subparser, which is what the whole parser does with it after
+    classifying every string; the strings the subparser leaves over are the
+    whole parser's error.  Any other argv goes through the whole parser."""
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or (command := _parser.commands.get(argv[0])) is None:
+        return _parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:

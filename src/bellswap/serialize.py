@@ -25,15 +25,20 @@ outcomes' tails per thousands block of the chunk.  No int is converted to
 text per event.  One call writes a whole file, the header and then the
 rows of its chunks, ids from 0.  The CSV schema is versioned by its pinned
 header row; its columns, vocabulary and LF line endings are golden-tested.
+Every JSON document the CLI prints is the text of _json_text, this module's
+indenting writer: exactly json.dumps(doc, indent=2), but with each leaf's
+text looked up by its type, and a call only per container.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import IO, Sequence
 
 import numpy as np
@@ -375,6 +380,46 @@ def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool)
             for cid, var_ids in zip(result.certificate, lines)
         ]
     return doc
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+#: The text of a leaf of each exact type, as json.dumps prints it.
+_LEAF_TEXT: dict[type, Callable] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)`` for a tree of dicts with str
+    keys, lists and tuples over str, int, float, bool and None leaves: the
+    text of every document the CLI prints.  json's indenting encoder is pure
+    Python and calls a function per value; this one looks each leaf's text
+    up by its type and calls itself only for a container, with ``indent``,
+    the newline and spaces that begin the line of its closing bracket.  A
+    non-str key raises TypeError (json.dumps would print it as a string)."""
+    if text := _LEAF_TEXT.get(type(obj)):
+        return text(obj)
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)  # a subclass of a leaf type, or the TypeError of any other
+    if not obj:
+        return "{}" if is_dict else "[]"
+    inner, leaf = indent + "  ", _LEAF_TEXT.get
+    texts = [
+        render(value) if (render := leaf(type(value))) else _json_text(value, inner)
+        for value in (obj.values() if is_dict else obj)
+    ]
+    if is_dict:
+        texts = [f"{encode_basestring_ascii(key)}: {value}" for key, value in zip(obj, texts)]
+        return f"{{{inner}{(',' + inner).join(texts)}{indent}}}"
+    return f"[{inner}{(',' + inner).join(texts)}{indent}]"
 
 
 def _outcome_cells(bell, pol_a, pol_d) -> str:

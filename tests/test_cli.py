@@ -978,7 +978,9 @@ class TestParserReuse:
         assert main(["refute", "--kappa=-1"]) == 7
         assert calls == [-1]
 
-    def test_no_state_leaks_between_calls(self, capsys):
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
+        # main hands a command's flags straight to its subparser: every
+        # argv, good or bad, must come out as the whole parser's
         sequence = [
             ["decompose", "--json"],
             ["decompose"],
@@ -988,7 +990,22 @@ class TestParserReuse:
             ["verify-qm", "--grid", "1"],
             ["--help"],
             ["refute", "--help"],
+            [],
+            ["nope"],
+            ["-h"],
+            ["--", "refute"],
+            ["solve"],
+            ["refute", "extra"],
+            ["refute", "--bogus", "1"],
+            ["refute", "--kappa", "2"],
+            ["refute", "--alpha", "-0.5"],
+            ["refute", "--met", "gf2"],
+            ["refute", "--he"],
+            ["compile", "-h"],
+            ["refute", "--alpha"],
+            None,  # sys.argv[1:]
         ]
+        monkeypatch.setattr(sys, "argv", ["bellswap", "refute", "--kappa=-1", "--fig2"])
 
         def fresh(argv):
             args = cli.build_parser().parse_args(argv)
@@ -1008,7 +1025,7 @@ class TestParserReuse:
                 cached = outcome(main, argv)
                 assert cached == outcome(fresh, argv), argv
                 codes.append(cached[0])
-            assert codes == [0, 0, 2, 0, 0, 0, 0, 0]
+            assert codes == [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 0]
 
 
 class TestClosedStdout:

@@ -37,6 +37,7 @@ from bellswap.serialize import (
     solve_result_to_dict,
     write_events_csv,
     _float_reprs,
+    _json_text,
     _labels,
     _parse,
 )
@@ -672,6 +673,58 @@ class TestSolveResultJson:
         assert doc["certificate"] is None
         assert set(doc["model"].values()) <= {-1, 1}
         assert json.loads(json.dumps(doc)) == doc
+
+
+#: Keys and strings: any text, and text of quotes, backslashes, control
+#: characters and non-ASCII characters in and beyond the BMP.
+WRITER_TEXTS = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600 a'))
+
+#: Leaves of the documents the CLI prints, and np.float64, a float subclass.
+WRITER_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_subnormal=True)
+    | st.floats().map(np.float64)
+    | WRITER_TEXTS
+)
+
+WRITER_TREES = st.recursive(
+    WRITER_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(WRITER_TEXTS, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """_json_text, the text of every document the CLI prints, is exactly
+    json.dumps with indent=2."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(WRITER_TREES)
+    @example({"a": [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 2**64, -(2**64) - 1]})
+    @example([[], {}, (), [[{}]], {"": {"\"\\\x00\u00e9": [True, False, None]}}])
+    @example({"model": {"F(0.1, 0.2)": -1, "G(0.1, 0.2)": 1}, "x": np.float64(-0.0)})
+    def test_matches_json_dumps_with_indent_2(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_a_numpy_int_raises_what_json_raises(self):
+        doc = {"kappa": [1, np.int64(1)]}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as raised:
+            _json_text(doc)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("key", [1, 0.5, True, None])
+    def test_a_key_that_is_not_a_string_raises(self, key):
+        with pytest.raises(TypeError):
+            _json_text({"doc": {key: 0}})
 
 
 class TestNegativeZero:

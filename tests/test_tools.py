@@ -49,6 +49,9 @@ def test_stage_times_smallest_size():
     assert set(report["cli_ms"]) == commands and min(report["cli_ms"].values()) > 0.0
     assert set(report["cli_collections"]) == {"gen0", "gen1", "gen2"}
     assert min(report["cli_collections"].values()) >= 0.0
+    assert (report["cli_mix_commands"], report["cli_mix_documents"]) == (1000, 800)
+    assert set(report["cli_fixed_ms"]) == {"parse", "print"}
+    assert min(report["cli_fixed_ms"].values()) > 0.0
     assert report["events"] == 100_000
     events = report["event_stages_ms"]
     assert set(events) == {"sample_events", "write_events_csv", "simulate_cli", "simulate_cli_fresh"}
@@ -87,6 +90,7 @@ def test_stage_times_runs_report_quartiles_beside_the_best():
         "stages_ms",
         "round_ms",
         "cli_ms",
+        "cli_fixed_ms",
         "event_stages_ms",
         "qm_stages_ms",
         "one_setting_ms",
@@ -97,6 +101,7 @@ def test_stage_times_runs_report_quartiles_beside_the_best():
     sections = (
         "stages_ms",
         "cli_ms",
+        "cli_fixed_ms",
         "event_stages_ms",
         "qm_stages_ms",
         "one_setting_ms",
@@ -187,6 +192,27 @@ def test_stage_times_draws_the_events_workload_inputs(monkeypatch):
     paths = [Path(command[-1].removeprefix("--out=")) for command in [[out], *fresh]]
     assert len(set(paths)) == 3 and len({path.parent for path in paths}) == 1
     assert drawn == [events.angles] * 2
+
+
+def test_stage_times_times_the_cli_mix_round(monkeypatch, tmp_path):
+    tool = load_stage_times(monkeypatch)
+    import workloads
+
+    assert tool.CliMix is workloads.CliMix
+    argvs, docs = tool.cli_mix_round()
+    steps = workloads.CliMix(301, False, tmp_path).steps
+    # decompose and refute steps carry their argv; a file step is compile, then solve
+    expected = []
+    for step in steps:
+        expected += [step[1]] if step[0] != "compile-solve" else [["compile"], ["solve"]]
+    assert len(argvs) == len(expected) == 1000
+    for argv, want in zip(argvs, expected):
+        assert argv == want if len(want) > 1 else argv[0] == want[0]
+    assert len(docs) == 800 and all(doc["format_version"] == 1 for doc in docs)
+    printed = []
+    monkeypatch.setattr(tool.serialize, "_json_text", lambda doc: printed.append(doc) or "")
+    assert set(tool.cli_fixed_stages(argvs, docs, 2)) == {"parse", "print"}
+    assert printed == docs * 2
 
 
 def test_stage_times_checkout_is_null_outside_a_checkout(monkeypatch, tmp_path):

@@ -31,6 +31,14 @@ collector passes per generation (``gc.callbacks``) over those ``--repeat``
 four-command windows, divided by ``--repeat``; each window includes the pass
 that ``main`` puts off until it turns the collector back on.
 
+``cli_fixed_ms`` times the two costs that the cli_mix benchmark workload's
+short commands pay whatever their work, on one round of that workload made
+and run by its code from SEED (``cli_mix_commands`` argvs, of which
+``cli_mix_documents`` print a JSON document), each the best of ``--repeat``
+runs: ``parse``, ``main``'s argument parsing of every argv of the round,
+and ``print``, the text of every document of the round, read back from the
+commands' output.
+
 It times ``simulate`` at the events benchmark workload's setting, made by
 its code from SEED, each the best of ``--repeat`` runs: its two stages on
 EVENTS events, ``sample_events`` in one call (the setting's sampling lookup
@@ -112,11 +120,12 @@ SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "benchmarks")]
 
 from bellswap import cli, correlations, lhv, quantum, serialize, solver, verification  # noqa: E402
-from workloads import Events, grid_settings, rng_for  # noqa: E402
+from workloads import CliMix, Events, grid_settings, rng_for  # noqa: E402
 
-#: The benchmark seed: of the grids' base angles and of the events setting
-#: and command (made as the refute_grid and events workloads make them), of
-#: the event draws and of the verify-qm batch.
+#: The benchmark seed: of the grids' base angles, of the events setting and
+#: command and of the cli_mix commands (made as the refute_grid, events and
+#: cli_mix workloads make them), of the event draws and of the verify-qm
+#: batch.
 SEED = 301
 
 #: Events of the simulate stages.
@@ -280,6 +289,40 @@ def event_stages(repeat: int) -> dict[str, float]:
     }
 
 
+def cli_mix_round() -> tuple[list[list[str]], list]:
+    """The argv of each command of one round of the cli_mix workload, made
+    and run by its code from SEED, in order, and each JSON document those
+    commands printed, read back by json.loads (a tree that prints the same
+    text)."""
+    argvs, docs = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        mix = CliMix(SEED, False, Path(tmp))
+        run = mix.run
+
+        def recording(round_, argv):
+            argvs.append(argv)
+            code, out, elapsed = run(round_, argv)
+            if out.startswith("{"):
+                docs.append(json.loads(out))
+            return code, out, elapsed
+
+        mix.run = recording
+        if mix.round().failed:
+            raise SystemExit(f"cli_mix: {mix.errors[0]}")
+    return argvs, docs
+
+
+def cli_fixed_stages(argvs: list[list[str]], docs: list, repeat: int) -> dict[str, float]:
+    """Best time of the two fixed costs of the cli_mix round's commands:
+    ``main``'s argument parsing of all its argvs (``cli._parse_args``) and
+    the text of all its printed documents (``serialize._json_text``)."""
+    stages: dict[str, float] = {}
+    stage = stage_timer(stages, repeat)
+    stage("parse", lambda: [cli._parse_args(argv) for argv in argvs])
+    stage("print", lambda: [serialize._json_text(doc) for doc in docs])
+    return stages
+
+
 def qm_batch() -> np.ndarray:
     """The settings of run_qm_verification(QM_GRID, seed=SEED), drawn as it
     draws them: QM_GRID**4 random ones, then the special families."""
@@ -311,11 +354,10 @@ def qm_stages(batch: np.ndarray, repeat: int) -> dict[str, float]:
     )
     stage(
         "_correlation_report",
-        lambda: json.dumps(
+        lambda: serialize._json_text(
             correlations._correlation_report(
                 batch[family.start], numeric[family.start], correlations.DEFAULT_ANGLE_TOL
-            ),
-            indent=2,
+            )
         ),
     )
     stage("run_qm_verification", lambda: verification.run_qm_verification(QM_GRID, seed=SEED))
@@ -388,6 +430,7 @@ TIMED = (
     "stages_ms",
     "round_ms",
     "cli_ms",
+    "cli_fixed_ms",
     "event_stages_ms",
     "qm_stages_ms",
     "one_setting_ms",
@@ -395,7 +438,9 @@ TIMED = (
 )
 
 
-def timings(settings_text: str, batch: np.ndarray, args: argparse.Namespace) -> dict:
+def timings(
+    settings_text: str, batch: np.ndarray, mix: tuple[list, list], args: argparse.Namespace
+) -> dict:
     """One run of every measurement of the report."""
     stages = round_stages(settings_text, args.repeat)
     cli_ms, cli_collections = cli_round(settings_text, args.repeat)
@@ -404,6 +449,7 @@ def timings(settings_text: str, batch: np.ndarray, args: argparse.Namespace) -> 
         "round_ms": sum(stages.values()),
         "cli_ms": cli_ms,
         "cli_collections": cli_collections,
+        "cli_fixed_ms": cli_fixed_stages(*mix, args.repeat),
         "event_stages_ms": event_stages(args.repeat),
         "qm_stages_ms": qm_stages(batch, args.repeat),
         "one_setting_ms": one_setting_stages(batch, args.repeat),
@@ -492,6 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     settings = grid(args.bases)
     settings_text = json.dumps({"settings": settings})
     batch = qm_batch()
+    mix = cli_mix_round()
     report = {
         **checkout(),
         "python": platform.python_version(),
@@ -504,7 +551,9 @@ def main(argv: list[str] | None = None) -> int:
         "events": EVENTS,
         "qm_grid": QM_GRID,
         "qm_settings": len(batch),
-        **summary([timings(settings_text, batch, args) for _ in range(args.runs)]),
+        "cli_mix_commands": len(mix[0]),
+        "cli_mix_documents": len(mix[1]),
+        **summary([timings(settings_text, batch, mix, args) for _ in range(args.runs)]),
         "src_lines": src_lines(),
     }
     print(json.dumps(report, indent=2))
