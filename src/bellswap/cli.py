@@ -28,17 +28,18 @@ when opened: it is written over in place and then cut at the bytes written
 ``main`` builds the parser once per process and finds each command's
 ``cmd_*`` by name at call time, and the commands call the library through
 this module's globals, also at call time, so a wrapped or patched function
-is the one that runs.  When argv starts with a command's name, ``main``
-hands the rest straight to that command's subparser (``_parse_args``), which
-skips the whole parser's pass over every string and gives the same result,
-error or help text; strings it leaves over are the whole parser's
-"unrecognized arguments" error.  Every JSON document a command prints, on
-stdout or to ``verify-qm --out``, is ``serialize._json_text(doc)``: exactly
-the bytes of ``json.dumps(doc, indent=2)``, made faster.  ``main`` pauses
-the cyclic garbage collector while the command runs, since commands build
-large acyclic data (parsed JSON, columns, tuples) that collector passes
-would only rescan, and leaves it as it found it; the library functions do
-not pause it.
+is the one that runs.  ``build_parser`` keeps each command's flags as a
+table of option string to the ``argparse.Action`` that ``add_argument``
+returned, and ``main`` reads a command's flags from that table when every
+one is an exact option string in a plain form (``_read_flags``); the whole
+parser still reads any other argv and prints every help text and error, so
+it stays the one definition of the flags.  Every JSON document a command
+prints, on stdout or to ``verify-qm --out``, is ``serialize._json_text(doc)``:
+exactly the bytes of ``json.dumps(doc, indent=2)``, made faster.  ``main``
+pauses the cyclic garbage collector while the command runs, since commands
+build large acyclic data (parsed JSON, columns, tuples) that collector
+passes would only rescan, and leaves it as it found it; the library
+functions do not pause it.
 """
 
 from __future__ import annotations
@@ -328,12 +329,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return _solve_and_print(cs, doc, args.expect)
 
 
-def _add_angle_flags(parser: argparse.ArgumentParser) -> None:
+def _add_angle_flags(add) -> None:
     for name in ("phi1", "phi2", "phi3", "phi4"):
-        parser.add_argument(
-            f"--{name}", type=_FINITE_FLOAT, default=0.0, help=f"rotation angle {name}"
-        )
-    parser.add_argument("--degrees", action="store_true", help="angles are degrees")
+        add(f"--{name}", type=_FINITE_FLOAT, default=0.0, help=f"rotation angle {name}")
+    add("--degrees", action="store_true", help="angles are degrees")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,45 +342,54 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 ok, 1 violation/unexpected result, 2 usage error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # each command's flags, option string -> Action, for _parse_args
 
-    p = sub.add_parser("decompose", help="double Bell coefficients of the rotated state")
-    _add_angle_flags(p)
-    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
-    p.add_argument("--json", action="store_true", help="JSON output instead of tables")
+    def command(name: str, help: str):
+        """The ``add_argument`` of a new command's subparser, which also
+        enters each flag it adds in the command's table."""
+        add_argument = sub.add_parser(name, help=help).add_argument
+        flags = parser.commands[name] = {}
 
-    p = sub.add_parser("verify-qm", help="check all exact predictions over a sweep")
-    p.add_argument("--grid", type=_POSITIVE_INT, default=4, help="random sweep size is grid**4")
-    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
-    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=12345, help="sweep RNG seed")
-    p.add_argument("--out", help="also write the JSON report here")
+        def add(*names, **kwargs) -> None:
+            action = add_argument(*names, **kwargs)
+            flags.update(dict.fromkeys(action.option_strings, action))
 
-    p = sub.add_parser("simulate", help="sample Bell/polarization events to CSV")
-    _add_angle_flags(p)
-    p.add_argument("--events", type=_NONNEGATIVE_INT, default=1000, help="number of events")
-    p.add_argument("--seed", type=_NONNEGATIVE_INT, default=42, help="sampler seed")
-    p.add_argument("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
-    p.add_argument("--out", required=True, help="output CSV path")
+        return add
 
-    p = sub.add_parser("refute", help="certify the two-setting contradiction")
-    p.add_argument(
-        "--alpha", type=_FINITE_FLOAT, default=0.0, help="base angle for photon a's side"
-    )
-    p.add_argument(
-        "--beta", type=_FINITE_FLOAT, default=0.0, help="base angle for photon d's side"
-    )
-    p.add_argument("--kappa", type=int, choices=(-1, 1), default=1, help="sector parity")
-    p.add_argument("--method", choices=sorted(_METHODS), default="enumerate")
-    p.add_argument("--degrees", action="store_true", help="angles are degrees")
-    p.add_argument(
+    add = command("decompose", "double Bell coefficients of the rotated state")
+    _add_angle_flags(add)
+    add("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    add("--json", action="store_true", help="JSON output instead of tables")
+
+    add = command("verify-qm", "check all exact predictions over a sweep")
+    add("--grid", type=_POSITIVE_INT, default=4, help="random sweep size is grid**4")
+    add("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    add("--seed", type=_NONNEGATIVE_INT, default=12345, help="sweep RNG seed")
+    add("--out", help="also write the JSON report here")
+
+    add = command("simulate", "sample Bell/polarization events to CSV")
+    _add_angle_flags(add)
+    add("--events", type=_NONNEGATIVE_INT, default=1000, help="number of events")
+    add("--seed", type=_NONNEGATIVE_INT, default=42, help="sampler seed")
+    add("--tol", type=_PHASE_TOL, default=DEFAULT_ANGLE_TOL, help=_TOL_HELP)
+    add("--out", required=True, help="output CSV path")
+
+    add = command("refute", "certify the two-setting contradiction")
+    add("--alpha", type=_FINITE_FLOAT, default=0.0, help="base angle for photon a's side")
+    add("--beta", type=_FINITE_FLOAT, default=0.0, help="base angle for photon d's side")
+    add("--kappa", type=int, choices=(-1, 1), default=1, help="sector parity")
+    add("--method", choices=sorted(_METHODS), default="enumerate")
+    add("--degrees", action="store_true", help="angles are degrees")
+    add(
         "--fig2",
         action="store_true",
         help="compile the double Bell arrangement instead (satisfiable)",
     )
 
-    p = sub.add_parser("compile", help="compile settings into a constraint system")
-    p.add_argument("--settings", required=True, help="JSON file with angle settings")
-    p.add_argument("--kappa", type=int, choices=(-1, 1), required=True, help="sector parity")
-    p.add_argument(
+    add = command("compile", "compile settings into a constraint system")
+    add("--settings", required=True, help="JSON file with angle settings")
+    add("--kappa", type=int, choices=(-1, 1), required=True, help="sector parity")
+    add(
         "--fig",
         type=int,
         choices=(1, 2),
@@ -389,42 +397,79 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrangement: 1 = Bell analyzer on (b,c) plus polarizers on a and d,"
         " 2 = Bell analyzers on both pairs",
     )
-    p.add_argument("--factorize", action="store_true", help="adjoin F = A*D constraints")
-    p.add_argument(
+    add("--factorize", action="store_true", help="adjoin F = A*D constraints")
+    add(
         "--tol",
         type=_COMPILE_TOL,
         default=DEFAULT_ANGLE_TOL,
         help=f"phase tolerance (rad), > 0 and <= {MAX_COMPILE_TOL:.6g}",
     )
-    p.add_argument("--degrees", action="store_true", help="settings file is in degrees")
-    p.add_argument("--label", default="", help="context label")
-    p.add_argument("--out", required=True, help="output JSON path")
+    add("--degrees", action="store_true", help="settings file is in degrees")
+    add("--label", default="", help="context label")
+    add("--out", required=True, help="output JSON path")
 
-    p = sub.add_parser("solve", help="decide a constraint-system file")
-    p.add_argument("--in", dest="infile", required=True, help="constraint-system JSON")
-    p.add_argument("--method", choices=sorted(_METHODS), default="enumerate")
-    p.add_argument("--expect", choices=("sat", "unsat"), help="fail unless this status")
-
-    parser.commands = sub.choices  # each command's subparser by name, for _parse_args
+    add = command("solve", "decide a constraint-system file")
+    add("--in", dest="infile", required=True, help="constraint-system JSON")
+    add("--method", choices=sorted(_METHODS), default="enumerate")
+    add("--expect", choices=("sat", "unsat"), help="fail unless this status")
     return parser
+
+
+def _read_flags(command: str, flags: dict, tokens: list[str]) -> argparse.Namespace | None:
+    """The whole parser's namespace for ``[command, *tokens]`` when every
+    token is one of ``flags``' exact option strings, as ``--name=value``,
+    as ``--name value`` with a value that does not start with "-", or bare
+    for a flag that takes no value.  None for any other form, a value that
+    the flag's ``type`` or ``choices`` refuses, or a required flag left out:
+    the whole parser reads those.  A ``str`` default is stored as it is,
+    where argparse runs it through ``type``; no such flag has a ``type``."""
+    values = {"command": command}
+    for action in flags.values():
+        values[action.dest] = action.default
+    seen = set()
+    i, end = 0, len(tokens)
+    while i < end:
+        name, equals, text = tokens[i].partition("=")
+        if (action := flags.get(name)) is None:
+            return None
+        i += 1
+        if action.nargs == 0:
+            if equals:
+                return None
+            values[action.dest] = action.const
+        else:
+            if not equals:
+                if i == end or tokens[i].startswith("-"):
+                    return None
+                text = tokens[i]
+                i += 1
+            elif text == "--":  # argparse drops it and stores []
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's errors
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        seen.add(action)
+    if any(action.required and action not in seen for action in flags.values()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """What the whole parser's ``parse_args(argv)`` returns, prints or exits
-    with.  An argv that starts with a command's name goes straight to that
-    command's subparser, which is what the whole parser does with it after
-    classifying every string; the strings the subparser leaves over are the
-    whole parser's error.  Any other argv goes through the whole parser."""
+    with.  An argv that starts with a command's name is read from that
+    command's flag table (``_read_flags``); an argv the table does not read,
+    and any other argv, goes unchanged through the whole parser."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    if not argv or (command := _parser.commands.get(argv[0])) is None:
-        return _parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    flags = _parser.commands.get(argv[0]) if argv else None
+    args = None if flags is None else _read_flags(argv[0], flags, argv[1:])
+    return _parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

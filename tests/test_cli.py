@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import io
@@ -15,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from instance_gen import grid_settings, per_row_csv
 
 from bellswap import cli, quantum, serialize
@@ -978,9 +981,10 @@ class TestParserReuse:
         assert main(["refute", "--kappa=-1"]) == 7
         assert calls == [-1]
 
-    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
-        # main hands a command's flags straight to its subparser: every
-        # argv, good or bad, must come out as the whole parser's
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch, tmp_path):
+        # main reads a command's plain flags from its table and hands any
+        # other argv to the cached whole parser: every argv, good or bad,
+        # must come out as a fresh whole parser's
         sequence = [
             ["decompose", "--json"],
             ["decompose"],
@@ -1003,9 +1007,13 @@ class TestParserReuse:
             ["refute", "--he"],
             ["compile", "-h"],
             ["refute", "--alpha"],
+            ["refute", "--fig2=1"],
+            ["verify-qm", "--grid", "5", "--grid=3"],
+            ["compile", "--settings", "-x", "--kappa=1", "--out=o"],
             None,  # sys.argv[1:]
         ]
         monkeypatch.setattr(sys, "argv", ["bellswap", "refute", "--kappa=-1", "--fig2"])
+        monkeypatch.chdir(tmp_path)
 
         def fresh(argv):
             args = cli.build_parser().parse_args(argv)
@@ -1025,7 +1033,112 @@ class TestParserReuse:
                 cached = outcome(main, argv)
                 assert cached == outcome(fresh, argv), argv
                 codes.append(cached[0])
-            assert codes == [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 0]
+            expected = [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 0, 2, 0]
+            assert codes == expected
+            assert not (tmp_path / "o").exists()
+
+
+COMMAND_FLAGS = cli.build_parser().commands
+# values each flag type accepts or refuses, with "-"-leading, empty and "--"
+FLAG_VALUES = [
+    *("1", "0", "3", "5", "+1", "-1", "2", "0.5", "-0.5", "1e-09", "1e400", "nan", "inf"),
+    *("gf2", "enumerate", "sat", "unsat", "o", "a b", "", "-x", "--", "--x", "=", "1=2"),
+]
+
+
+@st.composite
+def flag_argvs(draw):
+    """An argv of one command's real option strings in every form argparse
+    reads, and in forms it refuses, with at most one abbreviated flag or
+    stray string."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    names = sorted(COMMAND_FLAGS[command])
+    exact = st.sampled_from(names)
+    abbreviated = exact.flatmap(lambda n: st.integers(3, len(n) - 1).map(lambda k: n[:k]))
+    value = st.one_of(st.just("1"), st.sampled_from(FLAG_VALUES))  # "1" suits most flags
+
+    def forms(name):  # --name=value, --name value, --name
+        return st.one_of(
+            st.tuples(name, value).map(lambda nv: [f"{nv[0]}={nv[1]}"]),
+            st.tuples(name, value).map(list),
+            name.map(lambda n: [n]),
+        )
+
+    stray = st.one_of(
+        st.sampled_from(["-h", "--help", "--", "-x", "--bogus", "extra", "", "-0.5"]).map(
+            lambda s: [s]
+        ),
+        forms(abbreviated),
+    )
+    required = [n for n in names if COMMAND_FLAGS[command][n].required]
+    left_out = draw(st.sampled_from([None, *required]))
+    groups = [[f"{n}=1"] for n in required if n != left_out]  # "1" suits each of them
+    groups += draw(st.lists(forms(exact), max_size=6))
+    groups += draw(st.lists(stray, max_size=1))
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+
+
+def parse_outcome(parse, argv):
+    """vars() of the namespace parse(argv) returns, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestFlagReader:
+    """cli._parse_args, which reads plain flags from each command's table,
+    gives what a fresh whole parser gives for every argv."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(flag_argvs())
+    @example(["refute", "--met", "gf2"])
+    @example(["verify-qm", "--grid", "5", "--grid=3"])
+    @example(["refute", "--fig2=1"])
+    @example(["refute", "--alpha=nan"])
+    @example(["refute", "--kappa=2"])
+    @example(["refute", "--kappa=+1"])
+    @example(["compile", "--settings=s", "--kappa=1", "--out=o", "--label="])
+    @example(["compile", "--settings=s", "--kappa=1", "--out=o", "--label", ""])
+    @example(["compile", "--settings=s", "--kappa=1", "--out=o", "--label=--"])
+    @example(["compile", "--kappa=1", "--out=o"])
+    @example(["solve", "--in"])
+    @example(["refute", "--", "--fig2"])
+    @example(["decompose", "-h"])
+    def test_matches_a_fresh_whole_parser(self, argv):
+        fresh = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+        assert parse_outcome(cli._parse_args, argv) == fresh
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-qm", "--grid", "5", "--seed", "123"],
+            ["simulate", "--phi1=0.25", "--phi2=-1.0", "--events=5000", "--seed=42", "--out=e"],
+            ["decompose", "--json", "--phi1=0.1", "--phi2=0.2", "--phi3=-0.3", "--phi4=0.4"],
+            ["refute", "--alpha=-0.1", "--beta=0.2", "--kappa=-1", "--method=gf2", "--fig2"],
+            ["compile", "--settings=s", "--kappa=-1", "--fig=2", "--out=o", "--factorize"],
+            ["solve", "--in=o", "--method=gf2", "--expect=unsat"],
+        ],
+    )
+    def test_benchmark_forms_are_read_from_the_table(self, monkeypatch, argv):
+        expected = vars(cli.build_parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        monkeypatch.setattr(cli._parser, "parse_args", None)  # the whole parser is not called
+        assert vars(cli._parse_args(argv)) == expected
+
+    def test_no_str_default_has_a_type(self):
+        # argparse runs a str default through the flag's type, and the table
+        # reader stores the default as it is
+        defaults = [
+            action
+            for flags in COMMAND_FLAGS.values()
+            for action in flags.values()
+            if isinstance(action.default, str)
+        ]
+        assert defaults and all(action.type is None for action in defaults)
 
 
 class TestClosedStdout:
