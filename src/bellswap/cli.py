@@ -33,7 +33,9 @@ table of option string to the ``argparse.Action`` that ``add_argument``
 returned, and ``main`` reads a command's flags from that table when every
 one is an exact option string in a plain form (``_read_flags``); the whole
 parser still reads any other argv and prints every help text and error, so
-it stays the one definition of the flags.  Every JSON document a command
+it stays the one definition of the flags.  Its flags that take a value
+refuse, as a usage error, the empty list that argparse makes of
+``--name=--`` (``_Store``).  Every JSON document a command
 prints, on stdout or to ``verify-qm --out``, is ``serialize._json_text(doc)``:
 exactly the bytes of ``json.dumps(doc, indent=2)``, made faster.  ``main``
 pauses the cyclic garbage collector while the command runs, since commands
@@ -118,6 +120,17 @@ _COMPILE_TOL = _checked(
     lambda v: 0 < v <= MAX_COMPILE_TOL,
     f"> 0 and <= {MAX_COMPILE_TOL!r}, the widest phase window whose constraints stay certain",
 )
+
+
+class _Store(argparse.Action):
+    """argparse's store of one value, except that the empty list Python
+    3.11's argparse stores for ``--name=--`` (it drops the ``--`` and runs
+    no ``type`` or ``choices`` check on what is left) is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if isinstance(values, list):
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
 
 
 def _angles_from_args(args: argparse.Namespace) -> tuple[float, float, float, float] | None:
@@ -347,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, help: str):
         """The ``add_argument`` of a new command's subparser, which also
         enters each flag it adds in the command's table."""
-        add_argument = sub.add_parser(name, help=help).add_argument
+        subparser = sub.add_parser(name, help=help)
+        subparser.register("action", None, _Store)  # the action of a flag that names none
+        add_argument = subparser.add_argument
         flags = parser.commands[name] = {}
 
         def add(*names, **kwargs) -> None:
@@ -443,7 +458,7 @@ def _read_flags(command: str, flags: dict, tokens: list[str]) -> argparse.Namesp
                     return None
                 text = tokens[i]
                 i += 1
-            elif text == "--":  # argparse drops it and stores []
+            elif text == "--":  # the whole parser refuses it (_Store)
                 return None
             try:
                 value = text if action.type is None else action.type(text)

@@ -163,12 +163,16 @@ def compute_phases(angles) -> tuple[float, float]:
     return tuple(_zetas(_angle_row(angles)[None], (+1, -1))[:, 0].tolist())
 
 
+_SINGLET = np.array([0, 1, -1, 0])  # over (HH, HV, VH, VV)
+_VW_STATE = _read_only((np.outer(_SINGLET, _SINGLET) / 2).reshape(16))
+
+
 def make_vw_state() -> np.ndarray:
     """Product of two singlets, (H_a V_b - V_a H_b)(H_c V_d - V_c H_d) / 2:
     16 read-only real float64 amplitudes, exactly +-0.5 where nonzero, so the
-    rotations applied to it run in real arithmetic."""
-    singlet = np.array([0, 1, -1, 0])  # over (HH, HV, VH, VV)
-    return _read_only((np.outer(singlet, singlet) / 2).reshape(16))
+    rotations applied to it run in real arithmetic.  Every call returns the
+    same array, built once when the module loads."""
+    return _VW_STATE
 
 
 def _rotate_all(amplitudes: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -27,13 +27,13 @@ rows of its chunks, ids from 0.  The CSV schema is versioned by its pinned
 header row; its columns, vocabulary and LF line endings are golden-tested.
 Every JSON document the CLI prints is the text of _json_text, this module's
 indenting writer: exactly json.dumps(doc, indent=2), but with each leaf's
-text looked up by its type, and a call only per container.
+text looked up by its type, and a call only per container; a float prints
+as float.__repr__, and one check per container finds a NaN or an infinity.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
@@ -112,14 +112,29 @@ class _FloatMemo(dict):
         return self.setdefault(text, float(text))
 
 
+#: The number texts of the load under way, and the one decoder of the
+#: process, whose C scanner json.load would build again on every call.  The
+#: memo maps a text only to float(text), so a load in another thread that
+#: empties it costs time, never a wrong value.
+_MEMO = _FloatMemo()
+_DECODER = json.JSONDecoder(parse_float=_MEMO.__getitem__)
+
+
 def _parse(fp: IO[str]):
     """json.load, raising ValueError also on input nested too deeply to
     parse, that decodes each distinct number text once per load (the mirror
-    of _float_reprs)."""
+    of _float_reprs).  It reuses _DECODER, so it makes json.loads' one check
+    that the decoder leaves out, of a leading UTF-8 BOM, and empties _MEMO
+    after each load, so no load keeps or shares another's floats."""
+    text = fp.read()
     try:
-        return json.load(fp, parse_float=_FloatMemo().__getitem__)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    finally:
+        _MEMO.clear()
 
 
 def _types(values: list) -> set:
@@ -382,18 +397,19 @@ def solve_result_to_dict(cs: ConstraintSet, result: SolveResult, verified: bool)
     return doc
 
 
-def _float_text(value: float) -> str:
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
-#: The text of a leaf of each exact type, as json.dumps prints it.
+#: The text of a leaf of each exact type, as json.dumps prints it, except
+#: that of a non-finite float (see _NON_FINITE).
 _LEAF_TEXT: dict[type, Callable] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
+    float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+
+#: float.__repr__ of each non-finite float, and the text json.dumps gives it.
+#: No other leaf or container text equals one of these.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -404,8 +420,8 @@ def _json_text(obj, indent: str = "\n") -> str:
     up by its type and calls itself only for a container, with ``indent``,
     the newline and spaces that begin the line of its closing bracket.  A
     non-str key raises TypeError (json.dumps would print it as a string)."""
-    if text := _LEAF_TEXT.get(type(obj)):
-        return text(obj)
+    if render := _LEAF_TEXT.get(type(obj)):
+        return _NON_FINITE.get(text := render(obj), text)
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
         return json.dumps(obj)  # a subclass of a leaf type, or the TypeError of any other
@@ -416,6 +432,10 @@ def _json_text(obj, indent: str = "\n") -> str:
         render(value) if (render := leaf(type(value))) else _json_text(value, inner)
         for value in (obj.values() if is_dict else obj)
     ]
+    # one check per container; scans that compare lengths first, where a set
+    # would hash every nested container's text at each level above it
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        texts = [_NON_FINITE.get(text, text) for text in texts]
     if is_dict:
         texts = [f"{encode_basestring_ascii(key)}: {value}" for key, value in zip(obj, texts)]
         return f"{{{inner}{(',' + inner).join(texts)}{indent}}}"

@@ -4,7 +4,10 @@ Two independent procedures, whose answers proof.verify_certificate checks:
 
 - enumerate_solve tries every assignment (guarded at 24 unknowns) and, on
   failure, searches for the smallest constraint subset whose product reads
-  "+1 = -1".  It is the reference solver.
+  "+1 = -1".  It is the reference solver.  Its scan is bit-sliced: a Python
+  int is a truth table over 2**_TABLE_BITS consecutive assignments, one per
+  bit, so each constraint costs a few big-int XORs and one AND per chunk of
+  assignments.
 - gf2_solve maps each unknown v to a bit via v = (-1)^bit, turning every
   constraint into a linear parity equation, and inserts the equations in id
   order into an incremental elimination basis keyed by pivot variable, each
@@ -30,8 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-
-import numpy as np
+from functools import lru_cache
 
 from .proof import ConstraintSet, SolveResult, SolveStatus, verify_certificate
 
@@ -46,7 +48,8 @@ __all__ = [
 #: enumerate_solve refuses systems with more unknowns than this.
 ENUMERATION_GUARD = 24
 
-_CHUNK = 1 << 20
+#: A truth table covers 2**_TABLE_BITS assignments, one chunk of the scan.
+_TABLE_BITS = 20
 _SUBSET_BUDGET = 500_000
 
 
@@ -76,20 +79,53 @@ def _model(assignment: int, n: int) -> tuple[int, ...]:
     return tuple(-1 if bit == "1" else +1 for bit in _low_bits(assignment, n))
 
 
+@lru_cache(maxsize=8)
+def _variable_tables(width: int) -> tuple[int, ...]:
+    """The truth table of each variable v < width over the assignments 0 to
+    2**width - 1: bit k is bit v of k, so a table repeats 2**v zeros and
+    then 2**v ones.  One table is 2**width bits (128 KiB at width 20)."""
+    tables = []
+    for v in range(width):
+        run = 1 << v
+        table, period = ((1 << run) - 1) << run, 2 * run
+        while period < 1 << width:
+            table |= table << period
+            period *= 2
+        tables.append(table)
+    return tuple(tables)
+
+
 def _scan_assignments(rows: list[tuple[int, int]], n_variables: int) -> int | None:
-    """Lowest assignment index (see _model) satisfying all rows, or None."""
-    total = 1 << n_variables
-    for start in range(0, total, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        ok = np.ones(ks.shape, dtype=bool)
+    """Lowest assignment index (see _model) satisfying all rows, or None.
+
+    The assignments go by in chunks of 2**width, width = min(n_variables,
+    _TABLE_BITS), each one truth table: bit k stands for assignment start + k.
+    A variable below width takes its values from _variable_tables; one at
+    width or above is constant over the chunk, bit v of start, so it only
+    flips the row's parity.  A row's table is the XOR of its variables'
+    tables, complemented unless the parity it needs is odd, and ANDs into
+    the chunk's table; a chunk ends when that reaches 0.  Its lowest set bit
+    is the lowest satisfying index.
+    """
+    width = min(n_variables, _TABLE_BITS)
+    tables = _variable_tables(width)
+    everything = (1 << (1 << width)) - 1
+    low_variables = (1 << width) - 1
+    for start in range(0, 1 << n_variables, 1 << width):
+        ok = everything
         for mask, rhs in rows:
-            parity = np.bitwise_count(ks & np.uint32(mask)).astype(np.uint8) & 1
-            ok &= parity == rhs
-            if not ok.any():
+            # start & mask holds only variables at width and above
+            table = 0 if rhs ^ ((start & mask).bit_count() & 1) else everything
+            low = mask & low_variables
+            while low:
+                bit = low & -low
+                table ^= tables[bit.bit_length() - 1]
+                low ^= bit
+            ok &= table
+            if not ok:
                 break
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return int(ks[hits[0]])
+        if ok:
+            return start + (ok & -ok).bit_length() - 1
     return None
 
 

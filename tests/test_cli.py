@@ -1141,6 +1141,36 @@ class TestFlagReader:
         assert defaults and all(action.type is None for action in defaults)
 
 
+#: (command, flag) of every flag that takes a value.
+VALUED_FLAGS = [
+    (command, name)
+    for command, flags in sorted(COMMAND_FLAGS.items())
+    for name, action in sorted(flags.items())
+    if action.nargs != 0
+]
+
+
+class TestDashDashValue:
+    """``--name=--``, which Python 3.11's argparse reads as an empty list
+    and passes by type and choices, is a usage error for every flag that
+    takes a value."""
+
+    @pytest.mark.parametrize("command,name", VALUED_FLAGS, ids=map(" ".join, VALUED_FLAGS))
+    def test_exit_2_with_one_error_line(self, capsys, monkeypatch, tmp_path, command, name):
+        monkeypatch.chdir(tmp_path)
+        flags = COMMAND_FLAGS[command]
+        required = [f"{n}=1" for n in sorted(flags) if flags[n].required and n != name]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, f"{name}=--"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"bellswap {command}: error: argument {name}: expected one argument"]
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.iterdir())
+
+
 class TestClosedStdout:
     def test_reader_closing_early_exits_2_without_traceback(self, tmp_path):
         # about 0.2 MB of model labels: more than a pipe buffer holds, so the

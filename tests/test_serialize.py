@@ -25,6 +25,7 @@ from bellswap.lhv import (
     contradiction_instance,
     quantize_angle,
 )
+from bellswap import serialize
 from bellswap.serialize import (
     EVENT_CHUNK,
     EVENT_CSV_COLUMNS,
@@ -651,6 +652,33 @@ class TestParse:
     def test_values_match_the_json_module(self, text):
         assert same_leaves(_parse(io.StringIO(text)), json.loads(text))
 
+    @pytest.mark.parametrize(
+        "bad", ["\ufeff[0.5]", "[0.5, 0.25", "[0.5] x", "[" * 100_000, "", "\ufeff"]
+    )
+    def test_a_load_after_a_failed_one(self, bad):
+        with pytest.raises(ValueError) as raised:
+            _parse(io.StringIO(bad))
+        assert not serialize._MEMO
+        try:
+            json.loads(bad)
+        except RecursionError:
+            assert str(raised.value) == "JSON nested too deeply"
+        except json.JSONDecodeError as expected:  # the same message, the BOM's included
+            assert type(raised.value) is json.JSONDecodeError
+            assert str(raised.value) == str(expected)
+        text = "[0.5, -0.0, 0.25, 0.5, 1e400]"
+        assert same_leaves(_parse(io.StringIO(text)), json.loads(text))
+        assert not serialize._MEMO
+
+    def test_loads_share_no_floats(self):
+        first = _parse(io.StringIO("[0.25, 0.5, 0.5]"))
+        assert first[1] is first[2]  # one float per distinct text of a load
+        assert not serialize._MEMO
+        second = _parse(io.StringIO('{"x": [0.5, 0.25]}'))
+        assert second["x"] == [0.5, 0.25]
+        assert second["x"][0] is not first[1] and second["x"][1] is not first[0]
+        assert not serialize._MEMO
+
 
 class TestSolveResultJson:
     def test_unsat_document_names_experiments(self):
@@ -710,6 +738,10 @@ class TestJsonText:
     @example({"a": [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 2**64, -(2**64) - 1]})
     @example([[], {}, (), [[{}]], {"": {"\"\\\x00\u00e9": [True, False, None]}}])
     @example({"model": {"F(0.1, 0.2)": -1, "G(0.1, 0.2)": 1}, "x": np.float64(-0.0)})
+    @example([1e308, 1e308])
+    @example([1.0, "x", math.nan])
+    @example({"inf": ["nan", "-inf", math.inf, [-math.inf]], "nan": math.nan})
+    @example(math.nan)
     def test_matches_json_dumps_with_indent_2(self, doc):
         assert _json_text(doc) == json.dumps(doc, indent=2)
 

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from instance_gen import grid_settings, random_compiled_instance, system_document
 
 from bellswap.lhv import (
@@ -133,6 +135,61 @@ class TestEnumerateSolve:
         result = enumerate_solve(cs)
         assert result.status is SolveStatus.SAT
         assert verify_certificate(cs, result)
+
+
+def reference_scan(rows: list[tuple[int, int]], n_variables: int) -> int | None:
+    """The lowest assignment index whose bits give every row's parity, one
+    index at a time."""
+    for k in range(1 << n_variables):
+        if all((k & mask).bit_count() % 2 == rhs for mask, rhs in rows):
+            return k
+    return None
+
+
+@st.composite
+def parity_systems(draw):
+    """(rows, n) with n <= 10 and rows of any masks over the n variables,
+    empty ones included, some repeated."""
+    n = draw(st.integers(0, 10))
+    row = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 1))
+    rows = draw(st.lists(row, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    return draw(st.permutations(rows + repeats)), n
+
+
+class TestScanAssignments:
+    """The bit-sliced scan gives the lowest satisfying index, at the default
+    table width and at width 2, where a system of n > 2 unknowns takes
+    2**(n - 2) chunks and its higher variables flip row parities."""
+
+    @pytest.mark.parametrize("table_bits", [solver._TABLE_BITS, 2])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parity_systems())
+    @example(([], 0))
+    @example(([(0, 0)], 0))
+    @example(([(0, 1)], 0))
+    @example(([(0, 0), (0b11, 1), (0b11, 1)], 2))
+    @example(([(0b1000, 1), (0b1000, 1)], 4))
+    @example(([(0b1100, 1), (0b0110, 1), (0b1010, 1)], 4))
+    @example(([(1 << 9, 1), (0b11 << 7, 0)], 10))
+    def test_equals_the_one_index_at_a_time_reference(self, table_bits, system):
+        rows, n = system
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_TABLE_BITS", table_bits)
+            assert solver._scan_assignments(rows, n) == reference_scan(rows, n)
+
+    def test_table_cache_is_bounded(self):
+        tables = solver._variable_tables
+        assert tables.cache_info().maxsize is not None
+        for width in range(tables.cache_info().maxsize + 4):
+            assert len(tables(width)) == width
+            assert tables.cache_info().currsize <= tables.cache_info().maxsize
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 5])
+    def test_bit_k_of_a_table_is_bit_v_of_k(self, width):
+        for v, table in enumerate(solver._variable_tables(width)):
+            assert table < 1 << (1 << width)
+            assert all((table >> k) & 1 == (k >> v) & 1 for k in range(1 << width))
 
 
 def unsat_instances() -> list[ConstraintSet]:

@@ -74,7 +74,7 @@ def test_stage_times_smallest_size():
     (solve,) = report["gf2_unfactorized_fig1"]
     assert solve["bases"] == 1 and solve["status"] == "sat" and solve["unknowns"] > 0
     assert solve["verify_ms"] > 0.0
-    assert set(report["enumerate_solve_ms"]) == {"fig1_factorized", "fig2"}
+    assert set(report["enumerate_solve_ms"]) == {"fig1_factorized", "fig2", "refute"}
     assert min(report["enumerate_solve_ms"].values()) > 0.0
     lines = report["src_lines"]
     total = lines.pop("total")

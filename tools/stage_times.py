@@ -77,7 +77,9 @@ systems of the 1-base grid's round that the guard admits, best of
 ``--repeat`` runs: figure 1 factorized in kappa = +1 (``fig1_factorized``,
 20 unknowns and 37 constraints, unsatisfiable, so it also runs the
 certificate search) and figure 2 in kappa = -1 (``fig2``, 24 unknowns and
-25 constraints, satisfiable).
+25 constraints, satisfiable), and on ``contradiction_instance(0.5, 1.5, 1)``
+(``refute``, the 4-unknown, 2-constraint unsatisfiable system that a
+``refute`` command solves).
 
 It also reports ``src_lines``: the line count of each module of the
 package, as ``wc -l`` counts them, and their total.
@@ -407,7 +409,8 @@ def unfactorized_solves(sizes: list[int], repeat: int) -> list[dict]:
 
 def enumerate_solves(repeat: int) -> dict[str, float]:
     """enumerate_solve on the two systems of the 1-base round that its guard
-    admits: figure 1 factorized in kappa = +1, figure 2 in kappa = -1."""
+    admits, figure 1 factorized in kappa = +1 and figure 2 in kappa = -1,
+    and on the 4-unknown system of a ``refute`` command."""
     settings = grid_file_settings(1)
     systems = {
         "fig1_factorized": (
@@ -415,6 +418,7 @@ def enumerate_solves(repeat: int) -> dict[str, float]:
             solver.SolveStatus.UNSAT,
         ),
         "fig2": (lhv.compile_double_bell(settings, -1), solver.SolveStatus.SAT),
+        "refute": (lhv.contradiction_instance(0.5, 1.5, 1), solver.SolveStatus.UNSAT),
     }
     out = {}
     for name, (cs, expected) in systems.items():
